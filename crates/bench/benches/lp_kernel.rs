@@ -12,10 +12,8 @@
 //!   simplex's home turf;
 //! * `3dwalk_large` — the largest Handelman class in the suite
 //!   (m ≈ 64–127 at a few percent density, degenerate εmax systems):
-//!   the class the factorized representations target, and where the
-//!   `lu` (product-form eta file) and `lu-ft` (Forrest–Tomlin spike
-//!   swaps) update schemes race on identical LP streams — the
-//!   pivot-heavy runs FT exists for.
+//!   the class the factorized `lu-ft` (Forrest–Tomlin spike swaps)
+//!   representation targets — the pivot-heavy runs FT exists for.
 //!
 //! The `sweep_coupon`/`sweep_epsmax` rows race the two LP strategies a
 //! `qava --sweep` chooses between on the harvested reoptimization
@@ -33,7 +31,7 @@ use qava_core::hoeffding::{synthesize_reprsm_bound_in, BoundKind};
 use qava_core::suite::{coupon_rows, rdwalk_rows, walk3d_rows};
 use qava_linalg::kernel;
 use qava_lp::debug::{update_solve_cycle, TraceEngine};
-use qava_lp::{BackendChoice, CscMatrix, LpBackend, LpSolver, LuSimplex};
+use qava_lp::{BackendChoice, CscMatrix, LpBackend, LpSolver, LuFtSimplex};
 
 /// Reduced Ser budget: enough ε-probe LPs to exercise warm starts and
 /// the εmax knife edge while keeping the matrix quick.
@@ -49,9 +47,7 @@ fn bench_lp_kernel(c: &mut Criterion) {
     ];
     for (class, row) in classes {
         let pts = row.compile();
-        for backend in
-            [BackendChoice::Sparse, BackendChoice::Dense, BackendChoice::Lu, BackendChoice::LuFt]
-        {
+        for backend in [BackendChoice::Sparse, BackendChoice::Dense, BackendChoice::LuFt] {
             group.bench_with_input(BenchmarkId::new(class, backend), &pts, |bench, pts| {
                 bench.iter(|| {
                     // A fresh session per iteration: cold warm-start
@@ -193,40 +189,24 @@ fn walk3d_like_matrix() -> CscMatrix {
     CscMatrix::from_sparse_rows(m, n, &rows)
 }
 
-/// The update schemes head to head at **equal refactorization counts**:
-/// one (trivial) factorization, an identical deterministic exchange
-/// chain of 16/64/128/192 pivots — a short run, the eta file's full
-/// between-refactorization budget, FT's, and a pivot-heavier run — then
-/// 256 rounds of one sparse ftran + one dense btran, the pivot loop's
-/// solve mix. The long rows are the ones the Forrest–Tomlin engine
-/// exists for: with the updates absorbed into U there is no eta stack
-/// to traverse, so FT's ftran/btran cost stays flat as the chain grows
-/// while the eta file's climbs — the gap widens monotonically across
-/// the ladder. The short `basis_update16` row watches the other end:
-/// with few updates the eta file's one-component pivot checks skip
-/// nearly everything, so this is where the eta engine is hardest to
-/// beat and where FT's row-eta support masks (which skip ~59% of eta
-/// applications on the real suite's sparse right-hand sides) are meant
-/// to keep the gap from widening further. The `lu-bg` rows race the
-/// Bartels–Golub engine on the same chains: its interchange-based spike
-/// elimination buys stability with extra row-eta fill, and these rows
-/// bound what that costs on FT's home turf.
+/// The Forrest–Tomlin update at fixed refactorization count: one
+/// (trivial) factorization, a deterministic exchange chain of
+/// 16/64/128/192 pivots — a short run, the update budget between
+/// refactorizations, and two pivot-heavier runs — then 256 rounds of one
+/// sparse ftran + one dense btran, the pivot loop's solve mix. With the
+/// updates absorbed into U there is no eta stack to traverse, so the
+/// solve cost should stay nearly flat as the chain grows; the row-eta
+/// support masks keep sparse right-hand sides cheap on the short rows.
 fn bench_basis_update(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp/kernel");
     group.sample_size(10);
     let a = walk3d_like_matrix();
     for updates in [16usize, 64, 128, 192] {
-        for (engine, name) in [
-            (TraceEngine::LuEta, "lu"),
-            (TraceEngine::LuFt, "lu-ft"),
-            (TraceEngine::LuBg, "lu-bg"),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("basis_update{updates}"), name),
-                &a,
-                |bench, a| bench.iter(|| update_solve_cycle(engine, a, updates, 256)),
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new(format!("basis_update{updates}"), "lu-ft"),
+            &a,
+            |bench, a| bench.iter(|| update_solve_cycle(TraceEngine::LuFt, a, updates, 256)),
+        );
     }
     group.finish();
 }
@@ -293,10 +273,10 @@ fn load_chain(prefix: &str) -> Vec<ChainInst> {
 }
 
 /// Reoptimized vs cold sweep LP cost on the harvested chains, through
-/// the `lu` backend (the engine the sweep harvest captured). `cold` is
-/// what a per-point baseline pays; `reopt` is the sweep fast path,
-/// falling back cold on a declined attempt exactly like the session
-/// does — so the row measures the honest cost, not the happy path.
+/// the `lu-ft` backend. `cold` is what a per-point baseline pays;
+/// `reopt` is the sweep fast path, falling back cold on a declined
+/// attempt exactly like the session does — so the row measures the
+/// honest cost, not the happy path.
 fn bench_sweep_chains(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp/kernel");
     group.sample_size(10);
@@ -307,7 +287,7 @@ fn bench_sweep_chains(c: &mut Criterion) {
                 let mut pivots = 0usize;
                 for inst in chain {
                     pivots +=
-                        LuSimplex.solve_core(&inst.costs, &inst.a, &inst.b, None).unwrap().pivots;
+                        LuFtSimplex.solve_core(&inst.costs, &inst.a, &inst.b, None).unwrap().pivots;
                 }
                 pivots
             })
@@ -315,15 +295,15 @@ fn bench_sweep_chains(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new(class, "reopt"), &chain, |bench, chain| {
             bench.iter(|| {
                 let head =
-                    LuSimplex.solve_core(&chain[0].costs, &chain[0].a, &chain[0].b, None).unwrap();
+                    LuFtSimplex.solve_core(&chain[0].costs, &chain[0].a, &chain[0].b, None).unwrap();
                 let mut pivots = head.pivots;
                 let mut basis = head.basis;
                 for inst in &chain[1..] {
                     let sol = basis
                         .as_deref()
-                        .and_then(|p| LuSimplex.reoptimize_core(&inst.costs, &inst.a, &inst.b, p))
+                        .and_then(|p| LuFtSimplex.reoptimize_core(&inst.costs, &inst.a, &inst.b, p))
                         .unwrap_or_else(|| {
-                            LuSimplex.solve_core(&inst.costs, &inst.a, &inst.b, None).unwrap()
+                            LuFtSimplex.solve_core(&inst.costs, &inst.a, &inst.b, None).unwrap()
                         });
                     pivots += sol.pivots;
                     basis = sol.basis;

@@ -301,7 +301,7 @@ mod tests {
     #[test]
     fn kernel_benches_gate_while_suite_benches_warn() {
         let base: BTreeMap<String, f64> = [
-            ("lp/kernel/3dwalk_large/lu", 100.0),
+            ("lp/kernel/3dwalk_large/lu-ft", 100.0),
             ("lp/kernel/coupon_mid/sparse", 100.0),
             ("lp/kernel/rdwalk_small/dense", 100.0),
             ("table1/concentration/hoeffding/X", 100.0),
@@ -310,7 +310,7 @@ mod tests {
         .map(|(k, v)| (k.to_string(), v))
         .collect();
         let fresh: BTreeMap<String, f64> = [
-            ("lp/kernel/3dwalk_large/lu", 140.0),    // +40%: gates
+            ("lp/kernel/3dwalk_large/lu-ft", 140.0), // +40%: gates
             ("lp/kernel/coupon_mid/sparse", 120.0),  // +20%: under the gate, still warns
             ("lp/kernel/rdwalk_small/dense", 60.0),  // -40%: improvement
             ("table1/concentration/hoeffding/X", 300.0), // +200%: still warn-only
@@ -326,7 +326,7 @@ mod tests {
         assert!(r
             .lines
             .iter()
-            .any(|l| l.contains("::error::") && l.contains("`lp/kernel/3dwalk_large/lu`")));
+            .any(|l| l.contains("::error::") && l.contains("`lp/kernel/3dwalk_large/lu-ft`")));
         assert!(r
             .lines
             .iter()

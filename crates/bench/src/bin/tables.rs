@@ -36,7 +36,7 @@ fn main() {
             .build_global()
             .expect("configuring the global pool cannot fail");
     }
-    // `--lp-backend {auto,sparse,dense,lu,lu-ft,lu-bg}` forwards to every task's solver
+    // `--lp-backend B` forwards to every task's solver
     // session (same flag, same parser, as `qava --lp-backend`).
     let backend = match BackendChoice::from_args(&args) {
         Ok(b) => b.unwrap_or_default(),

@@ -88,12 +88,11 @@ solver:
   --lp-backend B   LP backend policy: auto (default; routes by size and
                    density — tiny models on the dense tableau, large
                    sparse systems on the Forrest–Tomlin LU simplex, the
-                   rest on the sparse revised simplex), sparse, dense,
-                   lu (LU + product-form eta file), lu-ft (LU +
-                   Forrest–Tomlin spike swaps), or lu-bg (LU +
-                   Bartels–Golub row interchanges) — applies to
-                   single-file analyses and to --suite, which also
-                   prints per-backend solve statistics
+                   rest on the sparse revised simplex), or pin one of
+                   those three: dense, sparse (dense-inverse revised
+                   simplex), or lu-ft (LU + Forrest–Tomlin spike swaps)
+                   — applies to single-file analyses and to --suite,
+                   which also prints per-backend solve statistics
 
 daemon:
   --connect SOCK   send the analysis to a resident qavad daemon on the
@@ -195,10 +194,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     Some(s.parse().map_err(|_| format!("bad deadline `{s}`"))?);
             }
             "--lp-backend" => {
-                let s = it
-                    .next()
-                    .ok_or("--lp-backend needs auto, sparse, dense, lu, lu-ft, or lu-bg")?;
-                opts.lp_backend = s.parse()?;
+                opts.lp_backend = BackendChoice::parse_flag(it.next().map(String::as_str))?;
             }
             "--connect" => {
                 let sock = it.next().ok_or("--connect needs a socket path")?;
@@ -986,16 +982,19 @@ mod tests {
     fn lp_backend_parses() {
         let o = parse_args(&args(&["p.qava", "--lp-backend", "sparse"])).unwrap();
         assert_eq!(o.lp_backend, BackendChoice::Sparse);
-        let o = parse_args(&args(&["p.qava", "--lp-backend", "lu"])).unwrap();
-        assert_eq!(o.lp_backend, BackendChoice::Lu);
         let o = parse_args(&args(&["p.qava", "--lp-backend", "lu-ft"])).unwrap();
         assert_eq!(o.lp_backend, BackendChoice::LuFt);
-        let o = parse_args(&args(&["p.qava", "--lp-backend", "lu-bg"])).unwrap();
-        assert_eq!(o.lp_backend, BackendChoice::LuBg);
         let o = parse_args(&args(&["p.qava"])).unwrap();
         assert_eq!(o.lp_backend, BackendChoice::default());
-        assert!(parse_args(&args(&["p.qava", "--lp-backend", "cuda"])).is_err());
-        assert!(parse_args(&args(&["p.qava", "--lp-backend"])).is_err());
+        // Unknown values — the deleted `lu`/`lu-bg` engines included —
+        // fail with the library parser's message, list and all.
+        for bad in ["lu", "lu-bg", "cuda"] {
+            let err = parse_args(&args(&["p.qava", "--lp-backend", bad])).err();
+            assert_eq!(err, bad.parse::<BackendChoice>().err(), "{bad}");
+            assert!(err.unwrap().contains("auto, sparse, dense, or lu-ft"), "{bad}");
+        }
+        let err = parse_args(&args(&["p.qava", "--lp-backend"])).err();
+        assert_eq!(err, BackendChoice::parse_flag(None).err());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use qava_core::suite;
 use qava_core::{explowsyn, hoeffding};
 use qava_lp::{
     BackendChoice, CoreSolution, CscMatrix, DenseTableau, FaultKind, FaultPlan, LpBackend,
-    LpError, LpSolver, LuSimplex,
+    LpError, LpSolver, LuFtSimplex,
 };
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -153,14 +153,14 @@ fn render(name: &str, origin: &str, inst: &Instance, warm: Option<&[usize]>) -> 
     Some(s)
 }
 
-/// Runs one named workload with a capturing lu session and returns the
+/// Runs one named workload with a capturing lu-ft session and returns the
 /// instances worth keeping: the largest system and the most
 /// pivot-hungry one.
 fn harvest(run: impl FnOnce(&mut LpSolver)) -> Vec<Instance> {
     let log = Rc::new(RefCell::new(Vec::new()));
-    let mut solver = LpSolver::with_choice(BackendChoice::Lu);
+    let mut solver = LpSolver::with_choice(BackendChoice::LuFt);
     solver
-        .register_backend(Box::new(Capturing { inner: Box::new(LuSimplex), log: Rc::clone(&log) }));
+        .register_backend(Box::new(Capturing { inner: Box::new(LuFtSimplex), log: Rc::clone(&log) }));
     run(&mut solver);
     let log = log.borrow();
     let mut picks: Vec<Instance> = Vec::new();
@@ -263,7 +263,7 @@ fn harvest_conformance_corpus() {
     }
 
     // --- Ref p = 1e-7: the tiny-coefficient ExpLowSyn systems behind
-    // the eta-drift bug (`crates/lp/tests/drift_regression.rs`).
+    // the basis-drift bug (`crates/lp/tests/drift_regression.rs`).
     let row = &suite::refsearch_rows()[0];
     let pts = row.compile();
     let picks = harvest(|s| {
@@ -337,9 +337,9 @@ fn harvest_sweep_chains() {
     ];
     for (slug, rows, what) in families {
         let log = Rc::new(RefCell::new(Vec::new()));
-        let mut solver = LpSolver::with_choice(BackendChoice::Lu);
+        let mut solver = LpSolver::with_choice(BackendChoice::LuFt);
         solver.register_backend(Box::new(Capturing {
-            inner: Box::new(LuSimplex),
+            inner: Box::new(LuFtSimplex),
             log: Rc::clone(&log),
         }));
         // One shared session across the whole family, exactly like
@@ -391,9 +391,9 @@ fn harvest_failover_instances() {
     let pts = row.compile();
     for (nth, slug) in [(1usize, "failover_trigger_first"), (7, "failover_trigger_mid")] {
         let log = Rc::new(RefCell::new(Vec::new()));
-        let mut solver = LpSolver::with_choice(BackendChoice::Lu);
+        let mut solver = LpSolver::with_choice(BackendChoice::LuFt);
         solver.register_backend(Box::new(Capturing {
-            inner: Box::new(LuSimplex),
+            inner: Box::new(LuFtSimplex),
             log: Rc::clone(&log),
         }));
         solver.install_fault_plan(FaultPlan::new(FaultKind::PivotLimit, nth));

@@ -5,16 +5,15 @@
 //! the pivot limit, and only the `--suite` 3DWalk row — not the tier
 //! tests — caught it. The rescue is the all-Bland retry in the revised
 //! simplex core (`revised::solve_equilibrated`); this test pins that
-//! path directly for **both** revised backends (`sparse` and `lu`), so
+//! path directly for **both** revised backends (`sparse` and `lu-ft`), so
 //! future simplex-numerics changes fail here in seconds instead of in a
 //! full suite run.
 //!
-//! It also pins the LU backends' headline robustness property: walk3d
+//! It also pins the LU backend's headline robustness property: walk3d
 //! synthesis must complete with **zero feasibility-watchdog
 //! refactor-backstop trips** (`LpStats::watchdog_restarts`) — the
-//! conditioning failure the factorized representations exist to
-//! eliminate. Both LU engines (product-form eta file and Forrest–Tomlin
-//! spike swaps) carry the property.
+//! conditioning failure the factorized representation exists to
+//! eliminate.
 
 use qava_core::hoeffding::{synthesize_reprsm_bound_in, BoundKind};
 use qava_core::suite::walk3d_rows;
@@ -29,7 +28,7 @@ fn walk3d_epsmax_lp_survives_both_revised_backends() {
     let row = &walk3d_rows()[0]; // (x, y, z) = (100, 100, 100)
     let pts = row.compile();
     let mut lns = Vec::new();
-    for choice in [BackendChoice::Sparse, BackendChoice::Lu, BackendChoice::LuFt] {
+    for choice in [BackendChoice::Sparse, BackendChoice::LuFt] {
         let mut solver = LpSolver::with_choice(choice);
         let r = synthesize_reprsm_bound_in(&pts, BoundKind::Hoeffding, SER_ITERATIONS, &mut solver)
             .unwrap_or_else(|e| panic!("{choice}: walk3d εmax synthesis failed: {e}"));
@@ -46,7 +45,7 @@ fn walk3d_epsmax_lp_survives_both_revised_backends() {
             stats.bland_retries,
             stats.watchdog_restarts,
         );
-        if matches!(choice, BackendChoice::Lu | BackendChoice::LuFt) {
+        if choice == BackendChoice::LuFt {
             assert_eq!(
                 stats.watchdog_restarts, 0,
                 "{choice}: the factorized basis must not trip the feasibility \

@@ -35,7 +35,7 @@
 //!   scalar accumulator `s_k` and the final reduction in the baseline's
 //!   `(s0+s1)+(s2+s3)+tail` association; `scatter_axpy`, `norm_inf`,
 //!   and `scale` perform the identical per-element operations. This is
-//!   deliberate, not incidental: the Forrest–Tomlin and eta-file solve
+//!   deliberate, not incidental: the Forrest–Tomlin LU solve
 //!   paths run almost entirely on the gathered kernels, and keeping
 //!   them bit-exact keeps pivot trajectories identical across backends
 //!   on the suite's knife-edge degenerate LPs (an early FMA variant of

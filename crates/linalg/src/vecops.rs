@@ -6,7 +6,7 @@
 //! The `dot`/`axpy`/`gather_dot`/`scatter_axpy`/`masked_gather_dot` kernels
 //! are the inner loops of the revised simplex (`B⁻¹` row updates,
 //! simplex-multiplier accumulation, column pricing, and the sparse
-//! triangular solves through the LU factors, eta file and Forrest–Tomlin
+//! triangular solves through the LU factors and Forrest–Tomlin
 //! row etas). Since PR 8 they dispatch through the [`kernel`](crate::kernel)
 //! subsystem: one runtime selection per process picks the best
 //! [`VecKernel`](crate::kernel::VecKernel) backend the CPU proves

@@ -7,15 +7,14 @@
 //! `install_fault_plan` or from the `QAVA_LP_FAULTS` environment
 //! variable — and are threaded into the simplex core through a
 //! thread-local while the backend runs, so the injection sites inside
-//! `revised`/`eta`/`ft` need no plumbing through every signature.
+//! `revised`/`ft` need no plumbing through every signature.
 //!
 //! Fault specs (for `QAVA_LP_FAULTS` and [`FaultPlan::parse`]):
 //!
 //! ```text
 //! refactor-fail[:N]   Nth basis refactorization reports singular
-//! shaky-pivot[:N]     Nth eta/FT/BG update sees a below-threshold pivot
+//! shaky-pivot[:N]     Nth FT update sees a below-threshold pivot
 //! accuracy-trip[:N]   Nth FT accuracy check reports drift
-//! bg-accuracy[:N]     Nth BG accuracy check reports drift
 //! pivot-limit[:N]     Nth backend call's result becomes PivotLimit
 //! warm-poison[:N]     Nth warm-start lookup returns a corrupted basis
 //! dual-pivot[:N]      Nth dual-simplex pivot aborts the reoptimization
@@ -41,12 +40,10 @@ use std::cell::{Cell, RefCell};
 pub enum FaultKind {
     /// A basis refactorization transiently reports "singular".
     RefactorFail,
-    /// An eta/FT update pivot is treated as numerically shaky.
+    /// An FT update pivot is treated as numerically shaky.
     ShakyPivot,
     /// The Forrest–Tomlin accuracy check reports determinant drift.
     AccuracyTrip,
-    /// The Bartels–Golub accuracy check reports determinant drift.
-    BgAccuracy,
     /// A backend call's successful result is replaced by `PivotLimit`.
     PivotLimit,
     /// A warm-start basis from the cache is corrupted before use.
@@ -59,11 +56,10 @@ pub enum FaultKind {
 }
 
 /// The recoverable kinds, in spec order (used by [`FaultPlan::chaos`]).
-const RECOVERABLE: [FaultKind; 7] = [
+const RECOVERABLE: [FaultKind; 6] = [
     FaultKind::RefactorFail,
     FaultKind::ShakyPivot,
     FaultKind::AccuracyTrip,
-    FaultKind::BgAccuracy,
     FaultKind::PivotLimit,
     FaultKind::WarmPoison,
     FaultKind::DualPivot,
@@ -75,12 +71,10 @@ const RECOVERABLE: [FaultKind; 7] = [
 pub(crate) enum Site {
     /// `Revised::refactor` — a full basis refactorization.
     Refactor,
-    /// `LuBasis::update` / `FtBasis::update` — the incremental pivot.
+    /// `FtBasis::update` — the incremental pivot.
     UpdatePivot,
     /// `FtBasis::update` — the post-update accuracy check.
     FtAccuracy,
-    /// `BgBasis::update` — the post-update accuracy check.
-    BgAccuracy,
     /// The session's call into `LpBackend::solve_core`.
     BackendCall,
     /// A warm-start cache hit, before the basis is used.
@@ -97,7 +91,6 @@ impl FaultKind {
             FaultKind::RefactorFail => Site::Refactor,
             FaultKind::ShakyPivot => Site::UpdatePivot,
             FaultKind::AccuracyTrip => Site::FtAccuracy,
-            FaultKind::BgAccuracy => Site::BgAccuracy,
             FaultKind::PivotLimit => Site::BackendCall,
             FaultKind::WarmPoison => Site::WarmLookup,
             FaultKind::DualPivot => Site::DualPivot,
@@ -111,7 +104,6 @@ impl FaultKind {
             FaultKind::RefactorFail => "refactor-fail",
             FaultKind::ShakyPivot => "shaky-pivot",
             FaultKind::AccuracyTrip => "accuracy-trip",
-            FaultKind::BgAccuracy => "bg-accuracy",
             FaultKind::PivotLimit => "pivot-limit",
             FaultKind::WarmPoison => "warm-poison",
             FaultKind::DualPivot => "dual-pivot",
@@ -124,7 +116,6 @@ impl FaultKind {
             "refactor-fail" => FaultKind::RefactorFail,
             "shaky-pivot" => FaultKind::ShakyPivot,
             "accuracy-trip" => FaultKind::AccuracyTrip,
-            "bg-accuracy" => FaultKind::BgAccuracy,
             "pivot-limit" => FaultKind::PivotLimit,
             "warm-poison" => FaultKind::WarmPoison,
             "dual-pivot" => FaultKind::DualPivot,
@@ -184,7 +175,7 @@ impl FaultPlan {
         let kind = FaultKind::from_label(head).ok_or_else(|| {
             format!(
                 "unknown fault kind `{head}` (expected refactor-fail, shaky-pivot, \
-                 accuracy-trip, bg-accuracy, pivot-limit, warm-poison, dual-pivot, \
+                 accuracy-trip, pivot-limit, warm-poison, dual-pivot, \
                  deadline, or chaos:SEED)"
             )
         })?;
@@ -291,7 +282,6 @@ mod tests {
             FaultKind::RefactorFail,
             FaultKind::ShakyPivot,
             FaultKind::AccuracyTrip,
-            FaultKind::BgAccuracy,
             FaultKind::PivotLimit,
             FaultKind::WarmPoison,
             FaultKind::DualPivot,

@@ -1,7 +1,7 @@
 //! Forrest–Tomlin basis updates: spike swaps inside the LU factors.
 //!
-//! The product-form eta file ([`crate::eta`]) leaves the factors of the
-//! last refactorization untouched and pays for it at solve time: every
+//! A product-form eta file leaves the factors of the last
+//! refactorization untouched and pays for it at solve time: every
 //! ftran/btran walks L, U, *and* the whole eta stack, so between
 //! refactorizations the solve cost is O(nnz(LU) + nnz(etas)) and grows
 //! with every pivot. The Forrest–Tomlin update instead edits **U
@@ -30,7 +30,7 @@
 //! — they are written once and never renumbered — while the position
 //! order lives in two small permutation vectors (`order`, `pos_of`).
 //!
-//! **Refactorization triggers.** The eta file refactorizes on eta count
+//! **Refactorization triggers.** An eta file refactorizes on eta count
 //! and stack fill-in; FT has no eta stack to speak of, so its triggers
 //! move into the factors themselves:
 //!
@@ -44,38 +44,34 @@
 //!   [`FILL_FACTOR`] × the freshly factorized size, refactorizing is
 //!   cheaper than dragging the fill through every solve;
 //! * **update count** — [`MAX_UPDATES`] bounds rounding-error
-//!   accumulation outright, matching the eta file's cadence so the two
-//!   schemes race at equal refactorization counts on the production
-//!   workloads (`lp/kernel/basis_update*` in `benches/lp_kernel.rs`
-//!   additionally measures them on identical longer chains, where FT's
-//!   flat solve cost pulls away). The accuracy cross-check below
-//!   refactorizes adaptively well before the budget when the numbers
-//!   degrade.
+//!   accumulation outright, matching the dense inverse's refactorization
+//!   period (`lp/kernel/basis_update*` in `benches/lp_kernel.rs`
+//!   measures the update on longer chains). The accuracy cross-check
+//!   below refactorizes adaptively well before the budget when the
+//!   numbers degrade.
 //!
 //! Optimality/unboundedness verdicts are still only trusted from a fresh
-//! factorization ([`BasisRepr::trusts_incremental_optimal`] is `false`),
-//! exactly like the eta engine — the drift-verification machinery is the
-//! backstop for both update schemes, and the conformance corpus
-//! (`tests/corpus.rs`) races them against each other and the dense
-//! oracle.
+//! factorization ([`BasisRepr::trusts_incremental_optimal`] is `false`)
+//! — the drift-verification machinery is the backstop for the
+//! incremental updates, and the conformance corpus (`tests/corpus.rs`)
+//! races the engine against the dense-inverse and dense-tableau
+//! backends.
 
 use crate::lu::{LuFactors, SparseCol};
-use crate::revised::{BasisRepr, UpdateStability};
+use crate::revised::BasisRepr;
 use crate::CscMatrix;
 use qava_linalg::vecops;
 use std::cell::RefCell;
 
 /// Spike-pivot magnitude below which the update is accuracy-risky and
-/// the next opportunity refactorizes; mirrors the eta file's
-/// `SHAKY_PIVOT` so the two update schemes see comparable accuracy
-/// windows. Shared with the Bartels–Golub engine ([`crate::bg`]) so the
-/// two column-replacement schemes see identical accuracy windows.
-pub(crate) const SHAKY_PIVOT: f64 = 1e-7;
+/// the next opportunity refactorizes; mirrors `PIVOT_TOL` in the ratio
+/// test of [`crate::revised`].
+const SHAKY_PIVOT: f64 = 1e-7;
 
 /// Fill-in growth trigger: refactorize when the live U plus the row-eta
 /// stack outgrow this multiple of the factors' size at the last
 /// refactorization.
-pub(crate) const FILL_FACTOR: usize = 2;
+const FILL_FACTOR: usize = 2;
 
 /// Relative disagreement between the eliminated diagonal and the one the
 /// determinant identity predicts (`d = u[row]·U_tt`) beyond which the
@@ -83,10 +79,10 @@ pub(crate) const FILL_FACTOR: usize = 2;
 /// elimination or drift in the recovered spike — and the next
 /// opportunity refactorizes. 1e-6 leaves ~9 clean digits, far inside the
 /// 1e-7 tolerances the pivot loop itself runs on.
-pub(crate) const ACCURACY_DRIFT: f64 = 1e-6;
+const ACCURACY_DRIFT: f64 = 1e-6;
 
 /// Backstop on updates between refactorizations.
-pub(crate) const MAX_UPDATES: usize = 64;
+const MAX_UPDATES: usize = 64;
 
 /// The spike of the most recent [`BasisRepr::ftran_col`], kept so
 /// [`BasisRepr::update`] can reuse it: the simplex always ftrans the
@@ -96,15 +92,15 @@ pub(crate) const MAX_UPDATES: usize = 64;
 /// against the raw column data and recomputes on a mismatch, so reuse
 /// is a pure optimization, never a correctness assumption.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct SpikeCache {
-    pub(crate) col_idx: Vec<usize>,
-    pub(crate) col_vals: Vec<f64>,
-    pub(crate) spike: Vec<f64>,
-    pub(crate) valid: bool,
+struct SpikeCache {
+    col_idx: Vec<usize>,
+    col_vals: Vec<f64>,
+    spike: Vec<f64>,
+    valid: bool,
 }
 
 impl SpikeCache {
-    pub(crate) fn matches(&self, idx: &[usize], vals: &[f64]) -> bool {
+    fn matches(&self, idx: &[usize], vals: &[f64]) -> bool {
         self.valid && self.col_idx == idx && self.col_vals == vals
     }
 }
@@ -114,45 +110,30 @@ impl SpikeCache {
 /// forward solve as `x[row] -= col · x`, transposed as
 /// `x -= x[row] · col`.
 #[derive(Debug, Clone)]
-pub(crate) struct RowEta {
-    pub(crate) row: usize,
-    pub(crate) col: SparseCol,
+struct RowEta {
+    row: usize,
+    col: SparseCol,
     /// Support bitmask of `col.idx` over row keys. A forward solve
     /// intersects it with the running nonzero-row mask of the solve
     /// vector: no overlap means the gather is provably zero and the eta
-    /// is skipped outright. This is the row-eta analogue of the eta
-    /// file's one-component pivot check — a *row* operation reads many
-    /// components, so restoring sparse-RHS skipping takes a set
-    /// intersection instead of a single load.
-    pub(crate) mask: Vec<u64>,
+    /// is skipped outright — a *row* operation reads many components,
+    /// so sparse-RHS skipping takes a set intersection instead of a
+    /// single load.
+    mask: Vec<u64>,
 }
 
 /// Number of `u64` words a row-key bitmask over `m` rows needs.
-pub(crate) fn mask_words(m: usize) -> usize {
+fn mask_words(m: usize) -> usize {
     m.div_ceil(64)
 }
 
 /// Sets `row`'s bit.
-pub(crate) fn mask_set(mask: &mut [u64], row: usize) {
+fn mask_set(mask: &mut [u64], row: usize) {
     mask[row >> 6] |= 1u64 << (row & 63);
 }
 
-/// Reads `row`'s bit.
-pub(crate) fn mask_get(mask: &[u64], row: usize) -> bool {
-    mask[row >> 6] & (1u64 << (row & 63)) != 0
-}
-
-/// Forces `row`'s bit to `bit`.
-pub(crate) fn mask_assign(mask: &mut [u64], row: usize, bit: bool) {
-    if bit {
-        mask[row >> 6] |= 1u64 << (row & 63);
-    } else {
-        mask[row >> 6] &= !(1u64 << (row & 63));
-    }
-}
-
 /// Whether two equally sized masks share any set bit.
-pub(crate) fn masks_intersect(a: &[u64], b: &[u64]) -> bool {
+fn masks_intersect(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).any(|(&x, &y)| x & y != 0)
 }
 
@@ -217,7 +198,8 @@ pub(crate) struct FtBasis {
     /// eliminated diagonal — accuracy-triggered refactorizations.
     /// Cumulative over the engine's lifetime ([`install`](Self::install)
     /// never resets it): `RunTelemetry` polls it once per run via
-    /// [`BasisRepr::stability`], and each run builds a fresh engine.
+    /// [`BasisRepr::accuracy_refactors`], and each run builds a fresh
+    /// engine.
     acc_refactors: usize,
 }
 
@@ -445,8 +427,7 @@ impl BasisRepr for FtBasis {
         let predicted = u[row] * self.u_diag[rt];
         if u[row].abs() < SHAKY_PIVOT || crate::faults::trip(crate::faults::Site::UpdatePivot) {
             // Tiny simplex pivots shrink the diagonal by the same factor
-            // and amplify every later solve — the same trigger the eta
-            // file applies to its pivot components.
+            // and amplify every later solve.
             self.shaky = true;
         }
 
@@ -638,31 +619,22 @@ impl BasisRepr for FtBasis {
             || self.u_nnz + self.eta_nnz > FILL_FACTOR * self.base_nnz + self.m
     }
 
-    /// Same contract as the eta engine: optimality claimed through
-    /// incrementally updated factors must be re-derived from a fresh
-    /// refactorization before it is reported (see
-    /// `tests/drift_regression.rs` — the failure mode is shared by every
-    /// incremental update scheme, not specific to the product form).
+    /// Optimality claimed through incrementally updated factors must be
+    /// re-derived from a fresh refactorization before it is reported
+    /// (see `tests/drift_regression.rs` — the failure mode is shared by
+    /// every incremental update scheme).
     fn trusts_incremental_optimal(&self) -> bool {
         false
     }
 
-    fn stability(&self) -> UpdateStability {
-        UpdateStability {
-            accuracy_refactors: self.acc_refactors,
-            // FT never interchanges; its growth is unmeasured (the
-            // chased row is eliminated lazily, so no per-step peak is
-            // available without extra work the hot loop shouldn't do).
-            interchanges: 0,
-            max_growth: 0.0,
-        }
+    fn accuracy_refactors(&self) -> usize {
+        self.acc_refactors
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eta::LuBasis;
     use qava_linalg::Matrix;
 
     fn basis_csc(dense: Vec<Vec<f64>>) -> CscMatrix {
@@ -838,10 +810,9 @@ mod tests {
     }
 
     /// Randomized stress: long random pivot chains on random sparse
-    /// systems, each step checked against the dense inverse and the eta
-    /// engine (both representations must describe the same basis).
+    /// systems, each step checked against the dense inverse.
     #[test]
-    fn random_pivot_chains_match_dense_inverse_and_eta_engine() {
+    fn random_pivot_chains_match_dense_inverse() {
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -862,7 +833,6 @@ mod tests {
             }
             let a = basis_csc(rows);
             let mut ft = FtBasis::identity(m);
-            let mut eta = LuBasis::identity(m);
             let mut basis: Vec<usize> = (n..n + m).collect();
             let mut updates_done = 0;
             for step in 0..3 * m {
@@ -884,23 +854,11 @@ mod tests {
                 let support: Vec<usize> =
                     (0..m).filter(|&i| u[i].abs() > qava_linalg::EPS).collect();
                 ft.update(slot, &u, &support, idx, vals);
-                let u_eta = eta.ftran_col(idx, vals);
-                let support_eta: Vec<usize> =
-                    (0..m).filter(|&i| u_eta[i].abs() > qava_linalg::EPS).collect();
-                eta.update(slot, &u_eta, &support_eta, idx, vals);
                 basis[slot] = col;
                 updates_done += 1;
                 check_invariants(&ft);
                 let inv = dense_inverse(&a, n, &basis);
                 assert_matches_inverse(&ft, &inv, 1e-7, &format!("m={m} step={step}"));
-                // FT and eta engines describe the same basis: identical
-                // dense solves.
-                let b: Vec<f64> = (0..m).map(|i| (i as f64) * 0.3 - 0.7).collect();
-                let xf = ft.ftran_dense(&b);
-                let xe = eta.ftran_dense(&b);
-                for (g, w) in xf.iter().zip(&xe) {
-                    assert!((g - w).abs() < 1e-7, "ft vs eta diverged: {g} vs {w}");
-                }
             }
             assert!(updates_done >= m, "m={m}: chain too short to be meaningful");
         }

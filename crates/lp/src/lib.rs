@@ -11,38 +11,27 @@
 //! * [`LpBuilder`] — incremental model construction with named variables and
 //!   sparse [`LinExpr`] linear expressions;
 //! * the [`LpBackend`] **trait** — the runtime-dispatchable core-solver
-//!   interface — with **five** built-in implementations:
-//!   * [`DenseTableau`] — the two-phase tableau; minimal fixed cost for
-//!     µs-scale models, and the differential-testing oracle (also
-//!     exported standalone as [`solve_standard_dense`]);
-//!   * [`SparseRevised`] — revised simplex over CSC columns with an
-//!     explicit dense basis inverse: O(m²) rank-one updates, unbeatable
-//!     constants on small/dense bases;
-//!   * [`LuSimplex`] (`lu`) — the same pivoting loop over a **sparse LU
-//!     factorization with product-form eta updates**: each pivot appends
-//!     one O(nnz) eta vector, ftran/btran run through the
-//!     Markowitz-ordered L/U factors plus the eta stack, and
-//!     refactorization is driven by eta-count/fill-in/accuracy
-//!     thresholds;
-//!   * [`LuFtSimplex`] (`lu-ft`) — the same factorization with
-//!     **Forrest–Tomlin spike swaps**: basis exchanges edit the U factor
-//!     in place (column replacement + row-permutation rotation + one
-//!     sparse spike-row eta), so solves stay O(nnz(L) + nnz(U)) between
-//!     refactorizations with no eta stack to traverse; refactorization
-//!     is driven by U fill-in growth and spike-pivot magnitude;
-//!   * [`LuBgSimplex`] (`lu-bg`) — the same factorization with
-//!     **Bartels–Golub updates**: the spike row is eliminated with
-//!     partial pivoting — at each step the chased row *interchanges*
-//!     with the diagonal's row whenever its entry is the larger, so
-//!     every elimination multiplier is bounded by one and a tiny spike
-//!     pivot swaps instead of amplifying, at the cost of extra row
-//!     fill; stability accounting (interchanges, spike-pivot growth,
-//!     accuracy-triggered refactorizations) flows into [`LpStats`].
+//!   interface — with **three** built-in implementations, exactly the
+//!   ones [`BackendChoice::Auto`] routes to:
+//!   * [`DenseTableau`] (`dense`) — the two-phase tableau; minimal fixed
+//!     cost for µs-scale models, and the differential-testing oracle
+//!     (also exported standalone as [`solve_standard_dense`]);
+//!   * [`SparseRevised`] (`sparse`) — revised simplex over CSC columns
+//!     with an explicit dense basis inverse: O(m²) rank-one updates,
+//!     unbeatable constants on small/dense bases;
+//!   * [`LuFtSimplex`] (`lu-ft`) — the same pivoting loop over a
+//!     Markowitz-ordered **sparse LU factorization with Forrest–Tomlin
+//!     spike swaps**: basis exchanges edit the U factor in place (column
+//!     replacement + row-permutation rotation + one sparse spike-row
+//!     eta), so solves stay O(nnz(L) + nnz(U)) between
+//!     refactorizations; refactorization is driven by U fill-in growth,
+//!     spike-pivot magnitude and a determinant-identity accuracy check.
 //!
-//!   The LU update schemes share everything but the update algebra,
-//!   so they can be differentially raced against each other (and the
-//!   dense oracle) — the conformance corpus in `tests/corpus/` and the
-//!   metamorphic suite in `tests/prop.rs` do exactly that;
+//!   The two revised engines share one pivoting loop and differ only in
+//!   the basis representation, so they can be differentially raced
+//!   against each other (and the dense oracle) — the conformance corpus
+//!   in `tests/corpus/` and the metamorphic suite in `tests/prop.rs` do
+//!   exactly that;
 //! * the [`LpSolver`] **session** — one per synthesis run — owning the
 //!   shared pipeline (presolve: empty/duplicate-row removal and
 //!   fixed-variable elimination; max-norm equilibration), the backend
@@ -71,13 +60,8 @@
 //!
 //! The synthesis LPs routinely reach hundreds of rows and thousands of
 //! columns at a few percent density; the revised method prices columns in
-//! O(nnz), and on a basis that sparse the LU representations keep the
+//! O(nnz), and on a basis that sparse the LU representation keeps the
 //! whole per-pivot hot path at O(nnz) too.
-//!
-//! The `dense-simplex` cargo feature is a thin default-backend switch: it
-//! only changes [`BackendChoice::default`] (and thus new sessions and the
-//! free-function shims) to the dense tableau. All backends are always
-//! compiled and always selectable at runtime.
 //!
 //! # Failure semantics
 //!
@@ -94,7 +78,7 @@
 //! * **The failover ladder** comes second: if a built-in backend still
 //!   returns [`LpError::PivotLimit`], the session invalidates the
 //!   warm-start cache entry that seeded the failed run and steps down
-//!   `lu-ft → lu-bg → lu → sparse → dense`, re-running the full pipeline
+//!   `lu-ft → sparse → dense`, re-running the full pipeline
 //!   (presolve + equilibration) on each rung. Each step increments
 //!   `LpStats::failovers`; a rung that succeeds increments
 //!   `LpStats::failover_recoveries` and its verdict is the session's.
@@ -143,7 +127,7 @@
 //!
 //! # Registering and selecting backends
 //!
-//! Sessions are born with the four built-ins, selected by policy or by
+//! Sessions are born with the three built-ins, selected by policy or by
 //! name; external backends implement [`LpBackend`] against the
 //! presolved/equilibrated core form and plug in without touching any
 //! synthesis code:
@@ -167,14 +151,12 @@
 //!
 //! let mut solver = LpSolver::with_choice(BackendChoice::Sparse);
 //! solver.register_backend(Box::new(MyBackend)); // registered AND selected
-//! assert_eq!(solver.backend_names(), vec!["sparse", "dense", "lu", "lu-ft", "lu-bg", "mine"]);
+//! assert_eq!(solver.backend_names(), vec!["sparse", "dense", "lu-ft", "mine"]);
 //! assert!(solver.select_backend("lu-ft")); // …and back to a built-in
 //! ```
 
-mod bg;
 mod cache;
 mod csc;
-mod eta;
 mod expr;
 pub mod faults;
 mod ft;
@@ -195,14 +177,14 @@ pub use faults::{FaultKind, FaultPlan};
 pub use simplex::{solve_standard_dense, MAX_PIVOTS};
 pub use solver::{
     BackendChoice, BackendTally, CoreSolution, DenseTableau, LpBackend, LpSolver, LpStats,
-    LuBgSimplex, LuFtSimplex, LuSimplex, SparseRevised,
+    LuFtSimplex, SparseRevised,
 };
 
 /// Test-facing introspection into the revised-simplex core. Not part of
 /// the stable API: the metamorphic suite (`tests/prop.rs`) uses it to
-/// assert that the Forrest–Tomlin and eta-file engines visit identical
-/// pivot sequences, which localizes any divergence to the basis-update
-/// algebra rather than the shared pricing loop.
+/// assert that the Forrest–Tomlin and dense-inverse engines visit
+/// identical pivot sequences, which localizes any divergence to the
+/// basis representation rather than the shared pricing loop.
 #[doc(hidden)]
 pub mod debug {
     use crate::csc::CscMatrix;
@@ -214,12 +196,8 @@ pub mod debug {
     pub enum TraceEngine {
         /// Explicit dense inverse (the `sparse` backend's engine).
         DenseInverse,
-        /// LU factors + product-form eta file (`lu`).
-        LuEta,
         /// LU factors + Forrest–Tomlin spike swaps (`lu-ft`).
         LuFt,
-        /// LU factors + Bartels–Golub interchanging updates (`lu-bg`).
-        LuBg,
     }
 
     /// Runs the cold two-phase revised simplex on an (already standard
@@ -243,13 +221,14 @@ pub mod debug {
         b: &[f64],
         force_bland: bool,
     ) -> (Result<Option<Vec<f64>>, LpError>, Vec<(usize, usize)>) {
-        let engine = match engine {
-            TraceEngine::DenseInverse => revised::TraceEngine::DenseInverse,
-            TraceEngine::LuEta => revised::TraceEngine::LuEta,
-            TraceEngine::LuFt => revised::TraceEngine::LuFt,
-            TraceEngine::LuBg => revised::TraceEngine::LuBg,
-        };
-        revised::trace_cold_pivots(engine, costs, a, b, force_bland)
+        match engine {
+            TraceEngine::DenseInverse => {
+                revised::trace_cold_pivots::<revised::DenseInverse>(costs, a, b, force_bland)
+            }
+            TraceEngine::LuFt => {
+                revised::trace_cold_pivots::<crate::ft::FtBasis>(costs, a, b, force_bland)
+            }
+        }
     }
 
     /// Bench hook: factorizes once, applies a fixed greedy chain of
@@ -270,14 +249,8 @@ pub mod debug {
                     a, updates, solves,
                 )
             }
-            TraceEngine::LuEta => {
-                crate::revised::update_solve_cycle::<crate::eta::LuBasis>(a, updates, solves)
-            }
             TraceEngine::LuFt => {
                 crate::revised::update_solve_cycle::<crate::ft::FtBasis>(a, updates, solves)
-            }
-            TraceEngine::LuBg => {
-                crate::revised::update_solve_cycle::<crate::bg::BgBasis>(a, updates, solves)
             }
         }
     }
@@ -312,8 +285,7 @@ pub fn clear_warm_start_cache() {
 /// optimal `x`.
 ///
 /// Compatibility shim: delegates to this thread's default [`LpSolver`]
-/// session (default backend policy, so the `dense-simplex` feature routes
-/// it through the dense tableau). New code should hold an explicit
+/// session (default backend policy). New code should hold an explicit
 /// session and call [`LpSolver::solve_standard`].
 ///
 /// # Errors

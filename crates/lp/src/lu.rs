@@ -1,6 +1,6 @@
 //! Sparse LU factorization of simplex basis matrices.
 //!
-//! The [`LuBasis`](crate::eta::LuBasis) basis representation needs to
+//! The [`FtBasis`](crate::ft::FtBasis) basis representation needs to
 //! solve `B·x = b` (ftran) and `Bᵀ·y = c` (btran) against the current
 //! basis matrix without ever forming `B⁻¹`. This module produces the
 //! factorization `B·Q = L·U` (`Q` a column permutation, row permutation
@@ -98,7 +98,7 @@ impl LuFactors {
     }
 
     /// Stored nonzeros of `L` and `U` (diagonals included) — the fill-in
-    /// measure the eta file's refactorization threshold is relative to.
+    /// measure the Forrest–Tomlin refactorization trigger is relative to.
     pub(crate) fn nnz(&self) -> usize {
         self.m
             + self.l_cols.iter().map(SparseCol::nnz).sum::<usize>()
@@ -222,10 +222,9 @@ impl LuFactors {
     /// columns in order, skipping steps whose pivot entry is (still)
     /// zero — the sparse-rhs fast path for sparse entering columns.
     ///
-    /// Exposed separately from [`ftran`](Self::ftran) because the
-    /// Forrest–Tomlin engine ([`crate::ft`]) keeps `L` frozen between
+    /// The Forrest–Tomlin engine ([`crate::ft`]) keeps `L` frozen between
     /// refactorizations while replacing the U solve with its own
-    /// spike-updated factors.
+    /// spike-updated factors, so the factors expose only the L half.
     pub(crate) fn l_solve(&self, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.m);
         for k in 0..self.m {
@@ -254,8 +253,11 @@ impl LuFactors {
     /// Forward transformation in place: on entry `x` is the right-hand
     /// side `b` in **row** indexing, on exit the solution of `B·z = b`
     /// in **basis-slot** indexing. `scratch` must have length `m` and
-    /// comes back zeroed.
-    pub(crate) fn ftran(&self, x: &mut [f64], scratch: &mut Vec<f64>) {
+    /// comes back zeroed. The unit tests check the factorization through
+    /// this and [`btran`](Self::btran); the engine solves through
+    /// [`l_solve`](Self::l_solve) and its own U.
+    #[cfg(test)]
+    fn ftran(&self, x: &mut [f64], scratch: &mut Vec<f64>) {
         self.l_solve(x);
         // U solve, backward over pivot positions; the solution component
         // of step k belongs to basis slot `col_order[k]`.
@@ -279,7 +281,8 @@ impl LuFactors {
     /// Backward transformation: solves `Bᵀ·y = c` with `c` in basis-slot
     /// indexing, returning `y` in row indexing — the simplex-multiplier
     /// solve `yᵀ = c_Bᵀ·B⁻¹`.
-    pub(crate) fn btran(&self, c: &[f64]) -> Vec<f64> {
+    #[cfg(test)]
+    fn btran(&self, c: &[f64]) -> Vec<f64> {
         debug_assert_eq!(c.len(), self.m);
         // Uᵀ solve, forward over pivot positions (gather form).
         let mut w = vec![0.0f64; self.m];

@@ -1,6 +1,6 @@
 //! Sparse revised simplex on equilibrated standard form — the core
 //! behind both the [`SparseRevised`](crate::SparseRevised) and the
-//! LU-backed [`LuSimplex`](crate::LuSimplex) backends.
+//! LU-backed [`LuFtSimplex`](crate::LuFtSimplex) backends.
 //!
 //! The dense tableau ([`crate::simplex`]) updates an `m × (n + m)`
 //! tableau on every pivot. The revised method keeps only a compact
@@ -12,12 +12,12 @@
 //!   updates: O(m²) per pivot, one O(m³) inversion per refactorization.
 //!   Unbeatable constant factor on small bases; this is the `sparse`
 //!   backend.
-//! * [`LuBasis`](crate::eta::LuBasis) — sparse LU factors
-//!   ([`crate::lu`]) plus a product-form eta file ([`crate::eta`]):
-//!   O(nnz) per pivot, solves in O(nnz of the factors), refactorization
-//!   driven by eta-count/fill-in/accuracy thresholds instead of a fixed
-//!   period. This is the `lu` backend, and the representation of choice
-//!   for the large sparse Handelman/Farkas systems.
+//! * [`FtBasis`] — sparse LU factors ([`crate::lu`]) with
+//!   Forrest–Tomlin updates ([`crate::ft`]): solves in O(nnz of the
+//!   factors), refactorization driven by update-count/fill-in/accuracy
+//!   thresholds instead of a fixed period. This is the `lu-ft` backend,
+//!   and the representation of choice for the large sparse
+//!   Handelman/Farkas systems.
 //!
 //! The simplex logic itself — two-phase structure, Dantzig pricing with
 //! the sticky-Bland anti-cycling fallback, the minimum-ratio test, the
@@ -38,9 +38,7 @@
 //!
 //! The hot loops run on the unrolled [`qava_linalg::vecops`] kernels.
 
-use crate::bg::BgBasis;
 use crate::csc::CscMatrix;
-use crate::eta::LuBasis;
 use crate::faults::{self, Site};
 use crate::ft::FtBasis;
 use crate::simplex::MAX_PIVOTS;
@@ -53,7 +51,7 @@ const DEGENERACY_PATIENCE: usize = 40;
 /// A pluggable basis-inverse engine for the revised simplex.
 ///
 /// Implementations maintain whatever stands in for `B⁻¹` — an explicit
-/// inverse, LU factors plus an eta file — and answer the four queries
+/// inverse, or LU factors updated in place — and answer the four queries
 /// the simplex loop needs: forward transformation (`B⁻¹·a_j`), backward
 /// transformation (`c_Bᵀ·B⁻¹`), single rows of `B⁻¹`, and the rank-one
 /// basis-exchange update.
@@ -95,7 +93,7 @@ pub(crate) trait BasisRepr {
     /// than un-solving `u` back through U (a round trip that amplifies
     /// error by the condition of U — enough, on the degenerate coupon
     /// systems, to steer the shared pivot loop into a singular basis).
-    /// The dense-inverse and eta-file engines ignore it.
+    /// The dense-inverse engine ignores it.
     fn update(
         &mut self,
         row: usize,
@@ -107,45 +105,30 @@ pub(crate) trait BasisRepr {
 
     /// Whether the accumulated updates warrant a refactorization now
     /// (`iteration` is the simplex loop counter; the dense inverse uses
-    /// a fixed period, the LU/eta engine its own thresholds).
+    /// a fixed period, the LU engine its own thresholds).
     fn should_refactor(&self, iteration: usize) -> bool;
 
     /// Whether an optimality verdict reached from incrementally-updated
     /// state may be returned as-is, or must first be reproduced from a
     /// fresh refactorization. The dense inverse trusts its rank-one
     /// updates between the fixed-period refactorizations (the historical
-    /// behavior, bounded by the feasibility watchdog); the eta file does
-    /// not — its product-form updates can drift `x_B` and the pricing
-    /// multipliers past the optimality tolerance on ill-scaled systems,
-    /// silently corrupting the reported solution (see
+    /// behavior, bounded by the feasibility watchdog); the LU engine
+    /// does not — incremental factor updates can drift `x_B` and the
+    /// pricing multipliers past the optimality tolerance on ill-scaled
+    /// systems, silently corrupting the reported solution (see
     /// `tests/drift_regression.rs`).
     fn trusts_incremental_optimal(&self) -> bool;
 
-    /// Cumulative incremental-update stability accounting since the
-    /// engine was created. [`RunTelemetry::absorb`] polls it exactly
-    /// once per run state, and every run builds its engine fresh from
-    /// [`identity`](Self::identity), so engines report lifetime totals
-    /// and refactorizations must *not* reset them. Engines without
-    /// incremental stability accounting keep the all-zero default.
-    fn stability(&self) -> UpdateStability {
-        UpdateStability::default()
+    /// Updates since the engine was created whose determinant-identity
+    /// cross-check disagreed with the eliminated diagonal — each
+    /// schedules a refactorization. [`RunTelemetry::absorb`] polls it
+    /// exactly once per run state, and every run builds its engine fresh
+    /// from [`identity`](Self::identity), so engines report lifetime
+    /// totals and refactorizations must *not* reset them. Engines
+    /// without the cross-check keep the default 0.
+    fn accuracy_refactors(&self) -> usize {
+        0
     }
-}
-
-/// Stability counters of an incremental basis-update engine — the
-/// telemetry the Bartels–Golub/Forrest–Tomlin comparison runs on (see
-/// [`BasisRepr::stability`]).
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct UpdateStability {
-    /// Updates whose determinant-identity cross-check disagreed with
-    /// the eliminated diagonal — each schedules a refactorization.
-    pub(crate) accuracy_refactors: usize,
-    /// Bartels–Golub row interchanges performed (0 for every other
-    /// engine).
-    pub(crate) interchanges: usize,
-    /// Max spike-pivot growth factor observed across updates: peak
-    /// chased-row magnitude over its magnitude on entry.
-    pub(crate) max_growth: f64,
 }
 
 /// Sparse entries of basis slot `bj`: the CSC column for real columns,
@@ -284,7 +267,7 @@ struct Revised<'a, R: BasisRepr> {
     wd_infeasible: usize,
     /// When present, every pivot is recorded as `(entering column,
     /// leaving slot)` — the metamorphic pivot-sequence tests compare the
-    /// FT and eta engines step by step through this. `None` on every
+    /// FT and dense-inverse engines step by step through this. `None` on every
     /// production path (one branch per pivot, no allocation).
     trace: Option<Vec<(usize, usize)>>,
 }
@@ -521,7 +504,7 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
     ///   turn a bounded LP into an "unbounded" one), and representations
     ///   that do not [trust their incremental
     ///   state](BasisRepr::trusts_incremental_optimal) get the same
-    ///   treatment for optimality verdicts: the eta file's accumulated
+    ///   treatment for optimality verdicts: accumulated factor-update
     ///   error can mask improving columns and drift the reported `x_B`
     ///   off `B⁻¹b` by far more than the optimality tolerance.
     /// * **Feasibility watchdog** — every refactorization recomputes
@@ -596,7 +579,7 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
                         // Same drifted-state rule as the strict-tolerance
                         // exit above: this is equally an optimality
                         // verdict, and equally untrustworthy from an
-                        // incrementally-updated eta stack.
+                        // incrementally-updated factorization.
                         if !self.refactor_checked(b, feas_tol) {
                             return Ok(RunOutcome::LostFeasibility);
                         }
@@ -810,13 +793,9 @@ pub(crate) struct CoreOutcome {
     /// pivot-limit grind or a watchdog trip).
     pub bland_retries: usize,
     /// Accuracy-triggered refactorization flags across all attempts
-    /// (the FT/BG determinant-identity cross-check disagreeing with the
-    /// eliminated diagonal; see [`UpdateStability`]).
+    /// (the FT determinant-identity cross-check disagreeing with the
+    /// eliminated diagonal; see [`BasisRepr::accuracy_refactors`]).
     pub accuracy_refactors: usize,
-    /// Bartels–Golub row interchanges across all attempts.
-    pub bg_interchanges: usize,
-    /// Max spike-pivot growth factor observed across all attempts.
-    pub bg_max_growth: f64,
 }
 
 /// Counters a [`Revised`] run leaves behind, accumulated across the
@@ -828,23 +807,18 @@ struct RunTelemetry {
     wd_singular: usize,
     wd_infeasible: usize,
     accuracy_refactors: usize,
-    bg_interchanges: usize,
-    bg_max_growth: f64,
 }
 
 impl RunTelemetry {
     /// Folds a finished (or abandoned) run's counters in. The engine's
-    /// stability counters are lifetime totals of that engine, and every
+    /// accuracy count is a lifetime total of that engine, and every
     /// attempt builds a fresh engine, so summing here never
     /// double-counts.
     fn absorb<R: BasisRepr>(&mut self, state: &Revised<'_, R>) {
         self.pivots += state.pivots;
         self.wd_singular += state.wd_singular;
         self.wd_infeasible += state.wd_infeasible;
-        let stab = state.repr.stability();
-        self.accuracy_refactors += stab.accuracy_refactors;
-        self.bg_interchanges += stab.interchanges;
-        self.bg_max_growth = self.bg_max_growth.max(stab.max_growth);
+        self.accuracy_refactors += state.repr.accuracy_refactors();
     }
 }
 
@@ -859,17 +833,6 @@ pub(crate) fn solve_equilibrated(
     solve_equilibrated_with::<DenseInverse>(costs, a, b, warm)
 }
 
-/// Two-phase (or warm-started) revised simplex using the LU + eta-file
-/// basis engine (the `lu` backend).
-pub(crate) fn solve_equilibrated_lu(
-    costs: &[f64],
-    a: &CscMatrix,
-    b: &[f64],
-    warm: Option<&[usize]>,
-) -> Result<CoreOutcome, LpError> {
-    solve_equilibrated_with::<LuBasis>(costs, a, b, warm)
-}
-
 /// Two-phase (or warm-started) revised simplex using the LU +
 /// Forrest–Tomlin basis engine (the `lu-ft` backend).
 pub(crate) fn solve_equilibrated_lu_ft(
@@ -879,17 +842,6 @@ pub(crate) fn solve_equilibrated_lu_ft(
     warm: Option<&[usize]>,
 ) -> Result<CoreOutcome, LpError> {
     solve_equilibrated_with::<FtBasis>(costs, a, b, warm)
-}
-
-/// Two-phase (or warm-started) revised simplex using the LU +
-/// Bartels–Golub basis engine (the `lu-bg` backend).
-pub(crate) fn solve_equilibrated_lu_bg(
-    costs: &[f64],
-    a: &CscMatrix,
-    b: &[f64],
-    warm: Option<&[usize]>,
-) -> Result<CoreOutcome, LpError> {
-    solve_equilibrated_with::<BgBasis>(costs, a, b, warm)
 }
 
 /// Dual-simplex reoptimization from a previous optimal basis, using the
@@ -903,16 +855,6 @@ pub(crate) fn dual_reoptimize(
     dual_reoptimize_with::<DenseInverse>(costs, a, b, basis)
 }
 
-/// Dual-simplex reoptimization using the LU + eta-file engine.
-pub(crate) fn dual_reoptimize_lu(
-    costs: &[f64],
-    a: &CscMatrix,
-    b: &[f64],
-    basis: &[usize],
-) -> Option<CoreOutcome> {
-    dual_reoptimize_with::<LuBasis>(costs, a, b, basis)
-}
-
 /// Dual-simplex reoptimization using the LU + Forrest–Tomlin engine.
 pub(crate) fn dual_reoptimize_lu_ft(
     costs: &[f64],
@@ -921,16 +863,6 @@ pub(crate) fn dual_reoptimize_lu_ft(
     basis: &[usize],
 ) -> Option<CoreOutcome> {
     dual_reoptimize_with::<FtBasis>(costs, a, b, basis)
-}
-
-/// Dual-simplex reoptimization using the LU + Bartels–Golub engine.
-pub(crate) fn dual_reoptimize_lu_bg(
-    costs: &[f64],
-    a: &CscMatrix,
-    b: &[f64],
-    basis: &[usize],
-) -> Option<CoreOutcome> {
-    dual_reoptimize_with::<BgBasis>(costs, a, b, basis)
 }
 
 /// Reoptimizes an equilibrated system from a previous point's optimal
@@ -967,38 +899,19 @@ fn dual_reoptimize_with<R: BasisRepr>(
         return None;
     }
     match state.run_dual(costs, b) {
-        DualOutcome::Optimal => {
-            let stab = state.repr.stability();
-            Some(CoreOutcome {
-                x: state.solution(),
-                basis: state.basis,
-                pivots: state.pivots,
-                warm_start_used: true,
-                watchdog_restarts: 0,
-                watchdog_singular: state.wd_singular,
-                watchdog_infeasible: state.wd_infeasible,
-                bland_retries: 0,
-                accuracy_refactors: stab.accuracy_refactors,
-                bg_interchanges: stab.interchanges,
-                bg_max_growth: stab.max_growth,
-            })
-        }
+        DualOutcome::Optimal => Some(CoreOutcome {
+            x: state.solution(),
+            accuracy_refactors: state.repr.accuracy_refactors(),
+            basis: state.basis,
+            pivots: state.pivots,
+            warm_start_used: true,
+            watchdog_restarts: 0,
+            watchdog_singular: state.wd_singular,
+            watchdog_infeasible: state.wd_infeasible,
+            bland_retries: 0,
+        }),
         DualOutcome::GiveUp => None,
     }
-}
-
-/// Which basis engine a [`trace_cold_pivots`] run drives — the
-/// test-facing selector behind [`crate::debug::trace_pivots`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TraceEngine {
-    /// Explicit dense inverse (`sparse` backend).
-    DenseInverse,
-    /// LU + product-form eta file (`lu` backend).
-    LuEta,
-    /// LU + Forrest–Tomlin spike swaps (`lu-ft` backend).
-    LuFt,
-    /// LU + Bartels–Golub interchanging elimination (`lu-bg` backend).
-    LuBg,
 }
 
 /// Result of a traced run: the outcome (`Ok(Some(x))` optimal,
@@ -1006,25 +919,23 @@ pub(crate) enum TraceEngine {
 /// `(entering column, leaving slot)` pivot sequence.
 pub(crate) type TraceOutcome = (Result<Option<Vec<f64>>, LpError>, Vec<(usize, usize)>);
 
-/// Debug/test-only cold two-phase solve that records every pivot as
-/// `(entering column, leaving slot)`. The metamorphic suite runs the eta
-/// and FT engines through this side by side: with Bland's rule both
-/// engines must visit the **identical** pivot sequence on deterministic
-/// instances, so any divergence localizes a bug to the basis-update
-/// algebra rather than the shared pricing loop.
-pub(crate) fn trace_cold_pivots(
-    engine: TraceEngine,
+/// Debug/test-only cold two-phase solve on basis engine `R` that records
+/// every pivot as `(entering column, leaving slot)`. The metamorphic
+/// suite runs the FT and dense-inverse engines through this side by
+/// side: with Bland's rule both engines must visit the **identical**
+/// pivot sequence on deterministic instances, so any divergence
+/// localizes a bug to the basis representation rather than the shared
+/// pricing loop.
+pub(crate) fn trace_cold_pivots<R: BasisRepr>(
     costs: &[f64],
     a: &CscMatrix,
     b: &[f64],
     force_bland: bool,
 ) -> TraceOutcome {
-    match engine {
-        TraceEngine::DenseInverse => trace_cold_with::<DenseInverse>(costs, a, b, force_bland),
-        TraceEngine::LuEta => trace_cold_with::<LuBasis>(costs, a, b, force_bland),
-        TraceEngine::LuFt => trace_cold_with::<FtBasis>(costs, a, b, force_bland),
-        TraceEngine::LuBg => trace_cold_with::<BgBasis>(costs, a, b, force_bland),
-    }
+    let mut tele = RunTelemetry::default();
+    let mut trace = Vec::new();
+    let out = cold_two_phase_traced::<R>(costs, a, b, force_bland, &mut tele, Some(&mut trace));
+    (out.map(|r| r.map(|(x, _)| x)), trace)
 }
 
 /// Bench hook behind `qava_lp::debug::update_solve_cycle`: one
@@ -1034,10 +945,9 @@ pub(crate) fn trace_cold_pivots(
 /// slots are revisited the way degenerate εmax runs revisit them), then
 /// `solves` rounds of one sparse-column ftran plus one dense btran —
 /// the pivot loop's solve mix — with **zero** refactorizations
-/// throughout. Both LU engines run the identical chain, which is what
-/// "ftran/btran work at equal refactorization counts" means
-/// operationally. Returns a checksum so the optimizer cannot elide the
-/// solves.
+/// throughout. Every engine runs the identical chain, so the result
+/// measures ftran/btran work at equal refactorization counts. Returns a
+/// checksum so the optimizer cannot elide the solves.
 pub(crate) fn update_solve_cycle<R: BasisRepr>(
     a: &CscMatrix,
     updates: usize,
@@ -1092,18 +1002,6 @@ pub(crate) fn update_solve_cycle<R: BasisRepr>(
     checksum
 }
 
-fn trace_cold_with<R: BasisRepr>(
-    costs: &[f64],
-    a: &CscMatrix,
-    b: &[f64],
-    force_bland: bool,
-) -> TraceOutcome {
-    let mut tele = RunTelemetry::default();
-    let mut trace = Vec::new();
-    let out = cold_two_phase_traced::<R>(costs, a, b, force_bland, &mut tele, Some(&mut trace));
-    (out.map(|r| r.map(|(x, _)| x)), trace)
-}
-
 fn solve_equilibrated_with<R: BasisRepr>(
     costs: &[f64],
     a: &CscMatrix,
@@ -1129,8 +1027,6 @@ fn solve_equilibrated_with<R: BasisRepr>(
         watchdog_infeasible: tele.wd_infeasible,
         bland_retries,
         accuracy_refactors: tele.accuracy_refactors,
-        bg_interchanges: tele.bg_interchanges,
-        bg_max_growth: tele.bg_max_growth,
     };
     if m == 0 {
         return if costs.iter().any(|&c| c < -EPS) {
@@ -1287,9 +1183,8 @@ mod tests {
     use crate::presolve::StdRows;
     use crate::{BackendChoice, LpError, LpSolver};
 
-    /// The four revised-simplex backends every core test runs through.
-    const REVISED_BACKENDS: [BackendChoice; 4] =
-        [BackendChoice::Sparse, BackendChoice::Lu, BackendChoice::LuFt, BackendChoice::LuBg];
+    /// The revised-simplex backends every core test runs through.
+    const REVISED_BACKENDS: [BackendChoice; 2] = [BackendChoice::Sparse, BackendChoice::LuFt];
 
     fn rows_of(dense: Vec<Vec<f64>>) -> Vec<Vec<(usize, f64)>> {
         dense

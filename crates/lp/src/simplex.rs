@@ -12,8 +12,8 @@
 //! already-presolved, already-equilibrated systems from the
 //! [`LpSolver`](crate::LpSolver) session), and kept fully functional as a
 //! standalone differential-testing oracle ([`solve_standard_dense`]).
-//! Building with the `dense-simplex` feature makes it the default backend
-//! of new sessions.
+//! `--lp-backend dense` (or [`BackendChoice::Dense`](crate::BackendChoice))
+//! selects it for a whole session at runtime.
 
 use crate::LpError;
 use qava_linalg::{vecops, Matrix, EPS};

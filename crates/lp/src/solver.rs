@@ -11,7 +11,7 @@
 //!   `min cᵀx, A·x = b, x ≥ 0` (`b ≥ 0`) in CSC form plus an optional
 //!   warm-start basis, and reports the solution, the final basis (when it
 //!   supports warm starts) and the pivots it spent. [`SparseRevised`],
-//!   [`DenseTableau`] and [`LuSimplex`] are the built-in implementations;
+//!   [`DenseTableau`] and [`LuFtSimplex`] are the built-in implementations;
 //!   external backends (interior point, …) implement the same trait and
 //!   are attached with [`LpSolver::register_backend`].
 //! * [`LpSolver`] is the per-synthesis **session**: it owns the shared
@@ -50,12 +50,18 @@ const DENSE_CUTOVER_ROWS: usize = 16;
 const DENSE_CUTOVER_COLS: usize = 96;
 
 /// Cutovers above which [`BackendChoice::Auto`] routes to the LU-backed
-/// simplex: the eta-file update is O(nnz) against the dense inverse's
+/// simplex: the factor update is O(nnz) against the dense inverse's
 /// O(m²) per pivot, but the LU solves only pay off once the basis is
 /// both big enough and sparse enough that the factors stay compact.
 /// Density is `nnz(A) / (m·n)` of the reduced system.
 const LU_CUTOVER_ROWS: usize = 64;
 const LU_MAX_DENSITY: f64 = 0.25;
+
+/// Registry slots of the built-in backends, which every session
+/// registers first ([`LpSolver::with_choice`]).
+const SPARSE_IDX: usize = 0;
+const DENSE_IDX: usize = 1;
+const LU_FT_IDX: usize = 2;
 
 /// Default capacity of the session's warm-start basis cache.
 const DEFAULT_CACHE_CAPACITY: usize = 256;
@@ -87,15 +93,10 @@ pub struct CoreSolution {
     pub watchdog_infeasible: usize,
     /// Cold re-solves forced into all-Bland mode (anti-cycling retries).
     pub bland_retries: usize,
-    /// Accuracy-triggered refactorization flags: FT/BG updates whose
+    /// Accuracy-triggered refactorization flags: FT updates whose
     /// determinant-identity cross-check disagreed with the eliminated
     /// diagonal. Always 0 for backends without that cross-check.
     pub accuracy_refactors: usize,
-    /// Bartels–Golub row interchanges performed (`lu-bg` only).
-    pub bg_interchanges: usize,
-    /// Max spike-pivot growth factor observed across updates (`lu-bg`
-    /// only; 0 when no update measured one).
-    pub bg_max_growth: f64,
 }
 
 /// A pluggable LP core solver.
@@ -200,61 +201,17 @@ impl LpBackend for SparseRevised {
     }
 }
 
-/// The LU-backed revised simplex backend: the same pivoting loop as
-/// [`SparseRevised`], but the basis lives as Markowitz-ordered sparse LU
-/// factors ([`crate::lu`]) plus a product-form eta file ([`crate::eta`])
-/// instead of an explicit `m × m` inverse — O(nnz) per pivot instead of
-/// O(m²), with refactorization driven by eta-count/fill-in/accuracy
-/// thresholds. The representation of choice for the large sparse
-/// Handelman/Farkas LPs, and the conditioning fix for the degenerate
-/// walk3d-style systems that trip the dense path's feasibility watchdog.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LuSimplex;
-
-impl LpBackend for LuSimplex {
-    fn name(&self) -> &'static str {
-        "lu"
-    }
-
-    fn supports_warm_start(&self) -> bool {
-        true
-    }
-
-    fn solve_core(
-        &self,
-        costs: &[f64],
-        a: &CscMatrix,
-        b: &[f64],
-        warm: Option<&[usize]>,
-    ) -> Result<CoreSolution, LpError> {
-        revised::solve_equilibrated_lu(costs, a, b, warm).map(CoreSolution::from)
-    }
-
-    fn supports_reoptimize(&self) -> bool {
-        true
-    }
-
-    fn reoptimize_core(
-        &self,
-        costs: &[f64],
-        a: &CscMatrix,
-        b: &[f64],
-        basis: &[usize],
-    ) -> Option<CoreSolution> {
-        revised::dual_reoptimize_lu(costs, a, b, basis).map(CoreSolution::from)
-    }
-}
-
 /// The LU + Forrest–Tomlin revised simplex backend: the same pivoting
-/// loop and Markowitz-ordered factorization as [`LuSimplex`], but basis
-/// exchanges are absorbed **into the U factor** as spike swaps
-/// ([`crate::ft`]) instead of appended to a product-form eta file — so
-/// ftran/btran stay O(nnz(L) + nnz(U)) between refactorizations with no
-/// eta stack to traverse, and refactorization is driven by U fill-in
-/// growth and spike-pivot magnitude. The engine of choice for the
-/// longest pivot runs (the large degenerate Handelman/εmax systems);
-/// the eta-file `lu` backend remains available so the update schemes
-/// can be differentially raced.
+/// loop as [`SparseRevised`], but the basis lives as Markowitz-ordered
+/// sparse LU factors ([`crate::lu`]) instead of an explicit `m × m`
+/// inverse, and basis exchanges are absorbed **into the U factor** as
+/// spike swaps ([`crate::ft`]) — so ftran/btran stay
+/// O(nnz(L) + nnz(U)) between refactorizations, and refactorization is
+/// driven by U fill-in growth, spike-pivot magnitude and a
+/// determinant-identity accuracy check. The engine of choice for the
+/// large sparse Handelman/Farkas LPs with the longest pivot runs (the
+/// degenerate εmax systems), and the conditioning fix for the
+/// walk3d-style systems that trip the dense path's feasibility watchdog.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LuFtSimplex;
 
@@ -292,55 +249,6 @@ impl LpBackend for LuFtSimplex {
     }
 }
 
-/// The LU revised simplex with **Bartels–Golub** basis updates: basis
-/// exchanges are absorbed into U like [`LuFtSimplex`], but the spike is
-/// eliminated with row interchanges ([`crate::bg`]) — at each
-/// elimination step the larger of the diagonal and the spike-row entry
-/// pivots, so every multiplier is bounded by 1 and a tiny spike pivot
-/// swaps out of the way instead of amplifying rounding error. The price
-/// is extra row-eta fill (eager elimination instead of FT's single lazy
-/// row eta), which the shared fill-growth refactorization trigger
-/// bounds. Stability accounting (interchange count, max spike-pivot
-/// growth, accuracy-triggered refactorizations) is threaded into
-/// [`LpStats`] so the scheme can be compared against `lu-ft` in the
-/// suite footer.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LuBgSimplex;
-
-impl LpBackend for LuBgSimplex {
-    fn name(&self) -> &'static str {
-        "lu-bg"
-    }
-
-    fn supports_warm_start(&self) -> bool {
-        true
-    }
-
-    fn solve_core(
-        &self,
-        costs: &[f64],
-        a: &CscMatrix,
-        b: &[f64],
-        warm: Option<&[usize]>,
-    ) -> Result<CoreSolution, LpError> {
-        revised::solve_equilibrated_lu_bg(costs, a, b, warm).map(CoreSolution::from)
-    }
-
-    fn supports_reoptimize(&self) -> bool {
-        true
-    }
-
-    fn reoptimize_core(
-        &self,
-        costs: &[f64],
-        a: &CscMatrix,
-        b: &[f64],
-        basis: &[usize],
-    ) -> Option<CoreSolution> {
-        revised::dual_reoptimize_lu_bg(costs, a, b, basis).map(CoreSolution::from)
-    }
-}
-
 impl From<revised::CoreOutcome> for CoreSolution {
     /// The one field mapping from the shared revised-simplex core to the
     /// backend interface, used by both warm-capable backends.
@@ -355,8 +263,6 @@ impl From<revised::CoreOutcome> for CoreSolution {
             watchdog_infeasible: out.watchdog_infeasible,
             bland_retries: out.bland_retries,
             accuracy_refactors: out.accuracy_refactors,
-            bg_interchanges: out.bg_interchanges,
-            bg_max_growth: out.bg_max_growth,
         }
     }
 }
@@ -392,8 +298,6 @@ impl LpBackend for DenseTableau {
             watchdog_infeasible: 0,
             bland_retries: 0,
             accuracy_refactors: 0,
-            bg_interchanges: 0,
-            bg_max_growth: 0.0,
         })
     }
 }
@@ -406,23 +310,19 @@ pub enum BackendChoice {
     /// large sparse ones (≥ 64 rows at ≤ 25% density) the
     /// Forrest–Tomlin LU simplex (the classes with the longest pivot
     /// runs, where the eta-free solves pay off most), everything in
-    /// between the dense-inverse sparse revised simplex. This is the
-    /// default unless the crate is built with the `dense-simplex`
-    /// feature, which flips the default to [`BackendChoice::Dense`].
-    #[cfg_attr(not(feature = "dense-simplex"), default)]
+    /// between the dense-inverse sparse revised simplex. The default.
+    #[default]
     Auto,
     /// Always the sparse revised simplex (dense-inverse basis engine).
     Sparse,
     /// Always the dense tableau.
-    #[cfg_attr(feature = "dense-simplex", default)]
     Dense,
-    /// Always the LU + eta-file revised simplex.
-    Lu,
     /// Always the LU + Forrest–Tomlin revised simplex.
     LuFt,
-    /// Always the LU + Bartels–Golub revised simplex.
-    LuBg,
 }
+
+/// The accepted `--lp-backend` values, as every parse error names them.
+const BACKEND_NAMES: &str = "auto, sparse, dense, or lu-ft";
 
 impl std::str::FromStr for BackendChoice {
     type Err = String;
@@ -432,34 +332,39 @@ impl std::str::FromStr for BackendChoice {
             "auto" => Ok(BackendChoice::Auto),
             "sparse" => Ok(BackendChoice::Sparse),
             "dense" => Ok(BackendChoice::Dense),
-            "lu" => Ok(BackendChoice::Lu),
             "lu-ft" => Ok(BackendChoice::LuFt),
-            "lu-bg" => Ok(BackendChoice::LuBg),
-            other => Err(format!(
-                "unknown LP backend `{other}` (expected auto, sparse, dense, lu, lu-ft, or lu-bg)"
-            )),
+            other => Err(format!("unknown LP backend `{other}` (expected {BACKEND_NAMES})")),
         }
     }
 }
 
 impl BackendChoice {
-    /// Scans raw CLI arguments for `--lp-backend <value>` (last
-    /// occurrence wins) — the one shared implementation of the flag for
-    /// every binary that exposes it. Returns `Ok(None)` when absent.
+    /// Parses the value following an `--lp-backend` flag; `None` means
+    /// the flag was the last argument. The one shared implementation of
+    /// the flag's value for every binary that exposes it.
     ///
     /// # Errors
     ///
-    /// A human-readable message when the flag has no value or an unknown
-    /// one.
+    /// A human-readable message, listing the accepted values, when the
+    /// value is missing or unknown.
+    pub fn parse_flag(value: Option<&str>) -> Result<BackendChoice, String> {
+        value
+            .ok_or_else(|| format!("--lp-backend needs a value ({BACKEND_NAMES})"))?
+            .parse()
+    }
+
+    /// Scans raw CLI arguments for `--lp-backend <value>` (last
+    /// occurrence wins). Returns `Ok(None)` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`parse_flag`](Self::parse_flag).
     pub fn from_args(args: &[String]) -> Result<Option<BackendChoice>, String> {
         let mut found = None;
         let mut it = args.iter();
         while let Some(a) = it.next() {
             if a == "--lp-backend" {
-                let v = it.next().ok_or_else(|| {
-                    "--lp-backend needs auto, sparse, dense, lu, lu-ft, or lu-bg".to_string()
-                })?;
-                found = Some(v.parse()?);
+                found = Some(Self::parse_flag(it.next().map(String::as_str))?);
             }
         }
         Ok(found)
@@ -472,9 +377,7 @@ impl std::fmt::Display for BackendChoice {
             BackendChoice::Auto => "auto",
             BackendChoice::Sparse => "sparse",
             BackendChoice::Dense => "dense",
-            BackendChoice::Lu => "lu",
             BackendChoice::LuFt => "lu-ft",
-            BackendChoice::LuBg => "lu-bg",
         };
         write!(f, "{s}")
     }
@@ -525,7 +428,7 @@ pub struct LpStats {
     /// a singular basis where incremental state cannot be trusted) and
     /// the core solve restarted from scratch. Persistent nonzero counts
     /// on a workload mean the selected basis representation is
-    /// numerically outmatched (route it to the `lu` backend).
+    /// numerically outmatched (route it to the `lu-ft` backend).
     pub watchdog_restarts: usize,
     /// Watchdog trips whose cause was a refactorization failing outright
     /// on a singular basis (the `watchdog_restarts` cause split;
@@ -540,7 +443,7 @@ pub struct LpStats {
     /// Failover-ladder rungs attempted after a backend exhausted its
     /// in-backend recovery and still returned
     /// [`LpError::PivotLimit`] — each rung re-runs the full pipeline on
-    /// the next backend down (`lu-ft → lu-bg → lu → sparse → dense`).
+    /// the next backend down (`lu-ft → sparse → dense`).
     pub failovers: usize,
     /// Failover rungs that rescued the solve: the stepped-down backend
     /// produced the certified verdict.
@@ -554,16 +457,10 @@ pub struct LpStats {
     /// `reopt_attempts − reopt_successes` solves fell back to a cold
     /// primal solve.
     pub reopt_successes: usize,
-    /// Accuracy-triggered refactorizations: FT/BG updates whose
+    /// Accuracy-triggered refactorizations: `lu-ft` updates whose
     /// determinant-identity cross-check drifted, forcing an early
-    /// refactorization. The head-to-head stability metric between the
-    /// `lu-ft` and `lu-bg` update schemes.
+    /// refactorization.
     pub accuracy_refactors: usize,
-    /// Bartels–Golub row interchanges performed (`lu-bg` solves only).
-    pub bg_interchanges: usize,
-    /// Max spike-pivot growth factor observed across all `lu-bg`
-    /// updates (0 when none measured one).
-    pub bg_max_growth: f64,
     /// Total wall time in the solve pipeline, seconds.
     pub wall_seconds: f64,
     /// Per-backend breakdown, in first-use order.
@@ -595,8 +492,6 @@ impl LpStats {
             reopt_attempts,
             reopt_successes,
             accuracy_refactors,
-            bg_interchanges,
-            bg_max_growth,
             wall_seconds,
             backends,
         } = other;
@@ -617,8 +512,6 @@ impl LpStats {
         self.reopt_attempts += reopt_attempts;
         self.reopt_successes += reopt_successes;
         self.accuracy_refactors += accuracy_refactors;
-        self.bg_interchanges += bg_interchanges;
-        self.bg_max_growth = self.bg_max_growth.max(*bg_max_growth);
         self.wall_seconds += wall_seconds;
         for t in backends {
             self.tally_mut(t.name).fold(t);
@@ -643,8 +536,7 @@ impl std::fmt::Display for LpStats {
              warm start {} hits / {} misses, {} evictions, {} persistent; \
              {} watchdog restarts ({} singular / {} infeasible), {} bland retries; \
              {} failovers / {} rescues; {} dual reopts ({} fell back cold); \
-             {} accuracy refactors, {} bg interchanges (growth {:.2}); \
-             vec kernel {kernel}",
+             {} accuracy refactors; vec kernel {kernel}",
             self.solves,
             self.pivots,
             self.wall_seconds,
@@ -663,8 +555,6 @@ impl std::fmt::Display for LpStats {
             self.reopt_attempts,
             self.reopt_attempts - self.reopt_successes,
             self.accuracy_refactors,
-            self.bg_interchanges,
-            self.bg_max_growth,
             // The process-wide SIMD kernel behind every vecops call: logs
             // and bench artifacts must say which backend produced them —
             // including when the requested kernel silently degraded.
@@ -690,15 +580,9 @@ impl std::fmt::Display for LpStats {
 /// the crate docs for a registration/selection example.
 pub struct LpSolver {
     backends: Vec<Box<dyn LpBackend>>,
-    /// `Auto` applies the size/density cutovers between
-    /// `sparse_idx`/`dense_idx`/`lu_idx`; `Fixed` pins one registered
-    /// backend.
+    /// `Auto` applies the size/density cutovers between the built-in
+    /// slots; `Fixed` pins one registered backend.
     selection: Selection,
-    sparse_idx: usize,
-    dense_idx: usize,
-    lu_idx: usize,
-    lu_ft_idx: usize,
-    lu_bg_idx: usize,
     cache: BasisCache,
     /// Optional process-wide warm-start store consulted read-through on
     /// session-cache misses and written write-through on every cache
@@ -746,8 +630,7 @@ impl std::fmt::Debug for LpSolver {
 
 impl LpSolver {
     /// Creates a session with the built-in backends and the default
-    /// policy: [`BackendChoice::Auto`], or [`BackendChoice::Dense`] when
-    /// the crate is built with the `dense-simplex` feature.
+    /// policy, [`BackendChoice::Auto`].
     pub fn new() -> Self {
         Self::with_choice(BackendChoice::default())
     }
@@ -755,19 +638,9 @@ impl LpSolver {
     /// Creates a session with an explicit built-in selection policy.
     pub fn with_choice(choice: BackendChoice) -> Self {
         let mut s = LpSolver {
-            backends: vec![
-                Box::new(SparseRevised),
-                Box::new(DenseTableau),
-                Box::new(LuSimplex),
-                Box::new(LuFtSimplex),
-                Box::new(LuBgSimplex),
-            ],
+            // In slot order: `SPARSE_IDX`, `DENSE_IDX`, `LU_FT_IDX`.
+            backends: vec![Box::new(SparseRevised), Box::new(DenseTableau), Box::new(LuFtSimplex)],
             selection: Selection::Auto,
-            sparse_idx: 0,
-            dense_idx: 1,
-            lu_idx: 2,
-            lu_ft_idx: 3,
-            lu_bg_idx: 4,
             cache: BasisCache::new(DEFAULT_CACHE_CAPACITY),
             shared: None,
             stats: LpStats::default(),
@@ -785,11 +658,9 @@ impl LpSolver {
     pub fn set_choice(&mut self, choice: BackendChoice) {
         self.selection = match choice {
             BackendChoice::Auto => Selection::Auto,
-            BackendChoice::Sparse => Selection::Fixed(self.sparse_idx),
-            BackendChoice::Dense => Selection::Fixed(self.dense_idx),
-            BackendChoice::Lu => Selection::Fixed(self.lu_idx),
-            BackendChoice::LuFt => Selection::Fixed(self.lu_ft_idx),
-            BackendChoice::LuBg => Selection::Fixed(self.lu_bg_idx),
+            BackendChoice::Sparse => Selection::Fixed(SPARSE_IDX),
+            BackendChoice::Dense => Selection::Fixed(DENSE_IDX),
+            BackendChoice::LuFt => Selection::Fixed(LU_FT_IDX),
         };
     }
 
@@ -1099,7 +970,7 @@ impl LpSolver {
     /// Runs [`attempt`](Self::attempt) on the selected backend, then —
     /// when it exhausts in-backend recovery and still reports
     /// [`LpError::PivotLimit`] — steps down the failover ladder
-    /// `lu-ft → lu-bg → lu → sparse → dense` (wrapping past the bottom so every
+    /// `lu-ft → sparse → dense` (wrapping past the bottom so every
     /// other rung is tried exactly once), re-running the full pipeline
     /// per rung. `Infeasible`/`Unbounded`/`Cancelled` are verdicts, not
     /// faults: they return immediately from whichever rung produced
@@ -1119,8 +990,7 @@ impl LpSolver {
         if let Some(key) = first.warm_key {
             self.invalidate_warm(key);
         }
-        let ladder =
-            [self.lu_ft_idx, self.lu_bg_idx, self.lu_idx, self.sparse_idx, self.dense_idx];
+        let ladder = [LU_FT_IDX, SPARSE_IDX, DENSE_IDX];
         // External backends (not on the ladder) fail over to the top
         // rung; built-ins resume below their own position. The walk
         // wraps: when the *bottom* rung is the one that failed (a
@@ -1202,23 +1072,17 @@ impl LpSolver {
             Selection::Fixed(idx) => idx,
             Selection::Auto => {
                 if m <= DENSE_CUTOVER_ROWS && n <= DENSE_CUTOVER_COLS {
-                    self.dense_idx
+                    DENSE_IDX
                 } else {
                     // Size alone is not enough: a big basis only favors
                     // the LU factors when the system is sparse enough
                     // that they stay compact. Dense mid-size systems keep
-                    // the explicit-inverse engine. Within the LU class
-                    // the Forrest-Tomlin engine is preferred: these are
-                    // the longest-pivot-run systems in the workload, and
-                    // eta-free solves win exactly when the pivot runs
-                    // between refactorizations are long (the eta-file
-                    // `lu` backend stays selectable for differential
-                    // racing).
+                    // the explicit-inverse engine.
                     let density = sa.nnz() as f64 / (m * n) as f64;
                     if m >= LU_CUTOVER_ROWS && density <= LU_MAX_DENSITY {
-                        self.lu_ft_idx
+                        LU_FT_IDX
                     } else {
-                        self.sparse_idx
+                        SPARSE_IDX
                     }
                 }
             }
@@ -1320,8 +1184,6 @@ impl LpSolver {
         self.stats.watchdog_infeasible += core.watchdog_infeasible;
         self.stats.bland_retries += core.bland_retries;
         self.stats.accuracy_refactors += core.accuracy_refactors;
-        self.stats.bg_interchanges += core.bg_interchanges;
-        self.stats.bg_max_growth = self.stats.bg_max_growth.max(core.bg_max_growth);
         if warm_capable {
             if core.warm_start_used {
                 self.stats.warm_start_hits += 1;
@@ -1405,14 +1267,9 @@ mod tests {
 
     #[test]
     fn all_choices_agree_on_the_optimum() {
-        for choice in [
-            BackendChoice::Auto,
-            BackendChoice::Sparse,
-            BackendChoice::Dense,
-            BackendChoice::Lu,
-            BackendChoice::LuFt,
-            BackendChoice::LuBg,
-        ] {
+        for choice in
+            [BackendChoice::Auto, BackendChoice::Sparse, BackendChoice::Dense, BackendChoice::LuFt]
+        {
             let mut solver = LpSolver::with_choice(choice);
             let sol = solver.solve(&simple_lp(3.0)).unwrap();
             assert!((sol.objective - 6.0).abs() < 1e-7, "{choice}: {}", sol.objective);
@@ -1666,16 +1523,8 @@ mod tests {
             Some(BackendChoice::Dense)
         );
         assert_eq!(
-            BackendChoice::from_args(&args(&["--lp-backend", "lu"])).unwrap(),
-            Some(BackendChoice::Lu)
-        );
-        assert_eq!(
             BackendChoice::from_args(&args(&["--lp-backend", "lu-ft"])).unwrap(),
             Some(BackendChoice::LuFt)
-        );
-        assert_eq!(
-            BackendChoice::from_args(&args(&["--lp-backend", "lu-bg"])).unwrap(),
-            Some(BackendChoice::LuBg)
         );
         assert_eq!(
             BackendChoice::from_args(&args(&["--lp-backend", "sparse", "--lp-backend", "auto"]))
@@ -1683,8 +1532,21 @@ mod tests {
             Some(BackendChoice::Auto),
             "last occurrence wins"
         );
-        assert!(BackendChoice::from_args(&args(&["--lp-backend"])).is_err());
-        assert!(BackendChoice::from_args(&args(&["--lp-backend", "cuda"])).is_err());
+        let missing = BackendChoice::from_args(&args(&["--lp-backend"])).unwrap_err();
+        assert!(missing.contains(BACKEND_NAMES), "{missing}");
+        // The deleted engines' names are unknown values like any other.
+        for gone in ["lu", "lu-bg", "cuda"] {
+            let err = BackendChoice::from_args(&args(&["--lp-backend", gone])).unwrap_err();
+            assert_eq!(
+                err,
+                format!("unknown LP backend `{gone}` (expected auto, sparse, dense, or lu-ft)")
+            );
+        }
+        for choice in
+            [BackendChoice::Auto, BackendChoice::Sparse, BackendChoice::Dense, BackendChoice::LuFt]
+        {
+            assert_eq!(choice.to_string().parse::<BackendChoice>().unwrap(), choice);
+        }
     }
 
     #[test]
@@ -1773,7 +1635,7 @@ mod tests {
         assert_eq!(stats.failovers, 1);
         assert_eq!(stats.failover_recoveries, 1);
         let names: Vec<_> = stats.backends.iter().map(|t| t.name).collect();
-        assert_eq!(names, vec!["lu-ft", "lu-bg"], "lu-ft steps down to lu-bg");
+        assert_eq!(names, vec!["lu-ft", "sparse"], "lu-ft steps down to sparse");
     }
 
     #[test]
@@ -1817,7 +1679,7 @@ mod tests {
 
     #[test]
     fn poisoned_warm_start_recovers_cold() {
-        let mut solver = LpSolver::with_choice(BackendChoice::Lu);
+        let mut solver = LpSolver::with_choice(BackendChoice::LuFt);
         solver.solve(&simple_lp(3.0)).unwrap();
         solver.install_fault_plan(FaultPlan::once(crate::FaultKind::WarmPoison));
         let sol = solver.solve(&simple_lp(4.0)).unwrap();
@@ -1850,8 +1712,7 @@ mod tests {
 
     /// The revised backends a reoptimization test must cover (the dense
     /// tableau has no basis to reoptimize from and silently declines).
-    const REOPT_BACKENDS: [BackendChoice; 4] =
-        [BackendChoice::Sparse, BackendChoice::Lu, BackendChoice::LuFt, BackendChoice::LuBg];
+    const REOPT_BACKENDS: [BackendChoice; 2] = [BackendChoice::Sparse, BackendChoice::LuFt];
 
     #[test]
     fn reoptimize_matches_cold_solve_on_rhs_perturbation() {

@@ -1,4 +1,4 @@
-//! Regression pin for eta-file / basis-representation drift.
+//! Regression pin for basis-representation drift.
 //!
 //! This is the final ExpLowSyn LP of the `Ref p = 1e-7` Table 2 row,
 //! captured verbatim from the synthesis pipeline. Its optimum sits at
@@ -60,7 +60,7 @@ fn tiny_coefficient_lp_agrees_across_backends() {
             a[(i, j)] = v;
         }
     }
-    for choice in [BackendChoice::Sparse, BackendChoice::Dense, BackendChoice::Lu] {
+    for choice in [BackendChoice::Sparse, BackendChoice::Dense, BackendChoice::LuFt] {
         let mut solver = LpSolver::with_choice(choice);
         let x = solver.solve_standard(&costs, &a, &b).unwrap();
         let obj: f64 = costs.iter().zip(&x).map(|(c, v)| c * v).sum();

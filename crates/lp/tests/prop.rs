@@ -134,27 +134,21 @@ proptest! {
 // ---------------------------------------------------------------------
 // Differential tests: every backend registered through the `LpBackend`
 // trait on random standard-form LPs. Backends are selected **at
-// runtime** via `LpSolver` sessions — not via the `dense-simplex` cargo
-// feature — so all three cores are exercised unconditionally in every
-// build. All backends must agree on the verdict (optimal / infeasible /
+// runtime** via `LpSolver` sessions, so all three cores are exercised
+// unconditionally in every build. All backends must agree on the verdict (optimal / infeasible /
 // unbounded) and, when optimal, on the objective value — the argmin may
 // differ when the optimum face is not a vertex singleton.
 // ---------------------------------------------------------------------
 
 use qava_linalg::Matrix;
 use qava_lp::{
-    BackendChoice, CoreSolution, CscMatrix, LpBackend, LpError, LpSolver, LuBgSimplex, LuFtSimplex,
-    LuSimplex, SparseRevised, solve_standard_dense,
+    BackendChoice, CoreSolution, CscMatrix, LpBackend, LpError, LpSolver, LuFtSimplex,
+    SparseRevised, solve_standard_dense,
 };
 
 /// The runtime-selected backends every differential case runs through.
-const DIFF_BACKENDS: [BackendChoice; 5] = [
-    BackendChoice::Sparse,
-    BackendChoice::Dense,
-    BackendChoice::Lu,
-    BackendChoice::LuFt,
-    BackendChoice::LuBg,
-];
+const DIFF_BACKENDS: [BackendChoice; 3] =
+    [BackendChoice::Sparse, BackendChoice::Dense, BackendChoice::LuFt];
 
 /// One fresh session per (case, backend): differential cases must not
 /// warm-start each other across proptest iterations.
@@ -347,9 +341,7 @@ proptest! {
     #[test]
     fn differential_warm_start_chain(seed in any::<u64>()) {
         let inst = feasible_std_lp(seed);
-        for warm_choice in
-            [BackendChoice::Sparse, BackendChoice::Lu, BackendChoice::LuFt, BackendChoice::LuBg]
-        {
+        for warm_choice in [BackendChoice::Sparse, BackendChoice::LuFt] {
             let mut warm = LpSolver::with_choice(warm_choice);
             for step in 0..4 {
                 let mut drifted = inst.clone();
@@ -388,9 +380,7 @@ proptest! {
         for (label, basis) in [("singular", &singular), ("stale", &stale)] {
             for backend in [
                 Box::new(SparseRevised) as Box<dyn LpBackend>,
-                Box::new(LuSimplex) as Box<dyn LpBackend>,
                 Box::new(LuFtSimplex) as Box<dyn LpBackend>,
-                Box::new(LuBgSimplex) as Box<dyn LpBackend>,
             ] {
                 let core = backend
                     .solve_core(&inst.costs, &csc, &inst.b, Some(basis))
@@ -493,14 +483,9 @@ fn column_scaling_undo_regression() {
             "sparse",
             LpSolver::with_choice(BackendChoice::Sparse).solve_standard(&costs, &a, &b).unwrap(),
         ),
-        ("lu", LpSolver::with_choice(BackendChoice::Lu).solve_standard(&costs, &a, &b).unwrap()),
         (
             "lu-ft",
             LpSolver::with_choice(BackendChoice::LuFt).solve_standard(&costs, &a, &b).unwrap(),
-        ),
-        (
-            "lu-bg",
-            LpSolver::with_choice(BackendChoice::LuBg).solve_standard(&costs, &a, &b).unwrap(),
         ),
         ("dense", solve_standard_dense(&costs, &a, &b).unwrap()),
     ] {
@@ -521,14 +506,9 @@ fn column_scaling_undo_regression() {
             "sparse",
             LpSolver::with_choice(BackendChoice::Sparse).solve_standard(&costs, &a, &b).unwrap(),
         ),
-        ("lu", LpSolver::with_choice(BackendChoice::Lu).solve_standard(&costs, &a, &b).unwrap()),
         (
             "lu-ft",
             LpSolver::with_choice(BackendChoice::LuFt).solve_standard(&costs, &a, &b).unwrap(),
-        ),
-        (
-            "lu-bg",
-            LpSolver::with_choice(BackendChoice::LuBg).solve_standard(&costs, &a, &b).unwrap(),
         ),
         ("dense", solve_standard_dense(&costs, &a, &b).unwrap()),
     ] {
@@ -543,7 +523,7 @@ fn column_scaling_undo_regression() {
 // Metamorphic properties: a solved LP and a mechanically transformed
 // twin must agree in ways the transformation dictates exactly. Unlike
 // the differential block above (which needs a second solver to disagree
-// with), these detect a backend that is consistently wrong — all five
+// with), these detect a backend that is consistently wrong — all three
 // engines run every property.
 // ---------------------------------------------------------------------
 
@@ -586,7 +566,7 @@ proptest! {
     /// by s substitutes x_j' = x_j / s — the optimal objective is
     /// untouched. Exercises every backend's interaction with the
     /// session's equilibrator and its undo path (the historical
-    /// column-scaling-undo bug class, now for all five engines).
+    /// column-scaling-undo bug class, now for all three engines).
     #[test]
     fn metamorphic_column_scaling(seed in any::<u64>(), scale_seed in any::<u64>()) {
         let inst = feasible_std_lp(seed);
@@ -637,31 +617,32 @@ proptest! {
         }
     }
 
-    /// The Forrest–Tomlin and eta-file engines share every line of the
-    /// pricing loop; under Bland's rule (deterministic lowest-index
+    /// The Forrest–Tomlin and dense-inverse engines share every line of
+    /// the pricing loop; under Bland's rule (deterministic lowest-index
     /// selection, no near-tie races) they must therefore visit the
     /// **identical** pivot sequence on identical instances. When this
-    /// fails, the bug is in the basis-update algebra — the one part the
+    /// fails, the bug is in the basis representation — the one part the
     /// engines do not share — which is exactly where a differential
     /// objective mismatch cannot localize it.
     #[test]
-    fn metamorphic_ft_and_eta_pivot_sequences_agree(seed in any::<u64>()) {
+    fn metamorphic_ft_and_dense_inverse_pivot_sequences_agree(seed in any::<u64>()) {
         let inst = feasible_std_lp(seed);
         let csc = CscMatrix::from_dense(&inst.matrix());
-        let (re, eta) = trace_pivots(TraceEngine::LuEta, &inst.costs, &csc, &inst.b, true);
+        let (rd, dense) =
+            trace_pivots(TraceEngine::DenseInverse, &inst.costs, &csc, &inst.b, true);
         let (rf, ft) = trace_pivots(TraceEngine::LuFt, &inst.costs, &csc, &inst.b, true);
-        prop_assert_eq!(eta.len(), ft.len(),
-            "pivot counts diverged: eta {} vs ft {}", eta.len(), ft.len());
-        for (i, (pe, pf)) in eta.iter().zip(&ft).enumerate() {
-            prop_assert_eq!(pe, pf, "pivot {i} diverged: eta {:?} vs ft {:?}", pe, pf);
+        prop_assert_eq!(dense.len(), ft.len(),
+            "pivot counts diverged: dense inverse {} vs ft {}", dense.len(), ft.len());
+        for (i, (pd, pf)) in dense.iter().zip(&ft).enumerate() {
+            prop_assert_eq!(pd, pf, "pivot {i} diverged: dense inverse {:?} vs ft {:?}", pd, pf);
         }
         // Verdicts agree too (both Ok-with-solution here by
         // construction; still compare shape, not just the trace).
-        prop_assert_eq!(re.is_ok(), rf.is_ok());
-        if let (Ok(Some(xe)), Ok(Some(xf))) = (re, rf) {
-            let (oe, of) = (objective(&inst.costs, &xe), objective(&inst.costs, &xf));
-            prop_assert!((oe - of).abs() <= 1e-6 * (1.0 + oe.abs().max(of.abs())),
-                "same pivot path, different optimum: {oe} vs {of}");
+        prop_assert_eq!(rd.is_ok(), rf.is_ok());
+        if let (Ok(Some(xd)), Ok(Some(xf))) = (rd, rf) {
+            let (od, of) = (objective(&inst.costs, &xd), objective(&inst.costs, &xf));
+            prop_assert!((od - of).abs() <= 1e-6 * (1.0 + od.abs().max(of.abs())),
+                "same pivot path, different optimum: {od} vs {of}");
         }
     }
 
@@ -671,45 +652,9 @@ proptest! {
     fn metamorphic_pivot_sequences_agree_on_degenerate_instances(seed in any::<u64>()) {
         let inst = degenerate_std_lp(seed);
         let csc = CscMatrix::from_dense(&inst.matrix());
-        let (_, eta) = trace_pivots(TraceEngine::LuEta, &inst.costs, &csc, &inst.b, true);
+        let (_, dense) =
+            trace_pivots(TraceEngine::DenseInverse, &inst.costs, &csc, &inst.b, true);
         let (_, ft) = trace_pivots(TraceEngine::LuFt, &inst.costs, &csc, &inst.b, true);
-        prop_assert_eq!(&eta, &ft, "degenerate pivot sequences diverged");
-    }
-
-    /// Bartels–Golub vs Forrest–Tomlin: the two LU update engines share
-    /// the pricing loop and differ only in how the spike is eliminated
-    /// (row interchanges vs a fixed rotation), a choice that changes the
-    /// rounding — not the exact arithmetic path the ratio tests see.
-    /// Under Bland's rule the pivot sequences must therefore be
-    /// identical; a divergence localizes a bug to the BG elimination
-    /// algebra itself.
-    #[test]
-    fn metamorphic_bg_and_ft_pivot_sequences_agree(seed in any::<u64>()) {
-        let inst = feasible_std_lp(seed);
-        let csc = CscMatrix::from_dense(&inst.matrix());
-        let (rf, ft) = trace_pivots(TraceEngine::LuFt, &inst.costs, &csc, &inst.b, true);
-        let (rb, bg) = trace_pivots(TraceEngine::LuBg, &inst.costs, &csc, &inst.b, true);
-        prop_assert_eq!(ft.len(), bg.len(),
-            "pivot counts diverged: ft {} vs bg {}", ft.len(), bg.len());
-        for (i, (pf, pb)) in ft.iter().zip(&bg).enumerate() {
-            prop_assert_eq!(pf, pb, "pivot {i} diverged: ft {:?} vs bg {:?}", pf, pb);
-        }
-        prop_assert_eq!(rf.is_ok(), rb.is_ok());
-        if let (Ok(Some(xf)), Ok(Some(xb))) = (rf, rb) {
-            let (of, ob) = (objective(&inst.costs, &xf), objective(&inst.costs, &xb));
-            prop_assert!((of - ob).abs() <= 1e-6 * (1.0 + of.abs().max(ob.abs())),
-                "same pivot path, different optimum: ft {of} vs bg {ob}");
-        }
-    }
-
-    /// And under maximal degeneracy, where an update-algebra error is
-    /// likeliest to flip a zero-tolerance ratio-test tie.
-    #[test]
-    fn metamorphic_bg_pivot_sequences_agree_on_degenerate_instances(seed in any::<u64>()) {
-        let inst = degenerate_std_lp(seed);
-        let csc = CscMatrix::from_dense(&inst.matrix());
-        let (_, ft) = trace_pivots(TraceEngine::LuFt, &inst.costs, &csc, &inst.b, true);
-        let (_, bg) = trace_pivots(TraceEngine::LuBg, &inst.costs, &csc, &inst.b, true);
-        prop_assert_eq!(&ft, &bg, "degenerate bg/ft pivot sequences diverged");
+        prop_assert_eq!(&dense, &ft, "degenerate pivot sequences diverged");
     }
 }

@@ -1,6 +1,7 @@
 //! The `qavad` binary: parse flags, bind the daemon, serve until a
 //! `shutdown` request.
 
+use qava_lp::BackendChoice;
 use qavad::server::{banner, Daemon, DaemonConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -18,8 +19,9 @@ options:
                          (default 4096)
   --max-inflight N       concurrent analysis bound (default: the rayon
                          pool width)
-  --lp-backend B         auto | sparse | dense | lu | lu-ft | lu-bg
-                         (default auto; requests may override)
+  --lp-backend B         auto | sparse | dense | lu-ft: auto routes by
+                         size and density to the other three (default
+                         auto; requests may override with \"lp_backend\")
 
 Clients speak newline-delimited JSON (see the qavad::protocol docs);
 `qava --connect PATH` and `qava --suite --connect PATH` are the
@@ -48,10 +50,7 @@ fn parse_config(args: &[String]) -> Result<DaemonConfig, String> {
                     n.parse().map_err(|_| format!("bad inflight bound `{n}`"))?;
             }
             "--lp-backend" => {
-                let b = it
-                    .next()
-                    .ok_or("--lp-backend needs auto, sparse, dense, lu, lu-ft, or lu-bg")?;
-                config.backend = b.parse()?;
+                config.backend = BackendChoice::parse_flag(it.next().map(String::as_str))?;
             }
             "--help" | "-h" => return Err(String::new()),
             _ => return Err(format!("unknown flag `{a}`")),

@@ -91,8 +91,6 @@ pub fn lp_stats_to_json(stats: &LpStats) -> Json {
         reopt_attempts,
         reopt_successes,
         accuracy_refactors,
-        bg_interchanges,
-        bg_max_growth,
         wall_seconds,
         backends,
     } = stats;
@@ -115,8 +113,6 @@ pub fn lp_stats_to_json(stats: &LpStats) -> Json {
         ("reopt_attempts", n(*reopt_attempts)),
         ("reopt_successes", n(*reopt_successes)),
         ("accuracy_refactors", n(*accuracy_refactors)),
-        ("bg_interchanges", n(*bg_interchanges)),
-        ("bg_max_growth", Json::from_f64(*bg_max_growth)),
         ("wall_seconds", Json::from_f64(*wall_seconds)),
         (
             "backends",
@@ -145,9 +141,7 @@ pub fn intern_name(name: &str) -> &'static str {
     const KNOWN: &[&str] = &[
         "sparse",
         "dense",
-        "lu",
         "lu-ft",
-        "lu-bg",
         "hoeffding-linear",
         "azuma",
         "explinsyn",
@@ -187,8 +181,6 @@ pub fn lp_stats_from_json(json: &Json) -> LpStats {
         reopt_attempts: n("reopt_attempts"),
         reopt_successes: n("reopt_successes"),
         accuracy_refactors: n("accuracy_refactors"),
-        bg_interchanges: n("bg_interchanges"),
-        bg_max_growth: f("bg_max_growth"),
         wall_seconds: f("wall_seconds"),
         backends: Vec::new(),
     };
@@ -307,7 +299,7 @@ mod tests {
             warm_start_hits: 9,
             warm_start_misses: 27,
             persistent_warm_hits: 4,
-            bg_max_growth: 1.75,
+            accuracy_refactors: 2,
             wall_seconds: 0.125,
             ..LpStats::default()
         };

@@ -5,8 +5,9 @@
 //!
 //! One [`Daemon`] owns the process state every request shares:
 //!
-//! * a **PTS store** — compiled programs keyed by a hash of
-//!   `(source, params, invariant_iters)`, so a suite row is compiled and
+//! * a **PTS store** — compiled programs keyed by `(source, params,
+//!   invariant_iters)` itself (never a hash of it, so two programs can
+//!   never share an entry), so a suite row is compiled and
 //!   invariant-propagated once per daemon lifetime, not once per request;
 //! * the **shared warm-start basis cache** ([`SharedBasisCache`]) —
 //!   installed into every request's `LpSolver` sessions, spilled to the
@@ -122,7 +123,7 @@ struct Shared {
     config: DaemonConfig,
     registry: EngineRegistry,
     warm: Arc<SharedBasisCache>,
-    pts_store: Mutex<HashMap<u64, Arc<Pts>>>,
+    pts_store: Mutex<HashMap<PtsKey, Arc<Pts>>>,
     gate: Gate,
     /// Merged certified LP work across all completed requests.
     totals: Mutex<LpStats>,
@@ -396,24 +397,25 @@ fn stats_response(shared: &Shared) -> Json {
     ])
 }
 
-/// FNV-1a over everything that determines a compiled PTS.
-fn pts_key(source: &str, params: &BTreeMap<String, f64>, invariant_iters: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+/// Everything that determines a compiled PTS, compared in full on every
+/// lookup: the source, the params as `(name, f64 bits)` in name order,
+/// and the propagation rounds. A hash alone would let a collision serve
+/// another program's PTS — a wrong bound, not just a slow one.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct PtsKey {
+    source: String,
+    params: Vec<(String, u64)>,
+    invariant_iters: usize,
+}
+
+impl PtsKey {
+    fn new(source: &str, params: &BTreeMap<String, f64>, invariant_iters: usize) -> PtsKey {
+        PtsKey {
+            source: source.to_string(),
+            params: params.iter().map(|(name, v)| (name.clone(), v.to_bits())).collect(),
+            invariant_iters,
         }
-    };
-    eat(source.as_bytes());
-    eat(&[0xff]);
-    for (name, value) in params {
-        eat(name.as_bytes());
-        eat(&[0xfe]);
-        eat(&value.to_bits().to_le_bytes());
     }
-    eat(&[0xff]);
-    eat(&(invariant_iters as u64).to_le_bytes());
-    h
 }
 
 /// Compile-once store: requests for an already-seen
@@ -426,7 +428,7 @@ fn compile_cached(
     params: &BTreeMap<String, f64>,
     invariant_iters: usize,
 ) -> Result<(Arc<Pts>, bool), String> {
-    let key = pts_key(source, params, invariant_iters);
+    let key = PtsKey::new(source, params, invariant_iters);
     if let Some(pts) = Shared::lock(&shared.pts_store).get(&key).cloned() {
         shared.pts_hits.fetch_add(1, Ordering::SeqCst);
         return Ok((pts, true));
@@ -553,12 +555,10 @@ fn analyze(shared: &Arc<Shared>, request: &Json, reader: &mut LineReader) -> Jso
         .map(|ms| Duration::from_millis(ms as u64));
     let backend = match request.get("lp_backend").and_then(Json::as_str) {
         None => shared.config.backend,
-        Some(name) => {
-            match BackendChoice::from_args(&["--lp-backend".to_string(), name.to_string()]) {
-                Ok(Some(choice)) => choice,
-                _ => return error_response(id, &format!("unknown lp backend \"{name}\"")),
-            }
-        }
+        Some(name) => match name.parse::<BackendChoice>() {
+            Ok(choice) => choice,
+            Err(e) => return error_response(id, &e),
+        },
     };
 
     // Compile (or fetch) before admission: the PTS store is cheap and
@@ -784,20 +784,54 @@ mod tests {
         assert_eq!(*gate.inflight.lock().unwrap(), 0, "all permits returned");
     }
 
+    /// Distinct `(source, params, iters)` triples never share a store
+    /// entry, and a repeated triple is a hit on the very same `Arc`.
     #[test]
-    fn pts_key_distinguishes_all_inputs() {
-        let mut params = BTreeMap::new();
-        params.insert("n".to_string(), 10.0);
-        let base = pts_key("x := 1;", &params, 8);
-        assert_eq!(base, pts_key("x := 1;", &params, 8), "deterministic");
-        assert_ne!(base, pts_key("x := 2;", &params, 8));
-        assert_ne!(base, pts_key("x := 1;", &params, 0));
-        let mut other = params.clone();
-        other.insert("k".to_string(), 1.0);
-        assert_ne!(base, pts_key("x := 1;", &other, 8));
-        let mut renamed = BTreeMap::new();
-        renamed.insert("m".to_string(), 10.0);
-        assert_ne!(base, pts_key("x := 1;", &renamed, 8));
+    fn pts_store_keys_on_the_full_triple() {
+        let dir = std::env::temp_dir().join(format!("qavad-pts-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let daemon = Daemon::bind(DaemonConfig::new(dir.join("s.sock"))).unwrap();
+        let shared = &daemon.shared;
+        let params = |pairs: &[(&str, f64)]| -> BTreeMap<String, f64> {
+            pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+        };
+        let program = |cap: u32| {
+            format!(
+                "param n = 1; param k = 1; x := n;
+                 while x <= {cap} invariant x >= 0 and x <= 20 {{ x := x + k; }}
+                 assert x >= {cap};"
+            )
+        };
+        let (src, other_src) = (program(9), program(8));
+        let (src, other_src) = (src.as_str(), other_src.as_str());
+        let triples = [
+            (src, params(&[("n", 1.0)]), 8),
+            (other_src, params(&[("n", 1.0)]), 8),
+            (src, params(&[("n", 1.0)]), 0),
+            (src, params(&[("n", 2.0)]), 8),
+            (src, params(&[("n", -0.0)]), 8),
+            (src, params(&[("n", 0.0)]), 8),
+            (src, params(&[("n", 1.0), ("k", 1.0)]), 8),
+            (src, params(&[]), 8),
+        ];
+        let first: Vec<Arc<Pts>> = triples
+            .iter()
+            .map(|(s, p, iters)| {
+                let (pts, hit) = compile_cached(shared, s, p, *iters).unwrap();
+                assert!(!hit, "{s:?} {p:?} {iters}: a new triple must miss");
+                pts
+            })
+            .collect();
+        assert_eq!(Shared::lock(&shared.pts_store).len(), triples.len());
+        for ((s, p, iters), pts) in triples.iter().zip(&first) {
+            let (again, hit) = compile_cached(shared, s, p, *iters).unwrap();
+            assert!(hit, "{s:?} {p:?} {iters}: a repeated triple must hit");
+            assert!(Arc::ptr_eq(&again, pts), "a hit serves the stored program");
+        }
+        assert_eq!(shared.pts_misses.load(Ordering::SeqCst), triples.len());
+        assert_eq!(shared.pts_hits.load(Ordering::SeqCst), triples.len());
+        drop(daemon);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

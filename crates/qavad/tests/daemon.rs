@@ -370,3 +370,33 @@ fn protocol_errors_keep_the_connection_usable() {
     shutdown(&socket, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A request naming a backend the daemon does not have (here the retired
+/// eta-file engine) gets one `ok:false` answer carrying the library
+/// parser's message, and the connection goes on serving analyses.
+#[test]
+fn unknown_lp_backend_costs_one_request() {
+    let dir = scratch("backend");
+    let socket = dir.join("qavad.sock");
+    let handle = boot(DaemonConfig::new(&socket));
+    let mut client = Client::connect(&socket).expect("client");
+    let quick = &suite_rows()[0];
+    let spec = |lp_backend: &str| AnalyzeSpec {
+        id: 7,
+        source: quick.source,
+        params: &quick.params,
+        engines: vec!["hoeffding-linear".to_string()],
+        race: false,
+        deadline_ms: None,
+        invariant_iters: SUITE_INVARIANT_ITERS,
+        lp_backend: Some(lp_backend.to_string()),
+    };
+
+    let err = client.analyze(&spec("lu")).err().expect("`lu` is not a backend");
+    assert!(err.contains(&"lu".parse::<BackendChoice>().unwrap_err()), "{err}");
+    let response = client.analyze(&spec("lu-ft")).expect("connection still serves");
+    assert!(response.runs[0].bound.is_ok());
+    drop(client);
+    shutdown(&socket, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
