@@ -663,7 +663,7 @@ pub fn race(
 ///
 /// * `cancel` is the race's shared cancellation flag, supplied by the
 ///   caller instead of freshly allocated: raising it externally (a
-///   client disconnect monitor, a server shutting down) winds down
+///   client disconnect, a server shutting down) winds down
 ///   *every* racer at its next LP-solve boundary, exactly as the winner
 ///   normally winds down the losers. A race whose flag was raised before
 ///   any engine certified ends with `winner == None` and all-Cancelled
@@ -957,11 +957,24 @@ mod tests {
         };
         let first = run(&shared);
         let second = run(&shared);
-        let baseline = race(&engines, &req, BackendChoice::default());
-        let ln = |o: &RaceOutcome| o.winning_report().unwrap().bound().unwrap().ln();
-        // Shared warmth may change which LPs run warm, never a verdict.
-        assert_eq!(ln(&first), ln(&baseline), "shared cache must not change the bound");
-        assert_eq!(ln(&second), ln(&baseline));
+        // Shared warmth may change which LPs run warm, never a verdict:
+        // each race's winner (whichever engine thread timing favoured)
+        // matches that engine run alone, up to warm-start rounding.
+        for outcome in [&first, &second] {
+            let winner = outcome.winning_report().expect("some upper engine certifies Race");
+            let solo = reg
+                .run_engine(winner.engine, &req, BackendChoice::default())
+                .unwrap()
+                .bound()
+                .unwrap()
+                .ln();
+            let raced = winner.bound().unwrap().ln();
+            assert!(
+                (raced - solo).abs() <= 1e-9 * solo.abs().max(1.0),
+                "{}: shared cache changed the bound (raced ln {raced}, solo ln {solo})",
+                winner.engine
+            );
+        }
         let persistent: usize = second
             .reports
             .iter()

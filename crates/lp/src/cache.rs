@@ -26,6 +26,8 @@
 //!   `warm-poison` fault-injection site pins for the session cache).
 //! * [`SharedBasisCache::save`] writes to a temporary sibling and
 //!   renames, so a crash mid-spill leaves the previous file intact.
+//!   Concurrent saves of one store are serialized, so two spills never
+//!   share the temporary file or race its rename.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -126,6 +128,10 @@ pub struct SharedBasisCache {
     /// Mutations since the last [`take_dirty`](Self::take_dirty); lets a
     /// daemon spill only when something changed.
     dirty: AtomicU64,
+    /// Held by [`save`](Self::save) from snapshot to rename: concurrent
+    /// spills (two requests finishing together) would otherwise write
+    /// one temporary file at once and race its rename.
+    save_lock: Mutex<()>,
 }
 
 impl Default for SharedBasisCache {
@@ -140,6 +146,7 @@ impl SharedBasisCache {
         SharedBasisCache {
             inner: Mutex::new(BasisCache::new(capacity)),
             dirty: AtomicU64::new(0),
+            save_lock: Mutex::new(()),
         }
     }
 
@@ -194,12 +201,15 @@ impl SharedBasisCache {
     }
 
     /// Serializes the store to `path` (temp-file + rename, so a crash
-    /// mid-write leaves any previous spill intact).
+    /// mid-write leaves any previous spill intact). Concurrent calls run
+    /// one at a time, each writing a complete snapshot, so the last
+    /// rename leaves the newest one.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the filesystem.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
+        let _saving = self.save_lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let body = {
             let guard = self.lock();
             // Stable ordering for reproducible files (and tests).
@@ -475,6 +485,31 @@ mod tests {
         c.remove(1);
         assert_eq!(c.take_dirty(), 1);
         assert_eq!(c.take_dirty(), 0);
+    }
+
+    /// Two daemon requests finishing together both spill: every
+    /// concurrent save must succeed and leave a readable file.
+    #[test]
+    fn concurrent_saves_to_one_path_all_succeed() {
+        let path = tmp("concurrent-save.warm");
+        let cache = populated();
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        cache.save(&path)
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap().expect("every concurrent save succeeds");
+            }
+        });
+        let back = SharedBasisCache::load(&path, 64).unwrap();
+        assert_eq!(back.len(), 3);
+        assert_eq!(back.get(33), Some(vec![2, 2, 9, 1_000_000]));
     }
 
     #[test]

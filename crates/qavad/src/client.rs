@@ -27,7 +27,7 @@ pub const SUITE_INVARIANT_ITERS: usize = 8;
 
 /// One blocking connection to a daemon. Requests are answered in order;
 /// dropping the client mid-request is how a caller abandons an analysis
-/// (the daemon's disconnect monitor cancels it cooperatively).
+/// (the daemon sees the hang-up and cancels it cooperatively).
 pub struct Client {
     reader: BufReader<UnixStream>,
     writer: UnixStream,

@@ -23,13 +23,23 @@
 //!   slices (which partition session totals — pinned by a qava-core
 //!   concurrency test) are merged into certified/abandoned buckets.
 //!
-//! Each accepted connection gets a thread that reads one JSON-lines
-//! request at a time. During an analysis the connection's socket is
-//! watched by a small monitor: a client disconnect raises the request's
-//! cancel flag, every racing engine observes it at its next LP-solve
-//! boundary ([`qava_lp::LpError::Cancelled`]), and the admission permit
+//! Each accepted connection gets two threads. A **reader** owns the read
+//! half for the connection's whole life: it frames JSON lines and
+//! forwards each one, in arrival order, over a channel to the **request
+//! loop**, which answers them one at a time. Pipelined requests are thus
+//! ordinary channel messages, and the socket is always being read, so a
+//! client's departure is seen the moment it happens — never on a poll.
+//!
+//! The two threads share a small `Presence` record. An analysis
+//! registers its cancel flag there for as long as it is queued or
+//! running; when the reader hits EOF (or a hard socket error) it marks
+//! the client gone and raises whatever flag is registered, and an
+//! analysis that registers after the departure raises its own flag at
+//! once. Every racing engine observes the flag at its next LP-solve
+//! boundary ([`qava_lp::LpError::Cancelled`]) and the admission permit
 //! is released — an abandoned request frees its worker in bounded time
-//! instead of running to completion for nobody.
+//! instead of running to completion for nobody. When the request loop
+//! exits it shuts the socket down, which ends the reader's blocked read.
 
 use crate::json::{obj, parse, Json};
 use crate::protocol::{
@@ -42,10 +52,11 @@ use qava_lp::{BackendChoice, LpSolver, LpStats, SharedBasisCache};
 use qava_pts::Pts;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// How the daemon is wired up; see the field docs for defaults.
@@ -240,11 +251,9 @@ impl Daemon {
     }
 }
 
-/// Buffered line reader over a connection, with an explicit hand-back
-/// buffer: bytes a [`DisconnectMonitor`] drained off the socket while
-/// watching for departure (a pipelined next request) are appended via
-/// [`hand_back`](LineReader::hand_back) and consumed before any further
-/// socket reads, so no request byte is ever lost to monitoring.
+/// Buffered line framer over a connection's read half, owned by the
+/// connection's reader thread. Bytes past the current line (pipelined
+/// requests) stay in `pending` for the next call.
 struct LineReader {
     stream: UnixStream,
     pending: Vec<u8>,
@@ -255,17 +264,8 @@ impl LineReader {
         LineReader { stream, pending: Vec::new() }
     }
 
-    /// Queues bytes the monitor read ahead. Ordering is sound because
-    /// the monitor only runs while this reader is idle, and it always
-    /// reads *later* bytes than anything already pending.
-    fn hand_back(&mut self, bytes: &[u8]) {
-        self.pending.extend_from_slice(bytes);
-    }
-
-    /// Reads one `\n`-terminated line with a hard size cap, treating
-    /// read timeouts (a leftover `SO_RCVTIMEO` from the disconnect
-    /// monitor on the shared file description) as retries, not errors.
-    /// `Ok(None)` is EOF.
+    /// Reads one `\n`-terminated line with a hard size cap; an oversized
+    /// line is an `InvalidData` error. `Ok(None)` is EOF.
     fn read_line(&mut self, cap: usize) -> std::io::Result<Option<String>> {
         let mut chunk = [0u8; 4096];
         loop {
@@ -285,13 +285,7 @@ impl LineReader {
                 // EOF: a vanished client has no request to answer.
                 Ok(0) => return Ok(None),
                 Ok(n) => self.pending.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock
-                            | std::io::ErrorKind::TimedOut
-                            | std::io::ErrorKind::Interrupted
-                    ) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
@@ -313,19 +307,110 @@ fn error_response(id: Option<usize>, message: &str) -> Json {
     obj(pairs)
 }
 
+/// What a connection's reader thread and its request loop share: whether
+/// the client has left, and the cancel flag of the analysis currently
+/// queued or running on the connection (at most one — a connection's
+/// requests are answered in order).
+#[derive(Default)]
+struct Presence {
+    gone: bool,
+    inflight: Option<Arc<AtomicBool>>,
+}
+
+impl Presence {
+    /// The client left: cancel the registered analysis, if any.
+    fn depart(&mut self, shared: &Shared) {
+        self.gone = true;
+        if let Some(cancel) = self.inflight.take() {
+            cancel_for_disconnect(shared, &cancel);
+        }
+    }
+
+    /// Registers an analysis' cancel flag. A request whose client has
+    /// already left (it was pipelined ahead of the hang-up) is cancelled
+    /// at once.
+    fn register(&mut self, shared: &Shared, cancel: &Arc<AtomicBool>) {
+        if self.gone {
+            cancel_for_disconnect(shared, cancel);
+        } else {
+            self.inflight = Some(cancel.clone());
+        }
+    }
+}
+
+/// Raises a request's cancel flag on behalf of a departed client,
+/// counting each cancelled request once.
+fn cancel_for_disconnect(shared: &Shared, cancel: &AtomicBool) {
+    if !cancel.swap(true, Ordering::SeqCst) {
+        shared.disconnect_cancels.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// A framed request line, or the read error that ended the framing.
+type Line = std::io::Result<String>;
+
+/// The connection's reader thread: forwards every line to the request
+/// loop in arrival order, then — on EOF or a hard socket error — marks
+/// the client gone. An oversized line ends the framing but not the
+/// client, so it is forwarded without a departure.
+fn read_requests(
+    mut reader: LineReader,
+    lines: &mpsc::Sender<Line>,
+    presence: &Mutex<Presence>,
+    shared: &Shared,
+) {
+    loop {
+        match reader.read_line(MAX_LINE_BYTES) {
+            Ok(Some(line)) => {
+                if lines.send(Ok(line)).is_err() {
+                    return; // the request loop has finished
+                }
+            }
+            Ok(None) => break,
+            Err(e) => {
+                let oversized = e.kind() == std::io::ErrorKind::InvalidData;
+                let _ = lines.send(Err(e));
+                if oversized {
+                    return;
+                }
+                break;
+            }
+        }
+    }
+    Shared::lock(presence).depart(shared);
+}
+
 fn serve_connection(shared: &Arc<Shared>, stream: UnixStream) {
     let Ok(read_half) = stream.try_clone() else { return };
+    let presence = Arc::new(Mutex::new(Presence::default()));
+    let (sender, lines) = mpsc::channel();
+    let reader = {
+        let (shared, presence) = (shared.clone(), presence.clone());
+        std::thread::spawn(move || {
+            read_requests(LineReader::new(read_half), &sender, &presence, &shared);
+        })
+    };
     let mut writer = stream;
-    let mut reader = LineReader::new(read_half);
-    loop {
-        // The disconnect monitor leaves a read timeout on the shared
-        // file description; blocking request reads want none.
-        let _ = writer.set_read_timeout(None);
-        let line = match reader.read_line(MAX_LINE_BYTES) {
-            Ok(Some(line)) => line,
-            Ok(None) => return, // client hung up between requests
+    serve_requests(shared, &mut writer, &lines, &presence);
+    // Ends the reader's blocked read, whichever side finished first.
+    let _ = writer.shutdown(Shutdown::Both);
+    let _ = reader.join();
+}
+
+/// The request loop: answers forwarded lines one at a time, in order,
+/// until the reader stops and its last line is answered, a response
+/// cannot be written, or a `shutdown` request arrives.
+fn serve_requests(
+    shared: &Arc<Shared>,
+    writer: &mut UnixStream,
+    lines: &mpsc::Receiver<Line>,
+    presence: &Mutex<Presence>,
+) {
+    while let Ok(line) = lines.recv() {
+        let line = match line {
+            Ok(line) => line,
             Err(e) => {
-                let _ = write_response(&mut writer, &error_response(None, &e.to_string()));
+                let _ = write_response(writer, &error_response(None, &e.to_string()));
                 return;
             }
         };
@@ -336,7 +421,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: UnixStream) {
             Ok(doc) => doc,
             Err(e) => {
                 let msg = format!("malformed request: {e}");
-                if write_response(&mut writer, &error_response(None, &msg)).is_err() {
+                if write_response(writer, &error_response(None, &msg)).is_err() {
                     return;
                 }
                 continue;
@@ -345,10 +430,10 @@ fn serve_connection(shared: &Arc<Shared>, stream: UnixStream) {
         let response = match request.get("cmd").and_then(Json::as_str) {
             Some("hello") => hello_response(shared),
             Some("stats") => stats_response(shared),
-            Some("analyze") => analyze(shared, &request, &mut reader),
+            Some("analyze") => analyze(shared, &request, presence),
             Some("shutdown") => {
                 shared.maybe_spill();
-                let _ = write_response(&mut writer, &obj(vec![("ok", Json::Bool(true))]));
+                let _ = write_response(writer, &obj(vec![("ok", Json::Bool(true))]));
                 shared.shutdown.store(true, Ordering::SeqCst);
                 // Unblock the accept loop so `run` observes the flag.
                 let _ = UnixStream::connect(&shared.config.socket);
@@ -357,7 +442,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: UnixStream) {
             Some(other) => error_response(None, &format!("unknown cmd \"{other}\"")),
             None => error_response(None, "request has no \"cmd\""),
         };
-        if write_response(&mut writer, &response).is_err() {
+        if write_response(writer, &response).is_err() {
             return; // client gone; nothing left to tell it
         }
     }
@@ -446,78 +531,7 @@ fn compile_cached(
     Ok((pts, false))
 }
 
-/// Watches a connection for client departure while an analysis runs.
-///
-/// Short-timeout reads on a cloned handle: EOF (or a hard socket error)
-/// means the client hung up → raise the request's cancel flag so every
-/// racer winds down at its next LP boundary. Actual bytes are a
-/// pipelined next request — stash them and hand them back to the
-/// connection's [`LineReader`] when the analysis finishes (the monitor
-/// is the *only* reader while it runs, so ordering is preserved).
-struct DisconnectMonitor {
-    done: Arc<AtomicBool>,
-    stash: Arc<Mutex<Vec<u8>>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl DisconnectMonitor {
-    fn watch(stream: &UnixStream, cancel: Arc<AtomicBool>, shared: Arc<Shared>) -> Self {
-        let done = Arc::new(AtomicBool::new(false));
-        let stash = Arc::new(Mutex::new(Vec::new()));
-        let Ok(mut read_half) = stream.try_clone() else {
-            // No monitor: the analysis still runs, it just can't observe
-            // a disconnect early.
-            return DisconnectMonitor { done, stash, handle: None };
-        };
-        let flag = done.clone();
-        let pending = stash.clone();
-        let handle = std::thread::spawn(move || {
-            let _ = read_half.set_read_timeout(Some(Duration::from_millis(25)));
-            let mut chunk = [0u8; 4096];
-            while !flag.load(Ordering::SeqCst) {
-                match read_half.read(&mut chunk) {
-                    Ok(0) => {
-                        // EOF: the client is gone. Cancel and stop.
-                        if !cancel.swap(true, Ordering::SeqCst) {
-                            shared.disconnect_cancels.fetch_add(1, Ordering::SeqCst);
-                        }
-                        return;
-                    }
-                    Ok(n) => {
-                        // A pipelined next request; keep it for later.
-                        Shared::lock(&pending).extend_from_slice(&chunk[..n]);
-                    }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock
-                                | std::io::ErrorKind::TimedOut
-                                | std::io::ErrorKind::Interrupted
-                        ) => {}
-                    Err(_) => {
-                        // A broken socket is a departure too.
-                        if !cancel.swap(true, Ordering::SeqCst) {
-                            shared.disconnect_cancels.fetch_add(1, Ordering::SeqCst);
-                        }
-                        return;
-                    }
-                }
-            }
-        });
-        DisconnectMonitor { done, stash, handle: Some(handle) }
-    }
-
-    /// Stops watching and returns any read-ahead bytes, in order.
-    fn finish(mut self) -> Vec<u8> {
-        self.done.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-        std::mem::take(&mut Shared::lock(&self.stash))
-    }
-}
-
-fn analyze(shared: &Arc<Shared>, request: &Json, reader: &mut LineReader) -> Json {
+fn analyze(shared: &Arc<Shared>, request: &Json, presence: &Mutex<Presence>) -> Json {
     let id = request.get("id").and_then(Json::as_usize);
     shared.requests.fetch_add(1, Ordering::SeqCst);
 
@@ -568,17 +582,18 @@ fn analyze(shared: &Arc<Shared>, request: &Json, reader: &mut LineReader) -> Jso
         Err(e) => return error_response(id, &e),
     };
 
+    // The cancel flag is registered before admission, so a client that
+    // leaves while its request waits at the gate cancels it too.
+    let cancel = Arc::new(AtomicBool::new(false));
+    Shared::lock(presence).register(shared, &cancel);
     // Admission: one permit per analysis, released on every exit path.
     let permit = shared.gate.acquire();
-    let cancel = Arc::new(AtomicBool::new(false));
-    let monitor = DisconnectMonitor::watch(&reader.stream, cancel.clone(), shared.clone());
-
     let runs = if race {
         run_race(shared, &pts, &engine_names, deadline, backend, &cancel)
     } else {
         run_sequential(shared, &pts, &engine_names, deadline, backend, &cancel)
     };
-    reader.hand_back(&monitor.finish());
+    Shared::lock(presence).inflight = None;
     drop(permit);
 
     // Fold this request's slices into the process totals (the slices

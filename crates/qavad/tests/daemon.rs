@@ -7,17 +7,19 @@
 //! must hit the shared warm-start cache persistently, and a *restarted*
 //! daemon reloading the spilled cache file must still start warm. The
 //! cheap tests pin the failure modes: disconnect-cancellation freeing
-//! the single analysis slot, deadline expiry winding down as cancelled,
-//! corrupted cache files booting cold, and protocol-level rejection
-//! keeping the connection usable.
+//! the single analysis slot, pipelined requests answered in order (and
+//! cancelled when their client hangs up), deadline expiry winding down
+//! as cancelled, corrupted cache files booting cold, and protocol-level
+//! rejection keeping the connection usable.
 
-use qava_core::suite::runner::{default_engines, run_rows_with, RowReport};
+use qava_core::suite::runner::{default_engines, run_rows_with, EngineRun, RowReport};
 use qava_core::suite::{table1, table2, Benchmark};
 use qava_lp::BackendChoice;
 use qavad::client::{run_suite_via_daemon, AnalyzeSpec, Client, SUITE_INVARIANT_ITERS};
 use qavad::json::Json;
+use qavad::protocol::engine_run_from_json;
 use qavad::server::{Daemon, DaemonConfig};
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -69,25 +71,28 @@ fn assert_conformant(daemon_side: &[RowReport], in_process: &[RowReport]) {
     assert_eq!(daemon_side.len(), in_process.len());
     for (d, p) in daemon_side.iter().zip(in_process) {
         assert_eq!(d.name, p.name, "row order must match");
-        assert_eq!(d.runs.len(), p.runs.len(), "{}: run count", d.name);
-        for (dr, pr) in d.runs.iter().zip(&p.runs) {
-            assert_eq!(dr.engine, pr.engine, "{} ({}): engine", d.name, d.label);
-            match (&dr.bound, &pr.bound) {
-                (Ok(db), Ok(pb)) => assert!(
-                    (db.ln() - pb.ln()).abs() <= 1e-9,
-                    "{} ({}) / {}: daemon ln {} vs in-process ln {}",
-                    d.name,
-                    d.label,
-                    dr.engine,
-                    db.ln(),
-                    pb.ln()
-                ),
-                (Err(_), Err(_)) => {}
-                (daemon, local) => panic!(
-                    "{} ({}) / {}: verdicts diverge (daemon {daemon:?}, in-process {local:?})",
-                    d.name, d.label, dr.engine
-                ),
-            }
+        assert_runs_conformant(&format!("{} ({})", d.name, d.label), &d.runs, &p.runs);
+    }
+}
+
+/// [`assert_conformant`] for one row's runs.
+fn assert_runs_conformant(row: &str, daemon_side: &[EngineRun], in_process: &[EngineRun]) {
+    assert_eq!(daemon_side.len(), in_process.len(), "{row}: run count");
+    for (dr, pr) in daemon_side.iter().zip(in_process) {
+        assert_eq!(dr.engine, pr.engine, "{row}: engine");
+        match (&dr.bound, &pr.bound) {
+            (Ok(db), Ok(pb)) => assert!(
+                (db.ln() - pb.ln()).abs() <= 1e-9,
+                "{row} / {}: daemon ln {} vs in-process ln {}",
+                dr.engine,
+                db.ln(),
+                pb.ln()
+            ),
+            (Err(_), Err(_)) => {}
+            (daemon, local) => panic!(
+                "{row} / {}: verdicts diverge (daemon {daemon:?}, in-process {local:?})",
+                dr.engine
+            ),
         }
     }
 }
@@ -219,6 +224,30 @@ fn raced_rows_through_the_daemon_certify_in_process_values() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One raw `analyze` request line (newline included) for `b` with the
+/// given engine lineup — what a client writes when it pipelines or
+/// hangs up without waiting for answers.
+fn analyze_line(b: &Benchmark, id: usize, engines: &[&str]) -> String {
+    let request = qavad::json::obj(vec![
+        ("cmd", Json::Str("analyze".to_string())),
+        ("id", Json::Num(id as f64)),
+        ("source", Json::Str(b.source.to_string())),
+        (
+            "params",
+            Json::Obj(b.params.iter().map(|(k, &v)| (k.clone(), Json::from_f64(v))).collect()),
+        ),
+        ("engines", Json::Arr(engines.iter().map(|e| Json::Str((*e).to_string())).collect())),
+        ("invariant_iters", Json::Num(SUITE_INVARIANT_ITERS as f64)),
+    ]);
+    format!("{}\n", request.render())
+}
+
+fn disconnect_cancels(client: &mut Client) -> usize {
+    let stats = client.stats().expect("stats");
+    let stats = stats.get("disconnect_cancels").and_then(Json::as_usize);
+    stats.expect("stats carries disconnect_cancels")
+}
+
 /// A client that vanishes mid-solve must cancel its analysis and free
 /// the (only) analysis slot for the next request.
 #[test]
@@ -229,20 +258,16 @@ fn disconnect_mid_solve_cancels_and_frees_the_worker() {
     config.max_inflight = 1;
     let handle = boot(config);
 
-    // Pick a heavyweight row so the analysis is guaranteed to still be
-    // in flight when the client hangs up.
+    // Hang up right after sending a heavyweight request, without reading
+    // the response: the daemon sees the departure whether the request is
+    // still queued or already running, so the timing of the hang-up
+    // (and the speed of the build) cannot let the analysis finish first.
     let rows = suite_rows();
     let heavy = rows.iter().find(|b| b.name == "3DWalk").expect("3DWalk row exists");
-    let request = format!(
-        "{{\"cmd\":\"analyze\",\"source\":{},\"engines\":[\"explinsyn\"],\"invariant_iters\":8,\"params\":{}}}\n",
-        Json::Str(heavy.source.to_string()).render(),
-        Json::Obj(heavy.params.iter().map(|(k, &v)| (k.clone(), Json::from_f64(v))).collect())
-            .render(),
-    );
     let mut vanishing = UnixStream::connect(&socket).expect("connect");
+    let request = analyze_line(heavy, 0, &["explinsyn"]);
     vanishing.write_all(request.as_bytes()).expect("send analyze");
-    std::thread::sleep(Duration::from_millis(100));
-    drop(vanishing); // hang up without reading the response
+    drop(vanishing);
 
     // With the only slot occupied by the abandoned analysis, this
     // request completes only once cancellation released the permit.
@@ -261,11 +286,83 @@ fn disconnect_mid_solve_cancels_and_frees_the_worker() {
         })
         .expect("analysis after an abandoned request");
     assert!(response.runs[0].bound.is_ok(), "follow-up analysis certifies");
-    let stats = client.stats().expect("stats");
     assert!(
-        stats.get("disconnect_cancels").and_then(Json::as_usize).unwrap_or(0) >= 1,
-        "the monitor must have observed the disconnect and cancelled"
+        disconnect_cancels(&mut client) >= 1,
+        "the daemon must have observed the disconnect and cancelled"
     );
+    drop(client);
+    shutdown(&socket, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Pipelining: requests written back to back in one `write` are
+/// answered in order, each with its own `id` and its in-process bound.
+/// A client that pipelines heavy requests and then hangs up cancels
+/// them.
+#[test]
+fn pipelined_requests_answer_in_order_and_hang_up_cancels_them() {
+    let dir = scratch("pipeline");
+    let socket = dir.join("qavad.sock");
+    let handle = boot(DaemonConfig::new(&socket));
+    let rows: Vec<Benchmark> = suite_rows().into_iter().take(3).collect();
+    let reference =
+        run_rows_with(&rows, |b| default_engines(b.direction).to_vec(), BackendChoice::default());
+
+    // Three analyses with a hello between the first and the second, all
+    // in a single write.
+    let mut batch = String::new();
+    for (i, b) in rows.iter().enumerate() {
+        batch.push_str(&analyze_line(b, 10 + i, default_engines(b.direction)));
+        if i == 0 {
+            batch.push_str("{\"cmd\":\"hello\"}\n");
+        }
+    }
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    stream.write_all(batch.as_bytes()).expect("pipelined write");
+    let mut responses = BufReader::new(stream.try_clone().expect("clone"));
+    let mut next = || {
+        let mut line = String::new();
+        responses.read_line(&mut line).expect("read response");
+        let doc = qavad::json::parse(line.trim_end()).expect("response is JSON");
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true), "{line}");
+        doc
+    };
+    for (i, (b, local)) in rows.iter().zip(&reference).enumerate() {
+        let doc = next();
+        assert_eq!(doc.get("id").and_then(Json::as_usize), Some(10 + i), "responses in order");
+        let runs: Vec<_> = doc
+            .get("runs")
+            .and_then(Json::as_arr)
+            .expect("analyze response has runs")
+            .iter()
+            .map(|r| engine_run_from_json(r).expect("decodable run"))
+            .collect();
+        assert_runs_conformant(b.name, &runs, &local.runs);
+        if i == 0 {
+            let hello = next();
+            let server = hello.get("server").and_then(Json::as_str);
+            assert_eq!(server, Some("qavad"), "the hello is answered second");
+        }
+    }
+    drop(responses);
+    drop(stream);
+
+    // Two heavy requests pipelined, then a hang-up: both are cancelled
+    // (the second may already see the departure when it registers), and
+    // the counter rises without anyone waiting on the answers.
+    let mut client = Client::connect(&socket).expect("stats client");
+    let before = disconnect_cancels(&mut client);
+    let all = suite_rows();
+    let heavy = all.iter().find(|b| b.name == "3DWalk").expect("3DWalk row exists");
+    let mut vanishing = UnixStream::connect(&socket).expect("connect");
+    let two = analyze_line(heavy, 20, &["explinsyn"]) + &analyze_line(heavy, 21, &["explinsyn"]);
+    vanishing.write_all(two.as_bytes()).expect("pipelined heavy write");
+    drop(vanishing);
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while disconnect_cancels(&mut client) <= before {
+        assert!(Instant::now() < deadline, "abandoned pipelined analyses were never cancelled");
+        std::thread::sleep(Duration::from_millis(20));
+    }
     drop(client);
     shutdown(&socket, handle);
     let _ = std::fs::remove_dir_all(&dir);
