@@ -92,33 +92,26 @@ impl ExpTerm {
 
     /// The log of the term value at `x` (without the phase-I shift).
     pub(crate) fn log_value(&self, x: &[f64]) -> f64 {
-        let mut rho = self.weight.ln() + vecops::dot(&self.lin, x) + self.constant;
+        self.log_value_with(self.weight.ln(), x)
+    }
+
+    /// [`Self::log_value`] with `ln(weight)` supplied by the caller, which
+    /// computes it once per barrier run instead of once per evaluation.
+    pub(crate) fn log_value_with(&self, ln_weight: f64, x: &[f64]) -> f64 {
+        let mut rho = ln_weight + vecops::dot(&self.lin, x) + self.constant;
         for f in &self.uniform_factors {
             rho += f.mgf.log_value(vecops::dot(&f.lin, x) + f.constant);
         }
         rho
     }
+}
 
-    /// Gradient of the log of the term value.
-    pub(crate) fn log_gradient(&self, x: &[f64]) -> Vec<f64> {
-        let mut g = self.lin.clone();
-        for f in &self.uniform_factors {
-            let t = vecops::dot(&f.lin, x) + f.constant;
-            vecops::axpy(f.mgf.dlog(t), &f.lin, &mut g);
-        }
-        g
-    }
-
-    /// Second-derivative data: `(curvature, direction)` pairs contributing
-    /// `curvature · dir·dirᵀ` to the Hessian of the log of the term.
-    pub(crate) fn log_curvatures<'a>(&'a self, x: &[f64]) -> Vec<(f64, &'a [f64])> {
-        self.uniform_factors
-            .iter()
-            .map(|f| {
-                let t = vecops::dot(&f.lin, x) + f.constant;
-                (f.mgf.d2log(t), f.lin.as_slice())
-            })
-            .collect()
+/// A term's value from its log, `+∞` once the exponent overflows.
+fn capped_exp(rho: f64) -> f64 {
+    if rho > 700.0 {
+        f64::INFINITY
+    } else {
+        rho.exp()
     }
 }
 
@@ -152,16 +145,15 @@ impl ExpSumConstraint {
 
     /// Evaluates `Σ_m term_m(x)`; `+∞` if any exponent overflows.
     pub fn eval(&self, x: &[f64]) -> f64 {
+        self.terms.iter().map(|t| capped_exp(t.log_value(x))).sum()
+    }
+
+    /// [`Self::eval`] with each term's `ln(weight)` supplied by the caller.
+    pub(crate) fn eval_with(&self, ln_weights: &[f64], x: &[f64]) -> f64 {
         self.terms
             .iter()
-            .map(|t| {
-                let rho = t.log_value(x);
-                if rho > 700.0 {
-                    f64::INFINITY
-                } else {
-                    rho.exp()
-                }
-            })
+            .zip(ln_weights)
+            .map(|(t, &lw)| capped_exp(t.log_value_with(lw, x)))
             .sum()
     }
 }
@@ -197,7 +189,9 @@ pub struct ConvexSolution {
     /// problem is (numerically) unbounded below — for bound synthesis this
     /// reads as "the violation probability bound is effectively zero".
     pub floored: bool,
-    /// Total Newton iterations across the barrier path.
+    /// Newton iterations of the phase-II barrier path, the one that
+    /// minimizes the real objective. Phase I (the search for a strictly
+    /// feasible start) runs Newton steps of its own that are not counted.
     pub newton_iterations: usize,
 }
 

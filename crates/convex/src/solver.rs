@@ -1,4 +1,28 @@
 //! Log-barrier path-following with equality-constrained Newton centering.
+//!
+//! [`barrier`] minimizes `t·c·x − Σ ln(1 − g_i(x))` for growing `t`. Its two
+//! inner loops are the derivative evaluation, once per Newton step, and the
+//! line search, about a dozen candidates per step. Both run against a
+//! `Workspace` that each barrier run builds once:
+//!
+//! * **Cached constraint data.** Every term's `ln(weight)`, and its
+//!   *support*: the coordinates where its `lin` or one of its factor rows
+//!   is nonzero.
+//! * **Reused buffers.** The gradient, the Hessian, `∇g`, the per-term
+//!   log-gradients and the candidate point. Rank-one Hessian pieces are
+//!   recorded as indices into them, not as copied vectors.
+//!
+//! A line-search candidate costs one pass that evaluates each constraint
+//! once and stops at the first one that is not strictly feasible. A
+//! rank-one piece `w·v·vᵀ` updates only the rows and columns in its term's
+//! support (or the nonzeros of `∇g`). Without equality constraints the
+//! nullspace basis is `None` rather than `Z = I`, and the Newton system is
+//! solved in `x` itself, with no products with the identity.
+//!
+//! None of this moves an iterate by one bit. Every `vecops` call keeps its
+//! operands and order, a skipped Hessian entry would only have received
+//! `±0`, and the tests compare all of it against the dense formulas with
+//! `to_bits`.
 
 use crate::{ConvexError, ConvexProblem, ConvexSolution, ExpSumConstraint, SolverOptions};
 use qava_linalg::{vecops, Matrix};
@@ -342,24 +366,26 @@ fn barrier(
     let mut t = 1.0;
     let mut newton_total = 0usize;
     let mut floored = false;
+    let mut ws = Workspace::new(objective, constraints, n);
 
-    debug_assert!(strictly_feasible(constraints, &x), "barrier started outside the interior");
+    debug_assert!(ws.value_if_interior(t, &x).is_some(), "barrier started outside the interior");
 
     // Reduced-space handling of equalities: steps live in null(E), i.e.
     // dx = Z·du, which keeps E·x = f satisfied exactly — no KKT drift.
     let z = nullspace_basis(equalities, n);
-    if z.cols() == 0 {
+    if z.as_ref().map_or(n, Matrix::cols) == 0 {
         // Equalities pin x completely; the start point is the only candidate.
         return Ok(BarrierRun { x, floored: false, newton_iterations: 0 });
     }
+    let mut cand = vec![0.0; n];
 
     for _outer in 0..MAX_OUTER {
         // ---- Newton centering for the current t. ----
         for _ in 0..opts.max_newton {
             newton_total += 1;
-            let (val, grad, hess) = barrier_derivatives(t, objective, constraints, &x);
-            let dx = reduced_newton_step(&z, &hess, &grad)?;
-            let decrement = -vecops::dot(&grad, &dx);
+            let val = ws.derivatives(t, &x);
+            let dx = reduced_newton_step(z.as_ref(), &ws.hess, &ws.grad)?;
+            let decrement = -vecops::dot(&ws.grad, &dx);
             if decrement / 2.0 < NEWTON_TOL {
                 break;
             }
@@ -367,12 +393,11 @@ fn barrier(
             let mut step = 1.0;
             let mut moved = false;
             while step > 1e-13 {
-                let mut cand = x.clone();
+                cand.copy_from_slice(&x);
                 vecops::axpy(step, &dx, &mut cand);
-                if strictly_feasible(constraints, &cand) {
-                    let cand_val = barrier_value(t, objective, constraints, &cand);
+                if let Some(cand_val) = ws.value_if_interior(t, &cand) {
                     if cand_val <= val - ARMIJO * step * decrement {
-                        x = cand;
+                        std::mem::swap(&mut x, &mut cand);
                         moved = true;
                         break;
                     }
@@ -399,88 +424,202 @@ fn barrier(
     Ok(BarrierRun { x, floored, newton_iterations: newton_total })
 }
 
-fn strictly_feasible(constraints: &[ExpSumConstraint], x: &[f64]) -> bool {
-    constraints.iter().all(|c| c.eval(x) < 1.0 - 1e-12)
+/// Per-run data of one constraint, indexed like its terms.
+struct ConstraintCache {
+    /// `ln(weight)` of each term.
+    ln_weights: Vec<f64>,
+    /// Each term's support: the coordinates where its `lin` or one of its
+    /// factor rows is nonzero. The term's log-gradient and factor rows are
+    /// `±0` everywhere else, so its Hessian pieces touch no other entry.
+    supports: Vec<Vec<usize>>,
 }
 
-fn barrier_value(t: f64, objective: &[f64], constraints: &[ExpSumConstraint], x: &[f64]) -> f64 {
-    let mut v = t * vecops::dot(objective, x);
-    for c in constraints {
-        v -= (1.0 - c.eval(x)).ln();
+/// Which vector a recorded rank-one Hessian piece `w·v·vᵀ` uses.
+#[derive(Clone, Copy)]
+enum Piece {
+    /// Term `k`'s log-gradient, held in the per-term gradient buffer.
+    Gradient(usize),
+    /// Factor `j`'s row of term `k`: `(k, j)`.
+    Factor(usize, usize),
+}
+
+/// The constraint data and buffers one barrier run reuses on every
+/// evaluation.
+struct Workspace<'a> {
+    objective: &'a [f64],
+    constraints: &'a [ExpSumConstraint],
+    cache: Vec<ConstraintCache>,
+    /// Gradient of the barrier at the last [`Workspace::derivatives`] point.
+    grad: Vec<f64>,
+    /// Hessian of the barrier at the last [`Workspace::derivatives`] point.
+    hess: Matrix,
+    /// `∇g` of the constraint being accumulated, and its nonzero entries.
+    dg: Vec<f64>,
+    dg_support: Vec<usize>,
+    /// Log-gradient of term `k` of the current constraint at rows
+    /// `k·n..(k+1)·n`.
+    term_grads: Vec<f64>,
+    /// Factor arguments `t_j(x)` of the current term.
+    factor_args: Vec<f64>,
+    /// Rank-one Hessian pieces of the current constraint, unscaled by its
+    /// slack.
+    pieces: Vec<(f64, Piece)>,
+}
+
+impl<'a> Workspace<'a> {
+    fn new(objective: &'a [f64], constraints: &'a [ExpSumConstraint], n: usize) -> Self {
+        let cache = constraints
+            .iter()
+            .map(|c| ConstraintCache {
+                ln_weights: c.terms.iter().map(|t| t.weight.ln()).collect(),
+                supports: c
+                    .terms
+                    .iter()
+                    .map(|t| {
+                        (0..n)
+                            .filter(|&j| {
+                                t.lin[j] != 0.0 || t.uniform_factors.iter().any(|f| f.lin[j] != 0.0)
+                            })
+                            .collect()
+                    })
+                    .collect(),
+            })
+            .collect();
+        let max_terms = constraints.iter().map(|c| c.terms.len()).max().unwrap_or(0);
+        Workspace {
+            objective,
+            constraints,
+            cache,
+            grad: vec![0.0; n],
+            hess: Matrix::zeros(n, n),
+            dg: vec![0.0; n],
+            dg_support: Vec::with_capacity(n),
+            term_grads: vec![0.0; max_terms * n],
+            factor_args: Vec::new(),
+            pieces: Vec::new(),
+        }
     }
-    v
-}
 
-/// Value, gradient and Hessian of the barrier function at `x`.
-fn barrier_derivatives(
-    t: f64,
-    objective: &[f64],
-    constraints: &[ExpSumConstraint],
-    x: &[f64],
-) -> (f64, Vec<f64>, Matrix) {
-    let n = x.len();
-    let mut grad = vecops::scale(t, objective);
-    let mut hess = Matrix::zeros(n, n);
-    let mut value = t * vecops::dot(objective, x);
-
-    for c in constraints {
-        let mut g = 0.0;
-        let mut dg = vec![0.0; n];
-        // Hessian of g accumulated directly into `hess` after scaling, so
-        // gather rank-one pieces first.
-        let mut pieces: Vec<(f64, Vec<f64>)> = Vec::new();
-        for term in &c.terms {
-            let rho = term.log_value(x);
-            if rho < -300.0 {
-                continue; // numerically zero term
+    /// The barrier value `t·c·x − Σ ln(1 − g_i(x))` when every constraint
+    /// is strictly feasible (`g_i(x) < 1 − 1e-12`), else `None`. One pass
+    /// evaluates each constraint once and stops at the first violated one.
+    fn value_if_interior(&self, t: f64, x: &[f64]) -> Option<f64> {
+        let mut v = t * vecops::dot(self.objective, x);
+        for (c, cache) in self.constraints.iter().zip(&self.cache) {
+            let g = c.eval_with(&cache.ln_weights, x);
+            if g < 1.0 - 1e-12 {
+                v -= (1.0 - g).ln();
+            } else {
+                return None;
             }
-            let tv = rho.exp();
-            let lg = term.log_gradient(x);
-            g += tv;
-            vecops::axpy(tv, &lg, &mut dg);
-            pieces.push((tv, lg.clone()));
-            for (curv, dir) in term.log_curvatures(x) {
-                if curv > 0.0 {
-                    pieces.push((tv * curv, dir.to_vec()));
+        }
+        Some(v)
+    }
+
+    /// Fills `grad` and `hess` with the barrier's gradient and Hessian at
+    /// `x` and returns its value. Terms with `ln(term) < −300` count as
+    /// zero here.
+    fn derivatives(&mut self, t: f64, x: &[f64]) -> f64 {
+        let n = x.len();
+        let Workspace {
+            objective,
+            constraints,
+            cache,
+            grad,
+            hess,
+            dg,
+            dg_support,
+            term_grads,
+            factor_args,
+            pieces,
+        } = self;
+        grad.copy_from_slice(objective);
+        vecops::scale_in_place(t, grad);
+        for i in 0..n {
+            hess.row_mut(i).fill(0.0);
+        }
+        let mut value = t * vecops::dot(objective, x);
+
+        for (c, cache) in constraints.iter().zip(cache.iter()) {
+            let mut g = 0.0;
+            dg.fill(0.0);
+            // Hessian of g accumulated directly into `hess` after scaling, so
+            // gather rank-one pieces first.
+            pieces.clear();
+            for (k, (term, &ln_weight)) in c.terms.iter().zip(&cache.ln_weights).enumerate() {
+                let mut rho = ln_weight + vecops::dot(&term.lin, x) + term.constant;
+                factor_args.clear();
+                for f in &term.uniform_factors {
+                    let arg = vecops::dot(&f.lin, x) + f.constant;
+                    rho += f.mgf.log_value(arg);
+                    factor_args.push(arg);
+                }
+                if rho < -300.0 {
+                    continue; // numerically zero term
+                }
+                let tv = rho.exp();
+                let lg = &mut term_grads[k * n..(k + 1) * n];
+                lg.copy_from_slice(&term.lin);
+                for (f, &arg) in term.uniform_factors.iter().zip(factor_args.iter()) {
+                    vecops::axpy(f.mgf.dlog(arg), &f.lin, lg);
+                }
+                g += tv;
+                vecops::axpy(tv, lg, dg);
+                pieces.push((tv, Piece::Gradient(k)));
+                for (j, (&arg, f)) in factor_args.iter().zip(&term.uniform_factors).enumerate() {
+                    let curv = f.mgf.d2log(arg);
+                    if curv > 0.0 {
+                        pieces.push((tv * curv, Piece::Factor(k, j)));
+                    }
                 }
             }
+            let slack = 1.0 - g;
+            debug_assert!(slack > 0.0, "derivative evaluation outside interior");
+            value -= slack.ln();
+            // ∇(−ln(1−g)) = ∇g / (1−g)
+            vecops::axpy(1.0 / slack, dg, grad);
+            // ∇² = ∇g∇gᵀ/(1−g)² + ∇²g/(1−g)
+            dg_support.clear();
+            dg_support.extend((0..n).filter(|&j| dg[j] != 0.0));
+            rank_one_update(hess, 1.0 / (slack * slack), dg, dg_support);
+            for &(w, piece) in pieces.iter() {
+                let (v, k) = match piece {
+                    Piece::Gradient(k) => (&term_grads[k * n..(k + 1) * n], k),
+                    Piece::Factor(k, j) => (&c.terms[k].uniform_factors[j].lin[..], k),
+                };
+                rank_one_update(hess, w / slack, v, &cache.supports[k]);
+            }
         }
-        let slack = 1.0 - g;
-        debug_assert!(slack > 0.0, "derivative evaluation outside interior");
-        value -= slack.ln();
-        // ∇(−ln(1−g)) = ∇g / (1−g)
-        vecops::axpy(1.0 / slack, &dg, &mut grad);
-        // ∇² = ∇g∇gᵀ/(1−g)² + ∇²g/(1−g)
-        rank_one_update(&mut hess, 1.0 / (slack * slack), &dg);
-        for (w, dir) in &pieces {
-            rank_one_update(&mut hess, w / slack, dir);
-        }
+        value
     }
-    (value, grad, hess)
 }
 
-/// `h += w · v·vᵀ`.
-fn rank_one_update(h: &mut Matrix, w: f64, v: &[f64]) {
+/// `h += w · v·vᵀ` over the rows and columns in `support`, which must hold
+/// every index where `v` is nonzero. A skipped entry would only have
+/// received `w·v_i·(±0) = ±0`, and `h` never holds `−0` (it starts at `+0`
+/// and only accumulates sums), so the result is bit-identical to the dense
+/// update.
+fn rank_one_update(h: &mut Matrix, w: f64, v: &[f64], support: &[usize]) {
     if w == 0.0 {
         return;
     }
-    let n = v.len();
-    for i in 0..n {
+    for &i in support {
         if v[i] == 0.0 {
             continue;
         }
         let wi = w * v[i];
-        for j in 0..n {
-            h[(i, j)] += wi * v[j];
+        let row = h.row_mut(i);
+        for &j in support {
+            row[j] += wi * v[j];
         }
     }
 }
 
-/// Columns spanning `null(E)` as a matrix `Z` (the identity when there are
-/// no equality rows).
-fn nullspace_basis(equalities: &[(Vec<f64>, f64)], n: usize) -> Matrix {
+/// Columns spanning `null(E)` as a matrix `Z`, or `None` when there are no
+/// equality rows: then `Z = I` and the Newton step is taken in `x` itself.
+fn nullspace_basis(equalities: &[(Vec<f64>, f64)], n: usize) -> Option<Matrix> {
     if equalities.is_empty() {
-        return Matrix::identity(n);
+        return None;
     }
     let mut e = Matrix::zeros(0, 0);
     for (row, _) in equalities {
@@ -493,17 +632,26 @@ fn nullspace_basis(equalities: &[(Vec<f64>, f64)], n: usize) -> Matrix {
             z[(i, k)] = v[i];
         }
     }
-    z
+    Some(z)
 }
 
 /// Newton step in the reduced space: solve `(ZᵀHZ + ridge)·du = −Zᵀgrad`
 /// and return `dx = Z·du`, escalating regularization until the step is a
-/// descent direction.
-fn reduced_newton_step(z: &Matrix, hess: &Matrix, grad: &[f64]) -> Result<Vec<f64>, ConvexError> {
-    let k = z.cols();
-    let grad_u = z.mul_vec_transposed(grad);
-    let hz = hess.mul(z);
-    let hu = z.transpose().mul(&hz);
+/// descent direction. `z = None` stands for `Z = I`: `H` and `grad` are
+/// used as they are. Products with `I` are exact up to the sign of a zero,
+/// and `dx = du + 0.0` turns `−0` into `+0` just as `I·du` does, so both
+/// forms return the same bits.
+fn reduced_newton_step(
+    z: Option<&Matrix>,
+    hess: &Matrix,
+    grad: &[f64],
+) -> Result<Vec<f64>, ConvexError> {
+    let reduced = z.map(|z| (z.mul_vec_transposed(grad), z.transpose().mul(&hess.mul(z))));
+    let (grad_u, hu) = match &reduced {
+        Some((grad_u, hu)) => (grad_u.as_slice(), hu),
+        None => (grad, hess),
+    };
+    let k = hu.cols();
     for attempt in 0..8 {
         let ridge = 1e-9 * 10f64.powi(attempt * 2);
         let mut m = hu.clone();
@@ -511,8 +659,11 @@ fn reduced_newton_step(z: &Matrix, hess: &Matrix, grad: &[f64]) -> Result<Vec<f6
         for i in 0..k {
             m[(i, i)] += ridge * scale;
         }
-        if let Some(du) = m.solve(&vecops::scale(-1.0, &grad_u)) {
-            let dx = z.mul_vec(&du);
+        if let Some(du) = m.solve(&vecops::scale(-1.0, grad_u)) {
+            let dx = match z {
+                Some(z) => z.mul_vec(&du),
+                None => du.into_iter().map(|v| v + 0.0).collect(),
+            };
             // The step must be a descent direction; otherwise re-regularize.
             if vecops::dot(grad, &dx) <= 0.0 {
                 return Ok(dx);
@@ -526,9 +677,296 @@ fn reduced_newton_step(z: &Matrix, hess: &Matrix, grad: &[f64]) -> Result<Vec<f6
 mod tests {
     use super::*;
     use crate::{ExpTerm, UniformMgf};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng as _, SeedableRng as _};
 
     fn opts() -> SolverOptions {
         SolverOptions::default()
+    }
+
+    // ---- Oracle: the dense formulas the workspace replaced, verbatim. ----
+
+    fn strictly_feasible(constraints: &[ExpSumConstraint], x: &[f64]) -> bool {
+        constraints.iter().all(|c| c.eval(x) < 1.0 - 1e-12)
+    }
+
+    fn barrier_value(
+        t: f64,
+        objective: &[f64],
+        constraints: &[ExpSumConstraint],
+        x: &[f64],
+    ) -> f64 {
+        let mut v = t * vecops::dot(objective, x);
+        for c in constraints {
+            v -= (1.0 - c.eval(x)).ln();
+        }
+        v
+    }
+
+    fn log_gradient(term: &ExpTerm, x: &[f64]) -> Vec<f64> {
+        let mut g = term.lin.clone();
+        for f in &term.uniform_factors {
+            let t = vecops::dot(&f.lin, x) + f.constant;
+            vecops::axpy(f.mgf.dlog(t), &f.lin, &mut g);
+        }
+        g
+    }
+
+    fn log_curvatures<'a>(term: &'a ExpTerm, x: &[f64]) -> Vec<(f64, &'a [f64])> {
+        term.uniform_factors
+            .iter()
+            .map(|f| {
+                let t = vecops::dot(&f.lin, x) + f.constant;
+                (f.mgf.d2log(t), f.lin.as_slice())
+            })
+            .collect()
+    }
+
+    fn dense_rank_one_update(h: &mut Matrix, w: f64, v: &[f64]) {
+        if w == 0.0 {
+            return;
+        }
+        let n = v.len();
+        for i in 0..n {
+            if v[i] == 0.0 {
+                continue;
+            }
+            let wi = w * v[i];
+            for j in 0..n {
+                h[(i, j)] += wi * v[j];
+            }
+        }
+    }
+
+    fn dense_derivatives(
+        t: f64,
+        objective: &[f64],
+        constraints: &[ExpSumConstraint],
+        x: &[f64],
+    ) -> (f64, Vec<f64>, Matrix) {
+        let n = x.len();
+        let mut grad = vecops::scale(t, objective);
+        let mut hess = Matrix::zeros(n, n);
+        let mut value = t * vecops::dot(objective, x);
+        for c in constraints {
+            let mut g = 0.0;
+            let mut dg = vec![0.0; n];
+            let mut pieces: Vec<(f64, Vec<f64>)> = Vec::new();
+            for term in &c.terms {
+                let rho = term.log_value(x);
+                if rho < -300.0 {
+                    continue;
+                }
+                let tv = rho.exp();
+                let lg = log_gradient(term, x);
+                g += tv;
+                vecops::axpy(tv, &lg, &mut dg);
+                pieces.push((tv, lg.clone()));
+                for (curv, dir) in log_curvatures(term, x) {
+                    if curv > 0.0 {
+                        pieces.push((tv * curv, dir.to_vec()));
+                    }
+                }
+            }
+            let slack = 1.0 - g;
+            value -= slack.ln();
+            vecops::axpy(1.0 / slack, &dg, &mut grad);
+            dense_rank_one_update(&mut hess, 1.0 / (slack * slack), &dg);
+            for (w, dir) in &pieces {
+                dense_rank_one_update(&mut hess, w / slack, dir);
+            }
+        }
+        (value, grad, hess)
+    }
+
+    /// The central path as it ran before the workspace: two constraint
+    /// passes per candidate, dense derivatives, and `Z = I` without
+    /// equalities.
+    fn dense_barrier(
+        objective: &[f64],
+        constraints: &[ExpSumConstraint],
+        equalities: &[(Vec<f64>, f64)],
+        mut x: Vec<f64>,
+        opts: &SolverOptions,
+    ) -> Result<BarrierRun, ConvexError> {
+        let n = x.len();
+        let m = constraints.len().max(1);
+        let mut t = 1.0;
+        let mut newton_total = 0usize;
+        let mut floored = false;
+        let z = nullspace_basis(equalities, n).unwrap_or_else(|| Matrix::identity(n));
+        if z.cols() == 0 {
+            return Ok(BarrierRun { x, floored: false, newton_iterations: 0 });
+        }
+        for _outer in 0..MAX_OUTER {
+            for _ in 0..opts.max_newton {
+                newton_total += 1;
+                let (val, grad, hess) = dense_derivatives(t, objective, constraints, &x);
+                let dx = reduced_newton_step(Some(&z), &hess, &grad)?;
+                let decrement = -vecops::dot(&grad, &dx);
+                if decrement / 2.0 < NEWTON_TOL {
+                    break;
+                }
+                let mut step = 1.0;
+                let mut moved = false;
+                while step > 1e-13 {
+                    let mut cand = x.clone();
+                    vecops::axpy(step, &dx, &mut cand);
+                    if strictly_feasible(constraints, &cand) {
+                        let cand_val = barrier_value(t, objective, constraints, &cand);
+                        if cand_val <= val - ARMIJO * step * decrement {
+                            x = cand;
+                            moved = true;
+                            break;
+                        }
+                    }
+                    step *= 0.5;
+                }
+                if !moved {
+                    break;
+                }
+                if vecops::dot(objective, &x) < opts.obj_floor {
+                    floored = true;
+                    break;
+                }
+            }
+            if floored || vecops::dot(objective, &x) < opts.obj_floor {
+                return Ok(BarrierRun { x, floored: true, newton_iterations: newton_total });
+            }
+            if m as f64 / t < opts.tol {
+                return Ok(BarrierRun { x, floored: false, newton_iterations: newton_total });
+            }
+            t *= opts.mu;
+        }
+        Ok(BarrierRun { x, floored, newton_iterations: newton_total })
+    }
+
+    /// A random problem that is strictly feasible at the origin (every
+    /// constraint sums to at most 1/2 there), with exact zeros (of both
+    /// signs) among the coefficients, uniform-MGF factors, terms far below
+    /// the `−300` cutoff, and optionally equalities through the origin.
+    fn random_barrier_problem(n: usize, with_equalities: bool, seed: u64) -> ConvexProblem {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let row = |rng: &mut StdRng| -> Vec<f64> {
+            (0..n)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-2.0..2.0),
+                })
+                .collect()
+        };
+        let mut p = ConvexProblem::new(n);
+        p.set_objective(row(&mut rng));
+        for _ in 0..rng.gen_range(1..6) {
+            let nterms = rng.gen_range(1..4);
+            let mut terms = Vec::new();
+            for _ in 0..nterms {
+                let lin = row(&mut rng);
+                let constant = if rng.gen_range(0..6) == 0 { -400.0 } else { 0.0 };
+                let weight = rng.gen_range(0.1..1.0) / (2 * nterms) as f64;
+                let mut term = ExpTerm::exp_affine(weight, lin, constant);
+                for _ in 0..rng.gen_range(0..3) {
+                    let a = rng.gen_range(-1.0..0.5);
+                    let lin = row(&mut rng);
+                    let shift = rng.gen_range(-0.5..0.5);
+                    // ln φ(s) ≤ |s|·max|r| ≤ |s|·(|a| + 1) for r ∈ [a, a + 1]:
+                    // offsetting the exponent keeps the term ≤ w at the origin.
+                    term.constant -= (a.abs() + 1.0) * shift.abs();
+                    term = term.with_uniform_factor(UniformMgf::new(a, a + 1.0), lin, shift);
+                }
+                terms.push(term);
+            }
+            p.add_constraint(ExpSumConstraint::new(terms));
+        }
+        // Box rows keep most coordinates bounded. A coordinate left out may
+        // be touched by no row at all, which gives the Newton system a
+        // decoupled row and the step a signed zero.
+        for j in (0..n).filter(|_| rng.gen_range(0..4) > 0) {
+            let mut up = vec![0.0; n];
+            up[j] = 1.0;
+            p.add_constraint(ExpSumConstraint::linear(up, 3.0));
+            let mut down = vec![0.0; n];
+            down[j] = -1.0;
+            p.add_constraint(ExpSumConstraint::linear(down, 3.0));
+        }
+        if with_equalities && n > 1 {
+            for _ in 0..rng.gen_range(1..n) {
+                p.add_equality(row(&mut rng), 0.0);
+            }
+        }
+        p
+    }
+
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The workspace's fused line search, sparse derivatives and
+        /// `Z = None` step reproduce the dense formulas bit for bit, at
+        /// widths on both sides of the vecops dispatch threshold.
+        #[test]
+        fn workspace_matches_dense_formulas_bit_for_bit(
+            n in 1usize..13,
+            with_equalities in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let p = random_barrier_problem(n, with_equalities, seed);
+            let (objective, constraints, equalities) =
+                (p.objective_ref(), p.constraints_ref(), p.equalities_ref());
+            let mut ws = Workspace::new(objective, constraints, n);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let mut interior_points = 0;
+            for _ in 0..12 {
+                let radius = rng.gen_range(0.0..1.5);
+                let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-radius..radius)).collect();
+                let t = rng.gen_range(0.5..1e4);
+
+                let fused = ws.value_if_interior(t, &x);
+                let feasible = strictly_feasible(constraints, &x);
+                prop_assert_eq!(fused.is_some(), feasible);
+                if !feasible {
+                    continue;
+                }
+                interior_points += 1;
+                let value = barrier_value(t, objective, constraints, &x);
+                prop_assert_eq!(fused.unwrap().to_bits(), value.to_bits());
+
+                let (dval, dgrad, dhess) = dense_derivatives(t, objective, constraints, &x);
+                let val = ws.derivatives(t, &x);
+                prop_assert_eq!(val.to_bits(), dval.to_bits());
+                prop_assert!(same_bits(&ws.grad, &dgrad), "gradient differs at {x:?}");
+                for i in 0..n {
+                    prop_assert!(same_bits(ws.hess.row(i), dhess.row(i)), "Hessian row {i}");
+                }
+
+                let fast = reduced_newton_step(None, &ws.hess, &ws.grad);
+                let identity = reduced_newton_step(Some(&Matrix::identity(n)), &dhess, &dgrad);
+                match (fast, identity) {
+                    (Ok(a), Ok(b)) => prop_assert!(same_bits(&a, &b), "step {a:?} vs {b:?}"),
+                    (a, b) => prop_assert_eq!(a.is_err(), b.is_err()),
+                }
+            }
+            prop_assert!(interior_points > 0, "the origin neighbourhood is interior");
+
+            // The whole central path, equalities included.
+            let short = SolverOptions { max_newton: 25, tol: 1e-3, ..SolverOptions::default() };
+            let x0 = vec![0.0; n];
+            let new = barrier(objective, constraints, equalities, x0.clone(), &short);
+            let old = dense_barrier(objective, constraints, equalities, x0, &short);
+            match (new, old) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert!(same_bits(&a.x, &b.x), "path ends at {:?} vs {:?}", a.x, b.x);
+                    prop_assert_eq!(a.newton_iterations, b.newton_iterations);
+                    prop_assert_eq!(a.floored, b.floored);
+                }
+                (a, b) => prop_assert_eq!(a.is_err(), b.is_err()),
+            }
+        }
     }
 
     #[test]
