@@ -59,17 +59,11 @@ impl CanonicalConstraint {
     }
 }
 
-/// Canonicalizes every transition of `pts` whose `Ψ` is nonempty, probing
-/// emptiness on this thread's default solver session.
+/// Canonicalizes every transition of `pts` whose `Ψ` is nonempty, with
+/// the `Ψ`-emptiness probes threaded through an explicit solver session.
 ///
 /// The `space` must have been created with `include_absorbing = false`:
 /// absorbing locations have no template in the exponential algorithms.
-pub fn canonicalize(pts: &Pts, space: &TemplateSpace) -> Vec<CanonicalConstraint> {
-    qava_lp::with_default_solver(|s| canonicalize_in(pts, space, s))
-}
-
-/// [`canonicalize`] with the `Ψ`-emptiness probes threaded through an
-/// explicit solver session.
 pub fn canonicalize_in(
     pts: &Pts,
     space: &TemplateSpace,
@@ -192,6 +186,7 @@ pub fn expand_term_at_vertex(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qava_lp::LpSolver;
     use qava_pts::{AffineUpdate, Fork, PtsBuilder};
     use qava_polyhedra::Halfspace;
 
@@ -239,7 +234,7 @@ mod tests {
     fn race_canonicalization_matches_example_5() {
         let pts = race();
         let space = TemplateSpace::new(&pts, false);
-        let cons = canonicalize(&pts, &space);
+        let cons = canonicalize_in(&pts, &space, &mut LpSolver::new());
         assert_eq!(cons.len(), 3);
 
         // Loop transition: identity Q, offsets (1,2) and (1,0) — α must be
@@ -285,7 +280,7 @@ mod tests {
             Polyhedron::from_constraints(2, vec![Halfspace::le(vec![0.0, 1.0], 50.0)]),
         );
         let space = TemplateSpace::new(&pts, false);
-        let cons = canonicalize(&pts, &space);
+        let cons = canonicalize_in(&pts, &space, &mut LpSolver::new());
         assert_eq!(cons.len(), 2, "y ≥ 100 conflicts with y ≤ 50");
     }
 

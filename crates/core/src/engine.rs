@@ -18,8 +18,8 @@
 //! * The six built-in engines wrap the existing algorithms:
 //!   `hoeffding-linear` and `azuma` (§5.1 / Remark 2), `explinsyn`
 //!   (§5.2), `polyrsm-quadratic` (Remark 3), `explowsyn` (§6) and
-//!   `polylow` (Remark 5). The legacy free functions remain as thin
-//!   deprecated shims over the same `*_in` implementations.
+//!   `polylow` (Remark 5). Each adapter only wires the request into the
+//!   algorithm's session-threaded `*_in` function.
 //! * [`EngineRegistry`] holds engines by name;
 //!   [`register_engine`](EngineRegistry::register_engine) attaches
 //!   external implementations exactly like `LpSolver::register_backend`

@@ -30,7 +30,7 @@ use qava_convex::{
 use qava_lp::LpSolver;
 use qava_pts::Pts;
 
-/// Errors from [`synthesize_upper_bound`].
+/// Errors from [`synthesize_upper_bound_in`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExpLinSynError {
     /// No exponential pre fixed-point with affine exponent exists (the
@@ -80,23 +80,6 @@ pub struct ExpLinSynResult {
     pub newton_iterations: usize,
 }
 
-/// Runs ExpLinSyn with default solver options.
-///
-/// Deprecated shim over [`synthesize_upper_bound_in`] with a private
-/// throwaway session; new code goes through the engine API
-/// (`explinsyn` in an [`crate::engine::EngineRegistry`]) or threads an
-/// explicit session.
-///
-/// # Errors
-///
-/// See [`ExpLinSynError`].
-#[deprecated(note = "use the `explinsyn` engine via `qava_core::engine`, \
-                     or `synthesize_upper_bound_in` with an explicit \
-                     `LpSolver` session")]
-pub fn synthesize_upper_bound(pts: &Pts) -> Result<ExpLinSynResult, ExpLinSynError> {
-    synthesize_upper_bound_with_in(pts, &SolverOptions::default(), &mut LpSolver::new())
-}
-
 /// Runs ExpLinSyn with default convex-solver options, threading the
 /// canonicalization emptiness-probe LPs through the given session. (The
 /// convex program itself is solved by the interior-point method in
@@ -112,24 +95,8 @@ pub fn synthesize_upper_bound_in(
     synthesize_upper_bound_with_in(pts, &SolverOptions::default(), solver)
 }
 
-/// Runs ExpLinSyn with explicit solver options.
-///
-/// Deprecated shim; see [`synthesize_upper_bound`].
-///
-/// # Errors
-///
-/// See [`ExpLinSynError`].
-#[deprecated(note = "use the engine API (`qava_core::engine`, with convex \
-                     options on the `AnalysisRequest`) or \
-                     `synthesize_upper_bound_with_in`")]
-pub fn synthesize_upper_bound_with(
-    pts: &Pts,
-    opts: &SolverOptions,
-) -> Result<ExpLinSynResult, ExpLinSynError> {
-    synthesize_upper_bound_with_in(pts, opts, &mut LpSolver::new())
-}
-
-/// [`synthesize_upper_bound_with`] inside an explicit LP session.
+/// Runs ExpLinSyn with explicit convex-solver options inside an explicit
+/// LP session; the `explinsyn` engine calls this.
 ///
 /// # Errors
 ///
@@ -169,17 +136,10 @@ pub fn synthesize_upper_bound_with_in(
     })
 }
 
-/// Steps 2–4: the convex program Θ of the paper. Public for diagnostics
-/// (the `tables` harness and tests inspect the generated constraints).
-pub fn build_convex_program(
-    pts: &Pts,
-    space: &TemplateSpace,
-) -> Result<ConvexProblem, ExpLinSynError> {
-    build_convex_program_in(pts, space, &mut LpSolver::new())
-}
-
-/// [`build_convex_program`] with the canonicalization emptiness probes
-/// threaded through an explicit LP session.
+/// Steps 2–4: the convex program Θ of the paper, with the
+/// canonicalization emptiness probes threaded through an explicit LP
+/// session. Public for diagnostics (benchmarks and tests inspect the
+/// generated constraints).
 pub fn build_convex_program_in(
     pts: &Pts,
     space: &TemplateSpace,
@@ -199,7 +159,7 @@ pub fn build_convex_program_in(
             continue; // all mass to ℓ_t: the constraint is `0 ≤ 1`.
         }
         let Some((vertices, cone)) = con.guard.minkowski_decompose() else {
-            continue; // empty Ψ (canonicalize already filters, but be safe)
+            continue; // empty Ψ (canonicalize_in already filters, but be safe)
         };
 
         // (D1): α_j · r ≤ 0 for every recession ray, α_j · l = 0 for every
@@ -256,9 +216,6 @@ pub fn build_convex_program_in(
 }
 
 #[cfg(test)]
-// The deprecated session-less shims keep their behavioral coverage here
-// until they are removed.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
@@ -278,7 +235,7 @@ mod tests {
     fn race_bound_matches_paper() {
         // §3.1: the optimal bound is ≈ exp(−15.697) ≈ 1.52e-7.
         let pts = qava_lang::compile(race_src(), &BTreeMap::new()).unwrap();
-        let r = synthesize_upper_bound(&pts).unwrap();
+        let r = synthesize_upper_bound_in(&pts, &mut LpSolver::new()).unwrap();
         assert!(!r.floored);
         assert!(
             (r.bound.ln() + 15.697).abs() < 0.05,
@@ -294,7 +251,8 @@ mod tests {
             let mut params = BTreeMap::new();
             params.insert("start".to_string(), start);
             let pts = qava_lang::compile(race_src(), &params).unwrap();
-            bounds.push(synthesize_upper_bound(&pts).unwrap().bound);
+            let r = synthesize_upper_bound_in(&pts, &mut LpSolver::new()).unwrap();
+            bounds.push(r.bound);
         }
         assert!(bounds[0] > bounds[1], "a smaller head start helps the hare");
         assert!(bounds[1] > bounds[2]);
@@ -303,7 +261,7 @@ mod tests {
     #[test]
     fn certain_violation_gives_bound_one() {
         let pts = qava_lang::compile("x := 0; assert false;", &BTreeMap::new()).unwrap();
-        let r = synthesize_upper_bound(&pts);
+        let r = synthesize_upper_bound_in(&pts, &mut LpSolver::new());
         // The initial location is ℓ_f itself after lowering.
         assert!(matches!(r, Err(ExpLinSynError::TrivialInitial)));
     }
@@ -318,7 +276,7 @@ mod tests {
             assert x >= 0;
         ";
         let pts = qava_lang::compile(src, &BTreeMap::new()).unwrap();
-        let r = synthesize_upper_bound(&pts).unwrap();
+        let r = synthesize_upper_bound_in(&pts, &mut LpSolver::new()).unwrap();
         assert!(r.floored);
         assert!(r.bound.ln() < -1e3);
     }
@@ -331,7 +289,7 @@ mod tests {
             if prob(0.3) { assert false; } else { exit; }
         ";
         let pts = qava_lang::compile(src, &BTreeMap::new()).unwrap();
-        let r = synthesize_upper_bound(&pts).unwrap();
+        let r = synthesize_upper_bound_in(&pts, &mut LpSolver::new()).unwrap();
         assert!(
             (r.bound.to_f64() - 0.3).abs() < 1e-3,
             "expected 0.3, got {}",
@@ -342,7 +300,7 @@ mod tests {
     #[test]
     fn template_is_pre_fixed_point_numerically() {
         let pts = qava_lang::compile(race_src(), &BTreeMap::new()).unwrap();
-        let r = synthesize_upper_bound(&pts).unwrap();
+        let r = synthesize_upper_bound_in(&pts, &mut LpSolver::new()).unwrap();
         let report = crate::verify::check_pre_fixed_point(&pts, &r.solution, 500, 7);
         assert!(report.is_ok(), "violations: {report:?}");
     }

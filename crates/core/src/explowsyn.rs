@@ -26,7 +26,7 @@ use crate::template::{SolvedTemplate, TemplateSpace, UCoef};
 use qava_lp::{Cmp, LinExpr, LpBuilder, LpError, LpSolver, VarId};
 use qava_pts::Pts;
 
-/// Errors from [`synthesize_lower_bound`].
+/// Errors from [`synthesize_lower_bound_in`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExpLowSynError {
     /// The Jensen-strengthened LP is infeasible: no exponential post
@@ -81,26 +81,9 @@ pub struct ExpLowSynResult {
 ///
 /// The result is a sound lower bound **provided** the PTS terminates almost
 /// surely from every reachable state (the paper's standing assumption for
-/// LQAVA; see [`crate::rsm::prove_almost_sure_termination`]).
-///
-/// Deprecated shim over [`synthesize_lower_bound_in`] with a private
-/// throwaway session; new code goes through the engine API (`explowsyn`
-/// in an [`crate::engine::EngineRegistry`]) or threads an explicit
-/// session.
-///
-/// # Errors
-///
-/// See [`ExpLowSynError`].
-#[deprecated(note = "use the `explowsyn` engine via `qava_core::engine`, \
-                     or `synthesize_lower_bound_in` with an explicit \
-                     `LpSolver` session")]
-pub fn synthesize_lower_bound(pts: &Pts) -> Result<ExpLowSynResult, ExpLowSynError> {
-    synthesize_lower_bound_in(pts, &mut LpSolver::new())
-}
-
-/// [`synthesize_lower_bound`] threading the canonicalization emptiness
-/// probes and the Jensen-strengthened LP through the given solver
-/// session.
+/// LQAVA; see [`crate::rsm::prove_almost_sure_termination`]). The
+/// canonicalization emptiness probes and the Jensen-strengthened LP run
+/// through the given solver session; the `explowsyn` engine calls this.
 ///
 /// # Errors
 ///
@@ -190,9 +173,6 @@ pub fn synthesize_lower_bound_in(
 }
 
 #[cfg(test)]
-// The deprecated session-less shims keep their behavioral coverage here
-// until they are removed.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
@@ -229,7 +209,7 @@ mod tests {
         for p in [1e-7f64, 1e-5, 1e-4] {
             let a = -2.0 * (1.0 - p).ln();
             let expected = (-99.0 * a).exp();
-            let r = synthesize_lower_bound(&m1dwalk(p)).unwrap();
+            let r = synthesize_lower_bound_in(&m1dwalk(p), &mut LpSolver::new()).unwrap();
             let got = r.bound.to_f64();
             assert!(
                 (got - expected).abs() < 1e-6,
@@ -241,7 +221,7 @@ mod tests {
     #[test]
     fn lower_bound_is_post_fixed_point() {
         let pts = m1dwalk(1e-5);
-        let r = synthesize_lower_bound(&pts).unwrap();
+        let r = synthesize_lower_bound_in(&pts, &mut LpSolver::new()).unwrap();
         let report = crate::verify::check_post_fixed_point(&pts, &r.solution, 300, 5);
         assert!(report.is_ok(), "violations: {report:?}");
     }
@@ -249,8 +229,8 @@ mod tests {
     #[test]
     fn lower_never_exceeds_upper() {
         let pts = m1dwalk(1e-4);
-        let lo = synthesize_lower_bound(&pts).unwrap();
-        let hi = crate::explinsyn::synthesize_upper_bound(&pts).unwrap();
+        let lo = synthesize_lower_bound_in(&pts, &mut LpSolver::new()).unwrap();
+        let hi = crate::explinsyn::synthesize_upper_bound_in(&pts, &mut LpSolver::new()).unwrap();
         assert!(
             lo.bound.ln() <= hi.bound.ln() + 1e-6,
             "lower {} above upper {}",
@@ -266,7 +246,7 @@ mod tests {
             if prob(0.3) { assert false; } else { exit; }
         ";
         let pts = qava_lang::compile(src, &BTreeMap::new()).unwrap();
-        let r = synthesize_lower_bound(&pts).unwrap();
+        let r = synthesize_lower_bound_in(&pts, &mut LpSolver::new()).unwrap();
         assert!(
             (r.bound.to_f64() - 0.3).abs() < 1e-6,
             "expected 0.3, got {}",
@@ -284,7 +264,7 @@ mod tests {
             exit;
         ";
         let pts = qava_lang::compile(src, &BTreeMap::new()).unwrap();
-        let r = synthesize_lower_bound(&pts);
+        let r = synthesize_lower_bound_in(&pts, &mut LpSolver::new());
         assert!(
             matches!(r, Err(ExpLowSynError::DeadEndTransition { .. })),
             "got {r:?}"

@@ -102,45 +102,10 @@ const EPS_CAP: f64 = 1.0;
 /// tightest μ that still makes sense in f64.
 pub const DEFAULT_SER_ITERATIONS: usize = 70;
 
-/// Synthesizes a RepRSM upper bound with the Ser ternary search.
-///
-/// Deprecated shim over [`synthesize_reprsm_bound_in`] with a private
-/// throwaway session; new code goes through the engine API
-/// (`engine::HoeffdingLinear` / `engine::AzumaLinear` in an
-/// [`crate::engine::EngineRegistry`]) or threads an explicit session.
-///
-/// # Errors
-///
-/// See [`RepRsmError`].
-#[deprecated(note = "use the `hoeffding-linear`/`azuma` engines via \
-                     `qava_core::engine`, or `synthesize_reprsm_bound_in` \
-                     with an explicit `LpSolver` session")]
-pub fn synthesize_reprsm_bound(pts: &Pts, kind: BoundKind) -> Result<RepRsmResult, RepRsmError> {
-    synthesize_reprsm_bound_in(pts, kind, DEFAULT_SER_ITERATIONS, &mut LpSolver::new())
-}
-
-/// [`synthesize_reprsm_bound`] with an explicit Ser iteration budget — the
-/// granularity/LP-count trade-off of Theorem C.1.
-///
-/// Deprecated shim; see [`synthesize_reprsm_bound`].
-///
-/// # Errors
-///
-/// See [`RepRsmError`].
-#[deprecated(note = "use the engine API (`qava_core::engine`) or \
-                     `synthesize_reprsm_bound_in` with an explicit session")]
-pub fn synthesize_reprsm_bound_with(
-    pts: &Pts,
-    kind: BoundKind,
-    ser_iterations: usize,
-) -> Result<RepRsmResult, RepRsmError> {
-    synthesize_reprsm_bound_in(pts, kind, ser_iterations, &mut LpSolver::new())
-}
-
-/// [`synthesize_reprsm_bound_with`] threading every LP of the Ser search
-/// through the given solver session: the ε probes share one sparsity
-/// pattern, so each probe beyond the first warm-starts from its
-/// predecessor's basis.
+/// Synthesizes a RepRSM upper bound with a Ser ternary search of
+/// `ser_iterations` probes (Theorem C.1), threading every LP through the
+/// given solver session: the ε probes share one sparsity pattern, so each
+/// probe beyond the first warm-starts from its predecessor's basis.
 ///
 /// # Errors
 ///
@@ -171,12 +136,12 @@ const SEED_BOUNDARY: f64 = 0.9;
 ///
 /// With `eps_seed = Some(ε₀)` from the *previous* point's certified
 /// template, the εmax LP is skipped and the Ser ternary search runs on
-/// the seeded window `[0, min(`[`SEED_WINDOW`]`·ε₀, 1))`. Honesty guards
+/// the seeded window `[0, min(SEED_WINDOW·ε₀, 1))`. Honesty guards
 /// make seeding a pure acceleration, never an answer change beyond the
 /// ternary search's own `1e-10` convergence slack:
 ///
-/// * **boundary fallback** — if ε\* lands within [`SEED_BOUNDARY`] of the
-///   seeded ceiling (and the ceiling is not the global [`EPS_CAP`]), the
+/// * **boundary fallback** — if ε\* lands within `SEED_BOUNDARY` of the
+///   seeded ceiling (and the ceiling is not the global `EPS_CAP`), the
 ///   optimum may lie above the window: the seeded attempt is discarded
 ///   and the full `[0, εmax]` search runs;
 /// * **infeasibility fallback** — probes above the true εmax are
@@ -613,9 +578,6 @@ impl<'a> ConstraintGen<'a> {
 }
 
 #[cfg(test)]
-// The deprecated session-less shims keep their behavioral coverage here
-// until they are removed.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
@@ -631,9 +593,13 @@ mod tests {
         qava_lang::compile(src, &BTreeMap::new()).unwrap()
     }
 
+    fn reprsm(pts: &Pts, kind: BoundKind) -> Result<RepRsmResult, RepRsmError> {
+        synthesize_reprsm_bound_in(pts, kind, DEFAULT_SER_ITERATIONS, &mut LpSolver::new())
+    }
+
     #[test]
     fn race_hoeffding_bound_nontrivial() {
-        let r = synthesize_reprsm_bound(&race(), BoundKind::Hoeffding).unwrap();
+        let r = reprsm(&race(), BoundKind::Hoeffding).unwrap();
         // Paper Table 1: 9.08e-4 for Race (40, 0) via §5.1.
         assert!(r.bound.ln() < -4.0, "bound {} too weak", r.bound);
         assert!(r.bound.ln() > -25.0, "bound {} suspiciously strong", r.bound);
@@ -644,8 +610,8 @@ mod tests {
     #[test]
     fn azuma_is_weaker_than_hoeffding() {
         let pts = race();
-        let h = synthesize_reprsm_bound(&pts, BoundKind::Hoeffding).unwrap();
-        let a = synthesize_reprsm_bound(&pts, BoundKind::Azuma).unwrap();
+        let h = reprsm(&pts, BoundKind::Hoeffding).unwrap();
+        let a = reprsm(&pts, BoundKind::Azuma).unwrap();
         assert!(
             a.bound.ln() >= h.bound.ln() - 1e-6,
             "Remark 2: Azuma ({}) must be looser than Hoeffding ({})",
@@ -657,8 +623,8 @@ mod tests {
     #[test]
     fn hoeffding_looser_than_explinsyn() {
         let pts = race();
-        let h = synthesize_reprsm_bound(&pts, BoundKind::Hoeffding).unwrap();
-        let e = crate::explinsyn::synthesize_upper_bound(&pts).unwrap();
+        let h = reprsm(&pts, BoundKind::Hoeffding).unwrap();
+        let e = crate::explinsyn::synthesize_upper_bound_in(&pts, &mut LpSolver::new()).unwrap();
         assert!(
             h.bound.ln() >= e.bound.ln() - 1e-6,
             "the complete algorithm dominates: {} vs {}",
@@ -676,7 +642,7 @@ mod tests {
             assert x <= 5;
         ";
         let pts = qava_lang::compile(src, &BTreeMap::new()).unwrap();
-        let r = synthesize_reprsm_bound(&pts, BoundKind::Hoeffding);
+        let r = reprsm(&pts, BoundKind::Hoeffding);
         // Any RepRSM must put η(init) ≤ 0 while ending ≥ 0 with ε-decrease —
         // impossible here; alternatively the bound degenerates to ~1.
         match r {

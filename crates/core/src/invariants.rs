@@ -13,6 +13,7 @@ pub use qava_pts::propagate::propagate_invariants;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qava_lp::LpSolver;
     use qava_polyhedra::Halfspace;
     use std::collections::BTreeMap;
 
@@ -30,11 +31,11 @@ mod tests {
         let pts = qava_lang::compile(src, &BTreeMap::new()).unwrap();
         let inv = pts.invariant(pts.failure_location());
         assert!(
-            inv.implies(&Halfspace::le(vec![1.0, 0.0], 99.0)),
+            inv.implies_in(&Halfspace::le(vec![1.0, 0.0], 99.0), &mut LpSolver::new()),
             "ℓ_f must know x ≤ 99: {inv:?}"
         );
         assert!(
-            inv.implies(&Halfspace::ge(vec![0.0, 1.0], 100.0)),
+            inv.implies_in(&Halfspace::ge(vec![0.0, 1.0], 100.0), &mut LpSolver::new()),
             "ℓ_f must know y ≥ 100: {inv:?}"
         );
     }

@@ -86,17 +86,6 @@
 //!   injects one deterministic recoverable fault per task and asserts
 //!   every row still certifies the fault-free bound.
 //!
-//! ## Deprecation path
-//!
-//! The historical free-function entry points (`synthesize_reprsm_bound`,
-//! `synthesize_upper_bound`, `synthesize_lower_bound`,
-//! `synthesize_quadratic_bound`, `synthesize_quadratic_lower_bound` and
-//! their `_with` variants) remain as **deprecated** thin shims over the
-//! session-threaded `*_in` implementations, so downstream code and old
-//! doctests keep compiling. The `*_in` variants themselves are stable —
-//! they are what the engine adapters call. Migrate by picking an engine
-//! name and going through the registry; see the quickstart below.
-//!
 //! ## Supporting theory and tooling
 //!
 //! * [`fixpoint`] — executable Theorems 4.3/4.4: value iteration from `⊥`
@@ -136,19 +125,6 @@
 //! assert!(upper.bound.ln() < -15.0); // ≈ 1.5e-7, §3.1 of the paper
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
-//!
-//! The deprecated shims stay source-compatible:
-//!
-//! ```
-//! # #![allow(deprecated)]
-//! # let pts = qava_lang::compile(
-//! #     "x := 0; if prob(0.3) { assert false; } else { exit; }",
-//! #     &Default::default(),
-//! # )?;
-//! let upper = qava_core::explinsyn::synthesize_upper_bound(&pts)?;
-//! assert!((upper.bound.to_f64() - 0.3).abs() < 1e-3);
-//! # Ok::<(), Box<dyn std::error::Error>>(())
-//! ```
 
 pub mod canonical;
 pub mod engine;
@@ -181,9 +157,3 @@ pub use polylow::PolyLowResult;
 pub use polyrsm::PolyRsmResult;
 pub use rsm::{prove_almost_sure_termination, RsmCertificate};
 pub use sweep::{run_sweep, SweepPoint, SweepReport, SweepRequest};
-#[allow(deprecated)]
-pub use {
-    explinsyn::synthesize_upper_bound, explowsyn::synthesize_lower_bound,
-    hoeffding::synthesize_reprsm_bound, polylow::synthesize_quadratic_lower_bound,
-    polyrsm::synthesize_quadratic_bound,
-};

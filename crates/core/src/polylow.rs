@@ -27,7 +27,7 @@ use crate::template::UCoef;
 use qava_lp::{Cmp, LinExpr, LpBuilder, LpError, LpSolver, VarId};
 use qava_pts::Pts;
 
-/// Errors from [`synthesize_quadratic_lower_bound`].
+/// Errors from [`synthesize_quadratic_lower_bound_in`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum PolyLowError {
     /// The Handelman-strengthened LP is infeasible at degree 2.
@@ -74,24 +74,9 @@ pub struct PolyLowResult {
 /// Handelman product degree (quadratic targets).
 const HANDELMAN_DEGREE: u32 = 2;
 
-/// Runs the quadratic lower-bound synthesis with a private solver
-/// session; see [`synthesize_quadratic_lower_bound_in`].
-///
-/// Deprecated shim; new code goes through the engine API (`polylow` in
-/// an [`crate::engine::EngineRegistry`]) or threads an explicit session.
-///
-/// # Errors
-///
-/// See [`PolyLowError`].
-#[deprecated(note = "use the `polylow` engine via `qava_core::engine`, or \
-                     `synthesize_quadratic_lower_bound_in` with an explicit \
-                     `LpSolver` session")]
-pub fn synthesize_quadratic_lower_bound(pts: &Pts) -> Result<PolyLowResult, PolyLowError> {
-    synthesize_quadratic_lower_bound_in(pts, &mut LpSolver::new())
-}
-
 /// Runs the quadratic lower-bound synthesis, threading the emptiness
-/// probes and the Handelman LP through the given solver session.
+/// probes and the Handelman LP through the given solver session; the
+/// `polylow` engine calls this.
 ///
 /// # Errors
 ///
@@ -200,12 +185,9 @@ pub fn synthesize_quadratic_lower_bound_in(
 }
 
 #[cfg(test)]
-// The deprecated session-less shims keep their behavioral coverage here
-// until they are removed.
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::explowsyn::synthesize_lower_bound;
+    use crate::explowsyn::synthesize_lower_bound_in;
     use std::collections::BTreeMap;
 
     fn m1dwalk(p: f64) -> Pts {
@@ -234,8 +216,8 @@ mod tests {
         // succeed. (The invariant here is a bounded box so Handelman has
         // the compactness it likes.)
         let pts = m1dwalk(1e-4);
-        let affine = synthesize_lower_bound(&pts).unwrap();
-        let quad = synthesize_quadratic_lower_bound(&pts).unwrap();
+        let affine = synthesize_lower_bound_in(&pts, &mut LpSolver::new()).unwrap();
+        let quad = synthesize_quadratic_lower_bound_in(&pts, &mut LpSolver::new()).unwrap();
         assert!(
             quad.bound.ln() >= affine.bound.ln() - 1e-6,
             "quadratic {} below affine {}",
@@ -247,7 +229,7 @@ mod tests {
     #[test]
     fn quadratic_lower_bound_sound_against_oracle() {
         let pts = m1dwalk(1e-3);
-        let quad = synthesize_quadratic_lower_bound(&pts).unwrap();
+        let quad = synthesize_quadratic_lower_bound_in(&pts, &mut LpSolver::new()).unwrap();
         let oracle = crate::fixpoint::VpfOracle::explore(&pts, 2_000_000);
         // The walk ranges over a wide grid; if the oracle fits, check
         // exact soundness, otherwise fall back to simulation.
@@ -273,7 +255,7 @@ mod tests {
     fn trivial_initial_detected() {
         let pts = qava_lang::compile("x := 0; assert false;", &BTreeMap::new()).unwrap();
         assert!(matches!(
-            synthesize_quadratic_lower_bound(&pts),
+            synthesize_quadratic_lower_bound_in(&pts, &mut LpSolver::new()),
             Err(PolyLowError::TrivialInitial)
         ));
     }
@@ -287,7 +269,7 @@ mod tests {
         ";
         let pts = qava_lang::compile(src, &BTreeMap::new()).unwrap();
         assert!(matches!(
-            synthesize_quadratic_lower_bound(&pts),
+            synthesize_quadratic_lower_bound_in(&pts, &mut LpSolver::new()),
             Err(PolyLowError::DeadEndTransition { .. })
         ));
     }

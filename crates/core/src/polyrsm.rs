@@ -28,7 +28,7 @@ use qava_lp::{Cmp, LinExpr, LpBuilder, LpError, LpSolver, VarId};
 use qava_pts::{Fork, LocId, Pts};
 use qava_polyhedra::Polyhedron;
 
-/// Errors from [`synthesize_quadratic_bound`].
+/// Errors from [`synthesize_quadratic_bound_in`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum PolyRsmError {
     /// No quadratic RepRSM certifiable at the configured Handelman degree.
@@ -249,29 +249,9 @@ const EPS_CAP: f64 = 1.0;
 /// products match every monomial that can appear.
 const HANDELMAN_DEGREE: u32 = 2;
 
-/// Synthesizes a quadratic RepRSM bound `exp(factor·ε·η(init))`.
-///
-/// Deprecated shim over [`synthesize_quadratic_bound_in`] with a private
-/// throwaway session; new code goes through the engine API
-/// (`polyrsm-quadratic` in an [`crate::engine::EngineRegistry`]) or
-/// threads an explicit session.
-///
-/// # Errors
-///
-/// See [`PolyRsmError`].
-#[deprecated(note = "use the `polyrsm-quadratic` engine via \
-                     `qava_core::engine`, or `synthesize_quadratic_bound_in` \
-                     with an explicit `LpSolver` session")]
-pub fn synthesize_quadratic_bound(
-    pts: &Pts,
-    kind: BoundKind,
-    ser_iterations: usize,
-) -> Result<PolyRsmResult, PolyRsmError> {
-    synthesize_quadratic_bound_in(pts, kind, ser_iterations, &mut LpSolver::new())
-}
-
-/// [`synthesize_quadratic_bound`] threading every Handelman LP of the Ser
-/// search through the given solver session.
+/// Synthesizes a quadratic RepRSM bound `exp(factor·ε·η(init))`,
+/// threading every Handelman LP of the Ser search through the given
+/// solver session; the `polyrsm-quadratic` engine calls this.
 ///
 /// # Errors
 ///
@@ -539,13 +519,21 @@ impl<'a> Generator<'a> {
 }
 
 #[cfg(test)]
-// The deprecated session-less shims keep their behavioral coverage here
-// until they are removed.
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::hoeffding::{synthesize_reprsm_bound, RepRsmError};
+    use crate::hoeffding::{
+        synthesize_reprsm_bound_in, RepRsmError, RepRsmResult, DEFAULT_SER_ITERATIONS,
+    };
     use std::collections::BTreeMap;
+
+    fn affine(pts: &Pts) -> Result<RepRsmResult, RepRsmError> {
+        let ser = DEFAULT_SER_ITERATIONS;
+        synthesize_reprsm_bound_in(pts, BoundKind::Hoeffding, ser, &mut LpSolver::new())
+    }
+
+    fn quadratic(pts: &Pts) -> Result<PolyRsmResult, PolyRsmError> {
+        synthesize_quadratic_bound_in(pts, BoundKind::Hoeffding, 40, &mut LpSolver::new())
+    }
 
     /// A driftless walk with a step deadline: fail if neither boundary of
     /// [−4, 4] is hit within 60 steps.
@@ -567,7 +555,7 @@ mod tests {
         // E[Δx] = 0, so only the t-direction can decrease, but η must be
         // ≥ 0 at the late failure and ≤ 0 initially.
         let pts = symmetric_deadline_walk();
-        match synthesize_reprsm_bound(&pts, BoundKind::Hoeffding) {
+        match affine(&pts) {
             Err(RepRsmError::NoRepRsm) => {}
             Ok(r) => assert!(
                 r.bound.ln() > -1e-6,
@@ -581,7 +569,7 @@ mod tests {
     #[test]
     fn quadratic_reprsm_certifies_driftless_walk() {
         let pts = symmetric_deadline_walk();
-        let r = synthesize_quadratic_bound(&pts, BoundKind::Hoeffding, 40).unwrap();
+        let r = quadratic(&pts).unwrap();
         assert!(r.epsilon > 0.0, "ε must be positive");
         assert!(r.omega < 0.0, "ω must be negative for a nontrivial bound");
         assert!(
@@ -594,7 +582,7 @@ mod tests {
     #[test]
     fn quadratic_bound_is_sound_against_oracle() {
         let pts = symmetric_deadline_walk();
-        let r = synthesize_quadratic_bound(&pts, BoundKind::Hoeffding, 40).unwrap();
+        let r = quadratic(&pts).unwrap();
         let oracle = crate::fixpoint::VpfOracle::explore(&pts, 100_000).unwrap();
         let (lo, hi) = oracle.interval(10_000);
         assert!(hi - lo < 1e-9, "oracle converged");
@@ -618,8 +606,8 @@ mod tests {
             assert x <= -10;
         ";
         let pts = qava_lang::compile(src, &BTreeMap::new()).unwrap();
-        let affine = synthesize_reprsm_bound(&pts, BoundKind::Hoeffding).unwrap();
-        let quad = synthesize_quadratic_bound(&pts, BoundKind::Hoeffding, 40).unwrap();
+        let affine = affine(&pts).unwrap();
+        let quad = quadratic(&pts).unwrap();
         assert!(
             quad.bound.ln() <= affine.bound.ln() + 0.5,
             "quadratic {} much worse than affine {}",

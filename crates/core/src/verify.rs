@@ -13,9 +13,10 @@
 //! confirming `≤ 1` for pre fixed-points (upper bounds, Theorem 4.1/(1))
 //! or `≥ 1` for post fixed-points (lower bounds, Theorem 4.1/(2)).
 
-use crate::canonical::{canonicalize, CanonicalConstraint};
+use crate::canonical::{canonicalize_in, CanonicalConstraint};
 use crate::template::TemplateSpace;
 use qava_convex::UniformMgf;
+use qava_lp::LpSolver;
 use qava_pts::Pts;
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
@@ -75,7 +76,7 @@ fn check(
     );
     let mut rng = StdRng::seed_from_u64(seed);
     let mut violations = Vec::new();
-    for con in canonicalize(pts, &space) {
+    for con in canonicalize_in(pts, &space, &mut LpSolver::new()) {
         if con.terms.is_empty() {
             continue;
         }

@@ -1,10 +1,11 @@
-//! Conformance of the engine API (PR 5) against the legacy entry points
-//! and against ground truth.
+//! Conformance of the engine API against the algorithms' direct
+//! session-threaded entry points and against ground truth.
 //!
 //! * **Differential**: for all 36 suite rows, registry-driven runs must
 //!   report the same certified bounds (to 1e-9) and the same verdicts as
-//!   the legacy `synthesize_*` shims — the engine adapters are wiring,
-//!   not reimplementation, and this pins it.
+//!   direct calls of the `synthesize_*_in` functions with a fresh
+//!   `LpSolver` session — the engine adapters are wiring, not
+//!   reimplementation, and this pins it.
 //! * **Racing**: `--race` semantics — every row certifies, the winner's
 //!   value is identical to that engine run alone (whichever engine
 //!   wins), and cancelled racers' statistics land in the `abandoned`
@@ -14,44 +15,46 @@
 //!   and every lower-engine bound below it — for *every* registered
 //!   engine of the direction, not just the default lineup.
 
-// The legacy shims are exercised on purpose: they are this test's
-// reference implementation.
-#![allow(deprecated)]
-
 use qava_core::engine::{race, AnalysisRequest, Direction, EngineRegistry};
+use qava_core::explinsyn::synthesize_upper_bound_in;
+use qava_core::explowsyn::synthesize_lower_bound_in;
 use qava_core::fixpoint::VpfOracle;
+use qava_core::hoeffding::{synthesize_reprsm_bound_in, DEFAULT_SER_ITERATIONS};
 use qava_core::suite::runner::{
     default_engines, race_rows_with, suite_abandoned_lp_stats, suite_lp_stats,
 };
 use qava_core::suite::{table1, table2, Benchmark};
 use qava_core::BoundKind;
-use qava_lp::BackendChoice;
+use qava_lp::{BackendChoice, LpSolver};
 use std::collections::BTreeMap;
 
-/// Runs one legacy shim by engine name on an already compiled program.
+/// Runs one engine's algorithm by engine name on an already compiled
+/// program, through its `*_in` function in a fresh session.
 fn legacy_bound(engine: &str, pts: &qava_pts::Pts) -> Result<f64, String> {
+    let solver = &mut LpSolver::new();
+    let ser = DEFAULT_SER_ITERATIONS;
     match engine {
-        "hoeffding-linear" => qava_core::synthesize_reprsm_bound(pts, BoundKind::Hoeffding)
+        "hoeffding-linear" => synthesize_reprsm_bound_in(pts, BoundKind::Hoeffding, ser, solver)
             .map(|r| r.bound.ln())
             .map_err(|e| e.to_string()),
-        "azuma" => qava_core::synthesize_reprsm_bound(pts, BoundKind::Azuma)
+        "azuma" => synthesize_reprsm_bound_in(pts, BoundKind::Azuma, ser, solver)
             .map(|r| r.bound.ln())
             .map_err(|e| e.to_string()),
-        "explinsyn" => qava_core::synthesize_upper_bound(pts)
+        "explinsyn" => synthesize_upper_bound_in(pts, solver)
             .map(|r| r.bound.ln())
             .map_err(|e| e.to_string()),
-        "explowsyn" => qava_core::synthesize_lower_bound(pts)
+        "explowsyn" => synthesize_lower_bound_in(pts, solver)
             .map(|r| r.bound.ln())
             .map_err(|e| e.to_string()),
-        other => panic!("no legacy shim mapped for engine `{other}`"),
+        other => panic!("no direct entry point mapped for engine `{other}`"),
     }
 }
 
 /// The acceptance gate of the API redesign: all 36 rows, every default
-/// engine, legacy shim vs registry run, bounds to 1e-9 and verdicts
-/// equal.
+/// engine, direct `*_in` call vs registry run, bounds to 1e-9 and
+/// verdicts equal.
 #[test]
-fn all_36_rows_bitreproduce_legacy_shims() {
+fn all_36_rows_bitreproduce_direct_calls() {
     let rows: Vec<Benchmark> = table1().into_iter().chain(table2()).collect();
     assert_eq!(rows.len(), 36);
     let registry = EngineRegistry::with_builtins();
@@ -69,7 +72,7 @@ fn all_36_rows_bitreproduce_legacy_shims() {
                 (Ok(c), Ok(expected)) => {
                     assert!(
                         (c.bound.ln() - expected).abs() <= 1e-9,
-                        "{} ({}) / {name}: engine ln {} vs legacy ln {}",
+                        "{} ({}) / {name}: engine ln {} vs direct ln {}",
                         row.name,
                         row.label,
                         c.bound.ln(),
@@ -86,7 +89,7 @@ fn all_36_rows_bitreproduce_legacy_shims() {
                     );
                 }
                 (got, want) => panic!(
-                    "{} ({}) / {name}: engine {:?} vs legacy {:?}",
+                    "{} ({}) / {name}: engine {:?} vs direct {:?}",
                     row.name,
                     row.label,
                     got.as_ref().map(|c| c.bound.ln()),

@@ -425,3 +425,52 @@ fn harvest_failover_instances() {
     assert_eq!(written, 2, "failover harvest produced only {written} corpus files");
     println!("failover harvest: wrote {written} corpus files to {}", dir.display());
 }
+
+/// Captures the bounded LP the dense tableau once declared unbounded:
+/// the 8th core solve of 3DWalk (100, 150, 200) Hoeffding synthesis with
+/// every solve on the tableau. Its phase 1 pivoted on elimination noise
+/// until the tableau showed a ray that does not exist in the original
+/// data; `Tableau::run` now checks every ray against that data and
+/// restarts the phase instead. The capture is deterministic: the seven
+/// solves before it never reach that exit.
+#[test]
+#[ignore = "writes crates/lp/tests/corpus — run deliberately to (re)capture"]
+fn harvest_dense_false_unbounded() {
+    const CALL: usize = 8;
+    let row = &suite::walk3d_rows()[1];
+    let pts = row.compile();
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let mut solver = LpSolver::with_choice(BackendChoice::Dense);
+    solver.set_failover(false);
+    solver.register_backend(Box::new(Capturing {
+        inner: Box::new(DenseTableau),
+        log: Rc::clone(&log),
+    }));
+    synthesize_reprsm_bound_in(
+        &pts,
+        BoundKind::Hoeffding,
+        hoeffding::DEFAULT_SER_ITERATIONS,
+        &mut solver,
+    )
+    .unwrap();
+    let log = log.borrow();
+    let inst = &log[CALL - 1];
+    let reference = LuFtSimplex.solve_core(&inst.costs, &inst.matrix(), &inst.b, None);
+    assert!(
+        reference.is_ok(),
+        "the captured instance must be bounded and feasible"
+    );
+    let slug = "walk3d_100_150_200_dense_false_unbounded";
+    let origin = format!(
+        "3DWalk {} Hoeffding synthesis on the dense tableau, backend call {CALL}: \
+         the bounded LP the tableau used to report unbounded (suite Table 1)",
+        row.label
+    );
+    let text = render(slug, &origin, inst, None).expect("the dense oracle reaches a verdict");
+    assert!(
+        text.contains("expect optimal"),
+        "the dense tableau must find the optimum"
+    );
+    std::fs::write(corpus_dir().join(format!("{slug}.qlp")), text).unwrap();
+    println!("dense false-unbounded harvest: wrote {slug}.qlp");
+}

@@ -10,7 +10,7 @@
 //! * [`avx2`] — x86_64 AVX2+FMA (4-lane `f64`, fused multiply-add,
 //!   hardware gathers), selected when `is_x86_feature_detected!` proves
 //!   both features at startup;
-//! * [`neon`] — aarch64 AdvSIMD (2-lane `f64`, fused multiply-add),
+//! * `neon` — aarch64 AdvSIMD (2-lane `f64`, fused multiply-add),
 //!   selected behind `is_aarch64_feature_detected!`.
 //!
 //! Selection happens **once per process**, on the first kernel call,

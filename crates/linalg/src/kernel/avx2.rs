@@ -5,7 +5,7 @@
 //!
 //! Every intrinsic body is an `unsafe fn` carrying
 //! `#[target_feature(enable = "avx2,fma")]`. The only way this backend is
-//! ever reached is through [`super::by_name`] / [`super::select`], which
+//! ever reached is through [`super::by_name`] / the private `select`, which
 //! hand out the `Avx2Kernel` instance **only after**
 //! `is_x86_feature_detected!("avx2")` and `("fma")` both succeed, so the
 //! trait methods' `unsafe` calls are sound on every path that can execute

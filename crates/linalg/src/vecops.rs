@@ -7,7 +7,7 @@
 //! are the inner loops of the revised simplex (`B⁻¹` row updates,
 //! simplex-multiplier accumulation, column pricing, and the sparse
 //! triangular solves through the LU factors and Forrest–Tomlin
-//! row etas). Since PR 8 they dispatch through the [`kernel`](crate::kernel)
+//! row etas). They dispatch through the [`kernel`]
 //! subsystem: one runtime selection per process picks the best
 //! [`VecKernel`](crate::kernel::VecKernel) backend the CPU proves
 //! (AVX2+FMA on x86_64, NEON on aarch64, the portable four-wide scalar
@@ -15,7 +15,7 @@
 //! neon}`. The free-function signatures here are unchanged, so every call
 //! site across the workspace rides whichever backend was selected.
 //!
-//! Slices shorter than [`kernel::DISPATCH_MIN`](crate::kernel::DISPATCH_MIN)
+//! Slices shorter than [`kernel::DISPATCH_MIN`]
 //! bypass the dispatch table into the inlined scalar bodies — the µs-scale
 //! polyhedra probes and short eta columns live below one vector iteration,
 //! where an indirect call costs more than it saves. Results for such

@@ -115,7 +115,7 @@ pub const DEFAULT_SHARED_CACHE_CAPACITY: usize = 4096;
 const MAGIC: &[u8; 8] = b"QAVWARM\x01";
 
 /// A process-wide, thread-safe, **persistent** warm-start basis store:
-/// the session [`BasisCache`] promoted to process state.
+/// the per-session warm-start cache promoted to process state.
 ///
 /// Sessions consult it read-through (session cache first, then this
 /// store) and write-through (every reusable final basis lands in both),

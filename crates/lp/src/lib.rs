@@ -104,9 +104,9 @@
 //!
 //! # Examples
 //!
-//! Building and solving through an explicit session (what the synthesis
-//! layers do — every LP of a run shares one session, so structurally
-//! identical solves warm-start each other):
+//! Every solve runs inside an explicit session; the synthesis layers
+//! share one per run, so structurally identical solves warm-start each
+//! other:
 //!
 //! ```
 //! use qava_lp::{Cmp, LinExpr, LpBuilder, LpSolver};
@@ -258,47 +258,6 @@ pub mod debug {
 
 use presolve::StdRows;
 use qava_linalg::EPS;
-use std::cell::RefCell;
-
-thread_local! {
-    /// Per-thread default session backing the compatibility shims
-    /// ([`solve_standard`], [`LpBuilder::solve`]). In-workspace synthesis
-    /// threads explicit sessions instead; the default session keeps
-    /// external callers and quick tests working with warm starts intact.
-    static DEFAULT_SESSION: RefCell<LpSolver> = RefCell::new(LpSolver::new());
-}
-
-/// Runs `f` against this thread's default [`LpSolver`] session (the one
-/// behind [`solve_standard`] and [`LpBuilder::solve`]).
-pub fn with_default_solver<R>(f: impl FnOnce(&mut LpSolver) -> R) -> R {
-    DEFAULT_SESSION.with(|s| f(&mut s.borrow_mut()))
-}
-
-/// Clears the default session's warm-start cache (benchmarks use this to
-/// measure the cold path deterministically). Explicit sessions use
-/// [`LpSolver::clear_warm_start_cache`].
-pub fn clear_warm_start_cache() {
-    with_default_solver(|s| s.clear_warm_start_cache());
-}
-
-/// Solves `min cᵀx, A·x = b, x ≥ 0` (with `b ≥ 0`) and returns the
-/// optimal `x`.
-///
-/// Compatibility shim: delegates to this thread's default [`LpSolver`]
-/// session (default backend policy). New code should hold an explicit
-/// session and call [`LpSolver::solve_standard`].
-///
-/// # Errors
-///
-/// [`LpError::Infeasible`], [`LpError::Unbounded`], or
-/// [`LpError::PivotLimit`].
-pub fn solve_standard(
-    costs: &[f64],
-    a: &qava_linalg::Matrix,
-    b: &[f64],
-) -> Result<Vec<f64>, LpError> {
-    with_default_solver(|s| s.solve_standard(costs, a, b))
-}
 
 /// Comparison operator of a linear constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -326,7 +285,7 @@ struct Row {
     rhs: f64,
 }
 
-/// Errors returned by [`LpBuilder::solve`].
+/// Errors returned by [`LpSolver::solve`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LpError {
     /// The constraint system has no feasible point.
@@ -461,36 +420,6 @@ impl LpBuilder {
         let (coeffs, _) = expr.into_parts();
         self.objective = coeffs;
         self.direction = Direction::Maximize;
-    }
-
-    /// Runs the solver through this thread's **default session**.
-    ///
-    /// Compatibility shim for quick tests and external callers; synthesis
-    /// code threads an explicit [`LpSolver`] and calls
-    /// [`LpSolver::solve`] so warm starts and statistics stay with the
-    /// run.
-    ///
-    /// # Errors
-    ///
-    /// * [`LpError::Infeasible`] — no point satisfies the constraints;
-    /// * [`LpError::Unbounded`] — the objective improves without bound;
-    /// * [`LpError::PivotLimit`] — the solver gave up (pathological input).
-    pub fn solve(&self) -> Result<LpSolution, LpError> {
-        with_default_solver(|s| self.solve_in(s))
-    }
-
-    /// Runs the solver inside an explicit session (equivalently,
-    /// [`LpSolver::solve`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`solve`](Self::solve).
-    pub fn solve_in(&self, solver: &mut LpSolver) -> Result<LpSolution, LpError> {
-        let (std_rows, map) = self.lower();
-        let x_std = solver.solve_std_rows(std_rows)?;
-        let values = map.recover(&x_std);
-        let objective: f64 = self.objective.iter().map(|&(j, c)| c * values[j]).sum();
-        Ok(LpSolution { objective, values })
     }
 
     /// Lowers the model to sparse standard form
@@ -642,7 +571,7 @@ mod tests {
         le(&mut lp, &[(y, 2.0)], 12.0);
         le(&mut lp, &[(x, 3.0), (y, 2.0)], 18.0);
         lp.maximize(LinExpr::new().term(x, 3.0).term(y, 5.0));
-        let sol = lp.solve().unwrap();
+        let sol = LpSolver::new().solve(&lp).unwrap();
         assert!((sol.objective - 36.0).abs() < 1e-7);
         assert!((sol.value(x) - 2.0).abs() < 1e-7);
         assert!((sol.value(y) - 6.0).abs() < 1e-7);
@@ -658,7 +587,7 @@ mod tests {
         lp.constrain(LinExpr::new().term(x, 1.0), Cmp::Ge, 2.0);
         lp.constrain(LinExpr::new().term(y, 1.0), Cmp::Ge, 3.0);
         lp.minimize(LinExpr::new().term(x, 2.0).term(y, 3.0));
-        let sol = lp.solve().unwrap();
+        let sol = LpSolver::new().solve(&lp).unwrap();
         assert!((sol.objective - 23.0).abs() < 1e-7, "got {}", sol.objective);
     }
 
@@ -669,7 +598,7 @@ mod tests {
         let x = lp.add_var("x");
         lp.constrain(LinExpr::new().term(x, 1.0), Cmp::Ge, -5.0);
         lp.minimize(LinExpr::new().term(x, 1.0));
-        let sol = lp.solve().unwrap();
+        let sol = LpSolver::new().solve(&lp).unwrap();
         assert!((sol.value(x) + 5.0).abs() < 1e-7);
     }
 
@@ -682,7 +611,7 @@ mod tests {
         lp.constrain(LinExpr::new().term(x, 1.0).term(y, 2.0), Cmp::Eq, 4.0);
         lp.constrain(LinExpr::new().term(x, 1.0).term(y, -1.0), Cmp::Eq, 1.0);
         lp.minimize(LinExpr::new().term(x, 1.0).term(y, 1.0));
-        let sol = lp.solve().unwrap();
+        let sol = LpSolver::new().solve(&lp).unwrap();
         assert!((sol.value(x) - 2.0).abs() < 1e-7);
         assert!((sol.value(y) - 1.0).abs() < 1e-7);
     }
@@ -694,7 +623,7 @@ mod tests {
         lp.constrain(LinExpr::new().term(x, 1.0), Cmp::Le, 1.0);
         lp.constrain(LinExpr::new().term(x, 1.0), Cmp::Ge, 2.0);
         lp.minimize(LinExpr::new().term(x, 1.0));
-        assert_eq!(lp.solve().unwrap_err(), LpError::Infeasible);
+        assert_eq!(LpSolver::new().solve(&lp).unwrap_err(), LpError::Infeasible);
     }
 
     #[test]
@@ -702,7 +631,7 @@ mod tests {
         let mut lp = LpBuilder::new();
         let x = lp.add_var_nonneg("x");
         lp.maximize(LinExpr::new().term(x, 1.0));
-        assert_eq!(lp.solve().unwrap_err(), LpError::Unbounded);
+        assert_eq!(LpSolver::new().solve(&lp).unwrap_err(), LpError::Unbounded);
     }
 
     #[test]
@@ -716,7 +645,7 @@ mod tests {
         le(&mut lp, &[(y, 1.0)], 1.0);
         le(&mut lp, &[(x, 2.0), (y, 2.0)], 2.0);
         lp.maximize(LinExpr::new().term(x, 1.0).term(y, 1.0));
-        let sol = lp.solve().unwrap();
+        let sol = LpSolver::new().solve(&lp).unwrap();
         assert!((sol.objective - 1.0).abs() < 1e-7);
     }
 
@@ -727,7 +656,7 @@ mod tests {
         let x = lp.add_var_nonneg("x");
         lp.constrain(LinExpr::new().term(x, 1.0).constant(3.0), Cmp::Le, 5.0);
         lp.maximize(LinExpr::new().term(x, 1.0));
-        let sol = lp.solve().unwrap();
+        let sol = LpSolver::new().solve(&lp).unwrap();
         assert!((sol.value(x) - 2.0).abs() < 1e-7);
     }
 
@@ -736,7 +665,7 @@ mod tests {
         let mut lp = LpBuilder::new();
         let x = lp.add_var("x");
         lp.constrain(LinExpr::new().term(x, 1.0), Cmp::Eq, 7.0);
-        let sol = lp.solve().unwrap();
+        let sol = LpSolver::new().solve(&lp).unwrap();
         assert!((sol.value(x) - 7.0).abs() < 1e-7);
         assert_eq!(sol.objective, 0.0);
     }
@@ -748,7 +677,7 @@ mod tests {
         let x = lp.add_var_nonneg("x");
         lp.constrain(LinExpr::new().term(x, -1.0), Cmp::Le, -3.0);
         lp.minimize(LinExpr::new().term(x, 1.0));
-        let sol = lp.solve().unwrap();
+        let sol = LpSolver::new().solve(&lp).unwrap();
         assert!((sol.value(x) - 3.0).abs() < 1e-7);
     }
 
@@ -757,7 +686,7 @@ mod tests {
         let mut lp = LpBuilder::new();
         let x = lp.add_var("x");
         lp.constrain(LinExpr::new().term(x, 1.0), Cmp::Eq, 2.0);
-        let sol = lp.solve().unwrap();
+        let sol = LpSolver::new().solve(&lp).unwrap();
         let e = LinExpr::new().term(x, 10.0).constant(1.0);
         assert!((sol.eval(&e) - 21.0).abs() < 1e-9);
     }
@@ -772,7 +701,7 @@ mod tests {
         lp.constrain(LinExpr::new().term(x, 1.0).term(y, 1.0), Cmp::Eq, 2.0);
         lp.constrain(LinExpr::new().term(x, 1.0).term(y, -1.0), Cmp::Eq, 0.0);
         lp.minimize(LinExpr::new().term(x, 1.0));
-        let sol = lp.solve().unwrap();
+        let sol = LpSolver::new().solve(&lp).unwrap();
         assert!((sol.value(x) - 1.0).abs() < 1e-7);
         assert!((sol.value(y) - 1.0).abs() < 1e-7);
     }

@@ -26,6 +26,10 @@ pub const MAX_PIVOTS: usize = 50_000;
 /// from Dantzig pricing to Bland's anti-cycling rule.
 const DEGENERACY_PATIENCE: usize = 40;
 
+/// Smallest pivot the ratio test takes after an unconfirmed ray forced a
+/// restart (normally [`EPS`]); smaller entries are mostly noise.
+const CAREFUL_PIVOT_TOL: f64 = 1e-7;
+
 /// Solves `min cᵀx, A·x = b, x ≥ 0` (with `b ≥ 0`) with the dense
 /// two-phase tableau and returns the optimal `x`.
 ///
@@ -106,14 +110,10 @@ pub(crate) fn solve_standard_unscaled(
     }
 
     // ---- Phase 1: artificial columns n..n+m with identity basis. ----
-    let mut t = Tableau::new(a, b, n + m);
-    for i in 0..m {
-        t.body[(i, n + i)] = 1.0;
-        t.basis[i] = n + i;
-    }
+    let mut t = Tableau::new(a, b);
     let phase1_costs: Vec<f64> = (0..n + m).map(|j| if j < n { 0.0 } else { 1.0 }).collect();
     t.install_costs(&phase1_costs);
-    t.run()?;
+    t.run(a, b, &phase1_costs)?;
     let b_norm = b.iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
     if t.objective_value() > 1e-7 * (1.0 + b_norm) {
         return Err(LpError::Infeasible);
@@ -136,7 +136,7 @@ pub(crate) fn solve_standard_unscaled(
     phase2_costs.extend(std::iter::repeat_n(0.0, m));
     t.banned_from = n;
     t.install_costs(&phase2_costs);
-    t.run()?;
+    t.run(a, b, &phase2_costs)?;
     *pivots += t.pivots;
 
     let mut x = vec![0.0; n];
@@ -161,6 +161,8 @@ struct Tableau {
     /// Columns `>= banned_from` may never enter the basis (artificials in
     /// phase 2).
     banned_from: usize,
+    /// Smallest column entry the ratio test accepts as a pivot.
+    pivot_tol: f64,
     /// Total pivots performed, for solver-session statistics.
     pivots: usize,
     /// Scratch copy of the (scaled) pivot row so the row eliminations can
@@ -170,19 +172,24 @@ struct Tableau {
 }
 
 impl Tableau {
-    fn new(a: &Matrix, b: &[f64], total_cols: usize) -> Self {
-        let m = a.rows();
+    /// The phase-1 tableau `[A | I]` of `A·x = b`, with the artificial
+    /// columns `n..n+m` basic.
+    fn new(a: &Matrix, b: &[f64]) -> Self {
+        let (m, n) = (a.rows(), a.cols());
+        let total_cols = n + m;
         let mut body = Matrix::zeros(m, total_cols);
         for i in 0..m {
-            body.row_mut(i)[..a.cols()].copy_from_slice(a.row(i));
+            body.row_mut(i)[..n].copy_from_slice(a.row(i));
+            body[(i, n + i)] = 1.0;
         }
         Tableau {
             body,
             rhs: b.to_vec(),
             reduced: vec![0.0; total_cols],
             obj: 0.0,
-            basis: vec![usize::MAX; m],
+            basis: (n..total_cols).collect(),
             banned_from: total_cols,
+            pivot_tol: EPS,
             pivots: 0,
             scratch: Vec::with_capacity(total_cols),
         }
@@ -242,8 +249,12 @@ impl Tableau {
         self.basis[row] = col;
     }
 
-    /// Runs simplex iterations until optimality.
-    fn run(&mut self) -> Result<(), LpError> {
+    /// Runs simplex iterations until optimality. `a`, `b` and `costs` are
+    /// the original data the tableau stands for (`a` without artificials);
+    /// an unbounded verdict needs a ray that holds against them.
+    fn run(&mut self, a: &Matrix, b: &[f64], costs: &[f64]) -> Result<(), LpError> {
+        let start = self.basis.clone();
+        let mut recovered = false;
         let mut stalled = 0usize;
         for _ in 0..MAX_PIVOTS {
             let bland = stalled >= DEGENERACY_PATIENCE;
@@ -261,12 +272,31 @@ impl Tableau {
                 let Some(col2) = self.entering_column(bland, 1e-6) else {
                     return Ok(()); // optimal within tolerance
                 };
-                if self.leaving_row(col2, bland).is_none() {
+                if let Some(row2) = self.leaving_row(col2, bland) {
+                    // A different, pivotable column improves strictly.
+                    self.pivot(row2, col2);
+                    continue;
+                }
+                // Elimination error can also fake a ray; only one that
+                // holds against the original data is a verdict. Otherwise
+                // refactor at the current basis, or, if that basis is
+                // past repair, restart the phase refusing tiny pivots.
+                // A second unconfirmed ray is left to the failover ladder.
+                if self.ray_is_certified(col2, a, costs) {
                     return Err(LpError::Unbounded);
                 }
-                // A different, pivotable column improves strictly; take it.
-                let row2 = self.leaving_row(col2, bland).expect("checked above");
-                self.pivot(row2, col2);
+                if recovered {
+                    return Err(LpError::PivotLimit);
+                }
+                recovered = true;
+                let current = self.basis.clone();
+                if !self.rebuild(a, b, costs, &current) {
+                    self.pivot_tol = CAREFUL_PIVOT_TOL;
+                    if !self.rebuild(a, b, costs, &start) {
+                        return Err(LpError::PivotLimit);
+                    }
+                }
+                stalled = 0;
                 continue;
             };
             let before = self.obj;
@@ -278,6 +308,68 @@ impl Tableau {
             }
         }
         Err(LpError::PivotLimit)
+    }
+
+    /// Checks the ray of entering column `col` (which has no ratio-test
+    /// row) against the original data `[A | I]`: with `d_col = 1`,
+    /// `d_B = −column` and zero elsewhere, every entry of `A·d` must
+    /// vanish and `c·d` must be negative, both beyond [`EPS`] times the
+    /// magnitudes of the terms that formed them. (`d ≥ 0` holds up to
+    /// the pivot tolerance, since the ratio test found no row.)
+    fn ray_is_certified(&self, col: usize, a: &Matrix, costs: &[f64]) -> bool {
+        let (m, n) = (self.body.rows(), a.cols());
+        let mut ad = vec![(0.0f64, 0.0f64); m];
+        let mut cd = (0.0f64, 0.0f64);
+        let ray = (0..m).map(|i| (self.basis[i], -self.body[(i, col)]));
+        for (j, d) in std::iter::once((col, 1.0)).chain(ray) {
+            for (k, e) in ad.iter_mut().enumerate() {
+                let entry = match j.checked_sub(n) {
+                    None => a[(k, j)],
+                    Some(artificial) => f64::from(artificial == k),
+                };
+                let t = d * entry;
+                *e = (e.0 + t, e.1 + t.abs());
+            }
+            let t = d * costs[j];
+            cd = (cd.0 + t, cd.1 + t.abs());
+        }
+        ad.iter().all(|&(r, s)| r.abs() <= EPS * s) && cd.0 < -EPS * cd.1
+    }
+
+    /// Rebuilds the tableau from the original data `[A | I]`, `b`, `costs`
+    /// at `basis` by Gauss–Jordan with partial pivoting (not counted as
+    /// simplex pivots). Returns `false` when `basis` is numerically
+    /// singular or not primal feasible (a negative value, or a phase-2
+    /// artificial above zero).
+    fn rebuild(&mut self, a: &Matrix, b: &[f64], costs: &[f64], basis: &[usize]) -> bool {
+        let fresh = Tableau::new(a, b);
+        (self.body, self.rhs) = (fresh.body, fresh.rhs);
+        let m = self.basis.len();
+        self.basis.fill(usize::MAX);
+        let counted = self.pivots;
+        let factored = basis.iter().all(|&j| {
+            let best = (0..m)
+                .filter(|&i| self.basis[i] == usize::MAX)
+                .max_by(|&p, &q| self.body[(p, j)].abs().total_cmp(&self.body[(q, j)].abs()));
+            let Some(i) = best.filter(|&i| self.body[(i, j)].abs() > CAREFUL_PIVOT_TOL) else {
+                return false; // `j` depends on the columns already placed
+            };
+            self.pivot(i, j);
+            true
+        });
+        self.pivots = counted;
+        if !factored {
+            return false;
+        }
+        let tol = 1e-9 * (1.0 + b.iter().fold(0.0f64, |acc, &v| acc.max(v.abs())));
+        for (v, &j) in self.rhs.iter_mut().zip(&self.basis) {
+            if *v < -tol || (j >= self.banned_from && *v > tol) {
+                return false;
+            }
+            *v = v.max(0.0);
+        }
+        self.install_costs(costs);
+        true
     }
 
     /// Dantzig (most negative reduced cost) or Bland (lowest index)
@@ -305,7 +397,7 @@ impl Tableau {
         let mut best: Option<(usize, f64)> = None;
         for i in 0..self.body.rows() {
             let coeff = self.body[(i, col)];
-            if coeff > EPS {
+            if coeff > self.pivot_tol {
                 let ratio = self.rhs[i] / coeff;
                 let better = match best {
                     None => true,

@@ -163,7 +163,7 @@ pub trait LpBackend {
 }
 
 /// The sparse revised simplex backend (CSC pricing, `B⁻¹` updates,
-/// warm-startable; see [`crate::revised`]).
+/// warm-startable; the crate's private `revised` module).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SparseRevised;
 
@@ -203,9 +203,9 @@ impl LpBackend for SparseRevised {
 
 /// The LU + Forrest–Tomlin revised simplex backend: the same pivoting
 /// loop as [`SparseRevised`], but the basis lives as Markowitz-ordered
-/// sparse LU factors ([`crate::lu`]) instead of an explicit `m × m`
-/// inverse, and basis exchanges are absorbed **into the U factor** as
-/// spike swaps ([`crate::ft`]) — so ftran/btran stay
+/// sparse LU factors (the private `lu` module) instead of an explicit
+/// `m × m` inverse, and basis exchanges are absorbed **into the U
+/// factor** as spike swaps (the private `ft` module) — so ftran/btran stay
 /// O(nnz(L) + nnz(U)) between refactorizations, and refactorization is
 /// driven by U fill-in growth, spike-pivot magnitude and a
 /// determinant-identity accuracy check. The engine of choice for the
@@ -267,7 +267,7 @@ impl From<revised::CoreOutcome> for CoreSolution {
     }
 }
 
-/// The dense two-phase tableau backend (see [`crate::simplex`]). No
+/// The dense two-phase tableau backend (the private `simplex` module). No
 /// warm-start support; kept both as the small-model fast path of
 /// [`BackendChoice::Auto`] and as the differential-testing oracle.
 #[derive(Debug, Clone, Copy, Default)]
@@ -822,7 +822,7 @@ impl LpSolver {
     pub fn reoptimize(&mut self, lp: &LpBuilder) -> Result<LpSolution, LpError> {
         let prev = self.reopt;
         self.reopt = true;
-        let out = lp.solve_in(self);
+        let out = self.solve(lp);
         self.reopt = prev;
         out
     }
@@ -880,20 +880,23 @@ impl LpSolver {
         }
     }
 
-    /// Solves a built model; the session-threaded equivalent of
-    /// [`LpBuilder::solve`].
+    /// Solves a built model: lowers it to sparse standard form, runs the
+    /// session pipeline and maps the optimum back to the model.
     ///
     /// # Errors
     ///
-    /// [`LpError::Infeasible`], [`LpError::Unbounded`], or
-    /// [`LpError::PivotLimit`].
+    /// [`LpError::Infeasible`], [`LpError::Unbounded`],
+    /// [`LpError::PivotLimit`], or [`LpError::Cancelled`].
     pub fn solve(&mut self, lp: &LpBuilder) -> Result<LpSolution, LpError> {
-        lp.solve_in(self)
+        let (std_rows, map) = lp.lower();
+        let x_std = self.solve_std_rows(std_rows)?;
+        let values = map.recover(&x_std);
+        let objective: f64 = lp.objective.iter().map(|&(j, c)| c * values[j]).sum();
+        Ok(LpSolution { objective, values })
     }
 
-    /// Solves `min cᵀx, A·x = b, x ≥ 0` (with `b ≥ 0`) and returns the
-    /// optimal `x`; the session-threaded equivalent of
-    /// [`crate::solve_standard`].
+    /// Solves `min cᵀx, A·x = b, x ≥ 0` (with `b ≥ 0`) given a dense
+    /// constraint matrix, and returns the optimal `x`.
     ///
     /// # Errors
     ///

@@ -81,7 +81,7 @@ proptest! {
     #[test]
     fn optimum_is_feasible_and_dominant(instance in random_lp_strategy(), probe_seed in any::<u64>()) {
         let (builder, vars) = build(&instance);
-        let sol = builder.solve().expect("constructed LP is feasible and bounded");
+        let sol = LpSolver::new().solve(&builder).expect("constructed LP is feasible and bounded");
         let x: Vec<f64> = vars.iter().map(|&v| sol.value(v)).collect();
         prop_assert!(is_feasible(&instance, &x, 1e-6), "solver returned infeasible point {x:?}");
         prop_assert!(is_feasible(&instance, &instance.anchor, 1e-9), "anchor broken by construction");
@@ -105,13 +105,15 @@ proptest! {
         }
     }
 
-    /// Solving the same LP twice gives the same optimal value (determinism).
+    /// Solving the same LP twice in one session gives the same optimal
+    /// value (determinism, with the second solve warm-started).
     #[test]
     fn deterministic(instance in random_lp_strategy()) {
         let (b1, _) = build(&instance);
         let (b2, _) = build(&instance);
-        let o1 = b1.solve().unwrap().objective;
-        let o2 = b2.solve().unwrap().objective;
+        let mut solver = LpSolver::new();
+        let o1 = solver.solve(&b1).unwrap().objective;
+        let o2 = solver.solve(&b2).unwrap().objective;
         prop_assert!((o1 - o2).abs() < 1e-9);
     }
 
@@ -120,13 +122,13 @@ proptest! {
     #[test]
     fn redundant_row_invariance(instance in random_lp_strategy()) {
         let (b1, _) = build(&instance);
-        let base = b1.solve().unwrap().objective;
+        let base = LpSolver::new().solve(&b1).unwrap().objective;
 
         let mut relaxed = instance.clone();
         let (coeffs, rhs) = relaxed.rows[0].clone();
         relaxed.rows.push((coeffs, rhs + 1.0)); // strictly weaker copy
         let (b2, _) = build(&relaxed);
-        let with_redundant = b2.solve().unwrap().objective;
+        let with_redundant = LpSolver::new().solve(&b2).unwrap().objective;
         prop_assert!((base - with_redundant).abs() < 1e-7);
     }
 }

@@ -16,8 +16,9 @@
 //!   of Theorem 5.3 (polytope `Q` from the vertices, recession cone `C`),
 //!   which replaces the Parma Polyhedra Library used by the paper's
 //!   prototype;
-//! * LP-backed predicates: [`Polyhedron::is_empty`],
-//!   [`Polyhedron::implies`], [`Polyhedron::interior_point`].
+//! * LP-backed predicates, each run inside a caller's
+//!   [`qava_lp::LpSolver`] session: [`Polyhedron::is_empty_in`],
+//!   [`Polyhedron::implies_in`], [`Polyhedron::interior_point_in`].
 //!
 //! # Examples
 //!
@@ -223,14 +224,8 @@ impl Polyhedron {
     }
 
     /// Emptiness of the **closure**, decided by an LP feasibility probe
-    /// on this thread's default solver session.
-    pub fn is_empty(&self) -> bool {
-        qava_lp::with_default_solver(|s| self.is_empty_in(s))
-    }
-
-    /// [`is_empty`](Self::is_empty) inside an explicit solver session, so
-    /// a synthesis run's emptiness probes share its warm-start cache and
-    /// statistics.
+    /// inside `solver`, so a synthesis run's emptiness probes share its
+    /// warm-start cache and statistics.
     pub fn is_empty_in(&self, solver: &mut LpSolver) -> bool {
         match solver.solve(&self.feasibility_lp()) {
             Ok(_) => false,
@@ -244,11 +239,6 @@ impl Polyhedron {
     }
 
     /// Returns a point of the closure, or `None` when empty.
-    pub fn any_point(&self) -> Option<Vec<f64>> {
-        qava_lp::with_default_solver(|s| self.any_point_in(s))
-    }
-
-    /// [`any_point`](Self::any_point) inside an explicit solver session.
     pub fn any_point_in(&self, solver: &mut LpSolver) -> Option<Vec<f64>> {
         solver.solve(&self.feasibility_lp()).ok().map(|s| s.values()[..self.dim].to_vec())
     }
@@ -256,12 +246,6 @@ impl Polyhedron {
     /// Returns a point with slack at least `margin` on every constraint, or
     /// `None` when no such point exists. Used to detect full-dimensional
     /// overlap between transition guards.
-    pub fn interior_point(&self, margin: f64) -> Option<Vec<f64>> {
-        qava_lp::with_default_solver(|s| self.interior_point_in(margin, s))
-    }
-
-    /// [`interior_point`](Self::interior_point) inside an explicit solver
-    /// session.
     pub fn interior_point_in(&self, margin: f64, solver: &mut LpSolver) -> Option<Vec<f64>> {
         let mut lp = LpBuilder::new();
         let vars: Vec<_> = (0..self.dim).map(|j| lp.add_var(format!("x{j}"))).collect();
@@ -287,11 +271,6 @@ impl Polyhedron {
 
     /// Checks the implication `closure(self) ⊆ {x | h}` by maximizing the
     /// violated direction with an LP. Empty polyhedra imply everything.
-    pub fn implies(&self, h: &Halfspace) -> bool {
-        qava_lp::with_default_solver(|s| self.implies_in(h, s))
-    }
-
-    /// [`implies`](Self::implies) inside an explicit solver session.
     pub fn implies_in(&self, h: &Halfspace, solver: &mut LpSolver) -> bool {
         let mut lp = LpBuilder::new();
         let vars: Vec<_> = (0..self.dim).map(|j| lp.add_var(format!("x{j}"))).collect();
@@ -475,7 +454,7 @@ mod tests {
             1,
             vec![Halfspace::le(vec![1.0], 0.0), Halfspace::ge(vec![1.0], 1.0)],
         );
-        assert!(p.is_empty());
+        assert!(p.is_empty_in(&mut LpSolver::new()));
         assert!(p.minkowski_decompose().is_none());
         assert!(p.generators().is_empty());
     }
@@ -491,9 +470,10 @@ mod tests {
     #[test]
     fn implies_works() {
         let p = box2d(0.0, 1.0);
-        assert!(p.implies(&Halfspace::le(vec![1.0, 1.0], 2.0)));
-        assert!(p.implies(&Halfspace::le(vec![1.0, 1.0], 2.5)));
-        assert!(!p.implies(&Halfspace::le(vec![1.0, 1.0], 1.5)));
+        let s = &mut LpSolver::new();
+        assert!(p.implies_in(&Halfspace::le(vec![1.0, 1.0], 2.0), s));
+        assert!(p.implies_in(&Halfspace::le(vec![1.0, 1.0], 2.5), s));
+        assert!(!p.implies_in(&Halfspace::le(vec![1.0, 1.0], 1.5), s));
     }
 
     #[test]
@@ -502,20 +482,21 @@ mod tests {
             1,
             vec![Halfspace::le(vec![1.0], -1.0), Halfspace::ge(vec![1.0], 1.0)],
         );
-        assert!(p.implies(&Halfspace::le(vec![1.0], -100.0)));
+        assert!(p.implies_in(&Halfspace::le(vec![1.0], -100.0), &mut LpSolver::new()));
     }
 
     #[test]
     fn interior_point_respects_margin() {
         let p = box2d(0.0, 1.0);
-        let x = p.interior_point(0.1).expect("unit box has interior");
+        let s = &mut LpSolver::new();
+        let x = p.interior_point_in(0.1, s).expect("unit box has interior");
         assert!(p.contains(&x, 0.0));
         // Degenerate strip x = 0 has no interior.
         let strip = Polyhedron::from_constraints(
             2,
             vec![Halfspace::le(vec![1.0, 0.0], 0.0), Halfspace::ge(vec![1.0, 0.0], 0.0)],
         );
-        assert!(strip.interior_point(0.01).is_none());
+        assert!(strip.interior_point_in(0.01, s).is_none());
     }
 
     #[test]

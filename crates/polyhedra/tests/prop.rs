@@ -7,7 +7,7 @@
 //! in `P`.
 
 use proptest::prelude::*;
-use qava_lp::{Cmp, LinExpr, LpBuilder};
+use qava_lp::{Cmp, LinExpr, LpBuilder, LpSolver};
 use qava_polyhedra::{Halfspace, Polyhedron};
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
@@ -63,7 +63,7 @@ fn lp_support(p: &Polyhedron, dir: &[f64]) -> Result<f64, qava_lp::LpError> {
         obj = obj.term(vars[j], c);
     }
     lp.maximize(obj);
-    lp.solve().map(|s| s.objective)
+    LpSolver::new().solve(&lp).map(|s| s.objective)
 }
 
 proptest! {
@@ -73,7 +73,7 @@ proptest! {
     #[test]
     fn support_function_matches_lp(p in random_polytope(), dseed in any::<u64>()) {
         let g = p.generators();
-        if p.is_empty() {
+        if p.is_empty_in(&mut LpSolver::new()) {
             prop_assert!(g.vertices.is_empty());
             return Ok(());
         }
@@ -104,7 +104,7 @@ proptest! {
     #[test]
     fn minkowski_samples_are_feasible(p in random_polyhedron(), sseed in any::<u64>()) {
         let Some((vertices, cone)) = p.minkowski_decompose() else {
-            prop_assert!(p.is_empty(), "decomposition failed on nonempty polyhedron");
+            prop_assert!(p.is_empty_in(&mut LpSolver::new()), "decomposition failed on nonempty polyhedron");
             return Ok(());
         };
         let mut rng = StdRng::seed_from_u64(sseed);
@@ -134,7 +134,7 @@ proptest! {
     /// LP emptiness agrees with generator emptiness.
     #[test]
     fn emptiness_agreement(p in random_polyhedron()) {
-        let lp_empty = p.is_empty();
+        let lp_empty = p.is_empty_in(&mut LpSolver::new());
         let gen_empty = p.generators().vertices.is_empty();
         prop_assert_eq!(lp_empty, gen_empty,
             "LP and DD disagree on emptiness of {}", p);

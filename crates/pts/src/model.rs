@@ -2,6 +2,7 @@
 //! semantics.
 
 use crate::AffineUpdate;
+use qava_lp::LpSolver;
 use qava_polyhedra::Polyhedron;
 use rand::Rng;
 
@@ -413,6 +414,7 @@ impl Pts {
     ///
     /// [`PtsError::OverlappingGuards`] with a witness point.
     pub fn check_determinism(&self, margin: f64) -> Result<(), PtsError> {
+        let mut solver = LpSolver::new();
         for i in 0..self.transitions.len() {
             for j in i + 1..self.transitions.len() {
                 let (a, b) = (&self.transitions[i], &self.transitions[j]);
@@ -423,7 +425,7 @@ impl Pts {
                     .guard
                     .intersection(&b.guard)
                     .intersection(&self.invariants[a.src.0]);
-                if let Some(witness) = joint.interior_point(margin) {
+                if let Some(witness) = joint.interior_point_in(margin, &mut solver) {
                     return Err(PtsError::OverlappingGuards { transitions: (i, j), witness });
                 }
             }

@@ -18,12 +18,14 @@
 
 use crate::model::{LocId, Pts};
 use qava_linalg::Matrix;
+use qava_lp::LpSolver;
 use qava_polyhedra::{Halfspace, Polyhedron};
 
 /// Propagates invariants for up to `rounds` sweeps; returns the number of
 /// locations whose invariant was refined. Absorbing locations participate:
 /// refining `I(ℓ_f)` is what makes (C2) of §5.1 non-vacuous.
 pub fn propagate_invariants(pts: &mut Pts, rounds: usize) -> usize {
+    let mut solver = LpSolver::new();
     let mut refined_total = 0;
     for _ in 0..rounds {
         let mut refined_this_round = 0;
@@ -35,7 +37,7 @@ pub fn propagate_invariants(pts: &mut Pts, rounds: usize) -> usize {
             if !pts.invariant(loc).constraints().is_empty() {
                 continue; // user-supplied or already refined
             }
-            if let Some(inv) = inferred_invariant(pts, loc) {
+            if let Some(inv) = inferred_invariant(pts, loc, &mut solver) {
                 if !inv.constraints().is_empty() {
                     pts.invariants[loc.index()] = inv;
                     refined_this_round += 1;
@@ -53,7 +55,7 @@ pub fn propagate_invariants(pts: &mut Pts, rounds: usize) -> usize {
 /// Computes the weak join of the incoming edge conditions of `loc`, or
 /// `None` when some incoming edge disqualifies the location (non-identity
 /// update, or a self-loop that would make the inference circular).
-fn inferred_invariant(pts: &Pts, loc: LocId) -> Option<Polyhedron> {
+fn inferred_invariant(pts: &Pts, loc: LocId, solver: &mut LpSolver) -> Option<Polyhedron> {
     let n = pts.num_vars();
 
     let mut sources: Vec<Polyhedron> = Vec::new();
@@ -85,7 +87,7 @@ fn inferred_invariant(pts: &Pts, loc: LocId) -> Option<Polyhedron> {
         // Closure semantics: drop strictness for the invariant.
         let h = Halfspace::le(cand.coeffs.clone(), cand.rhs);
         for other in &sources[1..] {
-            if !other.implies(&h) {
+            if !other.implies_in(&h, solver) {
                 continue 'candidates;
             }
         }
@@ -148,8 +150,9 @@ mod tests {
         let refined = propagate_invariants(&mut pts, 3);
         assert!(refined >= 1);
         let inv = pts.invariant(pts.failure_location());
-        assert!(inv.implies(&Halfspace::le(vec![1.0, 0.0], 99.0)), "x ≤ 99 inherited");
-        assert!(inv.implies(&Halfspace::ge(vec![0.0, 1.0], 100.0)), "y ≥ 100 inherited");
+        let s = &mut LpSolver::new();
+        assert!(inv.implies_in(&Halfspace::le(vec![1.0, 0.0], 99.0), s), "x ≤ 99 inherited");
+        assert!(inv.implies_in(&Halfspace::ge(vec![0.0, 1.0], 100.0), s), "y ≥ 100 inherited");
     }
 
     #[test]
@@ -157,7 +160,8 @@ mod tests {
         let mut pts = race_like();
         propagate_invariants(&mut pts, 3);
         let inv = pts.invariant(pts.terminal_location());
-        assert!(inv.implies(&Halfspace::ge(vec![1.0, 0.0], 100.0)));
+        let s = &mut LpSolver::new();
+        assert!(inv.implies_in(&Halfspace::ge(vec![1.0, 0.0], 100.0), s));
     }
 
     #[test]
@@ -229,7 +233,8 @@ mod tests {
         let mut pts = b.finish().unwrap();
         propagate_invariants(&mut pts, 3);
         let inv = pts.invariant(pts.failure_location());
-        assert!(inv.implies(&Halfspace::ge(vec![1.0], 0.0)), "x ≥ 0 common to both");
-        assert!(!inv.implies(&Halfspace::le(vec![1.0], 5.0)), "x ≤ 5 not common");
+        let s = &mut LpSolver::new();
+        assert!(inv.implies_in(&Halfspace::ge(vec![1.0], 0.0), s), "x ≥ 0 common to both");
+        assert!(!inv.implies_in(&Halfspace::le(vec![1.0], 5.0), s), "x ≤ 5 not common");
     }
 }

@@ -32,6 +32,7 @@
 
 use crate::model::{Fork, LocId, Pts, Transition};
 use crate::{AffineUpdate, Distribution};
+use qava_lp::LpSolver;
 use qava_polyhedra::{Halfspace, Polyhedron};
 
 /// Absolute tolerance for "is this an integer" tests.
@@ -142,14 +143,15 @@ fn preimage(p: &Polyhedron, u: &AffineUpdate) -> Polyhedron {
 /// (they are genuine loop structure), which also guarantees termination on
 /// deterministic cycles.
 pub fn fuse_deterministic_hops(pts: &mut Pts) {
+    let mut solver = LpSolver::new();
     for _ in 0..MAX_FUSION_PASSES {
-        if !fuse_one_pass(pts) {
+        if !fuse_one_pass(pts, &mut solver) {
             break;
         }
     }
 }
 
-fn fuse_one_pass(pts: &mut Pts) -> bool {
+fn fuse_one_pass(pts: &mut Pts, solver: &mut LpSolver) -> bool {
     let mut changed = false;
     let mut out: Vec<Transition> = Vec::with_capacity(pts.transitions.len());
     for t in &pts.transitions {
@@ -173,7 +175,7 @@ fn fuse_one_pass(pts: &mut Pts) -> bool {
         changed = true;
         for dt in dest_transitions {
             let guard = t.guard.intersection(&preimage(&dt.guard, &hop.update));
-            if guard.is_empty() {
+            if guard.is_empty_in(solver) {
                 continue;
             }
             let forks = dt

@@ -1,7 +1,7 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! Implements the subset of the proptest API the workspace's property
-//! tests use: the [`Strategy`] trait with `prop_map`/`prop_flat_map`,
+//! tests use: the [`strategy::Strategy`] trait with `prop_map`/`prop_flat_map`,
 //! range and tuple strategies, [`collection::vec`], [`arbitrary::any`],
 //! [`strategy::Just`], the [`proptest!`] macro with
 //! `#![proptest_config(..)]`, and `prop_assert!`/`prop_assert_eq!`.
@@ -186,7 +186,7 @@ pub mod collection {
     use rand::rngs::StdRng;
     use rand::Rng as _;
 
-    /// A fixed or ranged element count for [`vec`].
+    /// A fixed or ranged element count for [`vec()`].
     pub trait IntoSizeRange {
         /// Samples a concrete length.
         fn sample_len(&self, rng: &mut StdRng) -> usize;

@@ -7,24 +7,16 @@
 //! ≤ Azuma, soundness against simulation) live in `shape_properties.rs`
 //! and `simulation_soundness.rs`.
 
+mod common;
 
-// NOTE: these integration tests deliberately run through the *deprecated*
-// session-less `synthesize_*` shims: they are the compatibility surface the
-// engine API (PR 5) keeps alive for downstream code, and this file is the
-// proof that the shims still compile and behave. New code uses
-// `qava::analysis::engine` (see `examples/quickstart.rs`).
-#![allow(deprecated)]
-
-use qava::analysis::explinsyn::synthesize_upper_bound;
-use qava::analysis::explowsyn::synthesize_lower_bound;
-use qava::analysis::hoeffding::{synthesize_reprsm_bound, BoundKind};
+use common::certify;
 use qava::analysis::suite;
 
 /// §3.1: the tortoise-hare race bound is exp(−15.697) ≈ 1.524e-7.
 #[test]
 fn race_motivating_number() {
     let b = &suite::race_rows()[0];
-    let r = synthesize_upper_bound(&b.compile()).unwrap();
+    let r = certify("explinsyn", &b.compile()).unwrap();
     assert!((r.bound.ln() + 15.697).abs() < 0.05, "ln = {}", r.bound.ln());
 }
 
@@ -32,7 +24,7 @@ fn race_motivating_number() {
 #[test]
 fn m1dwalk_motivating_number() {
     let b = &suite::m1dwalk_rows()[0];
-    let r = synthesize_lower_bound(&b.compile()).unwrap();
+    let r = certify("explowsyn", &b.compile()).unwrap();
     assert!((r.bound.to_f64() - 0.99998).abs() < 1e-5, "got {}", r.bound.to_f64());
 }
 
@@ -41,7 +33,7 @@ fn m1dwalk_motivating_number() {
 fn race_table_rows_exact() {
     let expected = [1.52e-7, 2.16e-5, 8.65e-11];
     for (b, want) in suite::race_rows().iter().zip(expected) {
-        let r = synthesize_upper_bound(&b.compile()).unwrap();
+        let r = certify("explinsyn", &b.compile()).unwrap();
         let got = r.bound.to_f64();
         assert!(
             (got - want).abs() / want < 0.05,
@@ -56,7 +48,7 @@ fn race_table_rows_exact() {
 #[test]
 fn walk1d_first_row_exact() {
     let b = &suite::walk1d_rows()[0];
-    let r = synthesize_upper_bound(&b.compile()).unwrap();
+    let r = certify("explinsyn", &b.compile()).unwrap();
     assert!((r.bound.log10() + 207.107).abs() < 0.2, "log10 = {}", r.bound.log10());
 }
 
@@ -66,7 +58,7 @@ fn walk1d_first_row_exact() {
 fn refsearch_rows_exact() {
     let expected = [0.998463, 0.984738, 0.857443];
     for (b, want) in suite::refsearch_rows().iter().zip(expected) {
-        let r = synthesize_lower_bound(&b.compile()).unwrap();
+        let r = certify("explowsyn", &b.compile()).unwrap();
         let got = r.bound.to_f64();
         assert!((got - want).abs() < 5e-6, "{}: expected {want}, got {got}", b.label);
     }
@@ -78,7 +70,7 @@ fn refsearch_rows_exact() {
 fn newton_rows_close() {
     let expected = [0.728492, 0.534989, 0.392823];
     for (b, want) in suite::newton_rows().iter().zip(expected) {
-        let r = synthesize_lower_bound(&b.compile()).unwrap();
+        let r = certify("explowsyn", &b.compile()).unwrap();
         let got = r.bound.to_f64();
         assert!((got - want).abs() < 0.05, "{}: expected {want}, got {got}", b.label);
     }
@@ -91,7 +83,7 @@ fn newton_rows_close() {
 fn robot_rows_close() {
     let expected = [9.64e-6f64, 4.78e-7, 1.51e-8];
     for (b, want) in suite::robot_rows().iter().zip(expected) {
-        let r = synthesize_upper_bound(&b.compile()).unwrap();
+        let r = certify("explinsyn", &b.compile()).unwrap();
         let got = r.bound.to_f64();
         assert!(
             (got.ln() - want.ln()).abs() < 1.0,
@@ -107,7 +99,7 @@ fn robot_rows_close() {
 fn rdadder_rows_close() {
     let expected = [7.43e-2f64, 3.54e-5, 9.17e-11];
     for (b, want) in suite::rdadder_rows().iter().zip(expected) {
-        let r = synthesize_upper_bound(&b.compile()).unwrap();
+        let r = certify("explinsyn", &b.compile()).unwrap();
         let got = r.bound.to_f64();
         assert!(
             (got.ln() - want.ln()).abs() < 0.3,
@@ -123,7 +115,7 @@ fn rdadder_rows_close() {
 fn walk2d_tail_rows_close() {
     let rows = suite::walk2d_rows();
     for (b, want_log10) in rows[1..].iter().zip([-277.0f64, -218.0]) {
-        let r = synthesize_upper_bound(&b.compile()).unwrap();
+        let r = certify("explinsyn", &b.compile()).unwrap();
         assert!(
             (r.bound.log10() - want_log10).abs() < 5.0,
             "{}: expected ~1e{want_log10}, got log10 {}",
@@ -141,7 +133,7 @@ fn walk2d_tail_rows_close() {
 fn rdwalk_hoeffding_close() {
     let expected = [1.85e-3f64, 1.43e-5, 5.47e-8];
     for (b, want) in suite::rdwalk_rows().iter().zip(expected) {
-        let r = synthesize_reprsm_bound(&b.compile(), BoundKind::Hoeffding).unwrap();
+        let r = certify("hoeffding-linear", &b.compile()).unwrap();
         let got = r.bound.to_f64();
         assert!(
             got.log10() <= want.log10() + 1.0,

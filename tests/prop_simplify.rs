@@ -7,16 +7,13 @@
 //! reachable states exactly, so equality with a hand-rolled interpreter of
 //! the original source is the real property under test.
 
+mod common;
 
-// NOTE: these integration tests deliberately run through the *deprecated*
-// session-less `synthesize_*` shims: they are the compatibility surface the
-// engine API (PR 5) keeps alive for downstream code, and this file is the
-// proof that the shims still compile and behave. New code uses
-// `qava::analysis::engine` (see `examples/quickstart.rs`).
-#![allow(deprecated)]
-
+use common::certify;
 use proptest::prelude::*;
+use qava::analysis::engine::{AnalysisRequest, EngineRegistry};
 use qava::analysis::fixpoint::VpfOracle;
+use qava::lp::BackendChoice;
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 use std::collections::BTreeMap;
@@ -129,7 +126,7 @@ proptest! {
     #[test]
     fn explinsyn_sound_on_random_programs(prog in program_strategy()) {
         let pts = qava::lang::compile(&prog.source(), &BTreeMap::new()).unwrap();
-        if let Ok(r) = qava::analysis::explinsyn::synthesize_upper_bound(&pts) {
+        if let Ok(r) = certify("explinsyn", &pts) {
             let exact = prog.exact_vpf();
             prop_assert!(
                 r.bound.to_f64() >= exact - 1e-9,
@@ -143,9 +140,12 @@ proptest! {
     /// Hoeffding synthesis is likewise sound where it succeeds.
     #[test]
     fn hoeffding_sound_on_random_programs(prog in program_strategy()) {
-        use qava::analysis::hoeffding::{synthesize_reprsm_bound_with, BoundKind};
         let pts = qava::lang::compile(&prog.source(), &BTreeMap::new()).unwrap();
-        if let Ok(r) = synthesize_reprsm_bound_with(&pts, BoundKind::Hoeffding, 20) {
+        let req = AnalysisRequest { ser_iterations: 20, ..AnalysisRequest::upper(&pts) };
+        let report = EngineRegistry::with_builtins()
+            .run_engine("hoeffding-linear", &req, BackendChoice::default())
+            .expect("built-in engine");
+        if let Ok(r) = report.outcome {
             let exact = prog.exact_vpf();
             prop_assert!(
                 r.bound.to_f64() >= exact - 1e-9,

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use qava::convex::{ConvexProblem, ExpSumConstraint, SolverOptions};
-use qava::lp::{Cmp, LinExpr, LpBuilder, LpError};
+use qava::lp::{Cmp, LinExpr, LpBuilder, LpError, LpSolver};
 
 /// A random bounded LP: minimize c·x over a box [0, B]^n cut by extra
 /// halfspaces through its interior.
@@ -48,7 +48,7 @@ fn solve_with_simplex(lp: &RandomLp) -> Result<f64, LpError> {
         obj = obj.term(*x, c);
     }
     b.minimize(obj);
-    b.solve().map(|s| s.objective)
+    LpSolver::new().solve(&b).map(|s| s.objective)
 }
 
 fn solve_with_barrier(lp: &RandomLp) -> Result<f64, qava::convex::ConvexError> {

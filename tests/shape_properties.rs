@@ -8,17 +8,9 @@
 //! * Bounds degrade monotonically with the benchmark parameter in the
 //!   direction the paper's tables show.
 
+mod common;
 
-// NOTE: these integration tests deliberately run through the *deprecated*
-// session-less `synthesize_*` shims: they are the compatibility surface the
-// engine API (PR 5) keeps alive for downstream code, and this file is the
-// proof that the shims still compile and behave. New code uses
-// `qava::analysis::engine` (see `examples/quickstart.rs`).
-#![allow(deprecated)]
-
-use qava::analysis::explinsyn::synthesize_upper_bound;
-use qava::analysis::explowsyn::synthesize_lower_bound;
-use qava::analysis::hoeffding::{synthesize_reprsm_bound, BoundKind};
+use common::certify;
 use qava::analysis::suite::{table1, table2};
 
 /// Theorem 5.5 on all of Table 1: the complete algorithm is at least as
@@ -28,8 +20,8 @@ fn explinsyn_dominates_hoeffding_on_table1() {
     for b in table1() {
         let pts = b.compile();
         let (Ok(h), Ok(e)) = (
-            synthesize_reprsm_bound(&pts, BoundKind::Hoeffding),
-            synthesize_upper_bound(&pts),
+            certify("hoeffding-linear", &pts),
+            certify("explinsyn", &pts),
         ) else {
             continue;
         };
@@ -50,8 +42,8 @@ fn hoeffding_dominates_azuma_on_table1() {
     for b in table1() {
         let pts = b.compile();
         let (Ok(h), Ok(a)) = (
-            synthesize_reprsm_bound(&pts, BoundKind::Hoeffding),
-            synthesize_reprsm_bound(&pts, BoundKind::Azuma),
+            certify("hoeffding-linear", &pts),
+            certify("azuma", &pts),
         ) else {
             continue;
         };
@@ -72,7 +64,7 @@ fn hoeffding_dominates_azuma_on_table1() {
 fn lower_below_upper_on_table2() {
     for b in table2() {
         let pts = b.compile();
-        let (Ok(lo), Ok(hi)) = (synthesize_lower_bound(&pts), synthesize_upper_bound(&pts))
+        let (Ok(lo), Ok(hi)) = (certify("explowsyn", &pts), certify("explinsyn", &pts))
         else {
             continue;
         };
@@ -103,7 +95,7 @@ fn bounds_monotone_within_benchmark_families() {
         }
         let mut prev: Option<f64> = None;
         for b in family {
-            let r = synthesize_upper_bound(&b.compile()).unwrap();
+            let r = certify("explinsyn", &b.compile()).unwrap();
             if let Some(p) = prev {
                 assert!(
                     r.bound.ln() <= p + 1e-6,
@@ -126,7 +118,7 @@ fn lower_bounds_decrease_with_fault_rate() {
     for family in rows.chunk_by(|a, b| a.name == b.name) {
         let mut prev: Option<f64> = None;
         for b in family {
-            let r = synthesize_lower_bound(&b.compile()).unwrap();
+            let r = certify("explowsyn", &b.compile()).unwrap();
             if let Some(p) = prev {
                 assert!(
                     r.bound.to_f64() <= p + 1e-9,
@@ -150,7 +142,7 @@ fn stoinv_beats_previous_results_by_orders_of_magnitude() {
             continue;
         }
         let prev = b.paper.previous.expect("StoInv rows have previous results");
-        let r = synthesize_upper_bound(&b.compile()).unwrap();
+        let r = certify("explinsyn", &b.compile()).unwrap();
         let orders = prev.log10() - r.bound.log10();
         assert!(
             orders > 100.0,

@@ -3,17 +3,9 @@
 //! bracket a seeded Monte-Carlo estimate. This is a stronger validation
 //! than the paper reports (it had no executable ground truth).
 
+mod common;
 
-// NOTE: these integration tests deliberately run through the *deprecated*
-// session-less `synthesize_*` shims: they are the compatibility surface the
-// engine API (PR 5) keeps alive for downstream code, and this file is the
-// proof that the shims still compile and behave. New code uses
-// `qava::analysis::engine` (see `examples/quickstart.rs`).
-#![allow(deprecated)]
-
-use qava::analysis::explinsyn::synthesize_upper_bound;
-use qava::analysis::explowsyn::synthesize_lower_bound;
-use qava::analysis::hoeffding::{synthesize_reprsm_bound, BoundKind};
+use common::certify;
 use qava::sim::Simulator;
 use std::collections::BTreeMap;
 
@@ -24,7 +16,7 @@ fn compile(src: &str) -> qava::pts::Pts {
 #[track_caller]
 fn check_upper(src: &str, trials: usize) {
     let pts = compile(src);
-    let upper = synthesize_upper_bound(&pts).expect("upper bound synthesizes");
+    let upper = certify("explinsyn", &pts).expect("upper bound synthesizes");
     let est = Simulator::new(0xABCD).estimate_violation(&pts, trials, 200_000);
     assert!(
         est.lower_ci() <= upper.bound.to_f64() + 1e-12,
@@ -37,7 +29,7 @@ fn check_upper(src: &str, trials: usize) {
 #[track_caller]
 fn check_lower(src: &str, trials: usize) {
     let pts = compile(src);
-    let lower = synthesize_lower_bound(&pts).expect("lower bound synthesizes");
+    let lower = certify("explowsyn", &pts).expect("lower bound synthesizes");
     let est = Simulator::new(0xABCD).estimate_violation(&pts, trials, 200_000);
     assert!(
         lower.bound.to_f64() <= est.upper_ci() + 1e-12,
@@ -81,7 +73,7 @@ fn short_walk_upper_sound() {
 #[test]
 fn short_walk_hoeffding_sound() {
     let pts = compile(SHORT_WALK);
-    let upper = synthesize_reprsm_bound(&pts, BoundKind::Hoeffding).unwrap();
+    let upper = certify("hoeffding-linear", &pts).unwrap();
     let est = Simulator::new(0xABCD).estimate_violation(&pts, 50_000, 100_000);
     assert!(est.lower_ci() <= upper.bound.to_f64());
 }
@@ -108,8 +100,8 @@ fn faulty_walk_lower_sound() {
 #[test]
 fn faulty_walk_bracket() {
     let pts = compile(FAULTY_WALK);
-    let lower = synthesize_lower_bound(&pts).unwrap();
-    let upper = synthesize_upper_bound(&pts).unwrap();
+    let lower = certify("explowsyn", &pts).unwrap();
+    let upper = certify("explinsyn", &pts).unwrap();
     let est = Simulator::new(0xF00D).estimate_violation(&pts, 100_000, 100_000);
     assert!(lower.bound.to_f64() <= est.upper_ci());
     assert!(est.lower_ci() <= upper.bound.to_f64());
@@ -127,8 +119,8 @@ fn coin_flip_exact_everywhere() {
         if prob(0.25) { assert false; } else { exit; }
     ";
     let pts = compile(src);
-    let upper = synthesize_upper_bound(&pts).unwrap();
-    let lower = synthesize_lower_bound(&pts).unwrap();
+    let upper = certify("explinsyn", &pts).unwrap();
+    let lower = certify("explowsyn", &pts).unwrap();
     assert!((upper.bound.to_f64() - 0.25).abs() < 1e-4, "upper {}", upper.bound);
     assert!((lower.bound.to_f64() - 0.25).abs() < 1e-4, "lower {}", lower.bound);
     let est = Simulator::new(3).estimate_violation(&pts, 200_000, 100);
@@ -145,8 +137,8 @@ fn sequential_gates_product() {
         } else { exit; }
     ";
     let pts = compile(src);
-    let upper = synthesize_upper_bound(&pts).unwrap();
-    let lower = synthesize_lower_bound(&pts).unwrap();
+    let upper = certify("explinsyn", &pts).unwrap();
+    let lower = certify("explowsyn", &pts).unwrap();
     assert!((upper.bound.to_f64() - 0.15).abs() < 1e-4, "upper {}", upper.bound);
     assert!((lower.bound.to_f64() - 0.15).abs() < 1e-4, "lower {}", lower.bound);
 }
@@ -169,7 +161,7 @@ fn gamblers_ruin_closed_form() {
     let ruin = (rho - rho.powi(20)) / (1.0 - rho.powi(20));
     let est = Simulator::new(11).estimate_violation(&pts, 200_000, 100_000);
     assert!((est.probability - ruin).abs() < 0.005, "sim {} vs exact {ruin}", est.probability);
-    let upper = synthesize_upper_bound(&pts).unwrap();
+    let upper = certify("explinsyn", &pts).unwrap();
     assert!(upper.bound.to_f64() + 1e-9 >= ruin, "upper {} vs exact {ruin}", upper.bound);
     // The optimal exponential template for gambler's ruin is tight at the
     // closed form's leading term (q/p)^x.
