@@ -29,7 +29,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use qava_core::hoeffding::{synthesize_reprsm_bound_in, BoundKind};
 use qava_core::suite::{coupon_rows, rdwalk_rows, walk3d_rows};
-use qava_linalg::kernel;
+use qava_linalg::vecops;
 use qava_lp::debug::{update_solve_cycle, TraceEngine};
 use qava_lp::{BackendChoice, CscMatrix, LpBackend, LpSolver, LuFtSimplex};
 
@@ -68,22 +68,15 @@ fn bench_lp_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-/// The vecops backend ladder: each selectable [`kernel::VecKernel`]
-/// implementation timed head-to-head on the three access shapes the LP
-/// hot loops are made of — dense contiguous (`dot`, the pricing and
+/// The vecops kernels on the three access shapes the LP hot loops are
+/// made of — dense contiguous (`dot`, the pricing and
 /// tableau-elimination shape), gathered (`gather_dot`, the CSC
 /// column-against-dense btran shape), and masked-gathered
 /// (`masked_gather_dot`, the Forrest–Tomlin row-spike window shape) —
-/// at lengths 8 (one vector register, dispatch break-even), 64 (a
-/// typical suite basis), and 512 (vector-throughput territory).
-///
-/// Rows call the kernel trait objects directly (bypassing the
-/// `vecops::` free-function dispatch and its short-slice fast path), so
-/// each row isolates one backend's code: the committed `BENCH_lp.json`
-/// rows are comparable run-over-run regardless of `QAVA_KERNEL`. Every
-/// sample loops the kernel `REPS` times over the same buffers so even
-/// the 8-length rows are µs-scale — stable under `bench_compare`'s hard
-/// 25% `lp/` gate.
+/// at lengths 8 (the shortest fused `dot`), 64 (a typical suite basis),
+/// and 512 (throughput territory). Every sample loops the kernel `REPS`
+/// times over the same buffers so even the 8-length rows are µs-scale —
+/// stable under `bench_compare`'s hard 25% `lp/` gate.
 fn bench_vecops(c: &mut Criterion) {
     // Keyed pseudo-random data: deterministic, no zero/denormal cliffs.
     fn fill(n: usize, salt: u64) -> Vec<f64> {
@@ -95,7 +88,6 @@ fn bench_vecops(c: &mut Criterion) {
             .collect()
     }
     const REPS: usize = 256;
-    println!("vec kernel (auto-selected): {}", kernel::provenance());
     let mut group = c.benchmark_group("lp/kernel");
     group.sample_size(10);
     for len in [8usize, 64, 512] {
@@ -103,7 +95,7 @@ fn bench_vecops(c: &mut Criterion) {
         let y = fill(len, 2);
         let vals = fill(len, 3);
         // Gather indices: a scrambled permutation of 0..len, the
-        // worst-case (cache-unfriendly, vector-gather-friendly) order.
+        // cache-unfriendly order.
         let mut idx: Vec<usize> = (0..len).collect();
         for i in (1..len).rev() {
             let h = (i as u64).wrapping_mul(0xD1B54A32D192ED03) >> 17;
@@ -113,53 +105,39 @@ fn bench_vecops(c: &mut Criterion) {
         // midpoint, so half the entries fall inside the window.
         let pos: Vec<usize> = (0..len).collect();
         let cutoff = len / 2;
-        for k in kernel::available() {
-            group.bench_with_input(
-                BenchmarkId::new(format!("vecops_dot{len}"), k.name()),
-                &(),
-                |bench, ()| {
-                    bench.iter(|| {
-                        let mut acc = 0.0;
-                        for _ in 0..REPS {
-                            acc += k.dot(black_box(&x), black_box(&y));
-                        }
-                        acc
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("vecops_gather{len}"), k.name()),
-                &(),
-                |bench, ()| {
-                    bench.iter(|| {
-                        let mut acc = 0.0;
-                        for _ in 0..REPS {
-                            acc += k.gather_dot(black_box(&idx), black_box(&vals), black_box(&x));
-                        }
-                        acc
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("vecops_masked{len}"), k.name()),
-                &(),
-                |bench, ()| {
-                    bench.iter(|| {
-                        let mut acc = 0.0;
-                        for _ in 0..REPS {
-                            acc += k.masked_gather_dot(
-                                black_box(&idx),
-                                black_box(&vals),
-                                black_box(&x),
-                                black_box(&pos),
-                                black_box(cutoff),
-                            );
-                        }
-                        acc
-                    })
-                },
-            );
-        }
+        group.bench_function(format!("vecops_dot{len}"), |bench| {
+            bench.iter(|| {
+                let mut acc = 0.0;
+                for _ in 0..REPS {
+                    acc += vecops::dot(black_box(&x), black_box(&y));
+                }
+                acc
+            })
+        });
+        group.bench_function(format!("vecops_gather{len}"), |bench| {
+            bench.iter(|| {
+                let mut acc = 0.0;
+                for _ in 0..REPS {
+                    acc += vecops::gather_dot(black_box(&idx), black_box(&vals), black_box(&x));
+                }
+                acc
+            })
+        });
+        group.bench_function(format!("vecops_masked{len}"), |bench| {
+            bench.iter(|| {
+                let mut acc = 0.0;
+                for _ in 0..REPS {
+                    acc += vecops::masked_gather_dot(
+                        black_box(&idx),
+                        black_box(&vals),
+                        black_box(&x),
+                        black_box(&pos),
+                        black_box(cutoff),
+                    );
+                }
+                acc
+            })
+        });
     }
     group.finish();
 }

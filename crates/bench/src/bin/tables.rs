@@ -51,10 +51,9 @@ fn main() {
         .all(|(i, a)| a == "--serial" || a == "--lp-backend"
             || (i > 0 && args[i - 1] == "--lp-backend"));
 
-    // Provenance header: the tables below depend on the LP backend *and*
-    // on the vecops kernel backend every pivot ran through — bench
-    // artifacts must say which produced them.
-    println!("lp backend: {backend}; vec kernel: {}", qava_linalg::kernel::provenance());
+    // Provenance header: the tables below depend on the LP backend, so
+    // bench artifacts must say which produced them.
+    println!("lp backend: {backend}");
     println!();
 
     if all || has("--table1") {

@@ -108,8 +108,8 @@ suite:
                    (honors --race, --chaos, --lp-backend, --json and
                    --connect)
   --json           with --suite: print the machine-readable suite
-                   document (rows, failures, per-backend LP statistics,
-                   kernel provenance) instead of the human report
+                   document (rows, failures, per-backend LP statistics)
+                   instead of the human report
   --chaos SEED     with --suite: replay the suite twice — fault-free,
                    then with one seeded recoverable solver fault per
                    (row, engine) task — and fail unless every row still

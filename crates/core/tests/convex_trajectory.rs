@@ -1,17 +1,12 @@
 //! Pins the log-barrier solver's trajectory on the paper suite.
 //!
-//! For every Table 1 row whose ExpLinSyn program has fewer than eight
-//! unknowns, the phase-II Newton count and the exact bits of the optimal
-//! objective must match the values recorded here. Below eight unknowns
-//! every `vecops` call runs the inlined scalar body (the dispatch
-//! threshold), so the pins hold under every `QAVA_KERNEL` backend. Any
-//! change that moves an iterate of the barrier (its tolerances, its line
-//! search, the order of a dot product) shows up here as a changed count or
-//! a changed last bit, even when the bound still agrees to 1e-9.
-//!
-//! The wider 2DWalk and 3DWalk programs are left out: their dot products
-//! run the dispatched kernels, whose FMA rounding differs between
-//! backends.
+//! For every Table 1 row's ExpLinSyn program, the phase-II Newton count and
+//! the exact bits of the optimal objective must match the values recorded
+//! here. The `vecops` kernels compute the same bits on every CPU, so the
+//! pins hold on every machine. Any change that moves an iterate of the
+//! barrier (its tolerances, its line search, the order of a dot product)
+//! shows up here as a changed count or a changed last bit, even when the
+//! bound still agrees to 1e-9.
 
 use qava_convex::SolverOptions;
 use qava_core::explinsyn::build_convex_program_in;
@@ -39,13 +34,19 @@ const PINS: &[(&str, &str, usize, u64)] = &[
     ("1DWalk", "x = 10", 448, 0xc07dce183e224d2b),
     ("1DWalk", "x = 50", 639, 0xc07c9a1e7f4ea3f9),
     ("1DWalk", "x = 100", 640, 0xc07b192650c6107e),
+    ("2DWalk", "(x, y) = (1000, 10)", 1074, 0xc09480318942af7c),
+    ("2DWalk", "(x, y) = (500, 40)", 1045, 0xc083f2b5a8a6eb7f),
+    ("2DWalk", "(x, y) = (400, 50)", 1227, 0xc07f663bc5af0f02),
+    ("3DWalk", "(x, y, z) = (100, 100, 100)", 1800, 0xc0c2d023a353511a),
+    ("3DWalk", "(x, y, z) = (100, 150, 200)", 1800, 0xc0bdcb610f9d8824),
+    ("3DWalk", "(x, y, z) = (300, 100, 150)", 1800, 0xc0b8611638a8b621),
     ("Race", "(x, y) = (40, 0)", 840, 0xc02f64f04fb30db6),
     ("Race", "(x, y) = (35, 0)", 842, 0xc0257b515c4ce26a),
     ("Race", "(x, y) = (45, 0)", 1030, 0xc0372bcfa199fbda),
 ];
 
 #[test]
-fn barrier_trajectory_is_pinned_on_narrow_suite_programs() {
+fn barrier_trajectory_is_pinned_on_every_suite_program() {
     let mut checked = Vec::new();
     let mut mismatches = Vec::new();
     for row in table1() {
@@ -53,9 +54,6 @@ fn barrier_trajectory_is_pinned_on_narrow_suite_programs() {
         let space = TemplateSpace::new(&pts, false);
         let problem = build_convex_program_in(&pts, &space, &mut LpSolver::new())
             .unwrap_or_else(|e| panic!("{} {}: no convex program: {e}", row.name, row.label));
-        if problem.num_vars() >= 8 {
-            continue;
-        }
         let sol = problem
             .solve(&SolverOptions::default())
             .unwrap_or_else(|e| panic!("{} {}: solve failed: {e}", row.name, row.label));
@@ -63,12 +61,7 @@ fn barrier_trajectory_is_pinned_on_narrow_suite_programs() {
             .iter()
             .find(|(name, label, _, _)| *name == row.name && *label == row.label)
         else {
-            panic!(
-                "{} {} has {} unknowns but no pin",
-                row.name,
-                row.label,
-                problem.num_vars()
-            );
+            panic!("{} {} has no pin", row.name, row.label);
         };
         if sol.newton_iterations != newton || sol.objective.to_bits() != bits {
             mismatches.push(format!(

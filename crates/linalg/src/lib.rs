@@ -10,13 +10,9 @@
 //! * [`Matrix`] — row-major dense matrix with Gaussian elimination,
 //!   [`Matrix::solve`], [`Matrix::rank`], [`Matrix::nullspace`],
 //!   least-squares, and inverse.
-//! * [`vecops`] — free functions on `&[f64]` slices (dot products, axpy, ...).
-//! * [`kernel`] — the runtime-dispatched SIMD backend layer under
-//!   `vecops`: a [`kernel::VecKernel`] trait with a portable scalar
-//!   baseline plus AVX2+FMA (x86_64) and NEON (aarch64) implementations,
-//!   selected once per process by CPU feature detection and overridable
-//!   with `QAVA_KERNEL={auto,scalar,avx2,neon}`. The `vecops` signatures
-//!   are the stable surface; the kernel layer is how they go fast.
+//! * [`vecops`] — free functions on `&[f64]` slices (dot products, axpy,
+//!   sparse gathers and scatters, ...). Each kernel has one portable body
+//!   whose result is the same bits on every CPU (see the module docs).
 //! * [`EPS`] — the absolute tolerance shared by all numeric pivoting code.
 //!
 //! # Examples
@@ -30,7 +26,6 @@
 //! assert!((x[1] - 1.4).abs() < 1e-12);
 //! ```
 
-pub mod kernel;
 pub mod matrix;
 pub mod vecops;
 

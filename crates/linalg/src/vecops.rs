@@ -6,24 +6,36 @@
 //! The `dot`/`axpy`/`gather_dot`/`scatter_axpy`/`masked_gather_dot` kernels
 //! are the inner loops of the revised simplex (`B⁻¹` row updates,
 //! simplex-multiplier accumulation, column pricing, and the sparse
-//! triangular solves through the LU factors and Forrest–Tomlin
-//! row etas). They dispatch through the [`kernel`]
-//! subsystem: one runtime selection per process picks the best
-//! [`VecKernel`](crate::kernel::VecKernel) backend the CPU proves
-//! (AVX2+FMA on x86_64, NEON on aarch64, the portable four-wide scalar
-//! unrolls everywhere), overridable with `QAVA_KERNEL={auto,scalar,avx2,
-//! neon}`. The free-function signatures here are unchanged, so every call
-//! site across the workspace rides whichever backend was selected.
+//! triangular solves through the LU factors and Forrest–Tomlin row etas);
+//! `dot` is also the inner loop of the barrier solver.
 //!
-//! Slices shorter than [`kernel::DISPATCH_MIN`]
-//! bypass the dispatch table into the inlined scalar bodies — the µs-scale
-//! polyhedra probes and short eta columns live below one vector iteration,
-//! where an indirect call costs more than it saves. Results for such
-//! lengths are therefore bit-identical under every `QAVA_KERNEL` value.
+//! # One numeric contract
+//!
+//! Every kernel has exactly one body, so its result does not depend on the
+//! CPU. The four-wide unrolls keep four independent accumulators, which
+//! keeps the FP pipelines full, and reduce them as `(s0+s1)+(s2+s3)+tail`.
+//! For slices of eight or more entries, [`dot`] and [`axpy`] fuse their
+//! multiply-adds with [`f64::mul_add`], which is correctly rounded on every
+//! target, in a fixed lane order that their docs spell out. Pivot counts,
+//! Newton counts and bounds are therefore the same on every machine.
+//!
+//! On x86_64 a build without the `fma` target feature lowers each
+//! `mul_add` to a library call. The two fused bodies are therefore also
+//! compiled inside a `#[target_feature(enable = "fma")]` wrapper, which runs
+//! when the CPU has the instruction. Both copies compute the same bits: the
+//! branch picks the instruction encoding, not the arithmetic.
 
-use crate::kernel::{self, scalar};
+/// Slices at least this long take the fused `dot`/`axpy` bodies; shorter
+/// ones keep the unfused four-wide loops.
+const FUSED_MIN: usize = 8;
 
 /// Dot product of two equal-length slices.
+///
+/// Below eight entries this is the unfused four-wide unroll. From eight
+/// entries on, eight accumulators `acc[0..8]` take `mul_add` over blocks of
+/// eight, and a leftover block of four goes into `acc[0..4]`. Then
+/// `v_k = acc[k] + acc[k+4]`, the sum is `(v0+v2)+(v1+v3)`, and the last
+/// `len % 4` products are added to it one at a time, unfused.
 ///
 /// # Panics
 ///
@@ -35,14 +47,22 @@ use crate::kernel::{self, scalar};
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    if a.len() < kernel::DISPATCH_MIN {
-        scalar::dot(a, b)
-    } else {
-        kernel::active().dot(a, b)
+    if a.len() < FUSED_MIN {
+        return dot_unfused(a, b);
     }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: the CPU has just been shown to support `fma`.
+        return unsafe { fma::dot(a, b) };
+    }
+    dot_fused(a, b)
 }
 
 /// `y += alpha * x`, the classic axpy update.
+///
+/// From eight entries on, the first `⌊len/4⌋·4` entries are updated with
+/// `alpha.mul_add(x[i], y[i])` and the rest unfused; shorter slices are
+/// updated unfused throughout.
 ///
 /// # Panics
 ///
@@ -50,10 +70,95 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    if x.len() < kernel::DISPATCH_MIN {
-        scalar::axpy(alpha, x, y);
-    } else {
-        kernel::active().axpy(alpha, x, y);
+    if x.len() < FUSED_MIN {
+        return axpy_unfused(alpha, x, y);
+    }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: the CPU has just been shown to support `fma`.
+        return unsafe { fma::axpy(alpha, x, y) };
+    }
+    axpy_fused(alpha, x, y);
+}
+
+/// The fused bodies compiled with the `fma` target feature, so that each
+/// `mul_add` is one instruction instead of a library call.
+#[cfg(target_arch = "x86_64")]
+mod fma {
+    #[target_feature(enable = "fma")]
+    pub(super) fn dot(a: &[f64], b: &[f64]) -> f64 {
+        super::dot_fused(a, b)
+    }
+
+    #[target_feature(enable = "fma")]
+    pub(super) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+        super::axpy_fused(alpha, x, y);
+    }
+}
+
+fn dot_unfused(a: &[f64], b: &[f64]) -> f64 {
+    let mut ca = a.chunks_exact(4);
+    let mut cb = b.chunks_exact(4);
+    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
+        s0 += xa[0] * xb[0];
+        s1 += xa[1] * xb[1];
+        s2 += xa[2] * xb[2];
+        s3 += xa[3] * xb[3];
+    }
+    let tail: f64 = ca.remainder().iter().zip(cb.remainder()).map(|(x, y)| x * y).sum();
+    (s0 + s1) + (s2 + s3) + tail
+}
+
+#[inline(always)]
+fn dot_fused(a: &[f64], b: &[f64]) -> f64 {
+    let mut acc = [0.0f64; 8];
+    let mut ca = a.chunks_exact(8);
+    let mut cb = b.chunks_exact(8);
+    for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
+        for k in 0..8 {
+            acc[k] = xa[k].mul_add(xb[k], acc[k]);
+        }
+    }
+    let (mut ra, mut rb) = (ca.remainder(), cb.remainder());
+    if ra.len() >= 4 {
+        for k in 0..4 {
+            acc[k] = ra[k].mul_add(rb[k], acc[k]);
+        }
+        (ra, rb) = (&ra[4..], &rb[4..]);
+    }
+    let v: [f64; 4] = std::array::from_fn(|k| acc[k] + acc[k + 4]);
+    let mut s = (v[0] + v[2]) + (v[1] + v[3]);
+    for (x, y) in ra.iter().zip(rb) {
+        s += x * y;
+    }
+    s
+}
+
+fn axpy_unfused(alpha: f64, x: &[f64], y: &mut [f64]) {
+    let mut cx = x.chunks_exact(4);
+    let mut cy = y.chunks_exact_mut(4);
+    for (xs, ys) in cx.by_ref().zip(cy.by_ref()) {
+        ys[0] += alpha * xs[0];
+        ys[1] += alpha * xs[1];
+        ys[2] += alpha * xs[2];
+        ys[3] += alpha * xs[3];
+    }
+    for (yi, xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
+        *yi += alpha * xi;
+    }
+}
+
+#[inline(always)]
+fn axpy_fused(alpha: f64, x: &[f64], y: &mut [f64]) {
+    let split = x.len() / 4 * 4;
+    let (xf, xt) = x.split_at(split);
+    let (yf, yt) = y.split_at_mut(split);
+    for (yi, xi) in yf.iter_mut().zip(xf) {
+        *yi = alpha.mul_add(*xi, *yi);
+    }
+    for (yi, xi) in yt.iter_mut().zip(xt) {
+        *yi += alpha * xi;
     }
 }
 
@@ -68,11 +173,22 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 #[inline]
 pub fn gather_dot(idx: &[usize], vals: &[f64], x: &[f64]) -> f64 {
     assert_eq!(idx.len(), vals.len(), "gather_dot: length mismatch");
-    if idx.len() < kernel::DISPATCH_MIN {
-        scalar::gather_dot(idx, vals, x)
-    } else {
-        kernel::active().gather_dot(idx, vals, x)
+    let mut ci = idx.chunks_exact(4);
+    let mut cv = vals.chunks_exact(4);
+    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    for (is, vs) in ci.by_ref().zip(cv.by_ref()) {
+        s0 += vs[0] * x[is[0]];
+        s1 += vs[1] * x[is[1]];
+        s2 += vs[2] * x[is[2]];
+        s3 += vs[3] * x[is[3]];
     }
+    let tail: f64 = ci
+        .remainder()
+        .iter()
+        .zip(cv.remainder())
+        .map(|(&r, &v)| v * x[r])
+        .sum();
+    (s0 + s1) + (s2 + s3) + tail
 }
 
 /// Sparse scatter update `y[idx[k]] += alpha · vals[k]` — the other half of
@@ -91,10 +207,16 @@ pub fn gather_dot(idx: &[usize], vals: &[f64], x: &[f64]) -> f64 {
 #[inline]
 pub fn scatter_axpy(alpha: f64, idx: &[usize], vals: &[f64], y: &mut [f64]) {
     assert_eq!(idx.len(), vals.len(), "scatter_axpy: length mismatch");
-    if idx.len() < kernel::DISPATCH_MIN {
-        scalar::scatter_axpy(alpha, idx, vals, y);
-    } else {
-        kernel::active().scatter_axpy(alpha, idx, vals, y);
+    let mut ci = idx.chunks_exact(4);
+    let mut cv = vals.chunks_exact(4);
+    for (is, vs) in ci.by_ref().zip(cv.by_ref()) {
+        y[is[0]] += alpha * vs[0];
+        y[is[1]] += alpha * vs[1];
+        y[is[2]] += alpha * vs[2];
+        y[is[3]] += alpha * vs[3];
+    }
+    for (&r, &v) in ci.remainder().iter().zip(cv.remainder()) {
+        y[r] += alpha * v;
     }
 }
 
@@ -109,14 +231,13 @@ pub fn scatter_axpy(alpha: f64, idx: &[usize], vals: &[f64], y: &mut [f64]) {
 /// Fusing the position test into the gather keeps the kernel O(nnz of
 /// the column) with no materialized sub-column, and lets the caller keep
 /// a workspace that is only clean inside the window: an excluded entry's
-/// `x` value is never read into the product under any kernel backend.
+/// `x` value is never read into the product.
 ///
 /// # Panics
 ///
 /// Panics if `idx` and `vals` have different lengths, or if an index is
 /// out of bounds for `pos`, or if a window-*included* index is out of
-/// bounds for `x` — identically under every kernel backend (the SIMD
-/// backends run the window test per lane before touching `x`).
+/// bounds for `x`.
 #[inline]
 pub fn masked_gather_dot(
     idx: &[usize],
@@ -126,11 +247,27 @@ pub fn masked_gather_dot(
     cutoff: usize,
 ) -> f64 {
     assert_eq!(idx.len(), vals.len(), "masked_gather_dot: length mismatch");
-    if idx.len() < kernel::DISPATCH_MIN {
-        scalar::masked_gather_dot(idx, vals, x, pos, cutoff)
-    } else {
-        kernel::active().masked_gather_dot(idx, vals, x, pos, cutoff)
+    let mut ci = idx.chunks_exact(4);
+    let mut cv = vals.chunks_exact(4);
+    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    // Select-to-zero rather than conditional skip: the four accumulator
+    // lanes stay independent (a branch would serialize them), and an
+    // excluded entry's `x` value is never read into the product, so the
+    // caller's workspace only has to be clean inside the window.
+    let pick = |r: usize| if pos[r] > cutoff { x[r] } else { 0.0 };
+    for (is, vs) in ci.by_ref().zip(cv.by_ref()) {
+        s0 += vs[0] * pick(is[0]);
+        s1 += vs[1] * pick(is[1]);
+        s2 += vs[2] * pick(is[2]);
+        s3 += vs[3] * pick(is[3]);
     }
+    let tail: f64 = ci
+        .remainder()
+        .iter()
+        .zip(cv.remainder())
+        .map(|(&r, &v)| v * pick(r))
+        .sum();
+    (s0 + s1) + (s2 + s3) + tail
 }
 
 /// Returns `alpha * x` as a new vector.
@@ -144,10 +281,8 @@ pub fn scale(alpha: f64, x: &[f64]) -> Vec<f64> {
 /// of the dense tableau's pivot normalization.
 #[inline]
 pub fn scale_in_place(alpha: f64, x: &mut [f64]) {
-    if x.len() < kernel::DISPATCH_MIN {
-        scalar::scale(alpha, x);
-    } else {
-        kernel::active().scale(alpha, x);
+    for v in x.iter_mut() {
+        *v *= alpha;
     }
 }
 
@@ -171,14 +306,11 @@ pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
     a.iter().zip(b).map(|(x, y)| x - y).collect()
 }
 
-/// Maximum absolute entry (`∞`-norm); `0.0` for the empty slice.
+/// Maximum absolute entry (`∞`-norm); `0.0` for the empty slice. NaN
+/// entries are ignored, as in an `f64::max` fold.
 #[inline]
 pub fn norm_inf(x: &[f64]) -> f64 {
-    if x.len() < kernel::DISPATCH_MIN {
-        scalar::norm_inf(x)
-    } else {
-        kernel::active().norm_inf(x)
-    }
+    x.iter().fold(0.0, |m, v| m.max(v.abs()))
 }
 
 /// Euclidean norm.
@@ -213,7 +345,7 @@ mod tests {
     #[test]
     fn dot_unrolled_matches_naive_at_every_remainder_length() {
         // Lengths 0..13 cross the 4-wide chunk boundary at every offset
-        // and straddle the DISPATCH_MIN cutover into the SIMD backend.
+        // and straddle the switch to the fused body at eight entries.
         for len in 0..13usize {
             let a: Vec<f64> = (0..len).map(|i| (i as f64) * 0.75 - 3.0).collect();
             let b: Vec<f64> = (0..len).map(|i| 1.5 - (i as f64) * 0.25).collect();
@@ -241,6 +373,57 @@ mod tests {
             axpy(-1.75, &x, &mut y);
             for (got, want) in y.iter().zip(&naive) {
                 assert!((got - want).abs() < 1e-12, "len {len}");
+            }
+        }
+    }
+
+    /// Equal bits, or both NaN: which NaN payload survives a sum is not
+    /// part of the contract.
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    #[test]
+    fn fma_instantiation_matches_the_plain_body_bit_for_bit() {
+        // Lengths 0..=40 cover every remainder of the 8-wide blocks; the
+        // data mixes ordinary values with subnormals, ±inf and NaN.
+        let tiny = f64::from_bits(1);
+        let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 3.0 * tiny, -tiny];
+        let wiggle = |i: usize, salt: f64| ((i as f64) * 0.7310585 + salt).sin() * 4.0;
+        for len in 0..=40usize {
+            let clean: Vec<f64> = (0..len).map(|i| wiggle(i, 0.1)).collect();
+            let b: Vec<f64> = (0..len).map(|i| wiggle(i, 2.7)).collect();
+            let subnormal: Vec<f64> = (0..len).map(|i| (i as f64 + 1.0) * tiny).collect();
+            let mut inputs = vec![clean.clone(), subnormal];
+            for (slot, &poison) in special.iter().enumerate().take(len) {
+                let mut a = clean.clone();
+                a[len - 1 - slot] = poison;
+                inputs.push(a);
+            }
+            if len >= 2 {
+                // Opposite infinities in different lanes meet in the
+                // reduction and make a NaN there.
+                let mut a = clean.clone();
+                (a[0], a[len - 1]) = (f64::INFINITY, f64::NEG_INFINITY);
+                inputs.push(a);
+            }
+            for a in &inputs {
+                let plain = dot_fused(a, &b);
+                assert!(len < FUSED_MIN || same_bits(dot(a, &b), plain), "dot len {len}");
+                let mut y_plain = b.clone();
+                axpy_fused(-1.375, a, &mut y_plain);
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("fma") {
+                    // SAFETY: the CPU has just been shown to support `fma`.
+                    let wide = unsafe { fma::dot(a, &b) };
+                    assert!(same_bits(wide, plain), "dot len {len}");
+                    let mut y_wide = b.clone();
+                    // SAFETY: as above.
+                    unsafe { fma::axpy(-1.375, a, &mut y_wide) };
+                    for (i, (w, p)) in y_wide.iter().zip(&y_plain).enumerate() {
+                        assert!(same_bits(*w, *p), "axpy len {len} slot {i}");
+                    }
+                }
             }
         }
     }
@@ -289,7 +472,7 @@ mod tests {
     fn masked_gather_dot_never_reads_excluded_entries() {
         // Entries outside the window hold NaN: the kernel must not let
         // them poison the sum (select-to-zero, not multiply-by-mask).
-        // Length 9 pushes the call through the dispatched SIMD path.
+        // Length 9 covers two unrolled blocks and a tail.
         let x = vec![f64::NAN, 2.0, f64::NAN, 4.0, 1.0, f64::NAN, 3.0, f64::NAN, 5.0];
         let pos = vec![0usize, 4, 1, 5, 6, 2, 7, 3, 8];
         let idx = [0usize, 1, 2, 3, 4, 5, 6, 7, 8];
@@ -306,8 +489,7 @@ mod tests {
 
     #[test]
     fn scatter_axpy_matches_naive_at_every_remainder_length() {
-        // Distinct indices crossing the 4-wide unroll boundary and the
-        // DISPATCH_MIN cutover.
+        // Distinct indices crossing the 4-wide unroll boundary twice.
         let idx = [5usize, 0, 3, 7, 1, 6, 2, 4, 8];
         let vals = [2.0, -1.0, 0.5, 4.0, 3.0, -0.25, 1.25, -2.0, 0.75];
         for take in 0..=idx.len() {
@@ -344,10 +526,14 @@ mod tests {
     }
 
     #[test]
-    fn norm_inf_long_slice_rides_the_kernel() {
+    fn norm_inf_ignores_nan_and_maps_infinities_to_plus_inf() {
         let mut x = vec![0.5; 37];
         x[19] = -7.25;
         assert_eq!(norm_inf(&x), 7.25);
+        x[4] = f64::NAN;
+        assert_eq!(norm_inf(&x), 7.25);
+        x[30] = f64::NEG_INFINITY;
+        assert_eq!(norm_inf(&x), f64::INFINITY);
     }
 
     #[test]

@@ -167,10 +167,6 @@ mod simplex;
 mod solver;
 
 pub use cache::{SharedBasisCache, DEFAULT_SHARED_CACHE_CAPACITY};
-/// The process-wide SIMD kernel provenance string ([`LpStats`] footers
-/// embed it; re-exported so stats consumers one layer up don't need a
-/// direct `qava-linalg` dependency to label their own reports).
-pub use qava_linalg::kernel::provenance as kernel_provenance;
 pub use csc::CscMatrix;
 pub use expr::{LinExpr, VarId};
 pub use faults::{FaultKind, FaultPlan};
@@ -179,6 +175,12 @@ pub use solver::{
     BackendChoice, BackendTally, CoreSolution, DenseTableau, LpBackend, LpSolver, LpStats,
     LuFtSimplex, SparseRevised,
 };
+
+/// Names the arithmetic behind every `qava_linalg::vecops` kernel. It is
+/// the same on every CPU, so the label is fixed.
+pub fn kernel_provenance() -> &'static str {
+    "portable-fma"
+}
 
 /// Test-facing introspection into the revised-simplex core. Not part of
 /// the stable API: the metamorphic suite (`tests/prop.rs`) uses it to

@@ -536,7 +536,7 @@ impl std::fmt::Display for LpStats {
              warm start {} hits / {} misses, {} evictions, {} persistent; \
              {} watchdog restarts ({} singular / {} infeasible), {} bland retries; \
              {} failovers / {} rescues; {} dual reopts ({} fell back cold); \
-             {} accuracy refactors; vec kernel {kernel}",
+             {} accuracy refactors",
             self.solves,
             self.pivots,
             self.wall_seconds,
@@ -553,12 +553,10 @@ impl std::fmt::Display for LpStats {
             self.failovers,
             self.failover_recoveries,
             self.reopt_attempts,
-            self.reopt_attempts - self.reopt_successes,
+            // Saturating: stats decoded from a daemon reply need not
+            // satisfy successes <= attempts.
+            self.reopt_attempts.saturating_sub(self.reopt_successes),
             self.accuracy_refactors,
-            // The process-wide SIMD kernel behind every vecops call: logs
-            // and bench artifacts must say which backend produced them —
-            // including when the requested kernel silently degraded.
-            kernel = qava_linalg::kernel::provenance(),
         )?;
         for t in &self.backends {
             writeln!(

@@ -248,7 +248,7 @@ pub fn engine_run_from_json(json: &Json) -> Result<EngineRun, String> {
 }
 
 /// The machine-readable suite document behind `qava --suite --json`:
-/// per-row results plus the two stats footers and kernel provenance.
+/// per-row results plus the two stats footers.
 /// This is what the daemon conformance tests diff against in-process
 /// results, so both the daemon-mediated and the in-process suite paths
 /// render through this one function.
@@ -277,7 +277,6 @@ pub fn suite_json(reports: &[RowReport], race: bool, backend: &str) -> Json {
         ("failures", Json::Num(failures as f64)),
         ("race", Json::Bool(race)),
         ("backend", Json::Str(backend.to_string())),
-        ("kernel", Json::Str(qava_lp::kernel_provenance())),
         ("lp", lp_stats_to_json(&qava_core::suite::runner::suite_lp_stats(reports))),
         (
             "abandoned",

@@ -478,7 +478,6 @@ fn stats_response(shared: &Shared) -> Json {
         ("warm_entries", Json::Num(shared.warm.len() as f64)),
         ("lp", lp_stats_to_json(&Shared::lock(&shared.totals))),
         ("abandoned", lp_stats_to_json(&Shared::lock(&shared.abandoned))),
-        ("kernel", Json::Str(qava_lp::kernel_provenance())),
     ])
 }
 

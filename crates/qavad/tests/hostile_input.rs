@@ -8,11 +8,15 @@
 //! * `SharedBasisCache::load_or_cold` never panics on a spill file with
 //!   one byte flipped or cut short, and keeps no entry the file did not
 //!   hold with exactly the shape it was written with.
+//! * The client's reply decoders (`engine_run_from_json`,
+//!   `lp_stats_from_json`) never panic on random objects, and neither does
+//!   printing what they decode, as `qava --connect` does.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use qava_lp::SharedBasisCache;
+use qava_lp::{LpStats, SharedBasisCache};
 use qavad::json::{self, Json};
+use qavad::protocol::{engine_run_from_json, lp_stats_from_json};
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 use std::path::PathBuf;
@@ -81,6 +85,49 @@ fn random_string(rng: &mut StdRng) -> String {
     (0..rng.gen_range(0..8))
         .map(|_| CHARS[rng.gen_range(0..CHARS.len())])
         .collect()
+}
+
+/// Field names the reply decoders look up, so random objects reach them.
+const REPLY_KEYS: [&str; 14] = [
+    "engine",
+    "ln_bound",
+    "error",
+    "seconds",
+    "raced",
+    "fault",
+    "lp",
+    "abandoned",
+    "backends",
+    "name",
+    "solves",
+    "reopt_attempts",
+    "reopt_successes",
+    "wall_seconds",
+];
+
+/// A random object over [`REPLY_KEYS`] and a few random keys; `lp`,
+/// `abandoned` and `backends` entries nest further reply-shaped objects.
+fn random_reply(rng: &mut StdRng, depth: usize) -> Json {
+    let fields = (0..rng.gen_range(0..8))
+        .map(|_| {
+            let key = if rng.gen_range(0..4) == 0 {
+                random_string(rng)
+            } else {
+                REPLY_KEYS[rng.gen_range(0..REPLY_KEYS.len())].to_string()
+            };
+            let value = match key.as_str() {
+                "lp" | "abandoned" if depth > 0 => random_reply(rng, depth - 1),
+                "backends" if depth > 0 => Json::Arr(
+                    (0..rng.gen_range(0..3))
+                        .map(|_| random_reply(rng, depth - 1))
+                        .collect(),
+                ),
+                _ => random_json(rng, 1),
+            };
+            (key, value)
+        })
+        .collect();
+    Json::Obj(fields)
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -168,6 +215,34 @@ proptest! {
         prop_assert!(!line.contains('\n'), "wire format is one line: {}", line);
         prop_assert_eq!(json::parse(&line), Ok(doc));
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random replies decode to a run or an error, and whatever decodes
+    /// prints, as `qava --connect` prints it, without a panic.
+    #[test]
+    fn reply_decoders_never_panic(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let reply = random_reply(&mut rng, 2);
+        let mut totals = lp_stats_from_json(&reply);
+        let _ = totals.to_string();
+        if let Ok(run) = engine_run_from_json(&reply) {
+            let _ = format!("{} {:?} {:.2}", run.engine, run.bound.map(|b| b.ln()), run.seconds);
+            totals.merge(&run.lp);
+            totals.merge(&run.abandoned);
+            let _ = totals.to_string();
+        }
+    }
+}
+
+/// A daemon reply may claim more successful reoptimizations than
+/// attempts; the footer must still print (it used to underflow).
+#[test]
+fn stats_footer_prints_more_successes_than_attempts() {
+    let stats = LpStats { reopt_attempts: 1, reopt_successes: 5, ..LpStats::default() };
+    assert!(stats.to_string().contains("1 dual reopts (0 fell back cold)"));
 }
 
 proptest! {
