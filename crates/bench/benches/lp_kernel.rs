@@ -22,12 +22,22 @@
 //! dual-reoptimizes each successor from the previous final basis —
 //! the per-point LP cost a sweep actually pays.
 //!
+//! The `ser_probes` rows solve one Ser probe chain of `hoeffding-linear`
+//! two ways: `rebuild` builds the fixed-ε LP afresh for every probe and
+//! solves it (lowering, presolve and equilibration every time), while
+//! `prepared` prepares it once and patches only the ε rows' right-hand
+//! sides per probe (`LpSolver::solve_prepared`, what the search runs).
+//! Both give the same bits; the gap is the per-probe work the prepared
+//! family saves.
+//!
 //! `bench_compare` holds every `lp/` benchmark to the hard ±25% gate
 //! (the suite benches stay warn-only), so a regression in any backend's
 //! kernel fails CI even on noisy shared runners.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use qava_core::hoeffding::{synthesize_reprsm_bound_in, BoundKind};
+use qava_core::hoeffding::{
+    synthesize_reprsm_bound_in, BoundKind, SerProbeLp, DEFAULT_SER_ITERATIONS,
+};
 use qava_core::suite::{coupon_rows, rdwalk_rows, walk3d_rows};
 use qava_linalg::vecops;
 use qava_lp::debug::{update_solve_cycle, TraceEngine};
@@ -293,5 +303,68 @@ fn bench_sweep_chains(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_vecops, bench_lp_kernel, bench_basis_update, bench_sweep_chains);
+/// The Ser probe chain of Coupon `Pr[T > 100]` under the default budget,
+/// solved rebuilt and prepared, each in a fresh `Auto` session. The ε
+/// sequence replays a ternary search on `[0, 2ε*]` that always keeps
+/// the side holding the row's ε\*, so consecutive probes converge and
+/// share bases the way a real search's do.
+fn bench_ser_probes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lp/kernel");
+    group.sample_size(10);
+    let pts = coupon_rows().remove(0).compile();
+    let eps_star = synthesize_reprsm_bound_in(
+        &pts,
+        BoundKind::Hoeffding,
+        DEFAULT_SER_ITERATIONS,
+        &mut LpSolver::new(),
+    )
+    .unwrap()
+    .epsilon;
+    let mut chain = Vec::new();
+    let (mut lo, mut hi) = (0.0, 2.0 * eps_star);
+    while chain.len() < 2 * DEFAULT_SER_ITERATIONS && hi - lo >= 1e-10 {
+        let m1 = lo + (hi - lo) / 3.0;
+        let m2 = hi - (hi - lo) / 3.0;
+        chain.extend([m1, m2]);
+        if eps_star < m2 {
+            hi = m2;
+        } else {
+            lo = m1;
+        }
+    }
+    let probes = SerProbeLp::new(&pts, BoundKind::Hoeffding, &mut LpSolver::new()).unwrap();
+    group.bench_with_input(BenchmarkId::new("ser_probes", "rebuild"), &chain, |bench, chain| {
+        bench.iter(|| {
+            let mut solver = LpSolver::new();
+            chain
+                .iter()
+                .map(|&eps| solver.solve(&probes.build(eps).0).map_or(0.0, |s| s.objective))
+                .sum::<f64>()
+        })
+    });
+    group.bench_with_input(BenchmarkId::new("ser_probes", "prepared"), &chain, |bench, chain| {
+        bench.iter(|| {
+            let mut solver = LpSolver::new();
+            let (lp, eps_rows) = probes.build(chain[0]);
+            let mut prepared = solver.prepare(&lp);
+            chain
+                .iter()
+                .map(|&eps| {
+                    let rhs: Vec<_> = eps_rows.iter().map(|&(row, d)| (row, d - eps)).collect();
+                    solver.solve_prepared(&mut prepared, &rhs).map_or(0.0, |s| s.objective)
+                })
+                .sum::<f64>()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_vecops,
+    bench_lp_kernel,
+    bench_basis_update,
+    bench_sweep_chains,
+    bench_ser_probes
+);
 criterion_main!(benches);

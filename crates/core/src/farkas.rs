@@ -24,10 +24,12 @@
 //! LPs of one run share that session's warm-start cache.
 
 use crate::template::UCoef;
-use qava_lp::{Cmp, LinExpr, LpBuilder, VarId};
+use qava_lp::{Cmp, LinExpr, LpBuilder, RowId, VarId};
 use qava_polyhedra::Polyhedron;
 
-/// Emits the Farkas encoding of `∀v ∈ closure(poly): c(x)·v ≤ d(x)`.
+/// Emits the Farkas encoding of `∀v ∈ closure(poly): c(x)·v ≤ d(x)`
+/// and returns the row `yᵀb − d(x) ≤ d.constant`, the only row whose
+/// right-hand side depends on `d`'s constant.
 ///
 /// `unknowns[i]` must be the LP variable of template unknown `i`; `c` has
 /// one entry per dimension of `poly`.
@@ -41,7 +43,7 @@ pub fn encode_implication(
     poly: &Polyhedron,
     c: &[UCoef],
     d: &UCoef,
-) {
+) -> RowId {
     assert_eq!(c.len(), poly.dim(), "coefficient count must match dimension");
     let rows = poly.constraints();
     let ys: Vec<VarId> = (0..rows.len())
@@ -65,7 +67,7 @@ pub fn encode_implication(
         e = e.term(ys[i], h.rhs);
     }
     e = sub_ucoef(e, d, unknowns);
-    lp.constrain(e, Cmp::Le, d.constant);
+    lp.constrain(e, Cmp::Le, d.constant)
 }
 
 /// Subtracts the linear part of a [`UCoef`] from an expression (its constant

@@ -19,11 +19,25 @@
 //! (with `ω = η(ℓ_init, v_init)`) is bilinear, so the **Ser** procedure
 //! ternary-searches over `ε`, solving one Farkas LP per probe — the
 //! uniqueness of the local optimum is Proposition 5 of the paper.
+//!
+//! In that LP ε is only a right-hand-side constant: each (C3) row reads
+//! `… ≤ −d(x) − ε`. So a run builds the fixed-ε LP once, at its first
+//! probe, prepares it ([`LpSolver::prepare`]: lowered, presolved and
+//! equilibrated once), and solves every probe and the certifying solve
+//! at ε\* as a member of that right-hand-side family
+//! ([`LpSolver::solve_prepared`]), changing only the (C3) rows. Each
+//! member gives exactly the bits that building and solving the LP at its
+//! ε would — the ternary search could not absorb even a last-digit
+//! change of one ω(ε) — and `tests/ser_trajectory.rs` pins ε\*, ω, the
+//! bound and the LP work of every Table 1 row. The εmax LP, where ε is a
+//! variable, is built and solved once as before.
 
 use crate::farkas::encode_implication;
 use crate::logprob::LogProb;
 use crate::template::{SolvedTemplate, TemplateSpace, UCoef};
-use qava_lp::{Cmp, LinExpr, LpBuilder, LpError, LpSolver, VarId};
+use qava_lp::{
+    debug, Cmp, LinExpr, LpBuilder, LpError, LpSolution, LpSolver, PreparedLp, RowId, VarId,
+};
 use qava_pts::{Fork, Pts, Transition};
 use qava_polyhedra::{Halfspace, Polyhedron};
 
@@ -89,6 +103,9 @@ pub struct RepRsmResult {
     pub template: SolvedTemplate,
     /// Number of LPs solved by the Ser search.
     pub lp_solves: usize,
+    /// Fixed-ε solves that could not replay the prepared LP and ran the
+    /// full LP pipeline instead (same result, more work).
+    pub probe_fallbacks: usize,
 }
 
 /// Cap on enumerated discrete-support combinations per fork in (C4).
@@ -97,14 +114,18 @@ const MAX_SUPPORT_COMBOS: usize = 4096;
 /// differences bounded by 1 cannot decrease by more than 1 in expectation).
 const EPS_CAP: f64 = 1.0;
 
-/// Default number of Ser ternary-search iterations: `(2/3)^70` shrinks the
-/// ε window by ~1e-12, matching Theorem C.1's `O(log(εmax/μ))` with the
-/// tightest μ that still makes sense in f64.
+/// Default cap on Ser ternary-search iterations (Theorem C.1's
+/// `O(log(εmax/μ))`). The search also stops as soon as the ε window is
+/// narrower than 1e-10; since the window starts at most 1 wide and each
+/// iteration keeps two thirds of it, that break ends the search after at
+/// most ~57 iterations (`(2/3)^57 ≈ 1e-10`), so the cap of 70 (a window
+/// of ~1e-12) never binds with the default window.
 pub const DEFAULT_SER_ITERATIONS: usize = 70;
 
-/// Synthesizes a RepRSM upper bound with a Ser ternary search of
-/// `ser_iterations` probes (Theorem C.1), threading every LP through the
-/// given solver session: the ε probes share one sparsity pattern, so each
+/// Synthesizes a RepRSM upper bound with a Ser ternary search of at most
+/// `ser_iterations` iterations of two probes each (Theorem C.1), threading
+/// every LP through the given solver session: the ε probes are members of
+/// one prepared right-hand-side family (see the module docs), so each
 /// probe beyond the first warm-starts from its predecessor's basis.
 ///
 /// # Errors
@@ -167,34 +188,102 @@ pub fn synthesize_reprsm_bound_seeded_in(
     if pts.is_absorbing(init.loc) {
         return Err(RepRsmError::TrivialInitial);
     }
-    let space = TemplateSpace::new(pts, true);
-    let gen = ConstraintGen::new(pts, &space, kind, solver)?;
-    let mut lp_solves = 0usize;
+    let gen = ConstraintGen::new(pts, TemplateSpace::new(pts, true), kind, solver)?;
+    let mut ser = SerSearch { gen: &gen, iterations: ser_iterations, fixed: None, lp_solves: 0 };
+    let finished = |ser: &SerSearch<'_, '_>, mut r: RepRsmResult| {
+        r.lp_solves = ser.lp_solves;
+        r.probe_fallbacks =
+            ser.fixed.as_ref().map_or(0, |f| debug::prepared_counts(&f.prepared).1);
+        r
+    };
 
-    // f(ε) = ε·ω_opt(ε), minimized by ternary search (Appendix C.2).
-    let omega_at =
-        |eps: f64, count: &mut usize, solver: &mut LpSolver| -> Result<f64, RepRsmError> {
-            let (lp, _, _) = gen.build_lp(Some(eps));
-            *count += 1;
-            match solver.solve(&lp) {
-                Ok(sol) => Ok(sol.objective.min(0.0)),
-                Err(LpError::Infeasible) => Ok(f64::INFINITY), // probe outside feasible ε range
-                Err(e) => Err(RepRsmError::Lp(e)),
+    // Seeded fast path: search the neighbor-derived window, fall back to
+    // the full search when the guards fire.
+    if let Some(seed) = eps_seed.filter(|e| e.is_finite() && *e > 0.0) {
+        let hi = (SEED_WINDOW * seed).min(EPS_CAP);
+        let eps_star = ser.ternary(0.0, hi, solver)?;
+        if eps_star <= SEED_BOUNDARY * hi || hi >= EPS_CAP {
+            if let Some(r) = ser.finish(eps_star, solver)? {
+                return Ok(finished(&ser, r));
             }
-        };
-    let ternary = |mut lo: f64,
-                   mut hi: f64,
-                   count: &mut usize,
-                   solver: &mut LpSolver|
-     -> Result<f64, RepRsmError> {
-        for _ in 0..ser_iterations {
+        }
+    }
+
+    let eps_max = ser.eps_max(solver)?;
+    let eps_star = ser.ternary(0.0, eps_max, solver)?;
+    match ser.finish(eps_star, solver)? {
+        Some(r) => Ok(finished(&ser, r)),
+        None => Err(RepRsmError::NoRepRsm),
+    }
+}
+
+/// The LPs of one Ser search: the εmax LP, and the fixed-ε LP of every
+/// probe and of the certifying solve at ε\*.
+struct SerSearch<'g, 'a> {
+    gen: &'g ConstraintGen<'a>,
+    /// Ternary-search iteration budget.
+    iterations: usize,
+    /// The fixed-ε LP, prepared at the first probe.
+    fixed: Option<FixedEpsLp>,
+    /// LPs solved so far.
+    lp_solves: usize,
+}
+
+/// The fixed-ε LP prepared once per run. ε enters it only as a
+/// right-hand-side constant of the C3 rows, so every probe is a member
+/// of one right-hand-side family ([`LpSolver::solve_prepared`]).
+struct FixedEpsLp {
+    prepared: PreparedLp,
+    unknowns: Vec<VarId>,
+    /// Each C3 row with its right-hand side before ε is subtracted.
+    eps_rows: Vec<(RowId, f64)>,
+}
+
+impl SerSearch<'_, '_> {
+    /// Solves the fixed-ε LP at `eps`: the same model, and the same bits,
+    /// as building it at `eps` and solving it.
+    fn solve_at(&mut self, eps: f64, solver: &mut LpSolver) -> Result<LpSolution, LpError> {
+        self.lp_solves += 1;
+        let gen = self.gen;
+        let fixed = self.fixed.get_or_insert_with(|| {
+            let built = gen.build_lp(Some(eps));
+            FixedEpsLp {
+                prepared: solver.prepare(&built.lp),
+                unknowns: built.unknowns,
+                eps_rows: built.eps_rows,
+            }
+        });
+        let rhs: Vec<(RowId, f64)> =
+            fixed.eps_rows.iter().map(|&(row, d)| (row, d - eps)).collect();
+        solver.solve_prepared(&mut fixed.prepared, &rhs)
+    }
+
+    /// ω_opt(ε); `+∞` when ε lies outside the feasible range.
+    fn omega_at(&mut self, eps: f64, solver: &mut LpSolver) -> Result<f64, RepRsmError> {
+        match self.solve_at(eps, solver) {
+            Ok(sol) => Ok(sol.objective.min(0.0)),
+            Err(LpError::Infeasible) => Ok(f64::INFINITY), // probe outside feasible ε range
+            Err(e) => Err(RepRsmError::Lp(e)),
+        }
+    }
+
+    /// f(ε) = ε·ω_opt(ε), minimized by ternary search (Appendix C.2) on
+    /// `[lo, hi]`: at most `iterations` rounds of two probes, stopping
+    /// early once the window is narrower than 1e-10.
+    fn ternary(
+        &mut self,
+        mut lo: f64,
+        mut hi: f64,
+        solver: &mut LpSolver,
+    ) -> Result<f64, RepRsmError> {
+        for _ in 0..self.iterations {
             if hi - lo < 1e-10 {
                 break;
             }
             let m1 = lo + (hi - lo) / 3.0;
             let m2 = hi - (hi - lo) / 3.0;
-            let f1 = m1 * omega_at(m1, count, solver)?;
-            let f2 = m2 * omega_at(m2, count, solver)?;
+            let f1 = m1 * self.omega_at(m1, solver)?;
+            let f2 = m2 * self.omega_at(m2, solver)?;
             if f1 < f2 {
                 hi = m2;
             } else {
@@ -202,69 +291,87 @@ pub fn synthesize_reprsm_bound_seeded_in(
             }
         }
         Ok((lo + hi) / 2.0)
-    };
-    // Final certifying solve at ε*; `Ok(None)` = infeasible there.
-    let finish = |eps_star: f64,
-                  count: &mut usize,
-                  solver: &mut LpSolver|
-     -> Result<Option<RepRsmResult>, RepRsmError> {
-        let (lp, unknowns, _) = gen.build_lp(Some(eps_star));
-        *count += 1;
-        let sol = match solver.solve(&lp) {
+    }
+
+    /// Final certifying solve at ε\*; `Ok(None)` = infeasible there. The
+    /// caller stamps the solve counts.
+    fn finish(
+        &mut self,
+        eps_star: f64,
+        solver: &mut LpSolver,
+    ) -> Result<Option<RepRsmResult>, RepRsmError> {
+        let sol = match self.solve_at(eps_star, solver) {
             Ok(s) => s,
             Err(LpError::Infeasible) => return Ok(None),
             Err(e) => return Err(RepRsmError::Lp(e)),
         };
+        let unknowns = &self.fixed.as_ref().expect("solve_at prepared it").unknowns;
         let x: Vec<f64> = unknowns.iter().map(|&v| sol.value(v)).collect();
         let omega = sol.objective.min(0.0);
-        let log_bound = kind.factor() * eps_star * omega;
+        let log_bound = self.gen.kind.factor() * eps_star * omega;
         Ok(Some(RepRsmResult {
             bound: LogProb::from_ln(log_bound).clamp_to_unit(),
             epsilon: eps_star,
             omega,
-            template: SolvedTemplate::from_solution(pts, &space, &x),
-            lp_solves: 0, // caller stamps the running total
+            template: SolvedTemplate::from_solution(self.gen.pts, &self.gen.space, &x),
+            lp_solves: 0,
+            probe_fallbacks: 0,
         }))
-    };
-
-    // Seeded fast path: search the neighbor-derived window, fall back to
-    // the full search when the guards fire.
-    if let Some(seed) = eps_seed.filter(|e| e.is_finite() && *e > 0.0) {
-        let hi = (SEED_WINDOW * seed).min(EPS_CAP);
-        let eps_star = ternary(0.0, hi, &mut lp_solves, solver)?;
-        if eps_star <= SEED_BOUNDARY * hi || hi >= EPS_CAP {
-            if let Some(mut r) = finish(eps_star, &mut lp_solves, solver)? {
-                r.lp_solves = lp_solves;
-                return Ok(r);
-            }
-        }
     }
 
-    // εmax: maximize ε subject to everything (ε itself capped for
-    // boundedness).
-    let eps_max = {
-        let (lp, _, eps_var) = gen.build_lp(None);
-        lp_solves += 1;
-        match solver.solve(&lp) {
-            Ok(sol) => sol.value(eps_var.expect("eps is a variable here")).min(EPS_CAP),
-            Err(LpError::Infeasible) => return Err(RepRsmError::NoRepRsm),
-            Err(e) => return Err(RepRsmError::Lp(e)),
+    /// εmax: maximize ε subject to everything (ε itself capped for
+    /// boundedness).
+    fn eps_max(&mut self, solver: &mut LpSolver) -> Result<f64, RepRsmError> {
+        let built = self.gen.build_lp(None);
+        self.lp_solves += 1;
+        match solver.solve(&built.lp) {
+            Ok(sol) => Ok(sol.value(built.eps_var.expect("eps is a variable here")).min(EPS_CAP)),
+            Err(LpError::Infeasible) => Err(RepRsmError::NoRepRsm),
+            Err(e) => Err(RepRsmError::Lp(e)),
         }
-    };
-    let eps_star = ternary(0.0, eps_max, &mut lp_solves, solver)?;
-    match finish(eps_star, &mut lp_solves, solver)? {
-        Some(mut r) => {
-            r.lp_solves = lp_solves;
-            Ok(r)
-        }
-        None => Err(RepRsmError::NoRepRsm),
     }
+}
+
+/// Bench hook, not a stable API: the fixed-ε LP of a program's Ser
+/// search, for the `lp/kernel/ser_probes` rows that solve one probe
+/// chain rebuilt per probe and prepared once.
+#[doc(hidden)]
+pub struct SerProbeLp<'a>(ConstraintGen<'a>);
+
+impl<'a> SerProbeLp<'a> {
+    /// Generates the constraints (the polyhedron probes run on `solver`).
+    ///
+    /// # Errors
+    ///
+    /// See [`RepRsmError`].
+    pub fn new(pts: &'a Pts, kind: BoundKind, solver: &mut LpSolver) -> Result<Self, RepRsmError> {
+        ConstraintGen::new(pts, TemplateSpace::new(pts, true), kind, solver).map(SerProbeLp)
+    }
+
+    /// The model at `eps`, and each C3 row with its right-hand side
+    /// before ε is subtracted (the member at ε' sets it to that minus ε').
+    pub fn build(&self, eps: f64) -> (LpBuilder, Vec<(RowId, f64)>) {
+        let built = self.0.build_lp(Some(eps));
+        (built.lp, built.eps_rows)
+    }
+}
+
+/// A built Ser LP.
+struct SerLp {
+    lp: LpBuilder,
+    /// The LP variables of the template unknowns.
+    unknowns: Vec<VarId>,
+    /// ε, when it is a variable (the εmax LP).
+    eps_var: Option<VarId>,
+    /// For a fixed ε: each C3 row with its right-hand side before ε is
+    /// subtracted (the row's right-hand side is that minus ε).
+    eps_rows: Vec<(RowId, f64)>,
 }
 
 /// Shared constraint-generation state: everything except the value of ε.
 struct ConstraintGen<'a> {
     pts: &'a Pts,
-    space: &'a TemplateSpace,
+    space: TemplateSpace,
     kind: BoundKind,
     /// Pre-enumerated (C4) instances:
     /// `(extended Ψ, coefficient rows c(x), offset d-part, fork identity)`.
@@ -289,7 +396,7 @@ struct C4Instance {
 impl<'a> ConstraintGen<'a> {
     fn new(
         pts: &'a Pts,
-        space: &'a TemplateSpace,
+        space: TemplateSpace,
         kind: BoundKind,
         solver: &mut LpSolver,
     ) -> Result<Self, RepRsmError> {
@@ -300,9 +407,9 @@ impl<'a> ConstraintGen<'a> {
             if psi.is_empty_in(solver) {
                 continue;
             }
-            c3.push(Self::c3_instance(pts, space, t, &psi));
+            c3.push(Self::c3_instance(pts, &space, t, &psi));
             for fork in &t.forks {
-                Self::c4_instances(pts, space, t, fork, &psi, ti, &mut c4)?;
+                Self::c4_instances(pts, &space, t, fork, &psi, ti, &mut c4)?;
             }
         }
         Ok(ConstraintGen { pts, space, kind, c3_instances: c3, c4_instances: c4 })
@@ -443,7 +550,7 @@ impl<'a> ConstraintGen<'a> {
     /// Builds the LP. When `eps` is `None`, ε is a decision variable and the
     /// objective is `max ε` (for εmax); otherwise ε is substituted and the
     /// objective is `min η(ℓ_init, v_init)`.
-    fn build_lp(&self, eps: Option<f64>) -> (LpBuilder, Vec<VarId>, Option<VarId>) {
+    fn build_lp(&self, eps: Option<f64>) -> SerLp {
         let n = self.space.len();
         let mut lp = LpBuilder::new();
         let unknowns: Vec<VarId> = (0..n).map(|i| lp.add_var(format!("u{i}"))).collect();
@@ -487,8 +594,10 @@ impl<'a> ConstraintGen<'a> {
         encode_implication(&mut lp, &unknowns, self.pts.invariant(fail), &c2, &d2);
 
         // (C3): c(x)·v ≤ −d(x) − ε over Ψ.
+        let mut eps_rows = Vec::new();
         for inst in &self.c3_instances {
             let mut d = inst.d_no_eps.negated();
+            let d_constant = d.constant;
             match (eps, eps_var) {
                 (Some(e), _) => d.constant -= e,
                 (None, Some(_)) => {
@@ -500,7 +609,10 @@ impl<'a> ConstraintGen<'a> {
             // β does not appear in C3; ε appears with coefficient −1 when a
             // variable. We splice it via a widened UCoef basis.
             let (xs, c_rows, d_row) = self.widen(&unknowns, beta, eps_var, &inst.c, &d, -1.0);
-            encode_implication(&mut lp, &xs, &inst.psi, &c_rows, &d_row);
+            let row = encode_implication(&mut lp, &xs, &inst.psi, &c_rows, &d_row);
+            if eps.is_some() {
+                eps_rows.push((row, d_constant));
+            }
         }
 
         // (C4): β − diff ≤ 0 and diff − β − 1 ≤ 0 over the extended Ψ.
@@ -540,7 +652,7 @@ impl<'a> ConstraintGen<'a> {
                 lp.minimize(obj);
             }
         }
-        (lp, unknowns, eps_var)
+        SerLp { lp, unknowns, eps_var, eps_rows }
     }
 
     /// Widens template-space [`UCoef`]s (length `n`) to the LP's full

@@ -51,6 +51,18 @@
 //!   dual pivots back to primal feasibility instead of a cold two-phase
 //!   solve, with unchanged verdict certification and an unconditional
 //!   cold fallback on any numerical doubt.
+//!   For **right-hand-side families** — solves that differ only in the
+//!   right-hand sides of some rows, like the Ser search's ε probes —
+//!   [`LpSolver::prepare`] lowers, presolves and equilibrates a model
+//!   once, and [`LpSolver::solve_prepared`] solves each member from it,
+//!   bit for bit as [`LpSolver::solve`] would: [`LpBuilder::constrain`]
+//!   returns the [`RowId`] a member patches, presolve's right-hand-side
+//!   arithmetic is replayed from a tape through the same functions
+//!   presolve runs (a member for which any such decision, or the
+//!   lowering's sign rule, would come out differently runs the full
+//!   pipeline instead), and the backend may clone the fresh
+//!   factorization of an unchanged warm basis instead of refactorizing
+//!   it ([`LpBackend::solve_core_prepared`], [`FactorMemo`]).
 //!   Sessions also carry an optional **cooperative cancellation flag**
 //!   ([`LpSolver::set_cancel_flag`]), polled once per solve boundary:
 //!   once raised, further solves return [`LpError::Cancelled`] without
@@ -170,10 +182,11 @@ pub use cache::{SharedBasisCache, DEFAULT_SHARED_CACHE_CAPACITY};
 pub use csc::CscMatrix;
 pub use expr::{LinExpr, VarId};
 pub use faults::{FaultKind, FaultPlan};
+pub use revised::FactorMemo;
 pub use simplex::{solve_standard_dense, MAX_PIVOTS};
 pub use solver::{
     BackendChoice, BackendTally, CoreSolution, DenseTableau, LpBackend, LpSolver, LpStats,
-    LuFtSimplex, SparseRevised,
+    LuFtSimplex, PreparedLp, SparseRevised,
 };
 
 /// Names the arithmetic behind every `qava_linalg::vecops` kernel. It is
@@ -191,7 +204,15 @@ pub fn kernel_provenance() -> &'static str {
 pub mod debug {
     use crate::csc::CscMatrix;
     use crate::revised;
-    use crate::LpError;
+    use crate::{LpError, PreparedLp};
+
+    /// `(replays, fallbacks)` of a [`PreparedLp`]: the members
+    /// [`LpSolver::solve_prepared`](crate::LpSolver::solve_prepared)
+    /// solved by replaying the prepared presolve, and the members that
+    /// ran the full pipeline instead.
+    pub fn prepared_counts(prep: &PreparedLp) -> (usize, usize) {
+        prep.replay_counts()
+    }
 
     /// Which basis engine a [`trace_pivots`] run drives.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,7 +305,35 @@ enum Direction {
 struct Row {
     coeffs: Vec<(usize, f64)>,
     cmp: Cmp,
+    /// The right-hand side with the expression's constant folded in
+    /// ([`fold_rhs`]).
     rhs: f64,
+    /// The expression's constant, kept so a new right-hand side can be
+    /// folded the same way ([`LpSolver::solve_prepared`]).
+    constant: f64,
+}
+
+/// Identifier of a constraint row of an [`LpBuilder`] model, returned by
+/// [`LpBuilder::constrain`]; names the row whose right-hand side a
+/// [`LpSolver::solve_prepared`] call changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RowId(usize);
+
+/// Moves an expression's constant onto the right-hand side:
+/// `expr + constant (cmp) rhs` is stored as `expr (cmp) rhs − constant`.
+fn fold_rhs(rhs: f64, constant: f64) -> f64 {
+    rhs - constant
+}
+
+/// The standard-form lowering's sign rule: a row is negated exactly when
+/// its right-hand side is negative. Returns the sign applied to the row
+/// and the resulting non-negative right-hand side.
+fn lower_rhs(rhs: f64) -> (f64, f64) {
+    if rhs < 0.0 {
+        (-1.0, -rhs)
+    } else {
+        (1.0, rhs)
+    }
 }
 
 /// Errors returned by [`LpSolver::solve`].
@@ -403,9 +452,18 @@ impl LpBuilder {
 
     /// Adds the constraint `expr (cmp) rhs`. Any constant inside `expr` is
     /// folded onto the right-hand side.
-    pub fn constrain(&mut self, expr: LinExpr, cmp: Cmp, rhs: f64) {
+    pub fn constrain(&mut self, expr: LinExpr, cmp: Cmp, rhs: f64) -> RowId {
         let (coeffs, constant) = expr.into_parts();
-        self.rows.push(Row { coeffs, cmp, rhs: rhs - constant });
+        self.rows.push(Row { coeffs, cmp, rhs: fold_rhs(rhs, constant), constant });
+        RowId(self.rows.len() - 1)
+    }
+
+    /// Replaces a row's right-hand side, as if it had been built with
+    /// `rhs`, and returns what the lowering makes of it ([`lower_rhs`]).
+    fn set_rhs(&mut self, row: RowId, rhs: f64) -> (f64, f64) {
+        let r = &mut self.rows[row.0];
+        r.rhs = fold_rhs(rhs, r.constant);
+        lower_rhs(r.rhs)
     }
 
     /// Sets the objective to *minimize* `expr`. Constant terms are ignored
@@ -450,13 +508,8 @@ impl LpBuilder {
         let mut slack_idx = ncols;
         let mut accum: Vec<f64> = vec![0.0; total];
         for (i, row) in self.rows.iter().enumerate() {
-            let mut rhs = row.rhs;
-            let mut sign = 1.0;
             // Normalize so the right-hand side is non-negative.
-            if rhs < 0.0 {
-                sign = -1.0;
-                rhs = -rhs;
-            }
+            let (sign, rhs) = lower_rhs(row.rhs);
             // Coalesce duplicate variables through a dense scratch vector
             // (columns touched per row are few; only touched slots are
             // visited and reset).

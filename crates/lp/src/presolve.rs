@@ -72,21 +72,31 @@ impl Restore {
 }
 
 /// Runs the reductions; returns the reduced LP and the restore recipe.
+/// With a `tape`, also records every step that reads `b` on it, so that
+/// [`Tape::replay`] can redo them for another `b`.
+///
+/// Which rows are empty, singleton or duplicate depends only on the
+/// sparsity pattern; `b` decides only the outcome of each such step
+/// (drop or infeasible, the fixed value, a row's sign flip, a
+/// duplicate's class). Each of those decisions goes through one of the
+/// step functions below, which the replay calls too.
 ///
 /// # Errors
 ///
 /// [`LpError::Infeasible`] when a reduction proves the system has no
 /// solution with `x ≥ 0`; [`LpError::Unbounded`] when an empty column
 /// with negative cost makes the objective unbounded below.
-pub fn reduce(lp: StdRows) -> Result<(StdRows, Restore), LpError> {
+pub(crate) fn reduce(
+    lp: StdRows,
+    mut tape: Option<&mut Tape>,
+) -> Result<(StdRows, Restore), LpError> {
     let ncols = lp.ncols;
     let mut rows = lp.rows;
     let mut b = lp.b;
     let costs = lp.costs;
     let mut fixed: Vec<(usize, f64)> = Vec::new();
     let mut removed_col = vec![false; ncols];
-    let b_norm = b.iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
-    let feas_tol = 1e-9 * (1.0 + b_norm);
+    let feas_tol = feas_tol(&b);
 
     // -- Singleton + empty rows, iterated: substitution creates both. --
     loop {
@@ -95,40 +105,45 @@ pub fn reduce(lp: StdRows) -> Result<(StdRows, Restore), LpError> {
         while i < rows.len() {
             match rows[i].len() {
                 0 => {
-                    if b[i].abs() > feas_tol {
+                    if !empty_row_feasible(b[i], feas_tol) {
                         return Err(LpError::Infeasible);
                     }
+                    if let Some(t) = tape.as_deref_mut() {
+                        t.steps.push(Step::DropEmpty { slot: i });
+                    }
                     rows.swap_remove(i);
-                    let blen = b.len();
-                    b.swap(i, blen - 1);
-                    b.pop();
+                    b.swap_remove(i);
                     changed = true;
                     // Re-examine the row swapped into slot i.
                 }
                 1 => {
                     let (col, coeff) = rows[i][0];
-                    let value = b[i] / coeff;
-                    if value < -1e-7 {
-                        return Err(LpError::Infeasible);
+                    let value = fix_value(b[i], coeff).ok_or(LpError::Infeasible)?;
+                    if let Some(t) = tape.as_deref_mut() {
+                        t.steps.push(Step::Fix { slot: i, coeff });
                     }
-                    let value = value.max(0.0);
                     fixed.push((col, value));
                     removed_col[col] = true;
                     rows.swap_remove(i);
-                    let blen = b.len();
-                    b.swap(i, blen - 1);
-                    b.pop();
+                    b.swap_remove(i);
                     // Substitute into every remaining row.
                     for (k, row) in rows.iter_mut().enumerate() {
-                        if let Some(pos) = row.iter().position(|&(c, _)| c == col) {
-                            let (_, a) = row.swap_remove(pos);
-                            b[k] -= a * value;
-                        }
-                        if b[k] < 0.0 {
-                            // Keep the standard-form invariant b ≥ 0.
-                            b[k] = -b[k];
+                        let a = row
+                            .iter()
+                            .position(|&(c, _)| c == col)
+                            .map(|pos| row.swap_remove(pos).1);
+                        let flip = substitute(&mut b[k], a, value);
+                        if flip {
                             for e in row.iter_mut() {
                                 e.1 = -e.1;
+                            }
+                        }
+                        // A row the column does not touch keeps its
+                        // `b ≥ 0`, so it flips only on input that broke
+                        // the invariant; record it then too.
+                        if a.is_some() || flip {
+                            if let Some(t) = tape.as_deref_mut() {
+                                t.steps.push(Step::Substitute { row: k, a, flip });
                             }
                         }
                     }
@@ -145,6 +160,7 @@ pub fn reduce(lp: StdRows) -> Result<(StdRows, Restore), LpError> {
     // -- Duplicate rows (normalized pattern + coefficients). --
     {
         use std::collections::HashMap;
+        // Normalized row → (first row with it, that row's lead).
         let mut seen: HashMap<Vec<(usize, u64)>, (usize, f64)> = HashMap::new();
         let mut keep = vec![true; rows.len()];
         for (i, row) in rows.iter_mut().enumerate() {
@@ -152,25 +168,19 @@ pub fn reduce(lp: StdRows) -> Result<(StdRows, Restore), LpError> {
             let lead = row[0].1;
             let key: Vec<(usize, u64)> =
                 row.iter().map(|&(c, v)| (c, (v / lead).to_bits())).collect();
-            let rhs = b[i] / lead;
             match seen.get(&key) {
-                Some(&(_, prev_rhs)) => {
-                    let diff = (rhs - prev_rhs).abs();
-                    if diff <= 1e-12 * (1.0 + rhs.abs().max(prev_rhs.abs())) {
-                        keep[i] = false;
-                    } else if diff > 1e-7 * (1.0 + rhs.abs().max(prev_rhs.abs())) {
-                        // Same left-hand side, clearly different right-hand
-                        // side. With a positive lead the two equalities
-                        // conflict outright; a negated lead means the rhs
-                        // ratio flipped sign, which is still the same
-                        // equation pair. Either way x would have to satisfy
-                        // both, which is impossible.
-                        return Err(LpError::Infeasible);
+                Some(&(first, first_lead)) => {
+                    match dup_class(b[i], lead, b[first], first_lead) {
+                        DupClass::Drop => keep[i] = false,
+                        DupClass::Infeasible => return Err(LpError::Infeasible),
+                        DupClass::Keep => {}
                     }
-                    // Borderline: keep both, the simplex handles it.
+                    if let Some(t) = tape.as_deref_mut() {
+                        t.dups.push(Dup { row: i, lead, first, first_lead, keep: keep[i] });
+                    }
                 }
                 None => {
-                    seen.insert(key, (i, rhs));
+                    seen.insert(key, (i, lead));
                 }
             }
         }
@@ -224,6 +234,155 @@ pub fn reduce(lp: StdRows) -> Result<(StdRows, Restore), LpError> {
     ))
 }
 
+// ---- The b-steps: every decision presolve takes on the right-hand
+// side, shared by `reduce` and `Tape::replay`. ----
+
+/// Tolerance of the empty-row test: relative to the largest `|b|` of
+/// the system as it enters presolve.
+fn feas_tol(b: &[f64]) -> f64 {
+    let b_norm = b.iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
+    1e-9 * (1.0 + b_norm)
+}
+
+/// An empty row `0 = b` may be dropped; otherwise the LP is infeasible.
+/// (Written as a negated `>` so a NaN is dropped, as it always was.)
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn empty_row_feasible(b: f64, feas_tol: f64) -> bool {
+    !(b.abs() > feas_tol)
+}
+
+/// The value a singleton row `coeff·x = b` fixes, clamped at 0; `None`
+/// when it is clearly negative (the LP is infeasible).
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn fix_value(b: f64, coeff: f64) -> Option<f64> {
+    let value = b / coeff;
+    (!(value < -1e-7)).then(|| value.max(0.0))
+}
+
+/// Substitutes a fixed `value` into one row's right-hand side (`a` is
+/// the row's coefficient on the fixed column, if it has one) and keeps
+/// `b ≥ 0`; returns whether the row had to be negated.
+fn substitute(b: &mut f64, a: Option<f64>, value: f64) -> bool {
+    if let Some(a) = a {
+        *b -= a * value;
+    }
+    let flip = *b < 0.0;
+    if flip {
+        *b = -*b;
+    }
+    flip
+}
+
+/// What a duplicate row becomes next to the first row with the same
+/// normalized left-hand side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DupClass {
+    /// Equal right-hand sides: the copy is dropped.
+    Drop,
+    /// Borderline: both are kept, the simplex handles it.
+    Keep,
+    /// Clearly different right-hand sides.
+    Infeasible,
+}
+
+/// Classifies a duplicate pair by its right-hand sides, each divided by
+/// its row's lead coefficient.
+fn dup_class(b: f64, lead: f64, first_b: f64, first_lead: f64) -> DupClass {
+    let rhs = b / lead;
+    let prev_rhs = first_b / first_lead;
+    let diff = (rhs - prev_rhs).abs();
+    if diff <= 1e-12 * (1.0 + rhs.abs().max(prev_rhs.abs())) {
+        DupClass::Drop
+    } else if diff > 1e-7 * (1.0 + rhs.abs().max(prev_rhs.abs())) {
+        // Same left-hand side, clearly different right-hand side. With a
+        // positive lead the two equalities conflict outright; a negated
+        // lead means the rhs ratio flipped sign, which is still the same
+        // equation pair. Either way x would have to satisfy both, which
+        // is impossible.
+        DupClass::Infeasible
+    } else {
+        DupClass::Keep
+    }
+}
+
+/// One `b`-reading step of a recorded presolve, in execution order.
+#[derive(Debug, Clone)]
+enum Step {
+    /// The empty row in `slot` was dropped, then swap-removed.
+    DropEmpty { slot: usize },
+    /// The singleton row in `slot` fixed its column through `coeff`,
+    /// then was swap-removed.
+    Fix { slot: usize, coeff: f64 },
+    /// The last fixed value was substituted into `row`.
+    Substitute { row: usize, a: Option<f64>, flip: bool },
+}
+
+/// A duplicate row and the class it was given.
+#[derive(Debug, Clone)]
+struct Dup {
+    row: usize,
+    lead: f64,
+    first: usize,
+    first_lead: f64,
+    keep: bool,
+}
+
+/// The `b`-arithmetic of one presolve run, recorded by [`reduce`] so
+/// that a system differing only in `b` can be reduced again without
+/// touching its rows.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tape {
+    steps: Vec<Step>,
+    dups: Vec<Dup>,
+}
+
+impl Tape {
+    /// Presolves another right-hand side of the recorded system: given
+    /// the unreduced `b`, returns the reduced `b` and writes the fixed
+    /// values into `fixed` (the recorded run's [`Restore::fixed`], in
+    /// order). The result is exactly what [`reduce`] computes for that
+    /// `b`. `None` means some step would decide differently — a drop
+    /// becoming infeasible, a fixed value going negative, a row
+    /// flipping sign, a duplicate changing class — and the caller must
+    /// run the full presolve instead.
+    pub(crate) fn replay(&self, mut b: Vec<f64>, fixed: &mut [(usize, f64)]) -> Option<Vec<f64>> {
+        let feas_tol = feas_tol(&b);
+        let mut fixes = fixed.iter_mut();
+        let mut value = 0.0;
+        for step in &self.steps {
+            match *step {
+                Step::DropEmpty { slot } => {
+                    if !empty_row_feasible(b[slot], feas_tol) {
+                        return None;
+                    }
+                    b.swap_remove(slot);
+                }
+                Step::Fix { slot, coeff } => {
+                    value = fix_value(b[slot], coeff)?;
+                    fixes.next().expect("one fixed entry per recorded fix").1 = value;
+                    b.swap_remove(slot);
+                }
+                Step::Substitute { row, a, flip } => {
+                    if substitute(&mut b[row], a, value) != flip {
+                        return None;
+                    }
+                }
+            }
+        }
+        let mut keep = vec![true; b.len()];
+        for d in &self.dups {
+            let class = dup_class(b[d.row], d.lead, b[d.first], d.first_lead);
+            if class == DupClass::Infeasible || (class == DupClass::Drop) == d.keep {
+                return None;
+            }
+            keep[d.row] = d.keep;
+        }
+        let mut kb = keep.iter();
+        b.retain(|_| *kb.next().expect("keep mask aligned"));
+        Some(b)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,11 +392,15 @@ mod tests {
         StdRows { costs, rows, b, ncols }
     }
 
+    fn presolve(lp: StdRows) -> Result<(StdRows, Restore), LpError> {
+        reduce(lp, None)
+    }
+
     #[test]
     fn empty_row_dropped_or_infeasible() {
-        let (red, _) = reduce(lp(vec![vec![], vec![(0, 1.0)]], vec![0.0, 2.0], vec![1.0])).unwrap();
+        let (red, _) = presolve(lp(vec![vec![], vec![(0, 1.0)]], vec![0.0, 2.0], vec![1.0])).unwrap();
         assert!(red.rows.is_empty(), "singleton also fires: {red:?}");
-        let r = reduce(lp(vec![vec![]], vec![1.0], vec![1.0]));
+        let r = presolve(lp(vec![vec![]], vec![1.0], vec![1.0]));
         assert_eq!(r.unwrap_err(), LpError::Infeasible);
     }
 
@@ -245,7 +408,7 @@ mod tests {
     fn singleton_fixes_and_substitutes() {
         // 2·x0 = 4 fixes x0 = 2; row 1: x0 + x1 = 5 becomes x1 = 3 (also a
         // singleton, so everything presolves away).
-        let (red, restore) = reduce(lp(
+        let (red, restore) = presolve(lp(
             vec![vec![(0, 2.0)], vec![(0, 1.0), (1, 1.0)]],
             vec![4.0, 5.0],
             vec![0.0, 0.0],
@@ -258,14 +421,14 @@ mod tests {
 
     #[test]
     fn singleton_negative_value_infeasible() {
-        let r = reduce(lp(vec![vec![(0, -1.0)], vec![(0, 1.0), (1, 1.0)]], vec![3.0, 1.0], vec![0.0, 0.0]));
+        let r = presolve(lp(vec![vec![(0, -1.0)], vec![(0, 1.0), (1, 1.0)]], vec![3.0, 1.0], vec![0.0, 0.0]));
         assert_eq!(r.unwrap_err(), LpError::Infeasible);
     }
 
     #[test]
     fn substitution_renormalizes_rhs_sign() {
         // x0 = 3; then x0 + x1 = 1 becomes x1 = −2 < 0: infeasible.
-        let r = reduce(lp(
+        let r = presolve(lp(
             vec![vec![(0, 1.0)], vec![(0, 1.0), (1, 1.0)]],
             vec![3.0, 1.0],
             vec![0.0, 0.0],
@@ -275,7 +438,7 @@ mod tests {
 
     #[test]
     fn duplicate_rows_deduplicated() {
-        let (red, _) = reduce(lp(
+        let (red, _) = presolve(lp(
             vec![
                 vec![(0, 1.0), (1, 1.0)],
                 vec![(0, 2.0), (1, 2.0)], // same normalized row, same rhs ratio
@@ -290,7 +453,7 @@ mod tests {
 
     #[test]
     fn conflicting_duplicate_rows_infeasible() {
-        let r = reduce(lp(
+        let r = presolve(lp(
             vec![vec![(0, 1.0), (1, 1.0)], vec![(0, 1.0), (1, 1.0)]],
             vec![2.0, 5.0],
             vec![1.0, 1.0],
@@ -301,17 +464,61 @@ mod tests {
     #[test]
     fn empty_column_zero_or_unbounded() {
         let (red, restore) =
-            reduce(lp(vec![vec![(0, 1.0)], vec![(0, 1.0), (1, 1.0)]], vec![1.0, 1.0], vec![0.0, 0.0, 3.0])).unwrap();
+            presolve(lp(vec![vec![(0, 1.0)], vec![(0, 1.0), (1, 1.0)]], vec![1.0, 1.0], vec![0.0, 0.0, 3.0])).unwrap();
         assert_eq!(red.ncols, 0, "x0, x1 fixed by singleton chain; x2 empty");
         let x = restore.expand(&[]);
         assert_eq!(x[2], 0.0);
-        let (_, restore) = reduce(lp(vec![vec![(0, 1.0)]], vec![1.0], vec![0.0, -1.0])).unwrap();
+        let (_, restore) = presolve(lp(vec![vec![(0, 1.0)]], vec![1.0], vec![0.0, -1.0])).unwrap();
         assert!(restore.unbounded_if_feasible, "negative-cost empty column defers to feasibility");
+    }
+
+    /// Replaying a recorded presolve on another `b` gives exactly what
+    /// presolving that `b` gives, fixed values included, and declines
+    /// (`None`) exactly when a `b`-decision would change.
+    #[test]
+    fn tape_replay_matches_reduce() {
+        // x0 = b0/2 (singleton), substituted into rows 1 and 2, which
+        // then fix x1 and leave x2 + x3 = …; rows 3 and 4 are a
+        // duplicate pair; row 5 is empty.
+        let rows = vec![
+            vec![(0, 2.0)],
+            vec![(0, 1.0), (1, 1.0)],
+            vec![(0, -1.0), (2, 1.0), (3, 1.0)],
+            vec![(2, 1.0), (3, 2.0)],
+            vec![(2, 3.0), (3, 6.0)],
+            vec![],
+        ];
+        let base = vec![2.0, 3.0, 1.0, 4.0, 12.0, 0.0];
+        let mut tape = Tape::default();
+        let (red, restore) =
+            reduce(lp(rows.clone(), base.clone(), vec![1.0; 4]), Some(&mut tape)).unwrap();
+        let mut fixed = restore.fixed.clone();
+        assert_eq!(tape.replay(base.clone(), &mut fixed), Some(red.b.clone()));
+        assert_eq!(fixed, restore.fixed);
+        for b in [
+            vec![4.0, 3.5, 1.0, 4.5, 13.5, 0.0],
+            vec![0.0, 3.0, 0.5, 1.0, 3.0, 1e-12],
+            vec![2.0, 3.0, 1.0, 4.0, 12.000000001, 0.0],
+            vec![2.0, 3.0, 1.0, 4.0, 13.0, 0.0],
+            vec![2.0, 3.0, 1.0, 4.0, 12.0, 0.5],
+            vec![8.0, 3.0, 1.0, 4.0, 12.0, 0.0],
+            vec![2.0, 3.0, 0.5, 4.0, 12.0, 0.0],
+        ] {
+            let mut fixed = restore.fixed.clone();
+            let replayed = tape.replay(b.clone(), &mut fixed);
+            match presolve(lp(rows.clone(), b.clone(), vec![1.0; 4])) {
+                Ok((red2, restore2)) if red2.rows == red.rows => {
+                    assert_eq!(replayed, Some(red2.b), "{b:?}");
+                    assert_eq!(fixed, restore2.fixed, "{b:?}");
+                }
+                _ => assert_eq!(replayed, None, "{b:?}: a changed decision must decline"),
+            }
+        }
     }
 
     #[test]
     fn expand_maps_kept_columns() {
-        let (red, restore) = reduce(lp(
+        let (red, restore) = presolve(lp(
             vec![vec![(0, 1.0), (2, 1.0)]],
             vec![2.0],
             vec![1.0, 0.0, 1.0],

@@ -44,6 +44,7 @@ use crate::ft::FtBasis;
 use crate::simplex::MAX_PIVOTS;
 use crate::LpError;
 use qava_linalg::{vecops, Matrix, EPS};
+use std::any::Any;
 
 /// Bland-fallback patience, matching the dense path.
 const DEGENERACY_PATIENCE: usize = 40;
@@ -155,6 +156,7 @@ const PIVOT_TOL: f64 = 1e-7;
 
 /// The explicit dense-inverse basis representation (the original
 /// revised-simplex engine, still the best fit for small/dense bases).
+#[derive(Clone)]
 pub(crate) struct DenseInverse {
     binv: Matrix,
     /// Reusable copy of the pivot row of `B⁻¹` so the rank-one update can
@@ -829,8 +831,9 @@ pub(crate) fn solve_equilibrated(
     a: &CscMatrix,
     b: &[f64],
     warm: Option<&[usize]>,
+    factors: Option<&mut FactorMemo>,
 ) -> Result<CoreOutcome, LpError> {
-    solve_equilibrated_with::<DenseInverse>(costs, a, b, warm)
+    solve_equilibrated_with::<DenseInverse>(costs, a, b, warm, factors)
 }
 
 /// Two-phase (or warm-started) revised simplex using the LU +
@@ -840,8 +843,58 @@ pub(crate) fn solve_equilibrated_lu_ft(
     a: &CscMatrix,
     b: &[f64],
     warm: Option<&[usize]>,
+    factors: Option<&mut FactorMemo>,
 ) -> Result<CoreOutcome, LpError> {
-    solve_equilibrated_with::<FtBasis>(costs, a, b, warm)
+    solve_equilibrated_with::<FtBasis>(costs, a, b, warm, factors)
+}
+
+/// The fresh factorization of one basis of one prepared system
+/// ([`LpSolver::prepare`](crate::LpSolver::prepare)), kept so that the
+/// next warm start from the same basis clones it instead of
+/// refactorizing the same basis of the same matrix.
+///
+/// Only a factorization made by a successful refactorization from the
+/// identity is stored — before any basis update touches it — and it is
+/// reused only for an exactly equal basis and the same basis engine, so
+/// a reused factorization is bit for bit the one a refactorization
+/// would build.
+#[derive(Default)]
+pub struct FactorMemo {
+    basis: Vec<usize>,
+    repr: Option<Box<dyn Any + Send>>,
+}
+
+impl std::fmt::Debug for FactorMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FactorMemo").field("basis", &self.basis).finish_non_exhaustive()
+    }
+}
+
+impl FactorMemo {
+    /// The factorization of `basis` on `a`: the stored one when it is
+    /// this basis on this engine, else a fresh one (stored on success).
+    fn factorize<R: BasisRepr + Clone + Send + 'static>(
+        &mut self,
+        a: &CscMatrix,
+        basis: &[usize],
+    ) -> Option<R> {
+        if self.basis == basis {
+            if let Some(repr) = self.repr.as_ref().and_then(|r| r.downcast_ref::<R>()) {
+                return Some(repr.clone());
+            }
+        }
+        let repr = fresh_factor::<R>(a, basis)?;
+        self.basis.clear();
+        self.basis.extend_from_slice(basis);
+        self.repr = Some(Box::new(repr.clone()));
+        Some(repr)
+    }
+}
+
+/// Refactorizes `basis` on `a` from the identity; `None` when singular.
+fn fresh_factor<R: BasisRepr>(a: &CscMatrix, basis: &[usize]) -> Option<R> {
+    let mut repr = R::identity(a.rows());
+    repr.refactor(a, a.cols(), basis).then_some(repr)
 }
 
 /// Dual-simplex reoptimization from a previous optimal basis, using the
@@ -1002,11 +1055,12 @@ pub(crate) fn update_solve_cycle<R: BasisRepr>(
     checksum
 }
 
-fn solve_equilibrated_with<R: BasisRepr>(
+fn solve_equilibrated_with<R: BasisRepr + Clone + Send + 'static>(
     costs: &[f64],
     a: &CscMatrix,
     b: &[f64],
     warm: Option<&[usize]>,
+    factors: Option<&mut FactorMemo>,
 ) -> Result<CoreOutcome, LpError> {
     let m = a.rows();
     let n = a.cols();
@@ -1045,8 +1099,11 @@ fn solve_equilibrated_with<R: BasisRepr>(
     // Unbounded is a verified verdict and is returned.)
     if let Some(basis) = warm {
         if basis.len() == m && basis.iter().all(|&j| j < n) {
-            let mut repr = R::identity(m);
-            if repr.refactor(a, n, basis) {
+            let repr = match factors {
+                Some(factors) => factors.factorize::<R>(a, basis),
+                None => fresh_factor::<R>(a, basis),
+            };
+            if let Some(repr) = repr {
                 let xb = repr.ftran_dense(b);
                 if xb.iter().all(|&v| v >= -1e-9) {
                     let xb = xb.into_iter().map(|v| v.max(0.0)).collect();

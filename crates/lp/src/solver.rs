@@ -31,12 +31,23 @@
 //! to primal feasibility instead of a cold two-phase solve — the
 //! parametric-sweep fast path, with unchanged verdict certification and
 //! an unconditional cold fallback on any doubt.
+//!
+//! A model solved many times with only some right-hand sides changed is
+//! **prepared** once ([`LpSolver::prepare`] → [`PreparedLp`]) and its
+//! members solved with [`LpSolver::solve_prepared`]. A pipeline pass is
+//! two halves: presolve and equilibration (`CoreSystem::new`), and the
+//! backend half (`run_core`: warm lookup, backend call, cache update,
+//! restore). A prepared member replays the recorded presolve on its new
+//! right-hand side and runs the same backend half on the prepared
+//! system, so it computes exactly what an ordinary solve computes.
 
 use crate::cache::{BasisCache, SharedBasisCache};
 use crate::csc::CscMatrix;
 use crate::faults::{self, FaultPlan, Site};
-use crate::presolve::{self, StdRows};
-use crate::{revised, simplex, LpBuilder, LpError, LpSolution};
+use crate::presolve::{self, Restore, StdRows, Tape};
+use crate::revised::FactorMemo;
+use crate::{lower_rhs, revised, simplex, ColMap, LpBuilder, LpError, LpSolution, RowId};
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -136,6 +147,29 @@ pub trait LpBackend {
         warm: Option<&[usize]>,
     ) -> Result<CoreSolution, LpError>;
 
+    /// [`solve_core`](Self::solve_core) on a system prepared once for
+    /// many right-hand sides ([`LpSolver::solve_prepared`]). `factors`
+    /// belongs to that system's matrix and may hold the fresh
+    /// factorization of an earlier warm basis; a backend may clone it
+    /// for an equal warm basis instead of refactorizing the same basis
+    /// of the same matrix. The result must be exactly `solve_core`'s.
+    /// The default ignores `factors`.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`solve_core`](Self::solve_core).
+    fn solve_core_prepared(
+        &self,
+        costs: &[f64],
+        a: &CscMatrix,
+        b: &[f64],
+        warm: Option<&[usize]>,
+        factors: &mut FactorMemo,
+    ) -> Result<CoreSolution, LpError> {
+        let _ = factors;
+        self.solve_core(costs, a, b, warm)
+    }
+
     /// Whether this backend can reoptimize from a previous solve's final
     /// basis with the dual simplex (see [`LpSolver::reoptimize`]).
     fn supports_reoptimize(&self) -> bool {
@@ -183,7 +217,18 @@ impl LpBackend for SparseRevised {
         b: &[f64],
         warm: Option<&[usize]>,
     ) -> Result<CoreSolution, LpError> {
-        revised::solve_equilibrated(costs, a, b, warm).map(CoreSolution::from)
+        revised::solve_equilibrated(costs, a, b, warm, None).map(CoreSolution::from)
+    }
+
+    fn solve_core_prepared(
+        &self,
+        costs: &[f64],
+        a: &CscMatrix,
+        b: &[f64],
+        warm: Option<&[usize]>,
+        factors: &mut FactorMemo,
+    ) -> Result<CoreSolution, LpError> {
+        revised::solve_equilibrated(costs, a, b, warm, Some(factors)).map(CoreSolution::from)
     }
 
     fn supports_reoptimize(&self) -> bool {
@@ -231,7 +276,19 @@ impl LpBackend for LuFtSimplex {
         b: &[f64],
         warm: Option<&[usize]>,
     ) -> Result<CoreSolution, LpError> {
-        revised::solve_equilibrated_lu_ft(costs, a, b, warm).map(CoreSolution::from)
+        revised::solve_equilibrated_lu_ft(costs, a, b, warm, None).map(CoreSolution::from)
+    }
+
+    fn solve_core_prepared(
+        &self,
+        costs: &[f64],
+        a: &CscMatrix,
+        b: &[f64],
+        warm: Option<&[usize]>,
+        factors: &mut FactorMemo,
+    ) -> Result<CoreSolution, LpError> {
+        revised::solve_equilibrated_lu_ft(costs, a, b, warm, Some(factors))
+            .map(CoreSolution::from)
     }
 
     fn supports_reoptimize(&self) -> bool {
@@ -948,13 +1005,96 @@ impl LpSolver {
         })
     }
 
+    /// Prepares a model for a family of solves that differ only in the
+    /// right-hand sides of some of its rows — the Ser search's ε probes,
+    /// say. Lowers the model, presolves it while recording presolve's
+    /// right-hand-side arithmetic on a tape, and equilibrates it, once;
+    /// [`solve_prepared`](Self::solve_prepared) then solves any member
+    /// of the family. Does no solve and touches no session state.
+    pub fn prepare(&self, lp: &LpBuilder) -> PreparedLp {
+        let (std_rows, map) = lp.lower();
+        let b = std_rows.b.clone();
+        let signs = lp.rows.iter().map(|r| lower_rhs(r.rhs).0).collect();
+        let mut tape = Tape::default();
+        // A presolve that already ends this member (infeasible) leaves
+        // nothing to replay: every solve then runs the full pipeline.
+        let system = CoreSystem::new(std_rows, Some(&mut tape)).ok().map(|sys| (tape, sys));
+        PreparedLp {
+            model: lp.clone(),
+            map,
+            b,
+            signs,
+            flipped: 0,
+            system,
+            factors: FactorMemo::default(),
+            replays: 0,
+            fallbacks: 0,
+        }
+    }
+
+    /// Solves the member of a prepared family whose rows `rhs` names have
+    /// the given right-hand sides (each as it would be passed to
+    /// [`LpBuilder::constrain`]; rows not named keep their last value).
+    ///
+    /// Returns exactly what [`solve`](Self::solve) returns for the model
+    /// with those right-hand sides, bit for bit, and leaves the session
+    /// (statistics, warm-start cache, fault plan) exactly as that solve
+    /// would: the recorded presolve is replayed on the new right-hand
+    /// side through the same functions presolve itself uses, and the
+    /// reduced system goes through the same backend half of the
+    /// pipeline. When a patched row would lower with the other sign, or
+    /// any replayed presolve step would decide differently, the member
+    /// runs the full pipeline instead. A backend may also reuse the
+    /// fresh factorization of an unchanged warm basis
+    /// ([`LpBackend::solve_core_prepared`]).
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`solve`](Self::solve).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`RowId`] is not a row of the prepared model.
+    pub fn solve_prepared(
+        &mut self,
+        prep: &mut PreparedLp,
+        rhs: &[(RowId, f64)],
+    ) -> Result<LpSolution, LpError> {
+        for &(row, value) in rhs {
+            prep.set_rhs(row, value);
+        }
+        let x_std = self.counted(|s| {
+            if prep.replay() {
+                prep.replays += 1;
+                let (_, sys) = prep.system.as_ref().expect("replayed a recorded system");
+                let factors = &mut prep.factors;
+                s.failover(|s, force| s.run_core(sys, force, Some(&mut *factors)))
+            } else {
+                prep.fallbacks += 1;
+                let (std_rows, _) = prep.model.lower();
+                s.pipeline(std_rows)
+            }
+        })?;
+        let values = prep.map.recover(&x_std);
+        let objective: f64 = prep.model.objective.iter().map(|&(j, c)| c * values[j]).sum();
+        Ok(LpSolution { objective, values })
+    }
+
     /// The shared solve pipeline: presolve → equilibration → warm-start
     /// lookup → selected backend → cache update → solution restore,
     /// wrapped in the failover ladder.
     pub(crate) fn solve_std_rows(&mut self, lp: StdRows) -> Result<Vec<f64>, LpError> {
-        // Cancellation, deadline expiry, and the injected flavor of the
-        // latter share one boundary and one error: the solve performs no
-        // work and is not counted.
+        self.counted(|s| s.pipeline(lp))
+    }
+
+    /// The solve boundary around one counted solve: cancellation,
+    /// deadline expiry, and the injected flavor of the latter share one
+    /// boundary and one error, where the solve performs no work and is
+    /// not counted.
+    fn counted(
+        &mut self,
+        solve: impl FnOnce(&mut Self) -> Result<Vec<f64>, LpError>,
+    ) -> Result<Vec<f64>, LpError> {
         if self.is_cancelled()
             || self.deadline_expired()
             || self.fault_trip(Site::SolveBoundary)
@@ -963,21 +1103,29 @@ impl LpSolver {
         }
         let started = Instant::now();
         self.stats.solves += 1;
-        let out = self.pipeline(lp);
+        let out = solve(self);
         self.stats.wall_seconds += started.elapsed().as_secs_f64();
         out
     }
 
-    /// Runs [`attempt`](Self::attempt) on the selected backend, then —
-    /// when it exhausts in-backend recovery and still reports
-    /// [`LpError::PivotLimit`] — steps down the failover ladder
-    /// `lu-ft → sparse → dense` (wrapping past the bottom so every
-    /// other rung is tried exactly once), re-running the full pipeline
-    /// per rung. `Infeasible`/`Unbounded`/`Cancelled` are verdicts, not
-    /// faults: they return immediately from whichever rung produced
-    /// them.
+    /// The full pipeline on one standard-form system: each rung of the
+    /// failover ladder presolves and equilibrates it afresh.
     fn pipeline(&mut self, lp: StdRows) -> Result<Vec<f64>, LpError> {
-        let first = self.attempt(&lp, None);
+        self.failover(|s, force| s.attempt(&lp, force))
+    }
+
+    /// Runs `attempt` on the selected backend, then — when it exhausts
+    /// in-backend recovery and still reports [`LpError::PivotLimit`] —
+    /// steps down the failover ladder `lu-ft → sparse → dense`
+    /// (wrapping past the bottom so every other rung is tried exactly
+    /// once), re-running `attempt` per rung. `Infeasible`/`Unbounded`/
+    /// `Cancelled` are verdicts, not faults: they return immediately
+    /// from whichever rung produced them.
+    fn failover(
+        &mut self,
+        mut attempt: impl FnMut(&mut Self, Option<usize>) -> Attempt,
+    ) -> Result<Vec<f64>, LpError> {
+        let first = attempt(self, None);
         let failover_from = match &first.result {
             Err(LpError::PivotLimit) if self.failover => first.backend_idx,
             _ => None,
@@ -1005,7 +1153,7 @@ impl LpSolver {
             });
         for idx in rungs {
             self.stats.failovers += 1;
-            let retry = self.attempt(&lp, Some(idx));
+            let retry = attempt(self, Some(idx));
             match retry.result {
                 Err(LpError::PivotLimit) => {
                     if let Some(key) = retry.warm_key {
@@ -1022,51 +1170,40 @@ impl LpSolver {
         Err(LpError::PivotLimit)
     }
 
-    /// One full pipeline pass on one backend: presolve → equilibration →
-    /// warm-start lookup → backend call → cache update → restore.
-    /// `force` pins the backend (a failover rung); `None` applies the
-    /// session's selection policy.
+    /// One full pipeline pass on one backend: presolve and equilibration,
+    /// then [`run_core`](Self::run_core). `force` pins the backend (a
+    /// failover rung); `None` applies the session's selection policy.
     fn attempt(&mut self, lp: &StdRows, force: Option<usize>) -> Attempt {
-        let orig_rows = lp.rows.len();
-        let orig_cols = lp.ncols;
-        let (reduced, restore) = match presolve::reduce(lp.clone()) {
-            Ok(pair) => pair,
-            Err(e) => return Attempt::verdict(Err(e)),
-        };
-        self.stats.presolve_rows_removed += orig_rows - reduced.rows.len();
-        self.stats.presolve_cols_removed += orig_cols - reduced.ncols;
-        if reduced.rows.is_empty() {
+        match CoreSystem::new(lp.clone(), None) {
+            Ok(sys) => self.run_core(&sys, force, None),
+            Err(e) => Attempt::verdict(Err(e)),
+        }
+    }
+
+    /// The backend half of a pipeline pass, shared by ordinary and
+    /// prepared solves: presolve counters → backend selection →
+    /// warm-start lookup → backend call → cache update → restore.
+    /// `factors` is the prepared system's factorization memo.
+    fn run_core(
+        &mut self,
+        sys: &CoreSystem,
+        force: Option<usize>,
+        factors: Option<&mut FactorMemo>,
+    ) -> Attempt {
+        self.stats.presolve_rows_removed += sys.orig_rows - sys.rows;
+        self.stats.presolve_cols_removed += sys.orig_cols - sys.ncols;
+        let restore = &sys.restore;
+        let Some(core_sys) = &sys.scaled else {
             // Fully presolved: the (empty) system is trivially feasible.
             return Attempt::verdict(if restore.unbounded_if_feasible {
                 Err(LpError::Unbounded)
             } else {
-                Ok(restore.expand(&vec![0.0; reduced.ncols]))
+                Ok(restore.expand(&vec![0.0; sys.ncols]))
             });
-        }
-
-        let a = CscMatrix::from_sparse_rows(reduced.rows.len(), reduced.ncols, &reduced.rows);
-        let m = a.rows();
-        let n = a.cols();
-
-        // ---- Equilibration: rows then columns to unit max-norm, with the
-        // [0.25, 4] dead-band shared by every backend. ----
-        let mut row_max = vec![0.0f64; m];
-        a.for_each(|r, _, v| row_max[r] = row_max[r].max(v.abs()));
-        let row_scale: Vec<f64> = row_max
-            .iter()
-            .map(|&r| if r > 0.0 && !(0.25..=4.0).contains(&r) { 1.0 / r } else { 1.0 })
-            .collect();
-        let mut col_max = vec![0.0f64; n];
-        a.for_each(|r, c, v| col_max[c] = col_max[c].max((v * row_scale[r]).abs()));
-        let col_scale: Vec<f64> = col_max
-            .iter()
-            .map(|&c| if c > 0.0 && !(0.25..=4.0).contains(&c) { 1.0 / c } else { 1.0 })
-            .collect();
-        let mut sa = a;
-        sa.scale(&row_scale, &col_scale);
-        let sb: Vec<f64> = reduced.b.iter().zip(&row_scale).map(|(&v, &s)| v * s).collect();
-        let scaled_costs: Vec<f64> =
-            reduced.costs.iter().zip(&col_scale).map(|(&c, &s)| c * s).collect();
+        };
+        let Scaled { a: sa, costs: scaled_costs, b: sb, col_scale, .. } = core_sys;
+        let m = sa.rows();
+        let n = sa.cols();
 
         // ---- Backend selection and warm-start lookup. ----
         let idx = force.unwrap_or_else(|| match self.selection {
@@ -1092,7 +1229,7 @@ impl LpSolver {
         // counters) only for backends that can consume a basis; the
         // dense tableau's whole point is a minimal per-solve fixed cost.
         let warm_capable = self.backends[idx].supports_warm_start();
-        let key = if warm_capable { sa.pattern_hash() } else { 0 };
+        let key = if warm_capable { *core_sys.key.get_or_init(|| sa.pattern_hash()) } else { 0 };
         let mut warm = if warm_capable { self.cache.get(key) } else { None };
         // Read-through to the process-wide store on a session miss. A
         // shared entry may come from another request — or from a spill
@@ -1134,18 +1271,21 @@ impl LpSolver {
         // numerical doubt) falls straight through to the ordinary primal
         // path — reoptimization is a fast path, never a verdict source of
         // its own.
-        let try_reopt = self.reopt && self.backends[idx].supports_reoptimize();
+        let backend = &self.backends[idx];
+        let try_reopt = self.reopt && backend.supports_reoptimize();
         let reopt_core = if try_reopt {
-            warm.as_deref().and_then(|basis| {
-                self.backends[idx].reoptimize_core(&scaled_costs, &sa, &sb, basis)
-            })
+            warm.as_deref()
+                .and_then(|basis| backend.reoptimize_core(scaled_costs, sa, sb, basis))
         } else {
             None
         };
         let reopt_used = reopt_core.is_some();
-        let core = match reopt_core {
-            Some(core) => Ok(core),
-            None => self.backends[idx].solve_core(&scaled_costs, &sa, &sb, warm.as_deref()),
+        let core = match (reopt_core, factors) {
+            (Some(core), _) => Ok(core),
+            (None, Some(factors)) => {
+                backend.solve_core_prepared(scaled_costs, sa, sb, warm.as_deref(), factors)
+            }
+            (None, None) => backend.solve_core(scaled_costs, sa, sb, warm.as_deref()),
         };
         self.faults = faults::install(prev);
         if try_reopt && warm.is_some() {
@@ -1209,7 +1349,7 @@ impl LpSolver {
 
         // Undo the column scaling (row scaling does not affect x).
         let mut x = core.x;
-        for (xj, s) in x.iter_mut().zip(&col_scale) {
+        for (xj, s) in x.iter_mut().zip(col_scale) {
             *xj *= s;
         }
         let result = if restore.unbounded_if_feasible {
@@ -1223,7 +1363,160 @@ impl LpSolver {
     }
 }
 
-/// One [`LpSolver::attempt`]'s outcome, with the context the failover
+/// A presolved, equilibrated system: what a pipeline pass hands a
+/// backend, plus what it needs to map the answer back.
+struct CoreSystem {
+    /// Rows and columns before presolve, and rows and columns after it
+    /// (the presolve counters).
+    orig_rows: usize,
+    orig_cols: usize,
+    rows: usize,
+    ncols: usize,
+    restore: Restore,
+    /// `None` when presolve removed every row.
+    scaled: Option<Scaled>,
+}
+
+/// The equilibrated core system `min cᵀx, A·x = b, x ≥ 0`.
+struct Scaled {
+    a: CscMatrix,
+    costs: Vec<f64>,
+    b: Vec<f64>,
+    row_scale: Vec<f64>,
+    col_scale: Vec<f64>,
+    /// The pattern hash keying the warm-start cache, computed on first
+    /// use by a warm-capable backend.
+    key: OnceCell<u64>,
+}
+
+impl CoreSystem {
+    /// Presolves (recording on `tape` when given) and equilibrates.
+    fn new(lp: StdRows, tape: Option<&mut Tape>) -> Result<Self, LpError> {
+        let orig_rows = lp.rows.len();
+        let orig_cols = lp.ncols;
+        let (reduced, restore) = presolve::reduce(lp, tape)?;
+        Ok(CoreSystem {
+            orig_rows,
+            orig_cols,
+            rows: reduced.rows.len(),
+            ncols: reduced.ncols,
+            restore,
+            scaled: (!reduced.rows.is_empty()).then(|| Scaled::equilibrate(reduced)),
+        })
+    }
+}
+
+impl Scaled {
+    /// Equilibration: rows then columns to unit max-norm, with the
+    /// [0.25, 4] dead-band shared by every backend.
+    fn equilibrate(reduced: StdRows) -> Self {
+        let a = CscMatrix::from_sparse_rows(reduced.rows.len(), reduced.ncols, &reduced.rows);
+        let m = a.rows();
+        let n = a.cols();
+        let mut row_max = vec![0.0f64; m];
+        a.for_each(|r, _, v| row_max[r] = row_max[r].max(v.abs()));
+        let row_scale: Vec<f64> = row_max
+            .iter()
+            .map(|&r| if r > 0.0 && !(0.25..=4.0).contains(&r) { 1.0 / r } else { 1.0 })
+            .collect();
+        let mut col_max = vec![0.0f64; n];
+        a.for_each(|r, c, v| col_max[c] = col_max[c].max((v * row_scale[r]).abs()));
+        let col_scale: Vec<f64> = col_max
+            .iter()
+            .map(|&c| if c > 0.0 && !(0.25..=4.0).contains(&c) { 1.0 / c } else { 1.0 })
+            .collect();
+        let mut sa = a;
+        sa.scale(&row_scale, &col_scale);
+        let sb = scale_rhs(&reduced.b, &row_scale);
+        let scaled_costs: Vec<f64> =
+            reduced.costs.iter().zip(&col_scale).map(|(&c, &s)| c * s).collect();
+        Scaled { a: sa, costs: scaled_costs, b: sb, row_scale, col_scale, key: OnceCell::new() }
+    }
+}
+
+/// Row-scales a reduced right-hand side.
+fn scale_rhs(b: &[f64], row_scale: &[f64]) -> Vec<f64> {
+    b.iter().zip(row_scale).map(|(&v, &s)| v * s).collect()
+}
+
+/// A model prepared by [`LpSolver::prepare`] for a family of solves that
+/// differ only in right-hand sides, solved by
+/// [`LpSolver::solve_prepared`].
+///
+/// It holds the lowered, presolved and equilibrated system once, the
+/// presolve's right-hand-side tape, and the fresh factorization of the
+/// last warm basis a backend refactorized on it. It is not tied to a
+/// session: any session may solve it, with that session's policy,
+/// cache and statistics.
+pub struct PreparedLp {
+    /// The model with its latest right-hand sides.
+    model: LpBuilder,
+    map: ColMap,
+    /// The lowered right-hand side of `model` (rows whose sign differs
+    /// from the prepared one aside).
+    b: Vec<f64>,
+    /// The sign the lowering applied to each row at prepare time.
+    signs: Vec<f64>,
+    /// Rows that now lower with the other sign.
+    flipped: usize,
+    /// The presolve tape and the prepared core system; `None` when
+    /// presolve found the prepared member infeasible.
+    system: Option<(Tape, CoreSystem)>,
+    factors: FactorMemo,
+    /// Members solved by replaying the tape…
+    replays: usize,
+    /// …and members that ran the full pipeline.
+    fallbacks: usize,
+}
+
+impl std::fmt::Debug for PreparedLp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PreparedLp")
+            .field("rows", &self.model.num_rows())
+            .field("vars", &self.model.num_vars())
+            .field("replays", &self.replays)
+            .field("fallbacks", &self.fallbacks)
+            .finish()
+    }
+}
+
+impl PreparedLp {
+    fn set_rhs(&mut self, row: RowId, rhs: f64) {
+        let i = row.0;
+        let was_flipped = lower_rhs(self.model.rows[i].rhs).0 != self.signs[i];
+        let (sign, b) = self.model.set_rhs(row, rhs);
+        let flipped = sign != self.signs[i];
+        self.b[i] = b;
+        self.flipped = self.flipped + usize::from(flipped) - usize::from(was_flipped);
+    }
+
+    /// Replays the presolve tape on the current right-hand side and
+    /// installs the result in the prepared system; `false` when the
+    /// member must run the full pipeline instead.
+    fn replay(&mut self) -> bool {
+        if self.flipped > 0 {
+            return false;
+        }
+        let Some((tape, sys)) = &mut self.system else {
+            return false;
+        };
+        let Some(b) = tape.replay(self.b.clone(), &mut sys.restore.fixed) else {
+            return false;
+        };
+        if let Some(scaled) = &mut sys.scaled {
+            scaled.b = scale_rhs(&b, &scaled.row_scale);
+        }
+        true
+    }
+
+    /// `(replays, fallbacks)`: members solved through the prepared
+    /// system, and members that ran the full pipeline.
+    pub(crate) fn replay_counts(&self) -> (usize, usize) {
+        (self.replays, self.fallbacks)
+    }
+}
+
+/// One pipeline pass's outcome, with the context the failover
 /// ladder needs: which backend ran (None when presolve settled the
 /// system before any backend) and the warm-start cache key it was seeded
 /// under (None for warm-incapable backends).

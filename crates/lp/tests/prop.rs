@@ -660,3 +660,437 @@ proptest! {
         prop_assert_eq!(&dense, &ft, "degenerate pivot sequences diverged");
     }
 }
+
+// ---------------------------------------------------------------------
+// Prepared right-hand-side families (`LpSolver::prepare` /
+// `solve_prepared`): every member must come out exactly as an ordinary
+// solve of the model rebuilt with that member's right-hand sides — the
+// same bits, the same verdict, the same work and the same session state.
+// The twin session rebuilds and calls `solve`; the prepared session
+// replays the prepared presolve, or falls back to the full pipeline.
+// ---------------------------------------------------------------------
+
+use qava_lp::debug::prepared_counts;
+use qava_lp::{FaultKind, FaultPlan, LpSolution, LpStats, PreparedLp, RowId};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+
+/// A model row: `(terms, expression constant, cmp, rhs)`.
+type ModelRow = (Vec<(usize, f64)>, f64, Cmp, f64);
+
+/// A builder model plus a sequence of members: new right-hand sides for
+/// the `family` rows.
+#[derive(Debug, Clone)]
+struct FamilyModel {
+    nonneg: Vec<bool>,
+    rows: Vec<ModelRow>,
+    objective: Vec<f64>,
+    maximize: bool,
+    family: Vec<usize>,
+    members: Vec<Vec<f64>>,
+}
+
+impl FamilyModel {
+    /// The model with `rhs` on the family rows (`None`: the base model).
+    fn build(&self, rhs: Option<&[f64]>) -> (LpBuilder, Vec<RowId>) {
+        let mut b = LpBuilder::new();
+        let vars: Vec<VarId> = self
+            .nonneg
+            .iter()
+            .enumerate()
+            .map(|(j, &nn)| if nn { b.add_var_nonneg(format!("x{j}")) } else { b.add_var(format!("x{j}")) })
+            .collect();
+        let mut ids = Vec::new();
+        for (i, (terms, constant, cmp, base)) in self.rows.iter().enumerate() {
+            let mut e = LinExpr::new().constant(*constant);
+            for &(j, c) in terms {
+                e = e.term(vars[j], c);
+            }
+            let value = match (rhs, self.family.iter().position(|&f| f == i)) {
+                (Some(rhs), Some(k)) => rhs[k],
+                _ => *base,
+            };
+            ids.push(b.constrain(e, *cmp, value));
+        }
+        let mut obj = LinExpr::new();
+        for (j, &c) in self.objective.iter().enumerate() {
+            obj = obj.term(vars[j], c);
+        }
+        if self.maximize {
+            b.maximize(obj);
+        } else {
+            b.minimize(obj);
+        }
+        (b, ids)
+    }
+
+    fn patches(&self, ids: &[RowId], rhs: &[f64]) -> Vec<(RowId, f64)> {
+        self.family.iter().zip(rhs).map(|(&i, &v)| (ids[i], v)).collect()
+    }
+}
+
+/// A bounded model around a feasible anchor with the structure presolve
+/// reduces: a singleton equality fixing a non-negative variable (its
+/// substitution turns inequality rows into singletons in turn), an
+/// equality row and its exact double (a duplicate pair), an empty
+/// equality, and constants folded into right-hand sides. Members move
+/// one to three rows' right-hand sides: mostly small steps (often
+/// leaving the optimal basis in place), sometimes a repeat, sometimes a
+/// jump past zero that flips the row's sign.
+fn family_model(seed: u64) -> FamilyModel {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let dim = rng.gen_range(2usize..6);
+    let nonneg: Vec<bool> = (0..dim).map(|_| rng.gen_bool(0.6)).collect();
+    let anchor: Vec<f64> = (0..dim)
+        .map(|j| if nonneg[j] { rng.gen_range(0.0..3.0) } else { rng.gen_range(-2.0..2.0) })
+        .collect();
+    let mut rows = Vec::new();
+    for j in 0..dim {
+        rows.push((vec![(j, 1.0)], 0.0, Cmp::Le, anchor[j] + rng.gen_range(0.5..3.0)));
+        if !nonneg[j] {
+            rows.push((vec![(j, 1.0)], 0.0, Cmp::Ge, anchor[j] - rng.gen_range(0.5..3.0)));
+        }
+    }
+    for _ in 0..rng.gen_range(1usize..5) {
+        let mut terms: Vec<(usize, f64)> = Vec::new();
+        for j in 0..dim {
+            if rng.gen_bool(0.7) {
+                terms.push((j, rng.gen_range(-3.0..3.0)));
+            }
+        }
+        let at: f64 = terms.iter().map(|&(j, c)| c * anchor[j]).sum();
+        let constant = if rng.gen_bool(0.3) { rng.gen_range(-2.0..2.0) } else { 0.0 };
+        rows.push((terms, constant, Cmp::Le, at + constant + rng.gen_range(0.1..2.0)));
+    }
+    if let Some(j) = (0..dim).find(|&j| nonneg[j]) {
+        if rng.gen_bool(0.7) {
+            let c = rng.gen_range(0.5..2.0);
+            rows.push((vec![(j, c)], 0.0, Cmp::Eq, c * anchor[j]));
+        }
+    }
+    if rng.gen_bool(0.5) {
+        let terms: Vec<(usize, f64)> = (0..dim).map(|j| (j, rng.gen_range(0.5..2.0))).collect();
+        let at: f64 = terms.iter().map(|&(j, c)| c * anchor[j]).sum();
+        let doubled: Vec<(usize, f64)> = terms.iter().map(|&(j, c)| (j, 2.0 * c)).collect();
+        rows.push((terms, 0.0, Cmp::Eq, at));
+        rows.push((doubled, 0.0, Cmp::Eq, 2.0 * at));
+    }
+    if rng.gen_bool(0.3) {
+        rows.push((Vec::new(), 0.0, Cmp::Eq, 0.0));
+    }
+    let objective: Vec<f64> = (0..dim).map(|_| rng.gen_range(-2.0..2.0)).collect();
+    let nfam = rng.gen_range(1usize..4).min(rows.len());
+    let mut family: Vec<usize> = Vec::new();
+    while family.len() < nfam {
+        let i = rng.gen_range(0..rows.len());
+        if !family.contains(&i) {
+            family.push(i);
+        }
+    }
+    let mut current: Vec<f64> = family.iter().map(|&i| rows[i].3).collect();
+    let members = (0..rng.gen_range(3usize..8))
+        .map(|_| {
+            for v in current.iter_mut() {
+                let roll: f64 = rng.gen_range(0.0..1.0);
+                if roll < 0.08 {
+                    *v = -*v - rng.gen_range(0.0..1.0);
+                } else if roll < 0.85 {
+                    *v += rng.gen_range(-0.3..0.3);
+                }
+            }
+            current.clone()
+        })
+        .collect();
+    FamilyModel { nonneg, rows, objective, maximize: rng.gen_bool(0.5), family, members }
+}
+
+fn session(choice: usize, reopt: bool) -> LpSolver {
+    let choice = [BackendChoice::Auto, BackendChoice::Sparse, BackendChoice::LuFt, BackendChoice::Dense]
+        [choice % 4];
+    let mut s = LpSolver::with_choice(choice);
+    s.set_reoptimize(reopt);
+    s
+}
+
+/// The statistics with the wall times zeroed: everything a prepared
+/// solve must leave exactly as an ordinary one does.
+fn work(stats: &LpStats) -> LpStats {
+    let mut w = stats.clone();
+    w.wall_seconds = 0.0;
+    for t in &mut w.backends {
+        t.wall_seconds = 0.0;
+    }
+    w
+}
+
+fn same_result(
+    prepared: &Result<LpSolution, LpError>,
+    rebuilt: &Result<LpSolution, LpError>,
+) -> Result<(), String> {
+    match (prepared, rebuilt) {
+        (Ok(p), Ok(r)) => {
+            let pb: Vec<u64> = p.values().iter().map(|v| v.to_bits()).collect();
+            let rb: Vec<u64> = r.values().iter().map(|v| v.to_bits()).collect();
+            if pb != rb || p.objective.to_bits() != r.objective.to_bits() {
+                return Err(format!(
+                    "values {:?} / objective {} vs rebuilt {:?} / {}",
+                    p.values(),
+                    p.objective,
+                    r.values(),
+                    r.objective
+                ));
+            }
+            Ok(())
+        }
+        (Err(p), Err(r)) if p == r => Ok(()),
+        _ => Err(format!("verdict {prepared:?} vs rebuilt {rebuilt:?}")),
+    }
+}
+
+/// Runs every member through a prepared LP on `prep_session` and through
+/// rebuild-and-solve on `twin`, comparing after each member.
+fn run_family(
+    model: &FamilyModel,
+    prep_session: &mut LpSolver,
+    twin: &mut LpSolver,
+) -> Result<PreparedLp, String> {
+    let (base, ids) = model.build(None);
+    let mut prep = prep_session.prepare(&base);
+    for (k, rhs) in model.members.iter().enumerate() {
+        let got = prep_session.solve_prepared(&mut prep, &model.patches(&ids, rhs));
+        let want = twin.solve(&model.build(Some(rhs)).0);
+        same_result(&got, &want).map_err(|e| format!("member {k}: {e}"))?;
+        if work(prep_session.stats()) != work(twin.stats()) {
+            return Err(format!(
+                "member {k}: stats {:?} vs rebuilt {:?}",
+                prep_session.stats(),
+                twin.stats()
+            ));
+        }
+        if prep_session.fault_fired() != twin.fault_fired() {
+            return Err(format!("member {k}: fault fired differently"));
+        }
+    }
+    let (replays, fallbacks) = prepared_counts(&prep);
+    if replays + fallbacks > model.members.len() {
+        return Err(format!("{replays} replays + {fallbacks} fallbacks, {} members", model.members.len()));
+    }
+    Ok(prep)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every member of a prepared family equals an ordinary solve of the
+    /// rebuilt model by `to_bits`, with the same verdicts and statistics.
+    #[test]
+    fn prepared_family_matches_rebuilt_solves(
+        seed in any::<u64>(),
+        choice in 0usize..4,
+        reopt in any::<bool>(),
+    ) {
+        let model = family_model(seed);
+        let mut prep_session = session(choice, reopt);
+        let mut twin = session(choice, reopt);
+        let run = run_family(&model, &mut prep_session, &mut twin);
+        prop_assert!(run.is_ok(), "{}", run.unwrap_err());
+    }
+
+    /// Every single-fault plan fires at the same site, with the same
+    /// outcome, through the prepared path as through ordinary solves.
+    #[test]
+    fn prepared_family_matches_under_every_single_fault(
+        seed in any::<u64>(),
+        choice in 0usize..4,
+    ) {
+        let model = family_model(seed);
+        let kinds = [
+            FaultKind::RefactorFail,
+            FaultKind::ShakyPivot,
+            FaultKind::AccuracyTrip,
+            FaultKind::PivotLimit,
+            FaultKind::WarmPoison,
+            FaultKind::DualPivot,
+            FaultKind::Deadline,
+        ];
+        for kind in kinds {
+            for nth in 1..=3 {
+                // Dual pivots only run in reoptimization mode.
+                let reopt = kind == FaultKind::DualPivot;
+                let mut prep_session = session(choice, reopt);
+                let mut twin = session(choice, reopt);
+                prep_session.install_fault_plan(FaultPlan::new(kind, nth));
+                twin.install_fault_plan(FaultPlan::new(kind, nth));
+                let run = run_family(&model, &mut prep_session, &mut twin);
+                prop_assert!(run.is_ok(), "{}:{nth}: {}", kind.label(), run.unwrap_err());
+            }
+        }
+    }
+}
+
+/// A family whose members all replay the prepared presolve: the
+/// differential tests above must not pass vacuously on fallbacks, and
+/// an unchanged warm basis must not change a bit (its factorization is
+/// reused, not recomputed).
+#[test]
+fn prepared_family_replays_when_nothing_flips() {
+    for choice in 0..4 {
+        let model = FamilyModel {
+            nonneg: vec![true, true, false],
+            rows: vec![
+                (vec![(0, 1.0), (1, 1.0), (2, 1.0)], 0.0, Cmp::Le, 4.0),
+                (vec![(0, 1.0), (1, -1.0)], 0.5, Cmp::Le, 2.5),
+                (vec![(2, 1.0)], 0.0, Cmp::Ge, -1.0),
+                (vec![(2, 1.0)], 0.0, Cmp::Le, 3.0),
+                (vec![(0, 2.0)], 0.0, Cmp::Eq, 1.0),
+            ],
+            objective: vec![-1.0, -2.0, -0.5],
+            maximize: false,
+            family: vec![0, 4],
+            members: vec![
+                vec![4.0, 1.0],
+                vec![4.0, 1.0],
+                vec![4.5, 1.0],
+                vec![4.5, 1.5],
+                vec![3.0, 0.5],
+                vec![3.0, 0.5],
+            ],
+        };
+        let mut prep_session = session(choice, false);
+        let mut twin = session(choice, false);
+        let prep = run_family(&model, &mut prep_session, &mut twin).unwrap();
+        assert_eq!(prepared_counts(&prep), (6, 0), "choice {choice}");
+    }
+}
+
+/// A forced fallback: under every backend choice, the last member of
+/// `model` must fall back to the full pipeline (every earlier member
+/// replays), match the rebuilt solve, and reach the verdict `want`.
+fn assert_falls_back(model: &FamilyModel, want: Result<(), LpError>) {
+    for choice in 0..4 {
+        let mut prep_session = session(choice, false);
+        let mut twin = session(choice, false);
+        let prep = run_family(model, &mut prep_session, &mut twin).unwrap();
+        let (replays, fallbacks) = prepared_counts(&prep);
+        assert_eq!(fallbacks, 1, "choice {choice}: the member must fall back");
+        assert_eq!(replays, model.members.len() - 1, "choice {choice}");
+        let last = model.members.last().unwrap();
+        let got = LpSolver::with_choice(BackendChoice::Dense)
+            .solve(&model.build(Some(last)).0)
+            .map(|_| ());
+        assert_eq!(got, want, "choice {choice}");
+    }
+}
+
+#[test]
+fn prepared_fallback_singleton_fix_turning_negative() {
+    // −x = r fixes x = −r: 0 at r = 0, clearly negative at r = 1 while
+    // the row still lowers with the same sign.
+    let model = FamilyModel {
+        nonneg: vec![true, true],
+        rows: vec![
+            (vec![(0, -1.0)], 0.0, Cmp::Eq, 0.0),
+            (vec![(0, 1.0), (1, 1.0)], 0.0, Cmp::Le, 3.0),
+        ],
+        objective: vec![-1.0, -1.0],
+        maximize: false,
+        family: vec![0],
+        members: vec![vec![0.0], vec![1.0]],
+    };
+    assert_falls_back(&model, Err(LpError::Infeasible));
+}
+
+#[test]
+fn prepared_fallback_duplicate_pair_changing_class() {
+    // x + y = 1 and 2x + 2y = r: a dropped copy at r = 2; borderline
+    // (kept for the simplex) at r = 2 + 2e-9; infeasible at r = 2.5.
+    let dup = |r: f64| FamilyModel {
+        nonneg: vec![true, true],
+        rows: vec![
+            (vec![(0, 1.0), (1, 1.0)], 0.0, Cmp::Eq, 1.0),
+            (vec![(0, 2.0), (1, 2.0)], 0.0, Cmp::Eq, 2.0),
+            (vec![(0, 1.0), (1, -1.0)], 0.0, Cmp::Le, 0.5),
+        ],
+        objective: vec![1.0, 2.0],
+        maximize: false,
+        family: vec![1],
+        members: vec![vec![2.0], vec![r]],
+    };
+    assert_falls_back(&dup(2.0 + 2e-9), Ok(()));
+    assert_falls_back(&dup(2.5), Err(LpError::Infeasible));
+}
+
+#[test]
+fn prepared_fallback_empty_row_exceeding_tolerance() {
+    let model = FamilyModel {
+        nonneg: vec![true, true],
+        rows: vec![
+            (Vec::new(), 0.0, Cmp::Eq, 0.0),
+            (vec![(0, 1.0), (1, 1.0)], 0.0, Cmp::Le, 3.0),
+        ],
+        objective: vec![-1.0, -1.0],
+        maximize: false,
+        family: vec![0],
+        members: vec![vec![0.0], vec![1e-12], vec![1e-3]],
+    };
+    assert_falls_back(&model, Err(LpError::Infeasible));
+}
+
+#[test]
+fn prepared_fallback_patched_row_changing_sign() {
+    // x + y ≤ r over a free y: r = 3 lowers as is, r = −1 negated.
+    let model = FamilyModel {
+        nonneg: vec![true, false],
+        rows: vec![
+            (vec![(0, 1.0), (1, 1.0)], 0.0, Cmp::Le, 3.0),
+            (vec![(1, 1.0)], 0.0, Cmp::Ge, -5.0),
+            (vec![(0, 1.0)], 0.0, Cmp::Le, 2.0),
+        ],
+        objective: vec![-1.0, -1.0],
+        maximize: false,
+        family: vec![0],
+        members: vec![vec![3.0], vec![2.0], vec![-1.0]],
+    };
+    assert_falls_back(&model, Ok(()));
+}
+
+/// The deadline and the cancel flag stop prepared members at the same
+/// boundary, without counting them, exactly as they stop `solve`.
+#[test]
+fn prepared_family_honors_deadline_and_cancel_flag() {
+    let model = family_model(42);
+    let (base, ids) = model.build(None);
+    for choice in 0..4 {
+        let mut prep_session = session(choice, false);
+        let mut twin = session(choice, false);
+        let mut prep = prep_session.prepare(&base);
+        let flag = Arc::new(AtomicBool::new(false));
+        prep_session.set_cancel_flag(flag.clone());
+        twin.set_cancel_flag(flag.clone());
+        for (k, rhs) in model.members.iter().enumerate() {
+            if k == 2 {
+                flag.store(true, std::sync::atomic::Ordering::Relaxed);
+            }
+            let got = prep_session.solve_prepared(&mut prep, &model.patches(&ids, rhs));
+            let want = twin.solve(&model.build(Some(rhs)).0);
+            same_result(&got, &want).unwrap();
+            if k >= 2 {
+                assert_eq!(got.unwrap_err(), LpError::Cancelled);
+            }
+        }
+        assert_eq!(work(prep_session.stats()), work(twin.stats()));
+
+        let mut prep_session = session(choice, false);
+        let mut twin = session(choice, false);
+        let mut prep = prep_session.prepare(&base);
+        prep_session.set_deadline_in(std::time::Duration::ZERO);
+        twin.set_deadline_in(std::time::Duration::ZERO);
+        let rhs = &model.members[0];
+        let got = prep_session.solve_prepared(&mut prep, &model.patches(&ids, rhs));
+        let want = twin.solve(&model.build(Some(rhs)).0);
+        assert_eq!(got.unwrap_err(), LpError::Cancelled);
+        assert_eq!(want.unwrap_err(), LpError::Cancelled);
+        assert_eq!(prep_session.stats().solves, 0);
+        assert_eq!(prepared_counts(&prep), (0, 0));
+    }
+}

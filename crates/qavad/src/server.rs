@@ -8,7 +8,11 @@
 //! * a **PTS store** — compiled programs keyed by `(source, params,
 //!   invariant_iters)` itself (never a hash of it, so two programs can
 //!   never share an entry), so a suite row is compiled and
-//!   invariant-propagated once per daemon lifetime, not once per request;
+//!   invariant-propagated once per daemon lifetime, not once per request.
+//!   It holds at most [`PTS_STORE_CAPACITY`] programs and evicts the
+//!   least recently used one beyond that, so a client sending ever new
+//!   sources cannot grow the daemon without limit (an evicted program
+//!   is simply compiled again);
 //! * the **shared warm-start basis cache** ([`SharedBasisCache`]) —
 //!   installed into every request's `LpSolver` sessions, spilled to the
 //!   configured cache file whenever a request dirtied it, and reloaded
@@ -134,7 +138,7 @@ struct Shared {
     config: DaemonConfig,
     registry: EngineRegistry,
     warm: Arc<SharedBasisCache>,
-    pts_store: Mutex<HashMap<PtsKey, Arc<Pts>>>,
+    pts_store: Mutex<PtsStore>,
     gate: Gate,
     /// Merged certified LP work across all completed requests.
     totals: Mutex<LpStats>,
@@ -208,7 +212,7 @@ impl Daemon {
                 gate: Gate::new(max_inflight),
                 registry: EngineRegistry::with_builtins(),
                 warm,
-                pts_store: Mutex::new(HashMap::new()),
+                pts_store: Mutex::new(PtsStore::default()),
                 totals: Mutex::new(LpStats::default()),
                 abandoned: Mutex::new(LpStats::default()),
                 requests: AtomicUsize::new(0),
@@ -502,6 +506,48 @@ impl PtsKey {
     }
 }
 
+/// Most compiled programs the PTS store keeps: far above the 36 rows of
+/// the paper suite, so a suite client never sees an eviction.
+pub const PTS_STORE_CAPACITY: usize = 256;
+
+/// The compile-once PTS store: at most [`PTS_STORE_CAPACITY`] programs,
+/// evicting the least recently used.
+#[derive(Default)]
+struct PtsStore {
+    /// Logical clock for recency; bumped on every touch.
+    tick: u64,
+    map: HashMap<PtsKey, (Arc<Pts>, u64)>,
+}
+
+impl PtsStore {
+    fn get(&mut self, key: &PtsKey) -> Option<Arc<Pts>> {
+        self.tick += 1;
+        let tick = self.tick;
+        self.map.get_mut(key).map(|(pts, used)| {
+            *used = tick;
+            pts.clone()
+        })
+    }
+
+    /// Stores a program unless the key is already present (a concurrent
+    /// request compiled it first; compilation is deterministic, so
+    /// either copy serves), evicting the least recently used entry when
+    /// full.
+    fn insert(&mut self, key: PtsKey, pts: Arc<Pts>) {
+        if self.map.contains_key(&key) {
+            return;
+        }
+        if self.map.len() >= PTS_STORE_CAPACITY {
+            let lru = self.map.iter().min_by_key(|(_, (_, used))| *used).map(|(k, _)| k.clone());
+            if let Some(lru) = lru {
+                self.map.remove(&lru);
+            }
+        }
+        self.tick += 1;
+        self.map.insert(key, (pts, self.tick));
+    }
+}
+
 /// Compile-once store: requests for an already-seen
 /// `(source, params, iters)` reuse the compiled, invariant-propagated
 /// PTS. `Arc` because racing engines borrow the program concurrently
@@ -513,7 +559,7 @@ fn compile_cached(
     invariant_iters: usize,
 ) -> Result<(Arc<Pts>, bool), String> {
     let key = PtsKey::new(source, params, invariant_iters);
-    if let Some(pts) = Shared::lock(&shared.pts_store).get(&key).cloned() {
+    if let Some(pts) = Shared::lock(&shared.pts_store).get(&key) {
         shared.pts_hits.fetch_add(1, Ordering::SeqCst);
         return Ok((pts, true));
     }
@@ -524,9 +570,7 @@ fn compile_cached(
         qava_pts::propagate_invariants(&mut pts, invariant_iters);
     }
     let pts = Arc::new(pts);
-    // A concurrent request may have compiled the same program; keeping
-    // the first insert is fine (compilation is deterministic).
-    Shared::lock(&shared.pts_store).entry(key).or_insert_with(|| pts.clone());
+    Shared::lock(&shared.pts_store).insert(key, pts.clone());
     Ok((pts, false))
 }
 
@@ -836,7 +880,7 @@ mod tests {
                 pts
             })
             .collect();
-        assert_eq!(Shared::lock(&shared.pts_store).len(), triples.len());
+        assert_eq!(Shared::lock(&shared.pts_store).map.len(), triples.len());
         for ((s, p, iters), pts) in triples.iter().zip(&first) {
             let (again, hit) = compile_cached(shared, s, p, *iters).unwrap();
             assert!(hit, "{s:?} {p:?} {iters}: a repeated triple must hit");
@@ -844,6 +888,52 @@ mod tests {
         }
         assert_eq!(shared.pts_misses.load(Ordering::SeqCst), triples.len());
         assert_eq!(shared.pts_hits.load(Ordering::SeqCst), triples.len());
+        drop(daemon);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The store never holds more than [`PTS_STORE_CAPACITY`] programs,
+    /// a suite row pushed out by newer programs is compiled again (a
+    /// miss), and the recompiled row certifies the same bound bit for bit.
+    #[test]
+    fn pts_store_is_bounded_and_evicted_rows_recompile_identically() {
+        use qava_core::suite::table1;
+        let dir = std::env::temp_dir().join(format!("qavad-lru-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let daemon = Daemon::bind(DaemonConfig::new(dir.join("s.sock"))).unwrap();
+        let shared = &daemon.shared;
+        let row = &table1()[0];
+        let bound = |pts: &Pts| {
+            shared
+                .registry
+                .run_engine("hoeffding-linear", &AnalysisRequest::upper(pts), BackendChoice::Auto)
+                .and_then(|r| r.bound())
+                .expect("the row certifies")
+                .ln()
+                .to_bits()
+        };
+        let (first, hit) = compile_cached(shared, row.source, &row.params, 8).unwrap();
+        assert!(!hit);
+        let before = bound(&first);
+        let source = "param n = 1;
+             x := n;
+             while x <= 999 invariant x >= 0 and x <= 1000 { x := x + 1; }
+             assert x >= 999;";
+        for n in 0..PTS_STORE_CAPACITY + 8 {
+            let params: BTreeMap<String, f64> = [("n".to_string(), n as f64)].into();
+            let (_, hit) = compile_cached(shared, source, &params, 0).unwrap();
+            assert!(!hit, "n = {n}: a new program must miss");
+            assert!(Shared::lock(&shared.pts_store).map.len() <= PTS_STORE_CAPACITY);
+        }
+        let misses = shared.pts_misses.load(Ordering::SeqCst);
+        let (again, hit) = compile_cached(shared, row.source, &row.params, 8).unwrap();
+        assert!(!hit, "the least recently used row was evicted");
+        assert!(!Arc::ptr_eq(&first, &again), "an evicted row is compiled again");
+        assert_eq!(shared.pts_misses.load(Ordering::SeqCst), misses + 1);
+        assert_eq!(bound(&again), before, "a recompiled row certifies the same bound");
+        let (_, hit) = compile_cached(shared, row.source, &row.params, 8).unwrap();
+        assert!(hit, "the recompiled row is stored again");
+        assert_eq!(Shared::lock(&shared.pts_store).map.len(), PTS_STORE_CAPACITY);
         drop(daemon);
         let _ = std::fs::remove_dir_all(&dir);
     }
