@@ -118,12 +118,12 @@ suite:
                    Pr[T > n], the 3DWalk εmax ladder, the Ref p ladder)
                    through the sweep driver: points run in order inside
                    one shared solver session with dual-simplex
-                   reoptimization and template seeding between
-                   neighbors, every point is cross-checked against a
-                   fresh cold solve (falling back to the cold bound past
-                   a relative 1e-7), and the footer reports per-point
-                   reopt-vs-cold statistics (honors --lp-backend; not
-                   combinable with --race or --chaos)
+                   reoptimization between neighbors, every point is
+                   cross-checked against a fresh cold solve (falling
+                   back to the cold bound past a relative 1e-7), and the
+                   footer reports per-point reopt-vs-cold statistics
+                   (honors --lp-backend; not combinable with --race or
+                   --chaos)
 ";
 
 struct Options {
@@ -400,8 +400,8 @@ fn run_suite(
 
 /// The certified bound-vs-parameter curves behind `qava --sweep`: every
 /// parametric family of the suite, each point reoptimized from its
-/// neighbor's basis/template and cross-checked against a fresh cold
-/// solve (see [`qava_core::sweep`]).
+/// neighbor's bases and cross-checked against a fresh cold solve (see
+/// [`qava_core::sweep`]).
 fn run_sweep_suite(backend: BackendChoice) -> ExitCode {
     let reports = qava_core::suite::runner::sweep_families_with(backend, true);
     let mut failures = 0usize;
@@ -425,9 +425,6 @@ fn run_sweep_suite(backend: BackendChoice) -> ExitCode {
             fallbacks += usize::from(p.cold_fallback);
             certified.merge(&p.lp);
             let mut tags = vec![format!("reopt {hits}/{att}")];
-            if p.seeded {
-                tags.push("seeded".to_string());
-            }
             if p.cold_fallback {
                 tags.push("cold fallback".to_string());
             }

@@ -94,14 +94,6 @@ pub struct AnalysisRequest<'a> {
     /// than being killed mid-pivot — the same cooperative path a lost
     /// race uses.
     pub deadline: Option<Duration>,
-    /// Optional ε seed from a neighboring parametric-sweep point's
-    /// certified template ([`crate::sweep`]). Only the RepRSM engines
-    /// (`hoeffding-linear`, `azuma`) consume it — they narrow the Ser
-    /// ternary-search window around the seed instead of solving the εmax
-    /// LP, with boundary/infeasibility guards falling back to the full
-    /// search (see `hoeffding::synthesize_reprsm_bound_seeded_in`).
-    /// Other engines ignore it.
-    pub eps_seed: Option<f64>,
 }
 
 impl<'a> AnalysisRequest<'a> {
@@ -113,7 +105,6 @@ impl<'a> AnalysisRequest<'a> {
             ser_iterations: hoeffding::DEFAULT_SER_ITERATIONS,
             convex: SolverOptions::default(),
             deadline: None,
-            eps_seed: None,
         }
     }
 
@@ -121,14 +112,6 @@ impl<'a> AnalysisRequest<'a> {
     #[must_use]
     pub fn deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
-        self
-    }
-
-    /// Seeds the RepRSM ε search from a neighboring sweep point (see
-    /// [`Self::eps_seed`]).
-    #[must_use]
-    pub fn seed_epsilon(mut self, eps: f64) -> Self {
-        self.eps_seed = Some(eps);
         self
     }
 
@@ -337,13 +320,7 @@ fn run_reprsm(
     solver: &mut LpSolver,
 ) -> AnalysisReport {
     run_report(name, Direction::Upper, req, solver, |req, solver| {
-        hoeffding::synthesize_reprsm_bound_seeded_in(
-            req.pts,
-            kind,
-            req.ser_iterations,
-            req.eps_seed,
-            solver,
-        )
+        hoeffding::synthesize_reprsm_bound_in(req.pts, kind, req.ser_iterations, solver)
             .map(|r| Certified {
                 bound: r.bound,
                 certificate: Certificate::Template(r.template),

@@ -17,8 +17,10 @@
 //!
 //! Scaling fixes `Δ = 1` (Appendix C.2). The remaining objective `8·ε·ω`
 //! (with `ω = η(ℓ_init, v_init)`) is bilinear, so the **Ser** procedure
-//! ternary-searches over `ε`, solving one Farkas LP per probe — the
-//! uniqueness of the local optimum is Proposition 5 of the paper.
+//! solves one LP for εmax, the largest feasible ε, and ternary-searches
+//! `ε` over `[0, εmax]`, solving one Farkas LP per probe — the
+//! uniqueness of the local optimum is Proposition 5 of the paper. Every
+//! caller, parametric sweeps included, runs this one search.
 //!
 //! In that LP ε is only a right-hand-side constant: each (C3) row reads
 //! `… ≤ −d(x) − ε`. So a run builds the fixed-ε LP once, at its first
@@ -119,7 +121,7 @@ const EPS_CAP: f64 = 1.0;
 /// narrower than 1e-10; since the window starts at most 1 wide and each
 /// iteration keeps two thirds of it, that break ends the search after at
 /// most ~57 iterations (`(2/3)^57 ≈ 1e-10`), so the cap of 70 (a window
-/// of ~1e-12) never binds with the default window.
+/// of ~1e-12) never binds.
 pub const DEFAULT_SER_ITERATIONS: usize = 70;
 
 /// Synthesizes a RepRSM upper bound with a Ser ternary search of at most
@@ -137,84 +139,15 @@ pub fn synthesize_reprsm_bound_in(
     ser_iterations: usize,
     solver: &mut LpSolver,
 ) -> Result<RepRsmResult, RepRsmError> {
-    synthesize_reprsm_bound_seeded_in(pts, kind, ser_iterations, None, solver)
-}
-
-/// Seeded search window, as a multiple of the neighbor's ε\*: wide enough
-/// that ε\* rarely grows past it between neighboring sweep points, narrow
-/// enough that the ternary search converges in fewer probes than the
-/// full `[0, εmax]` window needs.
-const SEED_WINDOW: f64 = 8.0;
-
-/// Fraction of the seeded window's ceiling beyond which the landed ε\* is
-/// treated as boundary-pinned — the true optimum may lie above the
-/// window, so the seeded result is discarded and the full search
-/// (εmax LP included) runs instead.
-const SEED_BOUNDARY: f64 = 0.9;
-
-/// [`synthesize_reprsm_bound_in`] with an optional ε seed from a
-/// neighboring parametric-sweep point (`crate::sweep`).
-///
-/// With `eps_seed = Some(ε₀)` from the *previous* point's certified
-/// template, the εmax LP is skipped and the Ser ternary search runs on
-/// the seeded window `[0, min(SEED_WINDOW·ε₀, 1))`. Honesty guards
-/// make seeding a pure acceleration, never an answer change beyond the
-/// ternary search's own `1e-10` convergence slack:
-///
-/// * **boundary fallback** — if ε\* lands within `SEED_BOUNDARY` of the
-///   seeded ceiling (and the ceiling is not the global `EPS_CAP`), the
-///   optimum may lie above the window: the seeded attempt is discarded
-///   and the full `[0, εmax]` search runs;
-/// * **infeasibility fallback** — probes above the true εmax are
-///   infeasible and prune themselves inside the search, but a final
-///   solve landing infeasible (ε\* a hair past εmax) likewise discards
-///   the attempt instead of misreporting `NoRepRsm`.
-///
-/// The bound is certified by the final LP solve at ε\* exactly as in the
-/// unseeded search; `f(ε) = ε·ω(ε)` is unimodal (Proposition 5), so both
-/// windows converge to the same optimum when the guard does not fire.
-///
-/// # Errors
-///
-/// See [`RepRsmError`].
-pub fn synthesize_reprsm_bound_seeded_in(
-    pts: &Pts,
-    kind: BoundKind,
-    ser_iterations: usize,
-    eps_seed: Option<f64>,
-    solver: &mut LpSolver,
-) -> Result<RepRsmResult, RepRsmError> {
     let init = pts.initial_state();
     if pts.is_absorbing(init.loc) {
         return Err(RepRsmError::TrivialInitial);
     }
     let gen = ConstraintGen::new(pts, TemplateSpace::new(pts, true), kind, solver)?;
     let mut ser = SerSearch { gen: &gen, iterations: ser_iterations, fixed: None, lp_solves: 0 };
-    let finished = |ser: &SerSearch<'_, '_>, mut r: RepRsmResult| {
-        r.lp_solves = ser.lp_solves;
-        r.probe_fallbacks =
-            ser.fixed.as_ref().map_or(0, |f| debug::prepared_counts(&f.prepared).1);
-        r
-    };
-
-    // Seeded fast path: search the neighbor-derived window, fall back to
-    // the full search when the guards fire.
-    if let Some(seed) = eps_seed.filter(|e| e.is_finite() && *e > 0.0) {
-        let hi = (SEED_WINDOW * seed).min(EPS_CAP);
-        let eps_star = ser.ternary(0.0, hi, solver)?;
-        if eps_star <= SEED_BOUNDARY * hi || hi >= EPS_CAP {
-            if let Some(r) = ser.finish(eps_star, solver)? {
-                return Ok(finished(&ser, r));
-            }
-        }
-    }
-
     let eps_max = ser.eps_max(solver)?;
-    let eps_star = ser.ternary(0.0, eps_max, solver)?;
-    match ser.finish(eps_star, solver)? {
-        Some(r) => Ok(finished(&ser, r)),
-        None => Err(RepRsmError::NoRepRsm),
-    }
+    let eps_star = ser.ternary(eps_max, solver)?;
+    ser.finish(eps_star, solver)
 }
 
 /// The LPs of one Ser search: the εmax LP, and the fixed-ε LP of every
@@ -268,14 +201,10 @@ impl SerSearch<'_, '_> {
     }
 
     /// f(ε) = ε·ω_opt(ε), minimized by ternary search (Appendix C.2) on
-    /// `[lo, hi]`: at most `iterations` rounds of two probes, stopping
+    /// `[0, hi]`: at most `iterations` rounds of two probes, stopping
     /// early once the window is narrower than 1e-10.
-    fn ternary(
-        &mut self,
-        mut lo: f64,
-        mut hi: f64,
-        solver: &mut LpSolver,
-    ) -> Result<f64, RepRsmError> {
+    fn ternary(&mut self, mut hi: f64, solver: &mut LpSolver) -> Result<f64, RepRsmError> {
+        let mut lo = 0.0;
         for _ in 0..self.iterations {
             if hi - lo < 1e-10 {
                 break;
@@ -293,30 +222,25 @@ impl SerSearch<'_, '_> {
         Ok((lo + hi) / 2.0)
     }
 
-    /// Final certifying solve at ε\*; `Ok(None)` = infeasible there. The
-    /// caller stamps the solve counts.
-    fn finish(
-        &mut self,
-        eps_star: f64,
-        solver: &mut LpSolver,
-    ) -> Result<Option<RepRsmResult>, RepRsmError> {
+    /// Final certifying solve at ε\*, which ends the search.
+    fn finish(&mut self, eps_star: f64, solver: &mut LpSolver) -> Result<RepRsmResult, RepRsmError> {
         let sol = match self.solve_at(eps_star, solver) {
             Ok(s) => s,
-            Err(LpError::Infeasible) => return Ok(None),
+            Err(LpError::Infeasible) => return Err(RepRsmError::NoRepRsm),
             Err(e) => return Err(RepRsmError::Lp(e)),
         };
-        let unknowns = &self.fixed.as_ref().expect("solve_at prepared it").unknowns;
-        let x: Vec<f64> = unknowns.iter().map(|&v| sol.value(v)).collect();
+        let fixed = self.fixed.as_ref().expect("solve_at prepared it");
+        let x: Vec<f64> = fixed.unknowns.iter().map(|&v| sol.value(v)).collect();
         let omega = sol.objective.min(0.0);
         let log_bound = self.gen.kind.factor() * eps_star * omega;
-        Ok(Some(RepRsmResult {
+        Ok(RepRsmResult {
             bound: LogProb::from_ln(log_bound).clamp_to_unit(),
             epsilon: eps_star,
             omega,
             template: SolvedTemplate::from_solution(self.gen.pts, &self.gen.space, &x),
-            lp_solves: 0,
-            probe_fallbacks: 0,
-        }))
+            lp_solves: self.lp_solves,
+            probe_fallbacks: debug::prepared_counts(&fixed.prepared).1,
+        })
     }
 
     /// εmax: maximize ε subject to everything (ε itself capped for

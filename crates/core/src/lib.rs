@@ -52,14 +52,14 @@
 //! through one shared `LpSolver` session with **dual-simplex
 //! reoptimization** enabled: neighboring points differ only in
 //! RHS/objective values, so each LP restarts from the previous optimal
-//! basis with a few dual pivots instead of a cold two-phase solve, and
-//! the previous point's certified template seeds the next point's ε
-//! search ([`engine::AnalysisRequest::eps_seed`]). Every reuse layer
-//! falls back to the cold path on failure, and
-//! [`sweep::SweepRequest::check_cold`] re-solves each point cold and
+//! basis with a few dual pivots instead of a cold two-phase solve. Each
+//! point runs the same synthesis (and so issues the same LPs) as a cold
+//! run. A dual reoptimization that fails falls back to the cold path,
+//! and [`sweep::SweepRequest::check_cold`] re-solves each point cold and
 //! reports the cold bound if the sweep bound drifts beyond a relative
-//! `1e-7` — a sweep is faster than the per-point baseline, never
-//! looser. Surfaced as `qava --sweep` /
+//! `1e-7` — a sweep is never looser than the per-point baseline, and
+//! with the check on each point costs its sweep attempt plus a cold
+//! solve. Surfaced as `qava --sweep` /
 //! [`suite::runner::sweep_families_with`].
 //!
 //! ## Failure semantics

@@ -8,7 +8,7 @@
 //! ones the `qava --sweep` driver walks). The table drivers treat each
 //! row independently; the sweep driver ([`crate::sweep`],
 //! [`runner::sweep_families_with`]) exploits the family structure with
-//! dual-simplex reoptimization and template seeding between neighbors.
+//! dual-simplex reoptimization between neighbors.
 //!
 //! Sources are transcriptions of Figures 1–12. Two reconstructions were
 //! necessary (documented in DESIGN.md):

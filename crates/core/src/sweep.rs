@@ -1,5 +1,5 @@
-//! Parametric sweeps: certified bound-vs-parameter curves at
-//! near-single-solve cost.
+//! Parametric sweeps: certified bound-vs-parameter curves with LP reuse
+//! between neighboring points.
 //!
 //! The suite's benchmark families — Coupon `Pr[T > 100/300/500]`, the
 //! Ref `p` ladder, the 3DWalk εmax ladder — are the *same program* at
@@ -10,10 +10,10 @@
 //! (`LpSolver::set_reoptimize`): each point's LPs find the previous
 //! point's optimal basis in the session's warm-start cache and try a
 //! handful of dual pivots on the perturbed RHS/objective instead of a
-//! cold two-phase primal solve. On top of the LP reuse, the previous
-//! point's certified template seeds the next point's synthesis: its ε\*
-//! narrows the RepRSM Ser search window
-//! ([`AnalysisRequest::eps_seed`]), skipping the εmax LP.
+//! cold two-phase primal solve. Every point runs the same synthesis as
+//! a cold run — for the RepRSM engines the same Ser search over
+//! `[0, εmax]` — so it issues the same LPs; only how each LP is solved
+//! differs.
 //!
 //! ## Fallback and honesty semantics
 //!
@@ -23,16 +23,14 @@
 //!   cached basis, lost dual feasibility, degenerate stall, injected
 //!   `dual-pivot` fault) degrades inside the session to the ordinary
 //!   cold primal solve;
-//! * a seeded ε search whose optimum pins to the seeded window boundary
-//!   (or lands infeasible) discards the seeded attempt and reruns the
-//!   full search, εmax LP included;
 //! * with [`SweepRequest::check_cold`] (the `qava --sweep` default),
 //!   every point is additionally re-solved in a fresh cold session and
 //!   the two certified bounds are compared at the same relative `1e-7`
 //!   tolerance the chaos suite uses. A drifted point **reports the cold
 //!   bound** — the sweep-session attempt moves to the point's
-//!   [`abandoned`](SweepPoint::abandoned) bucket — so a sweep can be
-//!   faster than the per-point baseline, never looser.
+//!   [`abandoned`](SweepPoint::abandoned) bucket — so a sweep is never
+//!   looser than the per-point baseline. With the check on, a point
+//!   costs its sweep attempt plus a cold solve.
 //!
 //! Per-point reopt-vs-cold statistics (`LpStats::reopt_attempts` /
 //! `reopt_successes`) ride on the ordinary stats plumbing and surface in
@@ -49,8 +47,7 @@ use std::time::Instant;
 pub const DRIFT_TOL: f64 = 1e-7;
 
 /// The engine a sweep runs per point when [`SweepRequest::engine`] is
-/// `None`: the direction's primary table engine that benefits from both
-/// LP reoptimization and template seeding.
+/// `None`: the direction's primary table engine.
 pub fn primary_engine(direction: Direction) -> &'static str {
     match direction {
         Direction::Upper => "hoeffding-linear",
@@ -63,9 +60,9 @@ pub fn primary_engine(direction: Direction) -> &'static str {
 #[derive(Debug, Clone)]
 pub struct SweepRequest<'a> {
     /// The family's points, in sweep order. Order matters: point `k+1`
-    /// reuses point `k`'s basis and template, so neighbors should differ
-    /// by small parameter steps (the suite families are already ordered
-    /// this way).
+    /// reuses point `k`'s bases, so neighbors should differ by small
+    /// parameter steps (the suite families are already ordered this
+    /// way).
     pub rows: &'a [Benchmark],
     /// Engine to run per point; `None` picks [`primary_engine`] of the
     /// row's direction.
@@ -113,8 +110,10 @@ pub struct SweepPoint {
     /// LP statistics of a cold cross-check that *confirmed* the sweep
     /// bound; empty when the check was off or the point fell back cold.
     pub audit: LpStats,
-    /// Whether this point's synthesis was seeded by the previous point's
-    /// template.
+    /// Always `false`: sweep points no longer seed each other's ε search.
+    /// Kept only because the `sweep` benchmark workload still reads it
+    /// for its `sweep.seeded_points` metric; the next benchmark change
+    /// removes both together.
     pub seeded: bool,
     /// Whether the point reports its cold solve (sweep run failed or
     /// drifted past [`DRIFT_TOL`]).
@@ -167,14 +166,12 @@ pub fn run_sweep(req: &SweepRequest<'_>) -> SweepReport {
 
 /// Runs one family sweep with an explicit registry: the points run
 /// strictly in order inside one shared reoptimizing [`LpSolver`]
-/// session, threading the previous point's ε\* into the next point's
-/// request; see the module docs for the fallback semantics.
+/// session; see the module docs for the fallback semantics.
 pub fn run_sweep_in(registry: &EngineRegistry, req: &SweepRequest<'_>) -> SweepReport {
     let family = req.rows.first().map_or("", |b| b.name);
     let mut points = Vec::with_capacity(req.rows.len());
     let mut solver = LpSolver::with_choice(req.backend);
     solver.set_reoptimize(true);
-    let mut seed: Option<f64> = None;
 
     for b in req.rows {
         let name = req.engine.unwrap_or_else(|| primary_engine(b.direction));
@@ -192,14 +189,11 @@ pub fn run_sweep_in(registry: &EngineRegistry, req: &SweepRequest<'_>) -> SweepR
                 cold_fallback: false,
                 drift: None,
             });
-            seed = None;
             continue;
         };
         let pts = b.compile();
         let t0 = Instant::now();
-        let mut areq = AnalysisRequest::new(&pts, engine.direction());
-        areq.eps_seed = seed;
-        let seeded = areq.eps_seed.is_some();
+        let areq = AnalysisRequest::new(&pts, engine.direction());
         let report = engine.run(&areq, &mut solver);
 
         let mut lp = report.lp;
@@ -210,8 +204,7 @@ pub fn run_sweep_in(registry: &EngineRegistry, req: &SweepRequest<'_>) -> SweepR
         let mut drift = None;
 
         if req.check_cold || outcome.is_err() {
-            // The authority: same engine, fresh session, no seed, no
-            // reoptimization.
+            // The authority: same engine, fresh session, no reoptimization.
             let cold_req = AnalysisRequest::new(&pts, engine.direction());
             let mut cold_solver = LpSolver::with_choice(req.backend);
             let cold = engine.run(&cold_req, &mut cold_solver);
@@ -242,16 +235,6 @@ pub fn run_sweep_in(registry: &EngineRegistry, req: &SweepRequest<'_>) -> SweepR
         }
         let seconds = t0.elapsed().as_secs_f64();
 
-        // The next point is seeded by whatever template this point
-        // *reports* — after a cold fallback, the cold template.
-        seed = outcome
-            .as_ref()
-            .ok()
-            .and_then(|c| {
-                c.details.iter().find(|(k, _)| *k == "epsilon").map(|&(_, v)| v)
-            })
-            .filter(|e| e.is_finite() && *e > 0.0);
-
         points.push(SweepPoint {
             name: b.name,
             label: b.label.clone(),
@@ -261,7 +244,7 @@ pub fn run_sweep_in(registry: &EngineRegistry, req: &SweepRequest<'_>) -> SweepR
             lp,
             abandoned,
             audit,
-            seeded,
+            seeded: false,
             cold_fallback,
             drift,
         });
@@ -289,19 +272,39 @@ mod tests {
             let d = p.drift.expect("check_cold compares every certified point");
             assert!(d <= DRIFT_TOL * (1.0 + p.bound.as_ref().unwrap().ln().abs()) || p.cold_fallback);
         }
-        // explowsyn has no ε detail, so no point is seeded.
-        assert!(report.points.iter().all(|p| !p.seeded));
+    }
+
+    /// Every point's sweep-session attempt issues exactly as many LP
+    /// solves as its cold run: a sweep reuses bases, never a different
+    /// search. After a cold fallback the attempt sits in `abandoned` and
+    /// the cold run in `lp`.
+    fn assert_same_search_as_cold(report: &SweepReport) {
+        for p in &report.points {
+            let (attempt, cold) =
+                if p.cold_fallback { (&p.abandoned, &p.lp) } else { (&p.lp, &p.audit) };
+            assert_eq!(
+                attempt.solves, cold.solves,
+                "{} {}: sweep attempt vs cold LP solves",
+                report.family, p.label
+            );
+        }
     }
 
     #[test]
-    fn coupon_sweep_seeds_neighbors_and_is_monotone() {
+    fn every_sweep_point_runs_the_cold_search() {
+        for rows in crate::suite::sweep_families() {
+            let report = run_sweep(&SweepRequest::new(&rows));
+            assert_eq!(report.failures(), 0, "{}", report.family);
+            assert_same_search_as_cold(&report);
+        }
+    }
+
+    #[test]
+    fn coupon_sweep_matches_cold_search_and_is_monotone() {
         let rows = coupon_rows();
         let report = run_sweep(&SweepRequest::new(&rows));
         assert_eq!(report.failures(), 0);
-        // Template threading: every point after the first is seeded by
-        // its neighbor's ε*.
-        assert!(!report.points[0].seeded);
-        assert!(report.points[1].seeded && report.points[2].seeded);
+        assert_same_search_as_cold(&report);
         // Metamorphic monotonicity: Pr[T > n] is non-increasing in n.
         let lns: Vec<f64> =
             report.points.iter().map(|p| p.bound.as_ref().unwrap().ln()).collect();

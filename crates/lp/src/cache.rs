@@ -98,10 +98,6 @@ impl BasisCache {
     pub(crate) fn remove(&mut self, key: u64) -> bool {
         self.map.remove(&key).is_some()
     }
-
-    pub(crate) fn clear(&mut self) {
-        self.map.clear();
-    }
 }
 
 /// Default capacity of a [`SharedBasisCache`]: far above the distinct

@@ -545,16 +545,6 @@ impl BasisRepr for FtBasis {
         }
         if tiny || drifted {
             self.shaky = true;
-            // Same diagnostics channel as the feasibility watchdog in
-            // `crate::revised` (see CHANGES.md): which accuracy trigger
-            // scheduled the refactorization, with the numbers behind it.
-            if std::env::var_os("QAVA_LP_DEBUG_WATCHDOG").is_some() {
-                eprintln!(
-                    "ft shaky after update {}: d = {d:e} vs predicted {predicted:e} \
-                     (tiny = {tiny}, drifted = {drifted})",
-                    self.updates
-                );
-            }
         }
         if d == 0.0 {
             // An exactly singular spike would poison the very next solve

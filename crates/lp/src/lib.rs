@@ -43,14 +43,13 @@
 //!   ([`LpStats`]: pivots, presolve reductions, warm-start hits,
 //!   feasibility-watchdog restarts, anti-cycling retries, dual
 //!   reoptimizations, wall time). Sessions offer **dual-simplex
-//!   reoptimization** ([`LpSolver::reoptimize`], or session-wide via
-//!   [`LpSolver::set_reoptimize`]) for parametric families: when a
-//!   solve's reduced pattern has a cached final basis, the revised
-//!   backends refactorize that basis once and — while it still prices
-//!   out dual-feasible, which RHS-only perturbations guarantee — run
-//!   dual pivots back to primal feasibility instead of a cold two-phase
-//!   solve, with unchanged verdict certification and an unconditional
-//!   cold fallback on any numerical doubt.
+//!   reoptimization** ([`LpSolver::set_reoptimize`]) for parametric
+//!   families: when a solve's reduced pattern has a cached final basis,
+//!   the revised backends refactorize that basis once and — while it
+//!   still prices out dual-feasible, which RHS-only perturbations
+//!   guarantee — run dual pivots back to primal feasibility instead of
+//!   a cold two-phase solve, with unchanged verdict certification and an
+//!   unconditional cold fallback on any numerical doubt.
 //!   For **right-hand-side families** — solves that differ only in the
 //!   right-hand sides of some rows, like the Ser search's ε probes —
 //!   [`LpSolver::prepare`] lowers, presolves and equilibrates a model

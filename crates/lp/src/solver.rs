@@ -25,12 +25,12 @@
 //! per-backend solve statistics.
 //!
 //! Sessions additionally support **dual-simplex reoptimization**
-//! ([`LpSolver::reoptimize`] / [`LpSolver::set_reoptimize`]): when a
-//! solve's reduced sparsity pattern has a cached final basis, the
-//! revised-simplex backends refactorize it once and run dual pivots back
-//! to primal feasibility instead of a cold two-phase solve — the
-//! parametric-sweep fast path, with unchanged verdict certification and
-//! an unconditional cold fallback on any doubt.
+//! ([`LpSolver::set_reoptimize`]): when a solve's reduced sparsity
+//! pattern has a cached final basis, the revised-simplex backends
+//! refactorize it once and run dual pivots back to primal feasibility
+//! instead of a cold two-phase solve — the parametric-sweep fast path,
+//! with unchanged verdict certification and an unconditional cold
+//! fallback on any doubt.
 //!
 //! A model solved many times with only some right-hand sides changed is
 //! **prepared** once ([`LpSolver::prepare`] → [`PreparedLp`]) and its
@@ -171,7 +171,7 @@ pub trait LpBackend {
     }
 
     /// Whether this backend can reoptimize from a previous solve's final
-    /// basis with the dual simplex (see [`LpSolver::reoptimize`]).
+    /// basis with the dual simplex (see [`LpSolver::set_reoptimize`]).
     fn supports_reoptimize(&self) -> bool {
         false
     }
@@ -488,8 +488,9 @@ pub struct LpStats {
     /// numerically outmatched (route it to the `lu-ft` backend).
     pub watchdog_restarts: usize,
     /// Watchdog trips whose cause was a refactorization failing outright
-    /// on a singular basis (the `watchdog_restarts` cause split;
-    /// formerly only visible as `QAVA_LP_DEBUG_WATCHDOG` prints).
+    /// on a singular basis (one half of the `watchdog_restarts` cause
+    /// split; [`watchdog_infeasible`](Self::watchdog_infeasible) is the
+    /// other).
     pub watchdog_singular: usize,
     /// Watchdog trips whose cause was a refactorization exposing an
     /// infeasible (negative) `x_B`.
@@ -860,28 +861,6 @@ impl LpSolver {
         self.reopt = enabled;
     }
 
-    /// Whether dual-simplex reoptimization mode is enabled.
-    pub fn reoptimize_enabled(&self) -> bool {
-        self.reopt
-    }
-
-    /// Solves a built model with dual-simplex reoptimization enabled for
-    /// just this call — [`solve`](Self::solve) of a perturbed neighbor of
-    /// the previous model, at (ideally) a handful of dual pivots instead
-    /// of a cold solve. Equivalent to wrapping one `solve` in
-    /// [`set_reoptimize`](Self::set_reoptimize).
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`solve`](Self::solve).
-    pub fn reoptimize(&mut self, lp: &LpBuilder) -> Result<LpSolution, LpError> {
-        let prev = self.reopt;
-        self.reopt = true;
-        let out = self.solve(lp);
-        self.reopt = prev;
-        out
-    }
-
     /// Probes the session fault plan at an injection site.
     fn fault_trip(&mut self, site: Site) -> bool {
         self.faults.as_mut().is_some_and(|p| p.arm(site))
@@ -895,12 +874,6 @@ impl LpSolver {
         while self.cache.map.len() > capacity && self.cache.evict_lru() {
             self.stats.cache_evictions += 1;
         }
-    }
-
-    /// Drops every cached warm-start basis (benchmarks use this to
-    /// measure the cold path deterministically).
-    pub fn clear_warm_start_cache(&mut self) {
-        self.cache.clear();
     }
 
     /// Attaches a process-wide [`SharedBasisCache`]. The session then
@@ -918,11 +891,6 @@ impl LpSolver {
     /// entry can cost a cold solve, never an answer.
     pub fn set_shared_cache(&mut self, shared: Arc<SharedBasisCache>) {
         self.shared = Some(shared);
-    }
-
-    /// Detaches the shared store; the session is back to private warmth.
-    pub fn clear_shared_cache(&mut self) {
-        self.shared = None;
     }
 
     /// Failover invalidation, reaching both stores: a basis that sent a
@@ -2015,7 +1983,8 @@ mod tests {
             solver.solve(&simple_lp(3.0)).unwrap();
             // Perturbed RHS, same pattern: the reoptimized optimum must
             // equal the cold one exactly (both are certified optima).
-            let sol = solver.reoptimize(&simple_lp(4.5)).unwrap();
+            solver.set_reoptimize(true);
+            let sol = solver.solve(&simple_lp(4.5)).unwrap();
             let mut cold = LpSolver::with_choice(choice);
             let want = cold.solve(&simple_lp(4.5)).unwrap();
             assert!(
@@ -2047,7 +2016,8 @@ mod tests {
             let mut solver = LpSolver::with_choice(choice);
             let first = solver.solve(&build(2.0)).unwrap();
             assert!((first.objective - 2.0).abs() < 1e-7, "{choice}: {}", first.objective);
-            let sol = solver.reoptimize(&build(0.5)).unwrap();
+            solver.set_reoptimize(true);
+            let sol = solver.solve(&build(0.5)).unwrap();
             assert!((sol.objective - 1.5).abs() < 1e-7, "{choice}: {}", sol.objective);
             assert_eq!(solver.stats().reopt_attempts, 1, "{choice}");
             assert_eq!(solver.stats().reopt_successes, 1, "{choice}");
@@ -2057,10 +2027,10 @@ mod tests {
     #[test]
     fn reoptimize_without_cached_basis_runs_cold() {
         let mut solver = LpSolver::with_choice(BackendChoice::Sparse);
-        let sol = solver.reoptimize(&simple_lp(3.0)).unwrap();
+        solver.set_reoptimize(true);
+        let sol = solver.solve(&simple_lp(3.0)).unwrap();
         assert!((sol.objective - 6.0).abs() < 1e-7);
         assert_eq!(solver.stats().reopt_attempts, 0, "no basis, no attempt");
-        assert!(!solver.reoptimize_enabled(), "one-shot mode is restored");
     }
 
     #[test]
@@ -2068,7 +2038,8 @@ mod tests {
         let mut solver = LpSolver::with_choice(BackendChoice::Sparse);
         solver.solve(&simple_lp(3.0)).unwrap();
         let key = *solver.cache.map.keys().next().expect("cold solve cached its basis");
-        solver.reoptimize(&simple_lp(4.0)).unwrap();
+        solver.set_reoptimize(true);
+        solver.solve(&simple_lp(4.0)).unwrap();
         assert_eq!(solver.stats().reopt_successes, 1);
         let (_, used) = &solver.cache.map[&key];
         assert_eq!(
@@ -2077,7 +2048,7 @@ mod tests {
         );
         // And the refreshed entry seeds the next point: a third solve of
         // the family reoptimizes again from it.
-        solver.reoptimize(&simple_lp(5.0)).unwrap();
+        solver.solve(&simple_lp(5.0)).unwrap();
         assert_eq!(solver.stats().reopt_successes, 2);
     }
 
@@ -2087,7 +2058,8 @@ mod tests {
             let mut solver = LpSolver::with_choice(choice);
             solver.solve(&simple_lp(3.0)).unwrap();
             solver.install_fault_plan(FaultPlan::once(crate::FaultKind::DualPivot));
-            let sol = solver.reoptimize(&simple_lp(4.0)).unwrap();
+            solver.set_reoptimize(true);
+            let sol = solver.solve(&simple_lp(4.0)).unwrap();
             assert!((sol.objective - 8.0).abs() < 1e-7, "{choice}: {}", sol.objective);
             assert!(solver.fault_fired(), "{choice}: the dual pivot site was reached");
             assert_eq!(solver.stats().reopt_attempts, 1, "{choice}");

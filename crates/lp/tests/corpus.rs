@@ -303,8 +303,8 @@ fn corpus_survives_poisoned_warm_starts() {
 /// Sweep-chain replay: the `sweep_*_NN.qlp` files are ordered ladders of
 /// structurally identical, value-perturbed core systems harvested from
 /// one `qava --sweep` family session (`harvest_sweep_chains`). For every
-/// reoptimize-capable backend, walk each chain the way
-/// `LpSolver::reoptimize` does — cold-solve the head, then
+/// reoptimize-capable backend, walk each chain the way a reoptimizing
+/// session (`LpSolver::set_reoptimize`) does — cold-solve the head, then
 /// dual-reoptimize each successor from the previous member's final
 /// basis — and hold every incrementally produced solution to that
 /// member's own pinned cold verdict and objective (1e-7), residual and
