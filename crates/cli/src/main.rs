@@ -30,8 +30,10 @@
 //! `--sweep` walks the suite's parametric families (Coupon, 3DWalk, Ref)
 //! through the sweep driver ([`qava_core::sweep`]): one shared
 //! reoptimizing solver session per family, each point cross-checked
-//! against a fresh cold solve, emitting a certified bound-vs-parameter
-//! curve with per-point reopt-vs-cold statistics in the footer.
+//! against a fresh cold solve (the cold solves run beside the families
+//! on the same thread pool), emitting a certified bound-vs-parameter
+//! curve with per-point reopt-vs-cold statistics and the pass's wall
+//! time in the footer.
 //!
 //! `--connect SOCK` routes the analysis through a resident `qavad`
 //! daemon (see the `qavad` crate) instead of solving in-process: the
@@ -52,7 +54,7 @@ use qava_core::suite::runner::suite_abandoned_lp_stats;
 use qava_lp::{BackendChoice, LpSolver, LpStats};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
 usage: qava <program.qava> [options]
@@ -116,14 +118,16 @@ suite:
                    certifies a bound within 1e-7 of the fault-free value
   --sweep          walk the suite's parametric families (Coupon
                    Pr[T > n], the 3DWalk εmax ladder, the Ref p ladder)
-                   through the sweep driver: points run in order inside
-                   one shared solver session with dual-simplex
-                   reoptimization between neighbors, every point is
-                   cross-checked against a fresh cold solve (falling
-                   back to the cold bound past a relative 1e-7), and the
-                   footer reports per-point reopt-vs-cold statistics
-                   (honors --lp-backend; not combinable with --race or
-                   --chaos)
+                   through the sweep driver: each family's points run
+                   in order inside one shared solver session with
+                   dual-simplex reoptimization between neighbors, every
+                   point is cross-checked against a fresh cold solve
+                   that runs beside the families on the thread pool
+                   (falling back to the cold bound past a relative
+                   1e-7), and the footer reports per-point reopt-vs-cold
+                   statistics and the pass's wall time against its
+                   summed point time (honors --lp-backend; not
+                   combinable with --race or --chaos)
 ";
 
 struct Options {
@@ -403,17 +407,21 @@ fn run_suite(
 /// neighbor's bases and cross-checked against a fresh cold solve (see
 /// [`qava_core::sweep`]).
 fn run_sweep_suite(backend: BackendChoice) -> ExitCode {
+    let started = Instant::now();
     let reports = qava_core::suite::runner::sweep_families_with(backend, true);
+    let wall = started.elapsed().as_secs_f64();
     let mut failures = 0usize;
     let mut points = 0usize;
     let mut fallbacks = 0usize;
     let mut attempts = 0usize;
     let mut successes = 0usize;
     let mut max_drift = 0.0f64;
+    let mut point_work = 0.0f64;
     let mut certified = LpStats::default();
     for report in &reports {
         for p in &report.points {
             points += 1;
+            point_work += p.seconds;
             // Reoptimization counters of the *sweep-session* attempt:
             // after a cold fallback they live in the abandoned bucket.
             let (att, hits) = (
@@ -452,7 +460,8 @@ fn run_sweep_suite(backend: BackendChoice) -> ExitCode {
     println!(
         "sweep: {} families, {points} points, {failures} failures; \
          {successes}/{attempts} dual reopts succeeded, {fallbacks} cold fallbacks, \
-         max sweep-vs-cold drift {max_drift:.2e}",
+         max sweep-vs-cold drift {max_drift:.2e}; \
+         wall {wall:.2} s for {point_work:.2} s of point work",
         reports.len()
     );
     // The certified footer counts only the work behind the reported

@@ -59,7 +59,10 @@
 //! reports the cold bound if the sweep bound drifts beyond a relative
 //! `1e-7` — a sweep is never looser than the per-point baseline, and
 //! with the check on each point costs its sweep attempt plus a cold
-//! solve. Surfaced as `qava --sweep` /
+//! solve. [`sweep::run_sweeps_in`] runs every family's chain and every
+//! point's cold audit as separate tasks of one thread pool, so the
+//! audits overlap the chains; only the points within a chain run in
+//! order. Surfaced as `qava --sweep` /
 //! [`suite::runner::sweep_families_with`].
 //!
 //! ## Failure semantics

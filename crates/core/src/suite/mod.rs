@@ -8,7 +8,9 @@
 //! ones the `qava --sweep` driver walks). The table drivers treat each
 //! row independently; the sweep driver ([`crate::sweep`],
 //! [`runner::sweep_families_with`]) exploits the family structure with
-//! dual-simplex reoptimization between neighbors.
+//! dual-simplex reoptimization between neighbors: each family's points
+//! run in order in one session, while the points' cold audits run
+//! beside them on the same thread pool.
 //!
 //! Sources are transcriptions of Figures 1–12. Two reconstructions were
 //! necessary (documented in DESIGN.md):

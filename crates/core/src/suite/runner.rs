@@ -332,29 +332,22 @@ pub fn race_rows_in(
 }
 
 /// Sweep mode (`qava --sweep`): walks every parametric family of the
-/// suite ([`crate::suite::sweep_families`]) through the sweep driver
-/// ([`crate::sweep::run_sweep`]) — families in parallel on the thread
-/// pool, each family's points strictly in order inside one shared
-/// reoptimizing `LpSolver` session. `check_cold` additionally re-solves
-/// every point cold and falls back to the cold bound on drift (the
-/// certification mode the CLI runs).
+/// suite ([`crate::suite::sweep_families`]) through one call of the
+/// sweep driver ([`crate::sweep::run_sweeps_in`]). Each family's points
+/// run in order inside one shared reoptimizing `LpSolver` session, and
+/// those chains share the thread pool with the points' cold audits.
+/// `check_cold` re-solves every point cold and falls back to the cold
+/// bound on drift (the certification mode the CLI runs).
 pub fn sweep_families_with(
     backend: BackendChoice,
     check_cold: bool,
 ) -> Vec<crate::sweep::SweepReport> {
     let families = crate::suite::sweep_families();
-    families
-        .par_iter()
-        .map(|rows| {
-            let req = crate::sweep::SweepRequest {
-                rows,
-                engine: None,
-                backend,
-                check_cold,
-            };
-            crate::sweep::run_sweep(&req)
-        })
-        .collect()
+    let reqs: Vec<_> = families
+        .iter()
+        .map(|rows| crate::sweep::SweepRequest { rows, engine: None, backend, check_cold })
+        .collect();
+    crate::sweep::run_sweeps_in(&EngineRegistry::with_builtins(), &reqs)
 }
 
 /// Reassembles per-task outcomes into per-row reports, in input order.

@@ -15,6 +15,16 @@
 //! `[0, εmax]` — so it issues the same LPs; only how each LP is solved
 //! differs.
 //!
+//! ## Scheduling
+//!
+//! [`run_sweeps_in`] runs any number of family sweeps on one flat task
+//! pool: one task per family chain (the points in order, one session)
+//! and one per cold audit (a fresh session each), so the audits of one
+//! family run beside the chains and audits of the others. Only a
+//! chain's points are ordered. Every LP runs in the session it would
+//! run in a family-at-a-time sweep, so the schedule and the pool width
+//! change wall time only, never a bound, drift or work counter.
+//!
 //! ## Fallback and honesty semantics
 //!
 //! Reuse is a fast path, never a verdict source, at every layer:
@@ -36,10 +46,12 @@
 //! `reopt_successes`) ride on the ordinary stats plumbing and surface in
 //! the `qava --sweep` footer.
 
-use crate::engine::{AnalysisRequest, Direction, EngineRegistry};
+use crate::engine::{AnalysisReport, AnalysisRequest, BoundEngine, Direction, EngineRegistry};
 use crate::logprob::LogProb;
 use crate::suite::Benchmark;
 use qava_lp::{BackendChoice, LpSolver, LpStats};
+use qava_pts::Pts;
+use rayon::prelude::*;
 use std::time::Instant;
 
 /// Relative tolerance of the cold cross-check, matching the chaos
@@ -95,8 +107,10 @@ pub struct SweepPoint {
     /// The certified bound backing this point, or the failure rendered
     /// as text.
     pub bound: Result<LogProb, String>,
-    /// Wall-clock time of the point, seconds — sweep run plus (when
-    /// enabled) the cold cross-check.
+    /// Wall-clock time of the point, seconds: its sweep attempt's plus
+    /// (when run) its cold cross-check's. The two may run concurrently
+    /// on the sweep's task pool, so this is the point's work, not a
+    /// span of the pass's wall time.
     pub seconds: f64,
     /// LP statistics behind the **reported** bound (the shared sweep
     /// session's share, or the cold session's after a fallback),
@@ -164,93 +178,174 @@ pub fn run_sweep(req: &SweepRequest<'_>) -> SweepReport {
     run_sweep_in(&EngineRegistry::with_builtins(), req)
 }
 
-/// Runs one family sweep with an explicit registry: the points run
-/// strictly in order inside one shared reoptimizing [`LpSolver`]
-/// session; see the module docs for the fallback semantics.
+/// Runs one family sweep with an explicit registry: [`run_sweeps_in`]
+/// over that one family.
 pub fn run_sweep_in(registry: &EngineRegistry, req: &SweepRequest<'_>) -> SweepReport {
-    let family = req.rows.first().map_or("", |b| b.name);
-    let mut points = Vec::with_capacity(req.rows.len());
-    let mut solver = LpSolver::with_choice(req.backend);
-    solver.set_reoptimize(true);
+    run_sweeps_in(registry, std::slice::from_ref(req)).pop().expect("one report per request")
+}
 
-    for b in req.rows {
-        let name = req.engine.unwrap_or_else(|| primary_engine(b.direction));
-        let Some(engine) = registry.engine(name) else {
-            points.push(SweepPoint {
-                name: b.name,
-                label: b.label.clone(),
-                engine: name,
-                bound: Err(format!("unknown engine `{name}`")),
-                seconds: 0.0,
-                lp: LpStats::default(),
-                abandoned: LpStats::default(),
-                audit: LpStats::default(),
-                seeded: false,
-                cold_fallback: false,
-                drift: None,
-            });
-            continue;
-        };
-        let pts = b.compile();
-        let t0 = Instant::now();
-        let areq = AnalysisRequest::new(&pts, engine.direction());
-        let report = engine.run(&areq, &mut solver);
+/// A point's engine and compiled program, shared by its chain run and
+/// its cold audit; `None` when the registry has no such engine.
+type Compiled<'r> = Option<(&'r dyn BoundEngine, Pts)>;
 
-        let mut lp = report.lp;
-        let mut outcome = report.outcome;
-        let mut abandoned = LpStats::default();
-        let mut audit = LpStats::default();
-        let mut cold_fallback = false;
-        let mut drift = None;
+/// One task of the sweep pool.
+enum Task {
+    /// Request `r`'s points, in order, in one reoptimizing session.
+    Chain(usize),
+    /// The cold audit of request `r`'s point `k`, in a fresh session.
+    Audit(usize, usize),
+}
 
-        if req.check_cold || outcome.is_err() {
-            // The authority: same engine, fresh session, no reoptimization.
-            let cold_req = AnalysisRequest::new(&pts, engine.direction());
-            let mut cold_solver = LpSolver::with_choice(req.backend);
-            let cold = engine.run(&cold_req, &mut cold_solver);
-            match (&outcome, &cold.outcome) {
-                (Ok(fast), Ok(authority)) => {
-                    let (lf, lc) = (fast.bound.ln(), authority.bound.ln());
-                    let d = (lf - lc).abs();
-                    drift = Some(d);
-                    if d > DRIFT_TOL * (1.0 + lc.abs()) {
-                        abandoned = std::mem::take(&mut lp);
-                        lp = cold.lp;
-                        outcome = cold.outcome;
-                        cold_fallback = true;
-                    } else {
-                        audit = cold.lp;
-                    }
-                }
-                (Err(_), Ok(_)) => {
-                    abandoned = std::mem::take(&mut lp);
-                    lp = cold.lp;
-                    outcome = cold.outcome;
-                    cold_fallback = true;
-                }
-                // Both failed (or only the cold check failed): keep the
-                // sweep outcome, bank the check's work.
-                _ => audit = cold.lp,
-            }
+/// A finished engine run and its wall time, seconds.
+type Timed = (AnalysisReport, f64);
+
+fn timed_run(engine: &dyn BoundEngine, pts: &Pts, solver: &mut LpSolver) -> Timed {
+    let t0 = Instant::now();
+    let report = engine.run(&AnalysisRequest::new(pts, engine.direction()), solver);
+    (report, t0.elapsed().as_secs_f64())
+}
+
+/// Runs several family sweeps on one flat task pool and returns one
+/// report per request, in order.
+///
+/// Each point is compiled once. The pool holds one task per family
+/// chain (the family's points in order, in one shared reoptimizing
+/// [`LpSolver`] session) and, for requests with
+/// [`check_cold`](SweepRequest::check_cold), one task per point's cold
+/// audit (a fresh session each), chains first. Every LP runs in the same
+/// session as it would in a family-at-a-time sweep, so bounds, drifts,
+/// fallbacks and work counters do not depend on the schedule. A failed
+/// attempt without an audit gets its cold retry after the pool. See the
+/// module docs for the fallback semantics.
+pub fn run_sweeps_in(registry: &EngineRegistry, reqs: &[SweepRequest<'_>]) -> Vec<SweepReport> {
+    let compiled: Vec<Vec<Compiled<'_>>> = reqs
+        .iter()
+        .map(|req| {
+            req.rows
+                .iter()
+                .map(|b| registry.engine(point_engine(req, b)).map(|e| (e, b.compile())))
+                .collect()
+        })
+        .collect();
+
+    let mut tasks: Vec<Task> = (0..reqs.len()).map(Task::Chain).collect();
+    for (r, points) in compiled.iter().enumerate() {
+        if reqs[r].check_cold {
+            let known = points.iter().enumerate().filter(|(_, p)| p.is_some());
+            tasks.extend(known.map(|(k, _)| Task::Audit(r, k)));
         }
-        let seconds = t0.elapsed().as_secs_f64();
-
-        points.push(SweepPoint {
-            name: b.name,
-            label: b.label.clone(),
-            engine: name,
-            bound: outcome.map(|c| c.bound).map_err(|e| e.to_string()),
-            seconds,
-            lp,
-            abandoned,
-            audit,
-            seeded: false,
-            cold_fallback,
-            drift,
-        });
     }
+    // Each task yields the runs of the points it covers: a chain all of
+    // its family's, in one reoptimizing session; an audit its one
+    // point's, in a fresh cold session.
+    let runs: Vec<Vec<Option<Timed>>> = tasks
+        .par_iter()
+        .map(|task| {
+            let (r, points, reoptimize) = match *task {
+                Task::Chain(r) => (r, &compiled[r][..], true),
+                Task::Audit(r, k) => (r, &compiled[r][k..=k], false),
+            };
+            let mut solver = LpSolver::with_choice(reqs[r].backend);
+            solver.set_reoptimize(reoptimize);
+            points
+                .iter()
+                .map(|p| p.as_ref().map(|(e, pts)| timed_run(*e, pts, &mut solver)))
+                .collect()
+        })
+        .collect();
+    let mut runs = runs.into_iter();
+    let chains: Vec<_> = runs.by_ref().take(reqs.len()).collect();
+    // Audits come back in task order, request by request and point by
+    // point: the order the settling below consumes them in.
+    let mut audits = runs.map(|mut one| one.pop().flatten());
 
-    SweepReport { family, points }
+    reqs.iter()
+        .zip(compiled)
+        .zip(chains)
+        .map(|((req, points), chain)| {
+            let points = req
+                .rows
+                .iter()
+                .zip(points)
+                .zip(chain)
+                .map(|((b, compiled), attempt)| {
+                    let name = point_engine(req, b);
+                    let (Some((engine, pts)), Some(attempt)) = (compiled, attempt) else {
+                        return settle(b, name, None, None);
+                    };
+                    let cold = if req.check_cold {
+                        audits.next().flatten()
+                    } else if attempt.0.outcome.is_err() {
+                        Some(timed_run(engine, &pts, &mut LpSolver::with_choice(req.backend)))
+                    } else {
+                        None
+                    };
+                    settle(b, name, Some(attempt), cold)
+                })
+                .collect();
+            SweepReport { family: req.rows.first().map_or("", |b| b.name), points }
+        })
+        .collect()
+}
+
+/// The engine name a request runs at row `b`.
+fn point_engine(req: &SweepRequest<'_>, b: &Benchmark) -> &'static str {
+    req.engine.unwrap_or_else(|| primary_engine(b.direction))
+}
+
+/// Settles one point from its chain attempt (`None`: the registry has
+/// no such engine) and its cold run, if any. The cold run is the
+/// authority: a drifted or failed attempt falls back to it.
+fn settle(
+    b: &Benchmark,
+    name: &'static str,
+    attempt: Option<Timed>,
+    cold: Option<Timed>,
+) -> SweepPoint {
+    let mut point = SweepPoint {
+        name: b.name,
+        label: b.label.clone(),
+        engine: name,
+        bound: Err(format!("unknown engine `{name}`")),
+        seconds: 0.0,
+        lp: LpStats::default(),
+        abandoned: LpStats::default(),
+        audit: LpStats::default(),
+        seeded: false,
+        cold_fallback: false,
+        drift: None,
+    };
+    let Some((report, seconds)) = attempt else {
+        return point;
+    };
+    point.seconds = seconds;
+    point.lp = report.lp;
+    let mut outcome = report.outcome;
+
+    if let Some((cold, cold_seconds)) = cold {
+        point.seconds += cold_seconds;
+        let fall_back = match (&outcome, &cold.outcome) {
+            (Ok(fast), Ok(authority)) => {
+                let (lf, lc) = (fast.bound.ln(), authority.bound.ln());
+                let d = (lf - lc).abs();
+                point.drift = Some(d);
+                d > DRIFT_TOL * (1.0 + lc.abs())
+            }
+            (Err(_), Ok(_)) => true,
+            // Both failed (or only the cold check failed): keep the
+            // sweep outcome, bank the check's work.
+            _ => false,
+        };
+        if fall_back {
+            point.abandoned = std::mem::replace(&mut point.lp, cold.lp);
+            outcome = cold.outcome;
+            point.cold_fallback = true;
+        } else {
+            point.audit = cold.lp;
+        }
+    }
+    point.bound = outcome.map(|c| c.bound).map_err(|e| e.to_string());
+    point
 }
 
 #[cfg(test)]
@@ -296,6 +391,52 @@ mod tests {
             let report = run_sweep(&SweepRequest::new(&rows));
             assert_eq!(report.failures(), 0, "{}", report.family);
             assert_same_search_as_cold(&report);
+        }
+    }
+
+    /// The schedule never changes an answer: every family swept in one
+    /// pool gives, point for point, the same bits and the same work as
+    /// that family swept alone.
+    #[test]
+    fn pooled_sweeps_match_each_family_alone() {
+        let families = crate::suite::sweep_families();
+        let registry = EngineRegistry::with_builtins();
+        let reqs: Vec<_> = families.iter().map(|rows| SweepRequest::new(rows)).collect();
+        let pooled = run_sweeps_in(&registry, &reqs);
+        assert_eq!(pooled.len(), reqs.len());
+        let bits =
+            |p: &SweepPoint| p.bound.as_ref().map(|b| b.ln().to_bits()).map_err(Clone::clone);
+        for (req, report) in reqs.iter().zip(&pooled) {
+            let alone = run_sweep_in(&registry, req);
+            assert_eq!(report.family, alone.family);
+            assert_eq!(report.points.len(), alone.points.len());
+            for (p, q) in report.points.iter().zip(&alone.points) {
+                let at = format!("{} {}", report.family, p.label);
+                assert_eq!(bits(p), bits(q), "{at}: bound");
+                assert_eq!(p.drift.map(f64::to_bits), q.drift.map(f64::to_bits), "{at}: drift");
+                assert_eq!(p.cold_fallback, q.cold_fallback, "{at}: fallback");
+                for (bucket, a, b) in [
+                    ("lp", &p.lp, &q.lp),
+                    ("abandoned", &p.abandoned, &q.abandoned),
+                    ("audit", &p.audit, &q.audit),
+                ] {
+                    assert_eq!((a.solves, a.pivots), (b.solves, b.pivots), "{at}: {bucket}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unchecked_sweeps_run_no_cold_work() {
+        let reports = crate::suite::runner::sweep_families_with(BackendChoice::default(), false);
+        for report in &reports {
+            assert_eq!(report.failures(), 0, "{}", report.family);
+            for p in &report.points {
+                assert_eq!(p.audit, LpStats::default(), "{}: audit", p.label);
+                assert_eq!(p.abandoned, LpStats::default(), "{}: abandoned", p.label);
+                assert!(p.drift.is_none() && !p.cold_fallback, "{}", p.label);
+                assert!(p.lp.solves > 0, "{}: the chain attempt is reported", p.label);
+            }
         }
     }
 

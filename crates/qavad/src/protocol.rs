@@ -34,7 +34,8 @@
 //! would round-trip 1e-300-scale numbers through denormals.
 //!
 //! Unknown request fields are ignored (forward compatibility); unknown
-//! `"cmd"` values, malformed JSON, and oversized lines are answered with
+//! `"cmd"` values, engine or `"lp_backend"` names the daemon does not
+//! have, malformed JSON, and oversized lines are answered with
 //! `"ok":false` and the connection stays up — a client bug costs one
 //! request, not the session.
 
@@ -133,10 +134,12 @@ pub fn lp_stats_to_json(stats: &LpStats) -> Json {
     ])
 }
 
-/// Interns a backend/engine name received off the wire. The live names
-/// are a small closed set; an unrecognized one (a newer peer) is leaked
-/// — bounded by the number of *distinct* names a connection can carry,
-/// not by request volume.
+/// Interns a backend/engine name read from a daemon's reply. Only
+/// clients call it: the daemon resolves request names against its
+/// engine registry and answers an unknown one with `ok:false`. The live
+/// names are a small closed set; an unrecognized one (from a newer
+/// daemon) is leaked on every call that decodes it, so the leak grows
+/// with the replies a client decodes, never inside the daemon.
 pub fn intern_name(name: &str) -> &'static str {
     const KNOWN: &[&str] = &[
         "sparse",

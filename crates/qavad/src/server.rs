@@ -47,9 +47,9 @@
 
 use crate::json::{obj, parse, Json};
 use crate::protocol::{
-    engine_run_to_json, intern_name, lp_stats_to_json, MAX_LINE_BYTES, PROTOCOL_VERSION,
+    engine_run_to_json, lp_stats_to_json, MAX_LINE_BYTES, PROTOCOL_VERSION,
 };
-use qava_core::engine::{race_with, AnalysisRequest, EngineRegistry};
+use qava_core::engine::{race_with, AnalysisRequest, BoundEngine, EngineRegistry};
 use qava_core::suite::runner::EngineRun;
 use qava_core::EngineError;
 use qava_lp::{BackendChoice, LpSolver, LpStats, SharedBasisCache};
@@ -590,16 +590,21 @@ fn analyze(shared: &Arc<Shared>, request: &Json, presence: &Mutex<Presence>) -> 
             params.insert(name.clone(), v);
         }
     }
-    let engine_names: Vec<&'static str> = match request.get("engines").and_then(Json::as_arr) {
+    // Names resolve against the registry, never by interning wire text:
+    // an unknown name costs this request, not daemon memory.
+    let engines: Vec<&dyn BoundEngine> = match request.get("engines").and_then(Json::as_arr) {
         Some(arr) if !arr.is_empty() => {
-            let mut names = Vec::with_capacity(arr.len());
+            let mut engines = Vec::with_capacity(arr.len());
             for item in arr {
-                match item.as_str() {
-                    Some(name) => names.push(intern_name(name)),
-                    None => return error_response(id, "\"engines\" must be strings"),
+                let Some(name) = item.as_str() else {
+                    return error_response(id, "\"engines\" must be strings");
+                };
+                match shared.registry.engine(name) {
+                    Some(engine) => engines.push(engine),
+                    None => return error_response(id, &format!("unknown engine `{name}`")),
                 }
             }
-            names
+            engines
         }
         _ => return error_response(id, "analyze request needs a non-empty \"engines\" list"),
     };
@@ -632,9 +637,9 @@ fn analyze(shared: &Arc<Shared>, request: &Json, presence: &Mutex<Presence>) -> 
     // Admission: one permit per analysis, released on every exit path.
     let permit = shared.gate.acquire();
     let runs = if race {
-        run_race(shared, &pts, &engine_names, deadline, backend, &cancel)
+        run_race(shared, &pts, &engines, deadline, backend, &cancel)
     } else {
-        run_sequential(shared, &pts, &engine_names, deadline, backend, &cancel)
+        run_sequential(shared, &pts, &engines, deadline, backend, &cancel)
     };
     Shared::lock(presence).inflight = None;
     drop(permit);
@@ -671,44 +676,29 @@ fn analyze(shared: &Arc<Shared>, request: &Json, presence: &Mutex<Presence>) -> 
 fn run_sequential(
     shared: &Shared,
     pts: &Pts,
-    engine_names: &[&'static str],
+    engines: &[&dyn BoundEngine],
     deadline: Option<Duration>,
     backend: BackendChoice,
     cancel: &Arc<AtomicBool>,
 ) -> Vec<EngineRun> {
-    engine_names
+    engines
         .iter()
-        .map(|&name| match shared.registry.engine(name) {
-            None => EngineRun {
-                engine: name,
-                bound: Err(format!("unknown engine `{name}`")),
-                seconds: 0.0,
-                lp: LpStats::default(),
+        .map(|engine| {
+            let mut req = AnalysisRequest::new(pts, engine.direction());
+            req.deadline = deadline;
+            let mut solver = LpSolver::with_choice(backend);
+            solver.set_cancel_flag(cancel.clone());
+            solver.set_shared_cache(shared.warm.clone());
+            let t0 = Instant::now();
+            let report = engine.run(&req, &mut solver);
+            EngineRun {
+                engine: engine.name(),
+                bound: report.outcome.as_ref().map(|c| c.bound).map_err(ToString::to_string),
+                seconds: t0.elapsed().as_secs_f64(),
+                lp: report.lp,
                 abandoned: LpStats::default(),
                 raced: Vec::new(),
                 fault: None,
-            },
-            Some(engine) => {
-                let mut req = AnalysisRequest::new(pts, engine.direction());
-                req.deadline = deadline;
-                let mut solver = LpSolver::with_choice(backend);
-                solver.set_cancel_flag(cancel.clone());
-                solver.set_shared_cache(shared.warm.clone());
-                let t0 = Instant::now();
-                let report = engine.run(&req, &mut solver);
-                EngineRun {
-                    engine: name,
-                    bound: report
-                        .outcome
-                        .as_ref()
-                        .map(|c| c.bound)
-                        .map_err(ToString::to_string),
-                    seconds: t0.elapsed().as_secs_f64(),
-                    lp: report.lp,
-                    abandoned: LpStats::default(),
-                    raced: Vec::new(),
-                    fault: None,
-                }
             }
         })
         .collect()
@@ -721,26 +711,11 @@ fn run_sequential(
 fn run_race(
     shared: &Shared,
     pts: &Pts,
-    engine_names: &[&'static str],
+    lineup: &[&dyn BoundEngine],
     deadline: Option<Duration>,
     backend: BackendChoice,
     cancel: &Arc<AtomicBool>,
 ) -> Vec<EngineRun> {
-    if let Some(unknown) =
-        engine_names.iter().find(|n| shared.registry.engine(n).is_none())
-    {
-        return vec![EngineRun {
-            engine: "race",
-            bound: Err(format!("unknown engine `{unknown}`")),
-            seconds: 0.0,
-            lp: LpStats::default(),
-            abandoned: LpStats::default(),
-            raced: engine_names.to_vec(),
-            fault: None,
-        }];
-    }
-    let lineup: Vec<_> =
-        engine_names.iter().filter_map(|n| shared.registry.engine(n)).collect();
     let raced: Vec<&'static str> = lineup.iter().map(|e| e.name()).collect();
     // Direction of the race: the lineup's first engine (mixed-direction
     // lineups race the first direction; the rest are skipped, exactly as
@@ -749,7 +724,7 @@ fn run_race(
     req.deadline = deadline;
     let warm = shared.warm.clone();
     let t0 = Instant::now();
-    let outcome = race_with(&lineup, &req, backend, cancel.clone(), &move |solver| {
+    let outcome = race_with(lineup, &req, backend, cancel.clone(), &move |solver| {
         solver.set_shared_cache(warm.clone())
     });
     let seconds = t0.elapsed().as_secs_f64();

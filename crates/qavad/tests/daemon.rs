@@ -497,3 +497,39 @@ fn unknown_lp_backend_costs_one_request() {
     shutdown(&socket, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Engine names resolve against the daemon's registry: a name it does
+/// not know costs one `ok:false` answer, in plain and race mode alike,
+/// and the connection goes on serving analyses.
+#[test]
+fn unknown_engine_costs_one_request() {
+    let dir = scratch("engine");
+    let socket = dir.join("qavad.sock");
+    let handle = boot(DaemonConfig::new(&socket));
+    let mut client = Client::connect(&socket).expect("client");
+    let quick = &suite_rows()[0];
+    let spec = |engines: &[&str], race: bool| AnalyzeSpec {
+        id: 9,
+        source: quick.source,
+        params: &quick.params,
+        engines: engines.iter().map(ToString::to_string).collect(),
+        race,
+        deadline_ms: None,
+        invariant_iters: SUITE_INVARIANT_ITERS,
+        lp_backend: None,
+    };
+
+    let unknown: &[&str] = &["no-such-engine"];
+    let mixed: &[&str] = &["hoeffding-linear", "no-such-engine"];
+    for (engines, race) in [(unknown, false), (mixed, false), (unknown, true), (mixed, true)] {
+        let err = client.analyze(&spec(engines, race)).err().expect("unknown engine");
+        assert!(err.contains("unknown engine `no-such-engine`"), "{err}");
+    }
+    let known: &[&str] = &["hoeffding-linear", "explinsyn"];
+    let response = client.analyze(&spec(known, false)).expect("connection still serves");
+    assert_eq!(response.runs.len(), 2);
+    assert!(response.runs.iter().all(|r| r.bound.is_ok()), "{:?}", response.runs);
+    drop(client);
+    shutdown(&socket, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
