@@ -202,7 +202,15 @@ pub struct SolverOptions {
     pub mu: f64,
     /// Target duality-gap-style tolerance `m / t`.
     pub tol: f64,
-    /// Maximum Newton iterations per centering step.
+    /// Maximum Newton iterations per centering step. A centering usually
+    /// ends before this cap: when the Newton decrement `λ²/2` falls below
+    /// `1e-10`, when the line search finds no acceptable step, or when the
+    /// decrease the line search certified, `0.01·step·λ²`, is below the
+    /// rounding unit `f64::EPSILON·|B(x)|` of the barrier value. Past that
+    /// last point further steps are rounding noise. Every such exit leaves
+    /// a strictly feasible point, and any strictly feasible point
+    /// certifies a bound, so an early exit can loosen a bound but never
+    /// make it unsound.
     pub max_newton: usize,
     /// Objective floor below which the problem is declared unbounded.
     pub obj_floor: f64,

@@ -22,7 +22,17 @@
 //! None of this moves an iterate by one bit. Every `vecops` call keeps its
 //! operands and order, a skipped Hessian entry would only have received
 //! `±0`, and the tests compare all of it against the dense formulas with
-//! `to_bits`.
+//! `to_bits`, under the same stop rules.
+//!
+//! A centering ends at `max_newton` steps, when `λ²/2 < NEWTON_TOL`, when
+//! the line search stalls, or when the decrease the Armijo test certified,
+//! `ARMIJO·step·λ²`, falls below `f64::EPSILON·|B(x)|`. Past that point
+//! the barrier value `B(x)` (up to ~1e11 at large `t`) cannot resolve the
+//! decrease, so the test accepts steps on rounding noise and more steps
+//! certify nothing. The last accepted step is kept. This exit is sound:
+//! every iterate is strictly feasible, and any strictly feasible point
+//! certifies a bound, so stopping early can leave the bound above the
+//! optimum but never makes it unsound.
 
 use crate::{ConvexError, ConvexProblem, ConvexSolution, ExpSumConstraint, SolverOptions};
 use qava_linalg::{vecops, Matrix};
@@ -411,6 +421,9 @@ fn barrier(
                 floored = true;
                 break;
             }
+            if below_rounding(step, decrement, val) {
+                break; // f64 can no longer certify progress: keep the step
+            }
         }
 
         if floored || vecops::dot(objective, &x) < opts.obj_floor {
@@ -422,6 +435,13 @@ fn barrier(
         t *= opts.mu;
     }
     Ok(BarrierRun { x, floored, newton_iterations: newton_total })
+}
+
+/// Whether the decrease `ARMIJO·step·λ²` that the line search just
+/// certified is below the rounding unit of the barrier value `val` at the
+/// point it started from (see the module docs).
+fn below_rounding(step: f64, decrement: f64, val: f64) -> bool {
+    ARMIJO * step * decrement < f64::EPSILON * val.abs()
 }
 
 /// Per-run data of one constraint, indexed like its terms.
@@ -830,6 +850,9 @@ mod tests {
                     floored = true;
                     break;
                 }
+                if below_rounding(step, decrement, val) {
+                    break;
+                }
             }
             if floored || vecops::dot(objective, &x) < opts.obj_floor {
                 return Ok(BarrierRun { x, floored: true, newton_iterations: newton_total });
@@ -1059,15 +1082,14 @@ mod tests {
         assert!(sol.x[0].abs() < 1e-4, "got {}", sol.x[0]);
     }
 
-    #[test]
-    fn race_loop_constraint_shape() {
-        // The tortoise-hare loop constraint at the generator (99,99) with
-        // objective 40·a1 + c (Section 3.1 of the paper), but collapsed to
-        // the one-location form: minimize 40 a1 + 0 a2 + c subject to
-        //   0.5 e^{a1 + 2 a2} + 0.5 e^{a1} <= 1      (loop body)
-        //   e^{-(99 a1 + 100 a2 + c)} <= 1           (violation transition)
-        //   a1 <= 0, a2 >= 0 handled by recession-cone rows:
-        //   a1 <= 0 and -a2 <= 0 as linear rows.
+    /// The tortoise-hare loop constraint at the generator (99,99) with
+    /// objective 40·a1 + c (Section 3.1 of the paper), but collapsed to
+    /// the one-location form: minimize 40 a1 + 0 a2 + c subject to
+    ///   0.5 e^{a1 + 2 a2} + 0.5 e^{a1} <= 1      (loop body)
+    ///   e^{-(99 a1 + 100 a2 + c)} <= 1           (violation transition)
+    ///   a1 <= 0, a2 >= 0 handled by recession-cone rows:
+    ///   a1 <= 0 and -a2 <= 0 as linear rows.
+    fn race_loop_problem() -> ConvexProblem {
         let mut p = ConvexProblem::new(3);
         p.set_objective(vec![40.0, 0.0, 1.0]);
         p.add_constraint(ExpSumConstraint::new(vec![
@@ -1081,6 +1103,12 @@ mod tests {
         )]));
         p.add_constraint(ExpSumConstraint::linear(vec![1.0, 0.0, 0.0], 0.0));
         p.add_constraint(ExpSumConstraint::linear(vec![0.0, -1.0, 0.0], 0.0));
+        p
+    }
+
+    #[test]
+    fn race_loop_constraint_shape() {
+        let p = race_loop_problem();
         let sol = p.solve(&opts()).unwrap();
         assert!(p.is_feasible(&sol.x, 1e-6));
         // The optimum of this relaxation is ≈ exp(-15.7) (paper §3.1).
@@ -1089,6 +1117,37 @@ mod tests {
             "objective {} outside plausible window",
             sol.objective
         );
+    }
+
+    /// At `t = 1e10` the race barrier's value is about −1.6e11, whose
+    /// rounding unit (~3e-5) exceeds the decrease the Armijo test can
+    /// certify near the center. Without the rounding stop, that centering
+    /// keeps accepting steps whose "decrease" is rounding noise until
+    /// `max_newton`; with it, the centering ends early at an interior point.
+    #[test]
+    fn centering_ends_when_rounding_hides_the_armijo_decrease() {
+        let p = race_loop_problem();
+        let (objective, constraints) = (p.objective_ref(), p.constraints_ref());
+        let x0 = vec![-1.0, 0.1, 200.0];
+        assert!(strictly_feasible(constraints, &x0));
+        let mu = 1e10;
+        // Only the centering at t = 1, then also the one at t = mu.
+        let first = SolverOptions { tol: f64::INFINITY, ..opts() };
+        let both = SolverOptions { mu, tol: 2.0 * constraints.len() as f64 / mu, ..opts() };
+        let at_one = barrier(objective, constraints, &[], x0.clone(), &first).unwrap();
+        let run = barrier(objective, constraints, &[], x0.clone(), &both).unwrap();
+        let high_t_steps = run.newton_iterations - at_one.newton_iterations;
+        assert!(
+            high_t_steps < both.max_newton,
+            "the t = {mu:e} centering ran {high_t_steps} of {} Newton steps",
+            both.max_newton
+        );
+        assert!(!run.floored);
+        assert!(strictly_feasible(constraints, &run.x), "x = {:?} left the interior", run.x);
+
+        let dense = dense_barrier(objective, constraints, &[], x0, &both).unwrap();
+        assert!(same_bits(&run.x, &dense.x), "{:?} vs {:?}", run.x, dense.x);
+        assert_eq!(run.newton_iterations, dense.newton_iterations);
     }
 
     #[test]

@@ -16,33 +16,33 @@ use qava_lp::LpSolver;
 
 /// `(benchmark, row label, newton_iterations, objective bits)`.
 const PINS: &[(&str, &str, usize, u64)] = &[
-    ("RdAdder", "Pr[X − E[X] ≥ 25]", 838, 0xc004089151770357),
-    ("RdAdder", "Pr[X − E[X] ≥ 50]", 837, 0xc02422b10416a947),
-    ("RdAdder", "Pr[X − E[X] ≥ 75]", 843, 0xc036d9ab583b8192),
-    ("Robot", "Pr[X − E[X] ≥ 1.8]", 844, 0xc027def740aa6c50),
-    ("Robot", "Pr[X − E[X] ≥ 2]", 1039, 0xc02d78e9da9163b6),
-    ("Robot", "Pr[X − E[X] ≥ 2.2]", 866, 0xc031ce8280ce0e54),
-    ("Coupon", "Pr[T > 100]", 447, 0xc0267ecb7e7191dd),
-    ("Coupon", "Pr[T > 300]", 834, 0xc049ba378565e1ce),
-    ("Coupon", "Pr[T > 500]", 641, 0xc057823b27365236),
-    ("Prspeed", "Pr[T > 150]", 644, 0xbff6d8aa475d0574),
-    ("Prspeed", "Pr[T > 200]", 644, 0xc02b1440652ef4e9),
-    ("Prspeed", "Pr[T > 250]", 648, 0xc0402c482a982221),
-    ("Rdwalk", "Pr[T > 400]", 644, 0xc02f4b38fb7eb8e1),
-    ("Rdwalk", "Pr[T > 500]", 643, 0xc03b877711923a44),
-    ("Rdwalk", "Pr[T > 600]", 651, 0xc04421117c727e07),
-    ("1DWalk", "x = 10", 448, 0xc07dce183e224d2b),
-    ("1DWalk", "x = 50", 639, 0xc07c9a1e7f4ea3f9),
-    ("1DWalk", "x = 100", 640, 0xc07b192650c6107e),
-    ("2DWalk", "(x, y) = (1000, 10)", 1074, 0xc09480318942af7c),
-    ("2DWalk", "(x, y) = (500, 40)", 1045, 0xc083f2b5a8a6eb7f),
-    ("2DWalk", "(x, y) = (400, 50)", 1227, 0xc07f663bc5af0f02),
-    ("3DWalk", "(x, y, z) = (100, 100, 100)", 1800, 0xc0c2d023a353511a),
-    ("3DWalk", "(x, y, z) = (100, 150, 200)", 1800, 0xc0bdcb610f9d8824),
-    ("3DWalk", "(x, y, z) = (300, 100, 150)", 1800, 0xc0b8611638a8b621),
-    ("Race", "(x, y) = (40, 0)", 840, 0xc02f64f04fb30db6),
-    ("Race", "(x, y) = (35, 0)", 842, 0xc0257b515c4ce26a),
-    ("Race", "(x, y) = (45, 0)", 1030, 0xc0372bcfa199fbda),
+    ("RdAdder", "Pr[X − E[X] ≥ 25]", 59, 0xc00408915176fc7b),
+    ("RdAdder", "Pr[X − E[X] ≥ 50]", 57, 0xc02422b10416a570),
+    ("RdAdder", "Pr[X − E[X] ≥ 75]", 62, 0xc036d9ab583b7dbb),
+    ("Robot", "Pr[X − E[X] ≥ 1.8]", 61, 0xc027def740aa6bec),
+    ("Robot", "Pr[X − E[X] ≥ 2]", 65, 0xc02d78e9da916344),
+    ("Robot", "Pr[X − E[X] ≥ 2.2]", 62, 0xc031ce8280ce0e22),
+    ("Coupon", "Pr[T > 100]", 58, 0xc0267ecb7e719154),
+    ("Coupon", "Pr[T > 300]", 53, 0xc049ba378565e12c),
+    ("Coupon", "Pr[T > 500]", 54, 0xc057823b27365235),
+    ("Prspeed", "Pr[T > 150]", 58, 0xbff6d8aa475d0678),
+    ("Prspeed", "Pr[T > 200]", 57, 0xc02b1440652ef4f0),
+    ("Prspeed", "Pr[T > 250]", 61, 0xc0402c482a98222a),
+    ("Rdwalk", "Pr[T > 400]", 60, 0xc02f4b38fb7eb6f5),
+    ("Rdwalk", "Pr[T > 500]", 58, 0xc03b8777119239d9),
+    ("Rdwalk", "Pr[T > 600]", 63, 0xc04421117c727d43),
+    ("1DWalk", "x = 10", 51, 0xc07dce183e224cd1),
+    ("1DWalk", "x = 50", 48, 0xc07c9a1e7f4ea3dc),
+    ("1DWalk", "x = 100", 51, 0xc07b192650c61073),
+    ("2DWalk", "(x, y) = (1000, 10)", 219, 0xc0948031894292d6),
+    ("2DWalk", "(x, y) = (500, 40)", 139, 0xc083f2b5a8a6d8fb),
+    ("2DWalk", "(x, y) = (400, 50)", 117, 0xc07f663bc5aef759),
+    ("3DWalk", "(x, y, z) = (100, 100, 100)", 1407, 0xc0c2d023a3534e84),
+    ("3DWalk", "(x, y, z) = (100, 150, 200)", 1097, 0xc0bdcb610f9d41af),
+    ("3DWalk", "(x, y, z) = (300, 100, 150)", 1068, 0xc0b8611638a84e1a),
+    ("Race", "(x, y) = (40, 0)", 59, 0xc02f64f04fb30d48),
+    ("Race", "(x, y) = (35, 0)", 61, 0xc0257b515c4ce266),
+    ("Race", "(x, y) = (45, 0)", 53, 0xc0372bcfa199fbaa),
 ];
 
 #[test]

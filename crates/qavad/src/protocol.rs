@@ -14,7 +14,7 @@
 //! analyze  := {"cmd":"analyze", "source":string,
 //!              "id":int?,                  // echoed back, default 0
 //!              "params":{name:number,…}?,  // frontend constants
-//!              "engines":[string,…]?,      // default: direction lineup
+//!              "engines":[string,…],       // required, non-empty
 //!              "race":bool?,               // default false (sequential)
 //!              "deadline_ms":int?,         // per-request wall budget
 //!              "invariant_iters":int?,     // propagation rounds, default 0
