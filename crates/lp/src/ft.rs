@@ -30,6 +30,20 @@
 //! — they are written once and never renumbered — while the position
 //! order lives in two small permutation vectors (`order`, `pos_of`).
 //!
+//! **Storage.** Nothing in the engine is allocated per column or per
+//! update. L is the flat CSC of the last factorization
+//! ([`LuFactors`]), rebuilt in place into a spare set of factors that is
+//! swapped in only when the refactorization succeeds. The mutable U
+//! keeps every row-keyed column in one flat index/value array pair with
+//! a start and a length per row key: deleting a spike-row entry shifts
+//! the rest of its column down, and a replacement column is appended at
+//! the end, its old segment left as garbage that the next
+//! refactorization (or a compaction, once garbage outweighs the live
+//! entries) reclaims. The row etas are one more flat column store plus
+//! one flat array of support bitmasks. All of these, and the solve and
+//! elimination workspaces, are cleared rather than dropped, so once a
+//! run has sized them its pivots and refactorizations allocate nothing.
+//!
 //! **Refactorization triggers.** An eta file refactorizes on eta count
 //! and stack fill-in; FT has no eta stack to speak of, so its triggers
 //! move into the factors themselves:
@@ -57,11 +71,10 @@
 //! races the engine against the dense-inverse and dense-tableau
 //! backends.
 
-use crate::lu::{LuFactors, SparseCol};
-use crate::revised::BasisRepr;
+use crate::lu::{FlatCols, LuFactors};
+use crate::revised::{basis_col, BasisRepr};
 use crate::CscMatrix;
 use qava_linalg::vecops;
-use std::cell::RefCell;
 
 /// Spike-pivot magnitude below which the update is accuracy-risky and
 /// the next opportunity refactorizes; mirrors `PIVOT_TOL` in the ratio
@@ -91,7 +104,7 @@ const MAX_UPDATES: usize = 64;
 /// intermediate of exactly that solve. `update` validates the cache
 /// against the raw column data and recomputes on a mismatch, so reuse
 /// is a pure optimization, never a correctness assumption.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct SpikeCache {
     col_idx: Vec<usize>,
     col_vals: Vec<f64>,
@@ -105,21 +118,200 @@ impl SpikeCache {
     }
 }
 
-/// One stored spike-row elimination: row `row` (a row key) had the
-/// multipliers `col` (row-keyed) eliminated into it. Applied to a
-/// forward solve as `x[row] -= col · x`, transposed as
-/// `x -= x[row] · col`.
-#[derive(Debug, Clone)]
-struct RowEta {
-    row: usize,
-    col: SparseCol,
-    /// Support bitmask of `col.idx` over row keys. A forward solve
-    /// intersects it with the running nonzero-row mask of the solve
-    /// vector: no overlap means the gather is provably zero and the eta
-    /// is skipped outright — a *row* operation reads many components,
-    /// so sparse-RHS skipping takes a set intersection instead of a
-    /// single load.
-    mask: Vec<u64>,
+/// The mutable U, row-keyed: column `r` (the U column whose diagonal
+/// lies on row `r`) holds its above-diagonal entries, themselves
+/// row-keyed and increasing, at `idx/vals[start[r]..start[r] + len[r]]`
+/// of one flat array pair. A replaced column is appended at the end and
+/// its old segment becomes garbage until the next
+/// [`clear`](Self::clear) or [`compact`](Self::compact).
+#[derive(Debug, Default)]
+struct RowKeyedU {
+    start: Vec<usize>,
+    len: Vec<usize>,
+    idx: Vec<usize>,
+    vals: Vec<f64>,
+    /// Compaction scratch: row keys in segment order.
+    keys: Vec<usize>,
+}
+
+impl RowKeyedU {
+    fn with_rows(m: usize) -> Self {
+        RowKeyedU { start: vec![0; m], len: vec![0; m], ..Default::default() }
+    }
+
+    /// Empties every column, keeping the capacity.
+    fn clear(&mut self) {
+        self.idx.clear();
+        self.vals.clear();
+        self.start.iter_mut().for_each(|s| *s = 0);
+        self.len.iter_mut().for_each(|l| *l = 0);
+    }
+
+    fn col(&self, r: usize) -> (&[usize], &[f64]) {
+        let (lo, hi) = (self.start[r], self.start[r] + self.len[r]);
+        (&self.idx[lo..hi], &self.vals[lo..hi])
+    }
+
+    /// Starts column `r` afresh at the end of the storage; its entries
+    /// follow through [`push`](Self::push) in increasing row-key order.
+    fn begin(&mut self, r: usize) {
+        self.start[r] = self.idx.len();
+        self.len[r] = 0;
+    }
+
+    /// Appends an entry to column `r`, the column begun last.
+    fn push(&mut self, r: usize, key: usize, v: f64) {
+        debug_assert_eq!(self.start[r] + self.len[r], self.idx.len());
+        self.idx.push(key);
+        self.vals.push(v);
+        self.len[r] += 1;
+    }
+
+    /// Removes the entry with row key `key` from column `r`, keeping the
+    /// rest in order; returns its value, or `None` when absent.
+    fn remove(&mut self, r: usize, key: usize) -> Option<f64> {
+        let (lo, hi) = (self.start[r], self.start[r] + self.len[r]);
+        let k = lo + self.idx[lo..hi].binary_search(&key).ok()?;
+        let v = self.vals[k];
+        self.idx.copy_within(k + 1..hi, k);
+        self.vals.copy_within(k + 1..hi, k);
+        self.len[r] -= 1;
+        Some(v)
+    }
+
+    /// Entries held by live columns.
+    fn live(&self) -> usize {
+        self.len.iter().sum()
+    }
+
+    /// Moves every live column down over the garbage, keeping each
+    /// column's entries (and so every solve's summation order) as they
+    /// are.
+    fn compact(&mut self) {
+        self.keys.clear();
+        self.keys.extend(0..self.start.len());
+        let start = &self.start;
+        self.keys.sort_unstable_by_key(|&r| start[r]);
+        let mut write = 0;
+        for &r in &self.keys {
+            let (lo, len) = (self.start[r], self.len[r]);
+            self.idx.copy_within(lo..lo + len, write);
+            self.vals.copy_within(lo..lo + len, write);
+            self.start[r] = write;
+            write += len;
+        }
+        self.idx.truncate(write);
+        self.vals.truncate(write);
+    }
+}
+
+/// The spike-row eliminations since the last refactorization, oldest
+/// first. Eta `k` says row `rows[k]` (a row key) had the multipliers
+/// `cols.col(k)` (row-keyed) eliminated into it: applied to a forward
+/// solve as `x[row] -= col · x`, transposed as `x -= x[row] · col`.
+#[derive(Debug, Default)]
+struct RowEtas {
+    rows: Vec<usize>,
+    cols: FlatCols,
+    /// Support bitmask of each eta's column over row keys, `words` words
+    /// per eta. A forward solve intersects it with the running
+    /// nonzero-row mask of the solve vector: no overlap means the gather
+    /// is provably zero and the eta is skipped outright — a *row*
+    /// operation reads many components, so sparse-RHS skipping takes a
+    /// set intersection instead of a single load.
+    masks: Vec<u64>,
+    words: usize,
+}
+
+impl RowEtas {
+    fn with_rows(m: usize) -> Self {
+        let mut etas = RowEtas { words: mask_words(m), ..Default::default() };
+        etas.clear();
+        etas
+    }
+
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.cols.clear();
+        self.masks.clear();
+    }
+
+    /// Makes room for `etas` more etas of `nnz` entries in total.
+    fn reserve(&mut self, etas: usize, nnz: usize) {
+        self.rows.reserve(etas);
+        self.cols.reserve(etas, nnz);
+        self.masks.reserve(etas * self.words);
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Records the elimination of the multipliers `entries` (row key,
+    /// value; sorted here) into row `row`.
+    fn push(&mut self, row: usize, entries: &mut [(usize, f64)]) {
+        let base = self.masks.len();
+        self.masks.resize(base + self.words, 0);
+        for &(c, _) in entries.iter() {
+            mask_set(&mut self.masks[base..], c);
+        }
+        self.rows.push(row);
+        self.cols.push_sorted(entries);
+    }
+
+    fn mask(&self, k: usize) -> &[u64] {
+        &self.masks[k * self.words..(k + 1) * self.words]
+    }
+
+    /// Applies the etas, oldest first, to a vector that has already been
+    /// carried through the frozen L part. Each eta's support mask is
+    /// intersected with a running nonzero-row mask of the solve vector
+    /// (kept in `live`), so etas that provably gather zero are skipped —
+    /// on the sparse right-hand sides of the pivot loop's column ftrans
+    /// most etas are (the L solve confines fill to the columns it
+    /// touches). The mask only ever grows: between etas nothing else
+    /// writes `x`, and an applied eta adds exactly the one row it
+    /// updates, so staying a superset of the true nonzero set is
+    /// invariant (cancellation to exact zero just leaves a stale bit).
+    fn apply_forward(&self, x: &mut [f64], live: &mut Vec<u64>) {
+        if self.is_empty() {
+            return;
+        }
+        live.clear();
+        live.resize(self.words, 0);
+        for (r, &v) in x.iter().enumerate() {
+            if v != 0.0 {
+                mask_set(live, r);
+            }
+        }
+        for k in 0..self.len() {
+            if !masks_intersect(self.mask(k), live) {
+                continue;
+            }
+            let (ci, cv) = self.cols.col(k);
+            let s = vecops::gather_dot(ci, cv, x);
+            if s != 0.0 {
+                let row = self.rows[k];
+                x[row] -= s;
+                mask_set(live, row);
+            }
+        }
+    }
+
+    /// Applies the transposed etas, newest first.
+    fn apply_transposed(&self, w: &mut [f64]) {
+        for k in (0..self.len()).rev() {
+            let t = w[self.rows[k]];
+            if t != 0.0 {
+                let (ci, cv) = self.cols.col(k);
+                vecops::scatter_axpy(-t, ci, cv, w);
+            }
+        }
+    }
 }
 
 /// Number of `u64` words a row-key bitmask over `m` rows needs.
@@ -140,13 +332,19 @@ fn masks_intersect(a: &[u64], b: &[u64]) -> bool {
 /// The Forrest–Tomlin basis representation behind the `lu-ft` backend
 /// ([`crate::LuFtSimplex`]): frozen L factors plus a mutable, row-keyed
 /// U that absorbs each basis exchange as a spike swap.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct FtBasis {
     m: usize,
     /// Factors of the last refactorization. Only the L half (plus its
     /// row permutation) is used after [`install`](Self::install) copies
     /// U out into the mutable row-keyed form below.
     lu: LuFactors,
+    /// The factors the next refactorization is built into, swapped with
+    /// `lu` on success (a singular basis leaves `lu` untouched).
+    spare: LuFactors,
+    /// `0..m`: the index slices of artificial unit columns
+    /// ([`basis_col`]).
+    unit_rows: Vec<usize>,
     /// Position → row key of the diagonal at that position.
     order: Vec<usize>,
     /// Row key → current position (inverse of `order`).
@@ -157,10 +355,10 @@ pub(crate) struct FtBasis {
     slot_of: Vec<usize>,
     /// Basis slot → row key (inverse of `slot_of`).
     key_of_slot: Vec<usize>,
-    /// Row key → above-diagonal entries of that diagonal's U column,
-    /// themselves row-keyed (every entry's position is smaller than the
-    /// diagonal's — the triangularity invariant the update maintains).
-    u_cols: Vec<SparseCol>,
+    /// Row key → above-diagonal entries of that diagonal's U column
+    /// (every entry's position is smaller than the diagonal's — the
+    /// triangularity invariant the update maintains).
+    u: RowKeyedU,
     /// Row key → diagonal value.
     u_diag: Vec<f64>,
     /// Stored U nonzeros, diagonals included.
@@ -168,9 +366,8 @@ pub(crate) struct FtBasis {
     /// `nnz(L) + nnz(U)` right after the last refactorization — the
     /// yardstick of the fill-in trigger.
     base_nnz: usize,
-    /// Spike-row eliminations since the last refactorization, oldest
-    /// first.
-    etas: Vec<RowEta>,
+    /// Spike-row eliminations since the last refactorization.
+    etas: RowEtas,
     eta_nnz: usize,
     updates: usize,
     /// A spike pivot below [`SHAKY_PIVOT`] was accepted; refactorize at
@@ -183,35 +380,47 @@ pub(crate) struct FtBasis {
     /// window, but the zero discipline keeps successive updates
     /// independent).
     relim: Vec<f64>,
+    /// `(row key, value)` scratch: a U column being translated to row
+    /// keys by [`install`](Self::install), the spike-row multipliers in
+    /// elimination order during an update.
+    pairs: Vec<(usize, f64)>,
     /// Row key → number of stored off-diagonal U entries lying on that
     /// row (across all columns). Lets the spike-row deletion stop as
     /// soon as every entry is found — usually immediately, since most
     /// rows carry no off-diagonal entries at all.
     row_nnz: Vec<usize>,
     /// See [`SpikeCache`].
-    spike_cache: RefCell<SpikeCache>,
-    /// Reusable nonzero-row mask for [`apply_etas_forward`]
-    /// (`RefCell`: the solve paths take `&self`); rebuilt at the start
-    /// of every use, so no cross-call state.
-    live_mask: RefCell<Vec<u64>>,
+    spike_cache: SpikeCache,
+    /// Nonzero-row mask workspace of [`RowEtas::apply_forward`].
+    live_mask: Vec<u64>,
+    /// Row-indexed solve vector of the forward solves.
+    work: Vec<f64>,
     /// Updates whose determinant-identity cross-check disagreed with the
     /// eliminated diagonal — accuracy-triggered refactorizations.
-    /// Cumulative over the engine's lifetime ([`install`](Self::install)
-    /// never resets it): `RunTelemetry` polls it once per run via
-    /// [`BasisRepr::accuracy_refactors`], and each run builds a fresh
-    /// engine.
+    /// Cumulative since the engine was built or reset
+    /// ([`install`](Self::install) never resets it): `RunTelemetry` polls
+    /// it once per run via [`BasisRepr::accuracy_refactors`], and each
+    /// run starts from a fresh or reset engine.
     acc_refactors: usize,
 }
 
 impl FtBasis {
-    /// Adopts a fresh factorization: copies U into the mutable row-keyed
-    /// form, resets permutations, etas and counters.
-    fn install(&mut self, lu: LuFactors) {
+    /// Adopts the fresh factorization in `lu`: copies U into the mutable
+    /// row-keyed form, resets permutations, etas and counters.
+    fn install(&mut self) {
         let m = self.m;
+        let lu = &self.lu;
         self.order.clear();
         self.order.extend_from_slice(&lu.pos_row);
         self.base_nnz = lu.nnz();
         self.u_nnz = m;
+        // Size U and the eta file for the updates up to the fill-in
+        // trigger at once, rather than growing them step by step.
+        self.u.clear();
+        self.u.idx.reserve(2 * self.base_nnz + m);
+        self.u.vals.reserve(2 * self.base_nnz + m);
+        self.etas.clear();
+        self.etas.reserve(MAX_UPDATES, self.base_nnz);
         for k in 0..m {
             let r = lu.pos_row[k];
             self.pos_of[r] = k;
@@ -219,92 +428,72 @@ impl FtBasis {
             self.key_of_slot[lu.col_order[k]] = r;
             self.u_diag[r] = lu.diag[k];
             // Translate the column's entries from position indexing to
-            // row keys.
-            let uc = &lu.u_cols[k];
-            let entries: Vec<(usize, f64)> =
-                uc.idx.iter().zip(&uc.vals).map(|(&t, &v)| (lu.pos_row[t], v)).collect();
-            self.u_nnz += entries.len();
-            self.u_cols[r] = SparseCol::from_entries(entries);
+            // row keys, sorted by row key.
+            let (ui, uv) = lu.u.col(k);
+            self.pairs.clear();
+            self.pairs.extend(ui.iter().zip(uv).map(|(&t, &v)| (lu.pos_row[t], v)));
+            self.pairs.sort_unstable_by_key(|&(i, _)| i);
+            self.u.begin(r);
+            for &(key, v) in &self.pairs {
+                self.u.push(r, key, v);
+            }
+            self.u_nnz += self.pairs.len();
         }
         self.row_nnz.iter_mut().for_each(|v| *v = 0);
-        for col in &self.u_cols {
-            for &rk in &col.idx {
-                self.row_nnz[rk] += 1;
-            }
+        for &rk in &self.u.idx {
+            self.row_nnz[rk] += 1;
         }
-        self.lu = lu;
-        self.etas.clear();
         self.eta_nnz = 0;
         self.updates = 0;
         self.shaky = false;
-        self.spike_cache.borrow_mut().valid = false;
+        self.spike_cache.valid = false;
     }
 
-    /// Applies the stored spike-row etas, oldest first, to a vector that
-    /// has already been carried through the frozen L part. Each eta's
-    /// support mask is intersected with a running nonzero-row mask of
-    /// the solve vector, so etas that provably gather zero are skipped —
-    /// on the sparse right-hand sides of the pivot loop's column ftrans
-    /// most etas are (the L solve confines fill to the columns it
-    /// touches). The mask only ever grows: between etas nothing else
-    /// writes `x`, and an applied eta adds exactly the one row it
-    /// updates, so staying a superset of the true nonzero set is
-    /// invariant (cancellation to exact zero just leaves a stale bit).
-    fn apply_etas_forward(&self, x: &mut [f64]) {
-        if self.etas.is_empty() {
-            return;
-        }
-        let mut live = self.live_mask.borrow_mut();
-        live.clear();
-        live.resize(mask_words(self.m), 0);
-        for (r, &v) in x.iter().enumerate() {
-            if v != 0.0 {
-                mask_set(&mut live, r);
-            }
-        }
-        for eta in &self.etas {
-            if !masks_intersect(&eta.mask, &live) {
-                continue;
-            }
-            let s = vecops::gather_dot(&eta.col.idx, &eta.col.vals, x);
-            if s != 0.0 {
-                x[eta.row] -= s;
-                mask_set(&mut live, eta.row);
-            }
-        }
-    }
-
-    /// Solves `B·z = b` for `b` given dense in row indexing; returns `z`
-    /// in basis-slot indexing. When `cache_as` carries the originating
-    /// sparse column, the intermediate spike (post-L, post-etas, pre-U)
-    /// is stashed for the [`update`](BasisRepr::update) that typically
-    /// follows.
-    fn solve_forward(&self, mut x: Vec<f64>, cache_as: Option<(&[usize], &[f64])>) -> Vec<f64> {
+    /// Solves `B·z = b` for `b` given dense in row indexing in `work`;
+    /// writes `z` in basis-slot indexing to `out`. When `cache_as`
+    /// carries the originating sparse column, the intermediate spike
+    /// (post-L, post-etas, pre-U) is stashed for the
+    /// [`update`](BasisRepr::update) that typically follows.
+    fn solve_forward(&mut self, out: &mut [f64], cache_as: Option<(&[usize], &[f64])>) {
+        let x = &mut self.work;
         // Frozen L, then the spike-row etas oldest first (they sit
         // between L and U by construction), then the mutable U.
-        self.lu.l_solve(&mut x);
-        self.apply_etas_forward(&mut x);
+        self.lu.l_solve(x);
+        self.etas.apply_forward(x, &mut self.live_mask);
         if let Some((idx, vals)) = cache_as {
-            let mut cache = self.spike_cache.borrow_mut();
+            let cache = &mut self.spike_cache;
             cache.col_idx.clear();
             cache.col_idx.extend_from_slice(idx);
             cache.col_vals.clear();
             cache.col_vals.extend_from_slice(vals);
             cache.spike.clear();
-            cache.spike.extend_from_slice(&x);
+            cache.spike.extend_from_slice(x);
             cache.valid = true;
         }
-        let mut out = vec![0.0; self.m];
+        out.fill(0.0);
         for p in (0..self.m).rev() {
             let r = self.order[p];
             let w = x[r] / self.u_diag[r];
             if w != 0.0 {
-                let uc = &self.u_cols[r];
-                vecops::scatter_axpy(-w, &uc.idx, &uc.vals, &mut x);
+                let (ui, uv) = self.u.col(r);
+                vecops::scatter_axpy(-w, ui, uv, x);
                 out[self.slot_of[r]] = w;
             }
         }
-        out
+    }
+
+    /// The Uᵀ sweep of a backward solve from position `start` on (the
+    /// right-hand side `rhs(slot)` is zero before it), then the
+    /// transposed etas and the frozen Lᵀ; `w` must be all-zero on entry.
+    fn solve_backward(&self, w: &mut [f64], start: usize, rhs: impl Fn(usize) -> f64) {
+        for p in start..self.m {
+            let r = self.order[p];
+            let (ui, uv) = self.u.col(r);
+            let s = rhs(self.slot_of[r]) - vecops::gather_dot(ui, uv, w);
+            w[r] = s / self.u_diag[r];
+        }
+        self.etas.apply_transposed(w);
+        self.lu.lt_solve(w);
     }
 }
 
@@ -313,96 +502,83 @@ impl BasisRepr for FtBasis {
         let mut repr = FtBasis {
             m,
             lu: LuFactors::identity(m),
+            spare: LuFactors::identity(m),
+            unit_rows: (0..m).collect(),
             order: Vec::with_capacity(m),
             pos_of: vec![0; m],
             slot_of: vec![0; m],
             key_of_slot: vec![0; m],
-            u_cols: vec![SparseCol::default(); m],
+            u: RowKeyedU::with_rows(m),
             u_diag: vec![1.0; m],
             u_nnz: m,
             base_nnz: m,
-            etas: Vec::new(),
+            etas: RowEtas::with_rows(m),
             eta_nnz: 0,
             updates: 0,
             shaky: false,
             spike: vec![0.0; m],
             relim: vec![0.0; m],
+            pairs: Vec::with_capacity(m),
             row_nnz: vec![0; m],
-            spike_cache: RefCell::new(SpikeCache::default()),
-            live_mask: RefCell::new(Vec::new()),
+            spike_cache: SpikeCache {
+                spike: Vec::with_capacity(m),
+                col_idx: Vec::with_capacity(m),
+                col_vals: Vec::with_capacity(m),
+                valid: false,
+            },
+            live_mask: Vec::with_capacity(mask_words(m)),
+            work: vec![0.0; m],
             acc_refactors: 0,
         };
-        repr.install(LuFactors::identity(m));
+        repr.install();
         repr
     }
 
+    fn reset(&mut self) {
+        self.lu.reset();
+        self.install();
+        self.acc_refactors = 0;
+    }
+
     fn refactor(&mut self, a: &CscMatrix, n: usize, basis: &[usize]) -> bool {
-        let cols: Vec<(Vec<usize>, Vec<f64>)> =
-            basis.iter().map(|&j| crate::revised::basis_col(a, n, j)).collect();
-        match LuFactors::factorize(self.m, &cols) {
-            Some(lu) => {
-                self.install(lu);
-                true
-            }
-            None => false,
+        let rows = &self.unit_rows;
+        if !self.spare.factorize(|k| basis_col(a, n, basis[k], rows)) {
+            return false;
         }
+        std::mem::swap(&mut self.lu, &mut self.spare);
+        self.install();
+        true
     }
 
-    fn ftran_col(&self, idx: &[usize], vals: &[f64]) -> Vec<f64> {
-        let mut x = vec![0.0; self.m];
+    fn ftran_col(&mut self, idx: &[usize], vals: &[f64], out: &mut [f64]) {
+        self.work.fill(0.0);
         for (&r, &v) in idx.iter().zip(vals) {
-            x[r] = v;
+            self.work[r] = v;
         }
-        self.solve_forward(x, Some((idx, vals)))
+        self.solve_forward(out, Some((idx, vals)));
     }
 
-    fn ftran_dense(&self, rhs: &[f64]) -> Vec<f64> {
-        self.solve_forward(rhs.to_vec(), None)
+    fn ftran_dense(&mut self, rhs: &[f64], out: &mut [f64]) {
+        self.work.copy_from_slice(rhs);
+        self.solve_forward(out, None);
     }
 
-    fn btran_dense(&self, cb: &[f64]) -> Vec<f64> {
+    fn btran_dense(&self, cb: &[f64], out: &mut [f64]) {
         // Uᵀ forward over positions (row-keyed gather), then the
         // transposed etas newest first, then frozen Lᵀ.
-        let mut w = vec![0.0; self.m];
-        for p in 0..self.m {
-            let r = self.order[p];
-            let uc = &self.u_cols[r];
-            let s = cb[self.slot_of[r]] - vecops::gather_dot(&uc.idx, &uc.vals, &w);
-            w[r] = s / self.u_diag[r];
-        }
-        for eta in self.etas.iter().rev() {
-            let t = w[eta.row];
-            if t != 0.0 {
-                vecops::scatter_axpy(-t, &eta.col.idx, &eta.col.vals, &mut w);
-            }
-        }
-        self.lu.lt_solve(&mut w);
-        w
+        out.fill(0.0);
+        self.solve_backward(out, 0, |slot| cb[slot]);
     }
 
-    fn binv_row(&self, i: usize) -> Vec<f64> {
+    fn binv_row(&self, i: usize, out: &mut [f64]) {
         // Unit-vector btran — the pricing row `ρ = eᵢᵀB⁻¹` of the dual
         // ratio test (`Revised::run_dual`). The RHS is `eᵢ`, so every Uᵀ
         // position before slot `i`'s diagonal sees a zero RHS entry and
         // gathers only zeros: the forward sweep can start at that
         // diagonal's position instead of position 0.
-        let mut w = vec![0.0; self.m];
+        out.fill(0.0);
         let start = self.pos_of[self.key_of_slot[i]];
-        for p in start..self.m {
-            let r = self.order[p];
-            let uc = &self.u_cols[r];
-            let rhs = if p == start { 1.0 } else { 0.0 };
-            let s = rhs - vecops::gather_dot(&uc.idx, &uc.vals, &w);
-            w[r] = s / self.u_diag[r];
-        }
-        for eta in self.etas.iter().rev() {
-            let t = w[eta.row];
-            if t != 0.0 {
-                vecops::scatter_axpy(-t, &eta.col.idx, &eta.col.vals, &mut w);
-            }
-        }
-        self.lu.lt_solve(&mut w);
-        w
+        self.solve_backward(out, start, |slot| if slot == i { 1.0 } else { 0.0 });
     }
 
     /// The Forrest–Tomlin exchange: slot `row`'s variable leaves, the
@@ -439,32 +615,27 @@ impl BasisRepr for FtBasis {
         // and it is an intermediate of the ftran that chose this column,
         // so the cached copy from that solve almost always serves.
         debug_assert!(self.spike.iter().all(|&v| v == 0.0));
-        {
-            let mut cache = self.spike_cache.borrow_mut();
-            if cache.matches(col_idx, col_vals) {
-                // Swap rather than copy: the workspace hands its zeroed
-                // buffer to the (now invalidated) cache.
-                std::mem::swap(&mut self.spike, &mut cache.spike);
-            } else {
-                drop(cache);
-                let mut spike = std::mem::take(&mut self.spike);
-                for (&r, &v) in col_idx.iter().zip(col_vals) {
-                    spike[r] = v;
-                }
-                self.lu.l_solve(&mut spike);
-                self.apply_etas_forward(&mut spike);
-                self.spike = spike;
+        if self.spike_cache.matches(col_idx, col_vals) {
+            // Swap rather than copy: the workspace hands its zeroed
+            // buffer to the (now invalidated) cache.
+            std::mem::swap(&mut self.spike, &mut self.spike_cache.spike);
+        } else {
+            for (&r, &v) in col_idx.iter().zip(col_vals) {
+                self.spike[r] = v;
             }
+            self.lu.l_solve(&mut self.spike);
+            self.etas.apply_forward(&mut self.spike, &mut self.live_mask);
         }
         // Any cached spike is stale once U changes below.
-        self.spike_cache.borrow_mut().valid = false;
+        self.spike_cache.valid = false;
 
         // ---- 2. Delete the leaving column (the spike replaces it).
-        let old_col = std::mem::take(&mut self.u_cols[rt]);
-        self.u_nnz -= old_col.nnz() + 1;
-        for &rk in &old_col.idx {
+        let (old_idx, _) = self.u.col(rt);
+        self.u_nnz -= old_idx.len() + 1;
+        for &rk in old_idx {
             self.row_nnz[rk] -= 1;
         }
+        self.u.len[rt] = 0;
 
         // ---- 3. Delete the spike row from every column inside the
         // window, recording its values — the right-hand side of the
@@ -476,19 +647,15 @@ impl BasisRepr for FtBasis {
         // gather/scatter's summation order deterministic and
         // independent of the update history, which keeps replays and
         // the pivot-trace tests exactly reproducible.
-        let mut row_keys: Vec<usize> = Vec::new();
-        let mut to_find = self.row_nnz[rt];
+        let found = self.row_nnz[rt];
+        let mut to_find = found;
         for p in t + 1..m {
             if to_find == 0 {
                 break;
             }
             let c = self.order[p];
-            let col = &mut self.u_cols[c];
-            if let Ok(k) = col.idx.binary_search(&rt) {
-                self.relim[c] = col.vals[k];
-                row_keys.push(c);
-                col.idx.remove(k);
-                col.vals.remove(k);
+            if let Some(v) = self.u.remove(c, rt) {
+                self.relim[c] = v;
                 self.u_nnz -= 1;
                 to_find -= 1;
             }
@@ -501,12 +668,13 @@ impl BasisRepr for FtBasis {
         // the masked gather keys the cut on `pos_of` — and the walk ends
         // early once the remaining right-hand side is exhausted and no
         // multiplier is live to generate fill (the common case: a
-        // near-empty spike row eliminates in a handful of steps).
-        let mut eta_entries: Vec<(usize, f64)> = Vec::new();
-        if !row_keys.is_empty() {
-            let mut remaining = row_keys.len();
+        // near-empty spike row eliminates in a handful of steps). The
+        // multipliers collect in `pairs`, in elimination order.
+        self.pairs.clear();
+        if found > 0 {
+            let mut remaining = found;
             for p in t + 1..m {
-                if remaining == 0 && eta_entries.is_empty() {
+                if remaining == 0 && self.pairs.is_empty() {
                     break;
                 }
                 let c = self.order[p];
@@ -517,15 +685,14 @@ impl BasisRepr for FtBasis {
                     remaining -= 1;
                     self.relim[c] = 0.0;
                 }
-                if !eta_entries.is_empty() {
-                    let uc = &self.u_cols[c];
-                    val -=
-                        vecops::masked_gather_dot(&uc.idx, &uc.vals, &self.relim, &self.pos_of, t);
+                if !self.pairs.is_empty() {
+                    let (ui, uv) = self.u.col(c);
+                    val -= vecops::masked_gather_dot(ui, uv, &self.relim, &self.pos_of, t);
                 }
                 if val != 0.0 {
                     let rj = val / self.u_diag[c];
                     self.relim[c] = rj;
-                    eta_entries.push((c, rj));
+                    self.pairs.push((c, rj));
                 }
             }
         }
@@ -534,7 +701,7 @@ impl BasisRepr for FtBasis {
         // last-row, last-column entry). FT has no pivoting freedom here;
         // a small |d| schedules a fresh, freely pivoted factorization.
         let mut d = self.spike[rt];
-        for &(c, rj) in &eta_entries {
+        for &(c, rj) in &self.pairs {
             d -= rj * self.spike[c];
         }
         let tiny = d.abs() < SHAKY_PIVOT;
@@ -559,24 +726,28 @@ impl BasisRepr for FtBasis {
         // component — the row elimination never touches the column), and
         // reset the spike workspace as it is read out. The L solve can
         // fill anywhere, so the whole workspace is scanned (O(m), minor
-        // against the O(nnz) solves that produced it).
-        let mut new_entries: Vec<(usize, f64)> = Vec::new();
+        // against the O(nnz) solves that produced it). The column is
+        // appended after the garbage of replaced columns, which is
+        // compacted away first once it outweighs the live entries.
+        if self.u.idx.len() > 2 * self.u.live() + m {
+            self.u.compact();
+        }
+        self.u.begin(rt);
         for c in 0..m {
             let v = self.spike[c];
             if v != 0.0 {
                 self.spike[c] = 0.0;
                 if c != rt {
                     self.row_nnz[c] += 1;
-                    new_entries.push((c, v));
+                    self.u.push(rt, c, v);
                 }
             }
         }
-        self.u_nnz += new_entries.len() + 1;
-        self.u_cols[rt] = SparseCol::from_entries(new_entries);
+        self.u_nnz += self.u.len[rt] + 1;
         self.u_diag[rt] = d;
 
         // ---- 7. Reset the elimination workspace.
-        for &(c, _) in &eta_entries {
+        for &(c, _) in &self.pairs {
             self.relim[c] = 0.0;
         }
 
@@ -592,13 +763,9 @@ impl BasisRepr for FtBasis {
         // ---- 9. Record the spike-row eta (it sits between L and U in
         // every later solve), with its support bitmask so forward solves
         // can skip it when the solve vector has no mass on its rows.
-        if !eta_entries.is_empty() {
-            self.eta_nnz += eta_entries.len();
-            let mut mask = vec![0u64; mask_words(m)];
-            for &(c, _) in &eta_entries {
-                mask_set(&mut mask, c);
-            }
-            self.etas.push(RowEta { row: rt, col: SparseCol::from_entries(eta_entries), mask });
+        if !self.pairs.is_empty() {
+            self.eta_nnz += self.pairs.len();
+            self.etas.push(rt, &mut self.pairs);
         }
         self.updates += 1;
     }
@@ -648,8 +815,32 @@ mod tests {
         bm.inverse().expect("test basis nonsingular")
     }
 
+    fn ftran_col(repr: &mut FtBasis, idx: &[usize], vals: &[f64]) -> Vec<f64> {
+        let mut out = vec![f64::NAN; repr.m];
+        repr.ftran_col(idx, vals, &mut out);
+        out
+    }
+
+    fn ftran_dense(repr: &mut FtBasis, rhs: &[f64]) -> Vec<f64> {
+        let mut out = vec![f64::NAN; repr.m];
+        repr.ftran_dense(rhs, &mut out);
+        out
+    }
+
+    fn btran_dense(repr: &FtBasis, cb: &[f64]) -> Vec<f64> {
+        let mut out = vec![f64::NAN; repr.m];
+        repr.btran_dense(cb, &mut out);
+        out
+    }
+
+    fn binv_row(repr: &FtBasis, i: usize) -> Vec<f64> {
+        let mut out = vec![f64::NAN; repr.m];
+        repr.binv_row(i, &mut out);
+        out
+    }
+
     /// Every solve of `repr` must match the dense inverse of the basis.
-    fn assert_matches_inverse(repr: &FtBasis, inv: &Matrix, tol: f64, ctx: &str) {
+    fn assert_matches_inverse(repr: &mut FtBasis, inv: &Matrix, tol: f64, ctx: &str) {
         let m = inv.rows();
         for t in 0..=m {
             let b: Vec<f64> = if t < m {
@@ -657,12 +848,12 @@ mod tests {
             } else {
                 (0..m).map(|i| (i as f64) * 0.7 - 1.3).collect()
             };
-            let x = repr.ftran_dense(&b);
+            let x = ftran_dense(repr, &b);
             let want = inv.mul_vec(&b);
             for (i, (&g, &w)) in x.iter().zip(&want).enumerate() {
                 assert!((g - w).abs() < tol, "{ctx}: ftran[{i}] {g} vs {w}");
             }
-            let y = repr.btran_dense(&b);
+            let y = btran_dense(repr, &b);
             let want_y = inv.mul_vec_transposed(&b);
             for (i, (&g, &w)) in y.iter().zip(&want_y).enumerate() {
                 assert!((g - w).abs() < tol, "{ctx}: btran[{i}] {g} vs {w}");
@@ -683,8 +874,10 @@ mod tests {
         }
         let mut nnz = 0;
         for r in 0..m {
-            nnz += repr.u_cols[r].nnz() + 1;
-            for &rk in &repr.u_cols[r].idx {
+            let (idx, _) = repr.u.col(r);
+            nnz += idx.len() + 1;
+            assert!(idx.windows(2).all(|w| w[0] < w[1]), "column {r} not sorted by row key");
+            for &rk in idx {
                 assert!(
                     repr.pos_of[rk] < repr.pos_of[r],
                     "triangularity violated: entry {rk} (pos {}) in column {r} (pos {})",
@@ -694,9 +887,15 @@ mod tests {
             }
         }
         assert_eq!(nnz, repr.u_nnz, "u_nnz bookkeeping drifted");
+        assert!(
+            repr.u.idx.len() <= 2 * repr.u.live() + m,
+            "U garbage not compacted: {} stored for {} live",
+            repr.u.idx.len(),
+            repr.u.live()
+        );
         let mut row_counts = vec![0usize; m];
         for r in 0..m {
-            for &rk in &repr.u_cols[r].idx {
+            for &rk in repr.u.col(r).0 {
                 row_counts[rk] += 1;
             }
         }
@@ -707,11 +906,11 @@ mod tests {
 
     #[test]
     fn identity_is_trivial() {
-        let repr = FtBasis::identity(4);
+        let mut repr = FtBasis::identity(4);
         check_invariants(&repr);
-        let x = repr.ftran_dense(&[1.0, -2.0, 3.0, 0.5]);
+        let x = ftran_dense(&mut repr, &[1.0, -2.0, 3.0, 0.5]);
         assert_eq!(x, vec![1.0, -2.0, 3.0, 0.5]);
-        assert_eq!(repr.btran_dense(&x), vec![1.0, -2.0, 3.0, 0.5]);
+        assert_eq!(btran_dense(&repr, &x), vec![1.0, -2.0, 3.0, 0.5]);
     }
 
     #[test]
@@ -726,9 +925,9 @@ mod tests {
         assert!(repr.refactor(&a, 4, &basis));
         check_invariants(&repr);
         let inv = dense_inverse(&a, 4, &basis);
-        assert_matches_inverse(&repr, &inv, 1e-9, "refactor");
+        assert_matches_inverse(&mut repr, &inv, 1e-9, "refactor");
         for i in 0..3 {
-            let row = repr.binv_row(i);
+            let row = binv_row(&repr, i);
             for (j, got) in row.iter().enumerate() {
                 assert!((got - inv[(i, j)]).abs() < 1e-9, "row {i} col {j}");
             }
@@ -754,7 +953,7 @@ mod tests {
         // (column, slot) exchanges; column 3 later replaces slot 0 again.
         for &(col, slot) in &[(1usize, 0usize), (2, 2), (0, 1), (3, 0)] {
             let (idx, vals) = a.col(col);
-            let u = repr.ftran_col(idx, vals);
+            let u = ftran_col(&mut repr, idx, vals);
             let support: Vec<usize> =
                 (0..m).filter(|&i| u[i].abs() > qava_linalg::EPS).collect();
             assert!(u[slot].abs() > 1e-9, "test exchange must be pivotable");
@@ -762,7 +961,8 @@ mod tests {
             basis[slot] = col;
             check_invariants(&repr);
             let inv = dense_inverse(&a, n, &basis);
-            assert_matches_inverse(&repr, &inv, 1e-8, &format!("after col {col} -> slot {slot}"));
+            let ctx = format!("after col {col} -> slot {slot}");
+            assert_matches_inverse(&mut repr, &inv, 1e-8, &ctx);
         }
         assert_eq!(repr.updates, 4);
     }
@@ -782,17 +982,17 @@ mod tests {
         let mut repr = FtBasis::identity(m);
         for &(col, slot) in &[(1usize, 0usize), (2, 2), (0, 1)] {
             let (idx, vals) = a.col(col);
-            let u = repr.ftran_col(idx, vals);
+            let u = ftran_col(&mut repr, idx, vals);
             let support: Vec<usize> =
                 (0..m).filter(|&i| u[i].abs() > qava_linalg::EPS).collect();
             repr.update(slot, &u, &support, idx, vals);
         }
         assert!(repr.updates > 0 && !repr.etas.is_empty(), "fast path must see a rotated order");
         for i in 0..m {
-            let fast = repr.binv_row(i);
+            let fast = binv_row(&repr, i);
             let mut e = vec![0.0; m];
             e[i] = 1.0;
-            let generic = repr.btran_dense(&e);
+            let generic = btran_dense(&repr, &e);
             for (g, w) in fast.iter().zip(&generic) {
                 assert!((g - w).abs() < 1e-12, "row {i}: {g} vs {w}");
             }
@@ -831,7 +1031,7 @@ mod tests {
                 if basis.contains(&col) || idx.is_empty() {
                     continue;
                 }
-                let u = ft.ftran_col(idx, vals);
+                let u = ftran_col(&mut ft, idx, vals);
                 // Pivot on the largest healthy component.
                 let Some((slot, _)) = u
                     .iter()
@@ -848,7 +1048,7 @@ mod tests {
                 updates_done += 1;
                 check_invariants(&ft);
                 let inv = dense_inverse(&a, n, &basis);
-                assert_matches_inverse(&ft, &inv, 1e-7, &format!("m={m} step={step}"));
+                assert_matches_inverse(&mut ft, &inv, 1e-7, &format!("m={m} step={step}"));
             }
             assert!(updates_done >= m, "m={m}: chain too short to be meaningful");
         }
@@ -906,7 +1106,7 @@ mod tests {
         let mut fired = false;
         for slot in 0..m {
             let (idx, vals) = a.col(m + slot);
-            let u = repr.ftran_col(idx, vals);
+            let u = ftran_col(&mut repr, idx, vals);
             assert!(u[slot].abs() > 0.1, "dominant diagonal keeps the exchange pivotable");
             let support: Vec<usize> = (0..m).filter(|&i| u[i].abs() > qava_linalg::EPS).collect();
             repr.update(slot, &u, &support, idx, vals);
@@ -917,5 +1117,88 @@ mod tests {
             }
         }
         assert!(fired, "dense spikes never tripped the fill-in trigger");
+    }
+
+    /// Compaction moves live columns over the garbage of replaced ones
+    /// without changing any column's entries or their order.
+    #[test]
+    fn compaction_keeps_every_column() {
+        let mut u = RowKeyedU::with_rows(4);
+        let cols: [&[(usize, f64)]; 4] =
+            [&[(1, 1.0), (3, 2.0)], &[], &[(0, -1.0)], &[(0, 4.0), (1, 5.0), (2, 6.0)]];
+        for (r, col) in cols.iter().enumerate() {
+            u.begin(r);
+            for &(k, v) in col.iter() {
+                u.push(r, k, v);
+            }
+        }
+        // Replace column 0 twice and delete an entry of column 3.
+        for v in [7.0, 8.0] {
+            u.len[0] = 0;
+            u.begin(0);
+            u.push(0, 2, v);
+        }
+        assert_eq!(u.remove(3, 1), Some(5.0));
+        assert_eq!(u.remove(3, 1), None);
+        let before: Vec<(Vec<usize>, Vec<f64>)> =
+            (0..4).map(|r| (u.col(r).0.to_vec(), u.col(r).1.to_vec())).collect();
+        assert!(u.idx.len() > u.live());
+        u.compact();
+        assert_eq!(u.idx.len(), u.live());
+        for (r, (idx, vals)) in before.iter().enumerate() {
+            assert_eq!(u.col(r), (&idx[..], &vals[..]), "column {r}");
+        }
+        assert_eq!(u.col(0), (&[2usize][..], &[8.0][..]));
+    }
+
+    /// A refactorization into the reused storage gives bit for bit the
+    /// solves of a factorization into new storage, after any number of
+    /// updates and earlier refactorizations — and a singular attempt in
+    /// between leaves the engine as it was. A reset engine is the
+    /// identity engine.
+    #[test]
+    fn reused_storage_solves_bit_for_bit_like_fresh() {
+        let a = basis_csc(vec![
+            vec![1.0, 2.0, 0.0, 1.0, 0.0],
+            vec![0.0, 1.0, 1.0, -1.0, 0.0],
+            vec![1.0, 0.0, 2.0, 0.5, 0.0],
+            vec![0.0, -1.0, 1.0, 2.0, 0.0],
+        ]);
+        let (n, m) = (5, 4);
+        let mut reused = FtBasis::identity(m);
+        let mut basis: Vec<usize> = (n..n + m).collect();
+        for &(col, slot) in &[(1usize, 0usize), (2, 2), (0, 1), (3, 3)] {
+            let (idx, vals) = a.col(col);
+            let u = ftran_col(&mut reused, idx, vals);
+            let support: Vec<usize> = (0..m).filter(|&i| u[i].abs() > qava_linalg::EPS).collect();
+            reused.update(slot, &u, &support, idx, vals);
+            basis[slot] = col;
+            assert!(reused.refactor(&a, n, &basis));
+            // Column 4 is empty: a basis holding it is singular.
+            let mut singular = basis.clone();
+            singular[slot] = 4;
+            let before = ftran_dense(&mut reused, &[1.0, 2.0, 3.0, 4.0]);
+            assert!(!reused.refactor(&a, n, &singular));
+            assert_eq!(ftran_dense(&mut reused, &[1.0, 2.0, 3.0, 4.0]), before);
+            let mut fresh = FtBasis::identity(m);
+            assert!(fresh.refactor(&a, n, &basis));
+            for rhs in [[1.0, 0.0, 0.0, 0.0], [0.3, -1.0, 2.0, 0.5]] {
+                let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let (got, want) = (ftran_dense(&mut reused, &rhs), ftran_dense(&mut fresh, &rhs));
+                assert_eq!(bits(got), bits(want));
+                assert_eq!(bits(btran_dense(&reused, &rhs)), bits(btran_dense(&fresh, &rhs)));
+            }
+            check_invariants(&reused);
+        }
+        // Reset returns exactly to the identity engine.
+        reused.reset();
+        check_invariants(&reused);
+        assert!(!reused.should_refactor(1) && reused.etas.is_empty() && reused.updates == 0);
+        assert_eq!(reused.accuracy_refactors(), 0);
+        let mut fresh = FtBasis::identity(m);
+        for rhs in [[1.0, 0.0, 0.0, 0.0], [0.3, -1.0, 2.0, 0.5]] {
+            assert_eq!(ftran_dense(&mut reused, &rhs), ftran_dense(&mut fresh, &rhs));
+            assert_eq!(btran_dense(&reused, &rhs), btran_dense(&fresh, &rhs));
+        }
     }
 }

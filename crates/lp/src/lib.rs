@@ -59,9 +59,10 @@
 //!   arithmetic is replayed from a tape through the same functions
 //!   presolve runs (a member for which any such decision, or the
 //!   lowering's sign rule, would come out differently runs the full
-//!   pipeline instead), and the backend may clone the fresh
+//!   pipeline instead), and the backend may reuse the fresh
 //!   factorization of an unchanged warm basis instead of refactorizing
-//!   it ([`LpBackend::solve_core_prepared`], [`FactorMemo`]).
+//!   it, and the storage of its earlier runs' basis engines
+//!   ([`LpBackend::solve_core_prepared`], [`FactorMemo`]).
 //!   Sessions also carry an optional **cooperative cancellation flag**
 //!   ([`LpSolver::set_cancel_flag`]), polled once per solve boundary:
 //!   once raised, further solves return [`LpError::Cancelled`] without

@@ -21,14 +21,20 @@
 //!   well-conditioned basis into garbage (the failure mode of the
 //!   no-pivoting dense inverse on the degenerate walk3d systems).
 //!
-//! The factors are stored column-wise as parallel index/value slices so
-//! the solves run on the [`qava_linalg::vecops`] gather/scatter kernels:
-//! a forward solve scatters one elimination column into the dense
-//! right-hand side per step ([`vecops::scatter_axpy`]), a transposed
-//! solve gathers one dot product per step ([`vecops::gather_dot`]), and
-//! **steps whose pivot entry in the running vector is zero are skipped
-//! entirely** — on the sparse entering columns of the synthesis LPs most
-//! steps are.
+//! The factors are stored column-wise in flat CSC arrays (one pointer
+//! array, one index array and one value array per factor) so the solves
+//! run on the [`qava_linalg::vecops`] gather/scatter kernels over
+//! contiguous slices: a forward solve scatters one elimination column
+//! into the dense right-hand side per step ([`vecops::scatter_axpy`]), a
+//! transposed solve gathers one dot product per step
+//! ([`vecops::gather_dot`]), and **steps whose pivot entry in the
+//! running vector is zero are skipped entirely** — on the sparse
+//! entering columns of the synthesis LPs most steps are.
+//!
+//! A factorization is rebuilt in place ([`LuFactors::factorize`]): the
+//! flat arrays and the elimination workspace keep their capacity, so
+//! once a few refactorizations of one system have sized them, rebuilding
+//! the factors allocates nothing.
 
 use qava_linalg::vecops;
 
@@ -42,180 +48,265 @@ const PIVOT_REL_THRESHOLD: f64 = 0.1;
 /// entries are O(1) and an absolute tolerance is meaningful.
 const SINGULAR_TOL: f64 = 1e-11;
 
-/// One stored elimination column: parallel `(row, value)` slices. Shared
-/// with the Forrest–Tomlin engine ([`crate::ft`]), which stores its
-/// mutable U columns and row-spike etas in the same shape.
+/// Sparse columns packed into flat arrays: column `k` is
+/// `idx[ptr[k]..ptr[k + 1]]` / `vals[ptr[k]..ptr[k + 1]]`, indices
+/// increasing. Columns are appended in order after a
+/// [`clear`](Self::clear) and cleared together.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct SparseCol {
-    pub(crate) idx: Vec<usize>,
-    pub(crate) vals: Vec<f64>,
+pub(crate) struct FlatCols {
+    ptr: Vec<usize>,
+    idx: Vec<usize>,
+    vals: Vec<f64>,
 }
 
-impl SparseCol {
-    pub(crate) fn from_entries(mut entries: Vec<(usize, f64)>) -> Self {
-        entries.sort_unstable_by_key(|&(i, _)| i);
-        SparseCol {
-            idx: entries.iter().map(|&(i, _)| i).collect(),
-            vals: entries.iter().map(|&(_, v)| v).collect(),
-        }
+impl FlatCols {
+    /// Empties the store, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.ptr.clear();
+        self.ptr.push(0);
+        self.idx.clear();
+        self.vals.clear();
     }
 
+    /// Makes room for `cols` more columns of `nnz` entries in total.
+    pub(crate) fn reserve(&mut self, cols: usize, nnz: usize) {
+        self.ptr.reserve(cols + 1);
+        self.idx.reserve(nnz);
+        self.vals.reserve(nnz);
+    }
+
+    /// Appends one column from `(index, value)` entries, sorting them by
+    /// index in place first (indices are distinct, so the order — and
+    /// with it every later gather/scatter's summation order — does not
+    /// depend on the order the entries were found in).
+    pub(crate) fn push_sorted(&mut self, entries: &mut [(usize, f64)]) {
+        entries.sort_unstable_by_key(|&(i, _)| i);
+        for &(i, v) in entries.iter() {
+            self.idx.push(i);
+            self.vals.push(v);
+        }
+        self.ptr.push(self.idx.len());
+    }
+
+    /// Column `k` as parallel `(indices, values)` slices.
+    pub(crate) fn col(&self, k: usize) -> (&[usize], &[f64]) {
+        let (lo, hi) = (self.ptr[k], self.ptr[k + 1]);
+        (&self.idx[lo..hi], &self.vals[lo..hi])
+    }
+
+    /// Stored entries over all columns.
     pub(crate) fn nnz(&self) -> usize {
         self.idx.len()
     }
 }
 
+/// The elimination workspace of [`LuFactors::factorize`], kept between
+/// factorizations so that rebuilding allocates nothing.
+#[derive(Debug, Default)]
+struct LuWork {
+    /// Static row counts of the basis (the Markowitz tie-break).
+    row_count: Vec<usize>,
+    /// Column elimination order.
+    order: Vec<usize>,
+    /// Row → pivot position, `usize::MAX` while unpivoted.
+    row_pos: Vec<usize>,
+    /// Dense solve vector of the current column; all-zero between
+    /// columns.
+    x: Vec<f64>,
+    /// Rows `x` touches, and their membership flags.
+    touched: Vec<usize>,
+    is_touched: Vec<bool>,
+    /// The solved column's U and L entries before sorting.
+    u_entries: Vec<(usize, f64)>,
+    l_entries: Vec<(usize, f64)>,
+}
+
 /// A sparse LU factorization of an `m × m` basis matrix.
 ///
 /// Step `k` of the elimination consumed basis column `col_order[k]` and
-/// pivoted on original row `pos_row[k]`. `l_cols[k]` holds the unit-
-/// lower-triangular multipliers (original row indices, diagonal 1
-/// implicit); `u_cols[k]` holds the upper-triangular entries in **pivot
-/// position** indexing (all positions < `k`), with the diagonal kept
-/// separately in `diag[k]`.
-#[derive(Debug, Clone)]
+/// pivoted on original row `pos_row[k]`. Column `k` of `l` holds the
+/// unit-lower-triangular multipliers (original row indices, diagonal 1
+/// implicit); column `k` of `u` holds the upper-triangular entries in
+/// **pivot position** indexing (all positions < `k`), with the diagonal
+/// kept separately in `diag[k]`.
+#[derive(Debug)]
 pub(crate) struct LuFactors {
     m: usize,
     pub(crate) col_order: Vec<usize>,
     pub(crate) pos_row: Vec<usize>,
-    l_cols: Vec<SparseCol>,
-    pub(crate) u_cols: Vec<SparseCol>,
+    l: FlatCols,
+    pub(crate) u: FlatCols,
     pub(crate) diag: Vec<f64>,
+    work: LuWork,
 }
 
 impl LuFactors {
     /// The factorization of the identity basis (the phase-1 artificial
     /// start): empty factors, identity permutations.
     pub(crate) fn identity(m: usize) -> Self {
+        let empty = FlatCols { ptr: vec![0; m + 1], idx: Vec::new(), vals: Vec::new() };
         LuFactors {
             m,
             col_order: (0..m).collect(),
             pos_row: (0..m).collect(),
-            l_cols: vec![SparseCol::default(); m],
-            u_cols: vec![SparseCol::default(); m],
+            l: empty.clone(),
+            u: empty,
             diag: vec![1.0; m],
+            work: LuWork::default(),
         }
+    }
+
+    /// Returns to the identity factorization in place, keeping the
+    /// storage.
+    pub(crate) fn reset(&mut self) {
+        let m = self.m;
+        self.col_order.clear();
+        self.col_order.extend(0..m);
+        self.pos_row.clear();
+        self.pos_row.extend(0..m);
+        for factor in [&mut self.l, &mut self.u] {
+            factor.clear();
+            factor.ptr.resize(m + 1, 0);
+        }
+        self.diag.clear();
+        self.diag.resize(m, 1.0);
     }
 
     /// Stored nonzeros of `L` and `U` (diagonals included) — the fill-in
     /// measure the Forrest–Tomlin refactorization trigger is relative to.
     pub(crate) fn nnz(&self) -> usize {
-        self.m
-            + self.l_cols.iter().map(SparseCol::nnz).sum::<usize>()
-            + self.u_cols.iter().map(SparseCol::nnz).sum::<usize>()
+        self.m + self.l.nnz() + self.u.nnz()
     }
 
-    /// Factorizes the basis given as `m` sparse columns (sorted row
-    /// indices, nonzero values). Returns `None` when the matrix is
-    /// (numerically) singular — a stale warm-start basis, typically.
-    pub(crate) fn factorize(m: usize, cols: &[(Vec<usize>, Vec<f64>)]) -> Option<LuFactors> {
-        assert_eq!(cols.len(), m, "factorize: need exactly m basis columns");
+    /// Refactorizes in place from the `m` basis columns `col(k)` (sorted
+    /// row indices, nonzero values). Returns `false` when the matrix is
+    /// (numerically) singular — a stale warm-start basis, typically — and
+    /// then leaves the factors in an unusable state: callers factorize
+    /// into a spare and keep their last good factors on failure.
+    pub(crate) fn factorize<'c>(
+        &mut self,
+        col: impl Fn(usize) -> (&'c [usize], &'c [f64]),
+    ) -> bool {
+        let m = self.m;
+        let w = &mut self.work;
         // Static row counts for the Markowitz tie-break.
-        let mut row_count = vec![0usize; m];
-        for (idx, _) in cols {
+        w.row_count.clear();
+        w.row_count.resize(m, 0);
+        let mut basis_nnz = 0;
+        for k in 0..m {
+            let idx = col(k).0;
+            basis_nnz += idx.len();
             for &r in idx {
-                row_count[r] += 1;
+                w.row_count[r] += 1;
             }
         }
-        // Column elimination order: ascending nonzero count (stable sort
-        // keeps the order deterministic across runs).
-        let mut order: Vec<usize> = (0..m).collect();
-        order.sort_by_key(|&j| cols[j].0.len());
+        // Column elimination order: ascending nonzero count, ties in
+        // column order (the stable order, kept deterministic across runs).
+        w.order.clear();
+        w.order.extend(0..m);
+        w.order.sort_unstable_by_key(|&j| (col(j).0.len(), j));
 
-        let mut lu = LuFactors {
-            m,
-            col_order: Vec::with_capacity(m),
-            pos_row: Vec::with_capacity(m),
-            l_cols: Vec::with_capacity(m),
-            u_cols: Vec::with_capacity(m),
-            diag: Vec::with_capacity(m),
-        };
-        // row -> pivot position, MAX while unpivoted.
-        let mut row_pos = vec![usize::MAX; m];
+        self.col_order.clear();
+        self.pos_row.clear();
+        // Size the factors for the basis itself at once: with a sparse
+        // basis, fill-in keeps L and U near its nonzero count.
+        for factor in [&mut self.l, &mut self.u] {
+            factor.clear();
+            factor.reserve(m, basis_nnz);
+        }
+        self.diag.clear();
+        w.row_pos.clear();
+        w.row_pos.resize(m, usize::MAX);
         // Dense workspace + touched-row pattern for one column.
-        let mut x = vec![0.0f64; m];
-        let mut touched: Vec<usize> = Vec::with_capacity(m);
-        let mut is_touched = vec![false; m];
+        w.x.clear();
+        w.x.resize(m, 0.0);
+        w.touched.clear();
+        w.touched.reserve(m);
+        w.is_touched.clear();
+        w.is_touched.resize(m, false);
+        w.u_entries.reserve(m);
+        w.l_entries.reserve(m);
 
-        for &j in &order {
-            let (idx, vals) = &cols[j];
+        for oi in 0..m {
+            let j = w.order[oi];
+            let (idx, vals) = col(j);
             for (&r, &v) in idx.iter().zip(vals) {
-                x[r] = v;
-                is_touched[r] = true;
-                touched.push(r);
+                w.x[r] = v;
+                w.is_touched[r] = true;
+                w.touched.push(r);
             }
             // Left-looking solve L·x = column: apply every prior
             // elimination column in order, skipping steps whose pivot
             // entry is (still) zero — for sparse columns that is the
             // vast majority.
-            for t in 0..lu.diag.len() {
-                let xt = x[lu.pos_row[t]];
+            for t in 0..self.diag.len() {
+                let xt = w.x[self.pos_row[t]];
                 if xt == 0.0 {
                     continue;
                 }
-                let lc = &lu.l_cols[t];
-                for &r in &lc.idx {
-                    if !is_touched[r] {
-                        is_touched[r] = true;
-                        touched.push(r);
+                let (li, lv) = self.l.col(t);
+                for &r in li {
+                    if !w.is_touched[r] {
+                        w.is_touched[r] = true;
+                        w.touched.push(r);
                     }
                 }
-                vecops::scatter_axpy(-xt, &lc.idx, &lc.vals, &mut x);
+                vecops::scatter_axpy(-xt, li, lv, &mut w.x);
             }
 
             // Threshold partial pivoting over the unpivoted rows, with
             // the static row count as the Markowitz-style tie-break.
             let mut col_max = 0.0f64;
-            for &r in &touched {
-                if row_pos[r] == usize::MAX {
-                    col_max = col_max.max(x[r].abs());
+            for &r in &w.touched {
+                if w.row_pos[r] == usize::MAX {
+                    col_max = col_max.max(w.x[r].abs());
                 }
             }
             if col_max <= SINGULAR_TOL {
-                return None; // structurally or numerically singular
+                return false; // structurally or numerically singular
             }
             let eligible = PIVOT_REL_THRESHOLD * col_max;
             let mut pivot_r = usize::MAX;
             let mut pivot_key = (usize::MAX, usize::MAX);
-            for &r in &touched {
-                if row_pos[r] == usize::MAX && x[r].abs() >= eligible {
-                    let key = (row_count[r], r);
+            for &r in &w.touched {
+                if w.row_pos[r] == usize::MAX && w.x[r].abs() >= eligible {
+                    let key = (w.row_count[r], r);
                     if key < pivot_key {
                         pivot_key = key;
                         pivot_r = r;
                     }
                 }
             }
-            let d = x[pivot_r];
+            let d = w.x[pivot_r];
 
             // Split the solved column: pivoted rows become the U column
             // (position-indexed), unpivoted rows the scaled L column.
-            let mut u_entries: Vec<(usize, f64)> = Vec::new();
-            let mut l_entries: Vec<(usize, f64)> = Vec::new();
-            for &r in &touched {
-                let v = x[r];
+            w.u_entries.clear();
+            w.l_entries.clear();
+            for &r in &w.touched {
+                let v = w.x[r];
                 // Reset the workspace as we read it out.
-                x[r] = 0.0;
-                is_touched[r] = false;
+                w.x[r] = 0.0;
+                w.is_touched[r] = false;
                 if v == 0.0 || r == pivot_r {
                     continue;
                 }
-                match row_pos[r] {
-                    usize::MAX => l_entries.push((r, v / d)),
-                    t => u_entries.push((t, v)),
+                match w.row_pos[r] {
+                    usize::MAX => w.l_entries.push((r, v / d)),
+                    t => w.u_entries.push((t, v)),
                 }
             }
-            touched.clear();
+            w.touched.clear();
 
-            let k = lu.diag.len();
-            row_pos[pivot_r] = k;
-            lu.col_order.push(j);
-            lu.pos_row.push(pivot_r);
-            lu.l_cols.push(SparseCol::from_entries(l_entries));
-            lu.u_cols.push(SparseCol::from_entries(u_entries));
-            lu.diag.push(d);
+            let k = self.diag.len();
+            w.row_pos[pivot_r] = k;
+            self.col_order.push(j);
+            self.pos_row.push(pivot_r);
+            self.l.push_sorted(&mut w.l_entries);
+            self.u.push_sorted(&mut w.u_entries);
+            self.diag.push(d);
         }
-        Some(lu)
+        true
     }
 
     /// Applies `L⁻¹` in place, `x` in **row** indexing: the elimination
@@ -232,8 +323,8 @@ impl LuFactors {
             if xk == 0.0 {
                 continue;
             }
-            let lc = &self.l_cols[k];
-            vecops::scatter_axpy(-xk, &lc.idx, &lc.vals, x);
+            let (li, lv) = self.l.col(k);
+            vecops::scatter_axpy(-xk, li, lv, x);
         }
     }
 
@@ -243,9 +334,9 @@ impl LuFactors {
     pub(crate) fn lt_solve(&self, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.m);
         for k in (0..self.m).rev() {
-            let lc = &self.l_cols[k];
-            if !lc.idx.is_empty() {
-                x[self.pos_row[k]] -= vecops::gather_dot(&lc.idx, &lc.vals, x);
+            let (li, lv) = self.l.col(k);
+            if !li.is_empty() {
+                x[self.pos_row[k]] -= vecops::gather_dot(li, lv, x);
             }
         }
     }
@@ -265,8 +356,8 @@ impl LuFactors {
         for k in (0..self.m).rev() {
             let wk = x[self.pos_row[k]] / self.diag[k];
             if wk != 0.0 {
-                let uc = &self.u_cols[k];
-                for (&t, &v) in uc.idx.iter().zip(&uc.vals) {
+                let (ui, uv) = self.u.col(k);
+                for (&t, &v) in ui.iter().zip(uv) {
                     x[self.pos_row[t]] -= v * wk;
                 }
             }
@@ -287,8 +378,8 @@ impl LuFactors {
         // Uᵀ solve, forward over pivot positions (gather form).
         let mut w = vec![0.0f64; self.m];
         for k in 0..self.m {
-            let uc = &self.u_cols[k];
-            let s = c[self.col_order[k]] - vecops::gather_dot(&uc.idx, &uc.vals, &w);
+            let (ui, uv) = self.u.col(k);
+            let s = c[self.col_order[k]] - vecops::gather_dot(ui, uv, &w);
             w[k] = s / self.diag[k];
         }
         // Scatter into row indexing, then Lᵀ.
@@ -322,9 +413,14 @@ mod tests {
             .collect()
     }
 
+    fn factorize(cols: &[(Vec<usize>, Vec<f64>)]) -> Option<LuFactors> {
+        let mut lu = LuFactors::identity(cols.len());
+        lu.factorize(|k| (&cols[k].0[..], &cols[k].1[..])).then_some(lu)
+    }
+
     fn check_solves(dense: &Matrix) {
         let m = dense.rows();
-        let lu = LuFactors::factorize(m, &cols_of(dense)).expect("nonsingular");
+        let lu = factorize(&cols_of(dense)).expect("nonsingular");
         let inv = dense.inverse().expect("nonsingular");
         // ftran against B⁻¹·b for a few right-hand sides (dense and unit).
         let mut scratch = Vec::new();
@@ -408,10 +504,10 @@ mod tests {
         ]));
         // A zero column is structurally singular.
         let singular = Matrix::from_rows(vec![vec![1.0, 0.0], vec![2.0, 0.0]]);
-        assert!(LuFactors::factorize(2, &cols_of(&singular)).is_none());
+        assert!(factorize(&cols_of(&singular)).is_none());
         // Duplicate columns are numerically singular.
         let dup = Matrix::from_rows(vec![vec![1.0, 1.0], vec![2.0, 2.0]]);
-        assert!(LuFactors::factorize(2, &cols_of(&dup)).is_none());
+        assert!(factorize(&cols_of(&dup)).is_none());
     }
 
     #[test]
@@ -430,7 +526,7 @@ mod tests {
             }
         }
         let dense = Matrix::from_rows(rows);
-        let lu = LuFactors::factorize(m, &cols_of(&dense)).unwrap();
+        let lu = factorize(&cols_of(&dense)).unwrap();
         assert!(lu.nnz() <= 4 * m, "band fill-in exploded: {} nonzeros", lu.nnz());
         check_solves(&dense);
     }

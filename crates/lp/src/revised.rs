@@ -45,6 +45,7 @@ use crate::simplex::MAX_PIVOTS;
 use crate::LpError;
 use qava_linalg::{vecops, Matrix, EPS};
 use std::any::Any;
+use std::mem::take;
 
 /// Bland-fallback patience, matching the dense path.
 const DEGENERACY_PATIENCE: usize = 40;
@@ -55,7 +56,9 @@ const DEGENERACY_PATIENCE: usize = 40;
 /// inverse, or LU factors updated in place — and answer the four queries
 /// the simplex loop needs: forward transformation (`B⁻¹·a_j`), backward
 /// transformation (`c_Bᵀ·B⁻¹`), single rows of `B⁻¹`, and the rank-one
-/// basis-exchange update.
+/// basis-exchange update. The solves write into a caller-owned `out`
+/// buffer of length `m` (every entry is overwritten), so the pivot loop
+/// reuses its vectors instead of allocating one per solve.
 pub(crate) trait BasisRepr {
     /// The representation of the all-artificial identity basis (the
     /// phase-1 starting point).
@@ -63,24 +66,32 @@ pub(crate) trait BasisRepr {
     where
         Self: Sized;
 
+    /// Returns to the all-artificial identity basis in place: afterwards
+    /// the engine is exactly what [`identity`](Self::identity) builds,
+    /// accuracy count included, but keeps the storage it has grown, so a
+    /// recycled engine runs its next solve without allocating.
+    fn reset(&mut self);
+
     /// Rebuilds the representation from scratch for the given basis
     /// (artificial columns are `a.cols()..`, stored as unit columns).
     /// Returns `false` — leaving the previous state untouched — when the
     /// basis matrix is singular.
     fn refactor(&mut self, a: &CscMatrix, n: usize, basis: &[usize]) -> bool;
 
-    /// `B⁻¹ · v` for a sparse column `v` given as parallel
-    /// `(indices, values)` slices.
-    fn ftran_col(&self, idx: &[usize], vals: &[f64]) -> Vec<f64>;
+    /// `out = B⁻¹ · v` for a sparse column `v` given as parallel
+    /// `(indices, values)` slices. Takes `&mut self` for the solve
+    /// workspace (and, in the LU engine, the spike cache of the update
+    /// that usually follows).
+    fn ftran_col(&mut self, idx: &[usize], vals: &[f64], out: &mut [f64]);
 
-    /// `B⁻¹ · rhs` for a dense right-hand side.
-    fn ftran_dense(&self, rhs: &[f64]) -> Vec<f64>;
+    /// `out = B⁻¹ · rhs` for a dense right-hand side.
+    fn ftran_dense(&mut self, rhs: &[f64], out: &mut [f64]);
 
-    /// `c_Bᵀ · B⁻¹` for a dense basic-cost vector.
-    fn btran_dense(&self, cb: &[f64]) -> Vec<f64>;
+    /// `out = c_Bᵀ · B⁻¹` for a dense basic-cost vector.
+    fn btran_dense(&self, cb: &[f64], out: &mut [f64]);
 
-    /// Row `i` of `B⁻¹` (equivalently `eᵢᵀ·B⁻¹`).
-    fn binv_row(&self, i: usize) -> Vec<f64>;
+    /// `out` = row `i` of `B⁻¹` (equivalently `eᵢᵀ·B⁻¹`).
+    fn binv_row(&self, i: usize, out: &mut [f64]);
 
     /// Applies the basis exchange: the variable at `row` leaves and the
     /// column with ftran'd direction `u` enters. `support` lists the
@@ -120,29 +131,36 @@ pub(crate) trait BasisRepr {
     /// `tests/drift_regression.rs`).
     fn trusts_incremental_optimal(&self) -> bool;
 
-    /// Updates since the engine was created whose determinant-identity
-    /// cross-check disagreed with the eliminated diagonal — each
-    /// schedules a refactorization. [`RunTelemetry::absorb`] polls it
-    /// exactly once per run state, and every run builds its engine fresh
-    /// from [`identity`](Self::identity), so engines report lifetime
-    /// totals and refactorizations must *not* reset them. Engines
-    /// without the cross-check keep the default 0.
+    /// Updates since the engine was created or [`reset`](Self::reset)
+    /// whose determinant-identity cross-check disagreed with the
+    /// eliminated diagonal — each schedules a refactorization.
+    /// [`RunTelemetry::absorb`] polls it exactly once per run state, and
+    /// every run starts its engine from [`identity`](Self::identity) or
+    /// a reset, so engines report totals since then and refactorizations
+    /// must *not* reset them. Engines without the cross-check keep the
+    /// default 0.
     fn accuracy_refactors(&self) -> usize {
         0
     }
 }
 
-/// Sparse entries of basis slot `bj`: the CSC column for real columns,
-/// the virtual unit column for artificials (`n..`). The one encoding of
-/// the artificial-column convention, shared by every
-/// [`BasisRepr::refactor`] implementation — backend parity depends on
-/// both representations assembling identical basis matrices.
-pub(crate) fn basis_col(a: &CscMatrix, n: usize, bj: usize) -> (Vec<usize>, Vec<f64>) {
+/// Sparse entries of basis slot `bj`, lent rather than copied: the CSC
+/// column's slices for real columns, the virtual unit column for
+/// artificials (`n..`) — index slice `unit_rows[bj - n..=bj - n]` of the
+/// caller's identity table `unit_rows = 0..m`, value slice a static
+/// `[1.0]`. The one encoding of the artificial-column convention, shared
+/// by every [`BasisRepr::refactor`] implementation — backend parity
+/// depends on both representations assembling identical basis matrices.
+pub(crate) fn basis_col<'a>(
+    a: &'a CscMatrix,
+    n: usize,
+    bj: usize,
+    unit_rows: &'a [usize],
+) -> (&'a [usize], &'a [f64]) {
     if bj < n {
-        let (idx, vals) = a.col(bj);
-        (idx.to_vec(), vals.to_vec())
+        a.col(bj)
     } else {
-        (vec![bj - n], vec![1.0])
+        (std::slice::from_ref(&unit_rows[bj - n]), &[1.0])
     }
 }
 
@@ -156,25 +174,38 @@ const PIVOT_TOL: f64 = 1e-7;
 
 /// The explicit dense-inverse basis representation (the original
 /// revised-simplex engine, still the best fit for small/dense bases).
-#[derive(Clone)]
 pub(crate) struct DenseInverse {
     binv: Matrix,
     /// Reusable copy of the pivot row of `B⁻¹` so the rank-one update can
     /// run as slice `axpy`s without aliasing the matrix.
     pivot_row: Vec<f64>,
+    /// `0..m`, the artificial columns' index slices ([`basis_col`]).
+    unit_rows: Vec<usize>,
 }
 
 impl BasisRepr for DenseInverse {
     fn identity(m: usize) -> Self {
-        DenseInverse { binv: Matrix::identity(m), pivot_row: vec![0.0; m] }
+        DenseInverse {
+            binv: Matrix::identity(m),
+            pivot_row: vec![0.0; m],
+            unit_rows: (0..m).collect(),
+        }
+    }
+
+    fn reset(&mut self) {
+        for i in 0..self.binv.rows() {
+            let row = self.binv.row_mut(i);
+            row.fill(0.0);
+            row[i] = 1.0;
+        }
     }
 
     fn refactor(&mut self, a: &CscMatrix, n: usize, basis: &[usize]) -> bool {
         let m = a.rows();
         let mut bm = Matrix::zeros(m, m);
         for (k, &j) in basis.iter().enumerate() {
-            let (idx, vals) = basis_col(a, n, j);
-            for (r, v) in idx.into_iter().zip(vals) {
+            let (idx, vals) = basis_col(a, n, j, &self.unit_rows);
+            for (&r, &v) in idx.iter().zip(vals) {
                 bm[(r, k)] = v;
             }
         }
@@ -190,27 +221,29 @@ impl BasisRepr for DenseInverse {
     /// Computed row-wise — `u_i = Σ_r B⁻¹[i, r]·v_r` is a gather dot
     /// against the `i`-th row of `B⁻¹` — so the row-major matrix is
     /// walked contiguously and only the column's nonzeros are read.
-    fn ftran_col(&self, idx: &[usize], vals: &[f64]) -> Vec<f64> {
-        (0..self.binv.rows()).map(|i| vecops::gather_dot(idx, vals, self.binv.row(i))).collect()
+    fn ftran_col(&mut self, idx: &[usize], vals: &[f64], out: &mut [f64]) {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = vecops::gather_dot(idx, vals, self.binv.row(i));
+        }
     }
 
-    fn ftran_dense(&self, rhs: &[f64]) -> Vec<f64> {
-        self.binv.mul_vec(rhs)
+    fn ftran_dense(&mut self, rhs: &[f64], out: &mut [f64]) {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = vecops::dot(self.binv.row(i), rhs);
+        }
     }
 
-    fn btran_dense(&self, cb: &[f64]) -> Vec<f64> {
-        let m = self.binv.rows();
-        let mut y = vec![0.0; m];
+    fn btran_dense(&self, cb: &[f64], out: &mut [f64]) {
+        out.fill(0.0);
         for (i, &c) in cb.iter().enumerate() {
             if c != 0.0 {
-                vecops::axpy(c, self.binv.row(i), &mut y);
+                vecops::axpy(c, self.binv.row(i), out);
             }
         }
-        y
     }
 
-    fn binv_row(&self, i: usize) -> Vec<f64> {
-        self.binv.row(i).to_vec()
+    fn binv_row(&self, i: usize, out: &mut [f64]) {
+        out.copy_from_slice(self.binv.row(i));
     }
 
     /// The `B⁻¹` rank-one update runs as one `axpy` per support row
@@ -245,8 +278,10 @@ impl BasisRepr for DenseInverse {
 }
 
 /// The working state of a revised simplex run: basis, basis
-/// representation and current basic solution. Artificial columns are
-/// virtual unit columns `n ..= n + m - 1`.
+/// representation and current basic solution, plus the work vectors of
+/// the pivot loop, which every pivot reuses and which pass on to the
+/// next run as [`Buffers`]. Artificial columns are virtual unit columns
+/// `n ..= n + m - 1`.
 struct Revised<'a, R: BasisRepr> {
     a: &'a CscMatrix,
     n: usize,
@@ -254,6 +289,18 @@ struct Revised<'a, R: BasisRepr> {
     basis: Vec<usize>,
     repr: R,
     xb: Vec<f64>,
+    /// Basic costs `c_B` of the last [`multipliers`](Self::multipliers)
+    /// call…
+    cb: Vec<f64>,
+    /// …and its simplex multipliers `yᵀ = c_Bᵀ B⁻¹`.
+    y: Vec<f64>,
+    /// A row of `B⁻¹`: the dual ratio test's pricing row, or the row
+    /// phase 1 scans to drive out a lingering artificial.
+    rho: Vec<f64>,
+    /// The ftran'd direction `B⁻¹·a_j` of the last [`ftran`](Self::ftran).
+    u: Vec<f64>,
+    /// Rows where `u` is nonzero, filled by [`pivot`](Self::pivot).
+    support: Vec<usize>,
     /// `in_basis[j]` for real columns: basic columns are skipped by
     /// pricing. Their exact reduced cost is 0; pricing them anyway can
     /// pick up rounding noise as "improving" and pivot a column onto its
@@ -274,6 +321,16 @@ struct Revised<'a, R: BasisRepr> {
     trace: Option<Vec<(usize, usize)>>,
 }
 
+/// Snaps the `±1e-9` noise a refactorization leaves on the basic
+/// variables of a degenerate vertex to exact 0.
+fn snap_zeros(xb: &mut [f64]) {
+    for v in xb {
+        if v.abs() < 1e-7 {
+            *v = 0.0;
+        }
+    }
+}
+
 /// How a simplex phase ended (hard errors go through `Result`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RunOutcome {
@@ -283,29 +340,83 @@ enum RunOutcome {
     LostFeasibility,
 }
 
+/// The vectors of a [`Revised`] run, handed from one run to the next
+/// ([`Revised::new`], [`Revised::into_parts`]) so that only the first run
+/// on a system sizes them. Contents carry nothing between runs.
+#[derive(Default)]
+struct Buffers {
+    basis: Vec<usize>,
+    xb: Vec<f64>,
+    in_basis: Vec<bool>,
+    cb: Vec<f64>,
+    y: Vec<f64>,
+    rho: Vec<f64>,
+    u: Vec<f64>,
+    support: Vec<usize>,
+}
+
+/// Refills `v` with `len` zeros, keeping its capacity.
+fn zeroed<T: Clone + Default>(mut v: Vec<T>, len: usize) -> Vec<T> {
+    v.clear();
+    v.resize(len, T::default());
+    v
+}
+
 impl<'a, R: BasisRepr> Revised<'a, R> {
-    fn new(a: &'a CscMatrix, basis: Vec<usize>, repr: R, xb: Vec<f64>) -> Self {
+    /// A run from `basis` on the engine `repr` (already factorizing
+    /// it), with `x_B` zero and the vectors of `buf`.
+    fn new(
+        a: &'a CscMatrix,
+        basis: impl IntoIterator<Item = usize>,
+        repr: R,
+        buf: Buffers,
+    ) -> Self {
         let n = a.cols();
         let m = a.rows();
-        let mut in_basis = vec![false; n];
-        for &j in &basis {
+        let mut b = buf.basis;
+        b.clear();
+        b.extend(basis);
+        let mut in_basis = zeroed(buf.in_basis, n);
+        for &j in &b {
             if j < n {
                 in_basis[j] = true;
             }
         }
+        let mut support = buf.support;
+        support.clear();
         Revised {
             a,
             n,
             m,
-            basis,
+            basis: b,
             repr,
-            xb,
+            xb: zeroed(buf.xb, m),
+            cb: zeroed(buf.cb, m),
+            y: zeroed(buf.y, m),
+            rho: zeroed(buf.rho, m),
+            u: zeroed(buf.u, m),
+            support,
             in_basis,
             pivots: 0,
             wd_singular: 0,
             wd_infeasible: 0,
             trace: None,
         }
+    }
+
+    /// Ends the run: its engine and its vectors.
+    fn into_parts(self) -> (R, Buffers) {
+        let buf = Buffers {
+            basis: self.basis,
+            xb: self.xb,
+            in_basis: self.in_basis,
+            cb: self.cb,
+            y: self.y,
+            rho: self.rho,
+            u: self.u,
+            support: self.support,
+        };
+        (self.repr, buf)
     }
 
     /// Rebuilds the representation and `x_B` from scratch off the
@@ -317,15 +428,11 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
         if faults::trip(Site::Refactor) || !self.repr.refactor(self.a, self.n, &self.basis) {
             return false;
         }
-        self.xb = self
-            .repr
-            .ftran_dense(b)
-            .into_iter()
-            // Degenerate bases put basic variables at 0 whose exact
-            // value re-emerges as ±1e-9 noise; snap those to 0 so the
-            // ratio test stays non-negative.
-            .map(|v| if v.abs() < 1e-7 { 0.0 } else { v })
-            .collect();
+        self.repr.ftran_dense(b, &mut self.xb);
+        // Degenerate bases put basic variables at 0 whose exact value
+        // re-emerges as ±1e-9 noise; snap those to 0 so the ratio test
+        // stays non-negative.
+        snap_zeros(&mut self.xb);
         true
     }
 
@@ -350,25 +457,21 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
         ok
     }
 
-    /// `B⁻¹ · column_j` (forward transformation).
-    fn ftran(&self, j: usize) -> Vec<f64> {
-        if j >= self.n {
-            self.repr.ftran_col(&[j - self.n], &[1.0])
-        } else {
-            let (idx, vals) = self.a.col(j);
-            self.repr.ftran_col(idx, vals)
-        }
+    /// `u = B⁻¹ · column_j` (forward transformation). Only real columns
+    /// are ever ftran'd: `entering` does not price artificials.
+    fn ftran(&mut self, j: usize) {
+        debug_assert!(j < self.n, "artificial columns never enter");
+        let (idx, vals) = self.a.col(j);
+        self.repr.ftran_col(idx, vals, &mut self.u);
     }
 
     /// Simplex multipliers `yᵀ = c_Bᵀ B⁻¹` for the given full cost
     /// vector (`costs[j]` for real columns, `art_cost` for artificials).
-    fn multipliers(&self, costs: &[f64], art_cost: f64) -> Vec<f64> {
-        let cb: Vec<f64> = self
-            .basis
-            .iter()
-            .map(|&bj| if bj < self.n { costs[bj] } else { art_cost })
-            .collect();
-        self.repr.btran_dense(&cb)
+    fn multipliers(&mut self, costs: &[f64], art_cost: f64) {
+        for (c, &bj) in self.cb.iter_mut().zip(&self.basis) {
+            *c = if bj < self.n { costs[bj] } else { art_cost };
+        }
+        self.repr.btran_dense(&self.cb, &mut self.y);
     }
 
     /// Objective value `c_B · x_B`.
@@ -381,16 +484,16 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
     }
 
     /// Most-negative (Dantzig) or lowest-index (Bland) entering column
-    /// with reduced cost below `-tol`; basic columns and artificials
-    /// never enter.
-    fn entering(&self, costs: &[f64], y: &[f64], bland: bool, tol: f64) -> Option<usize> {
+    /// with reduced cost below `-tol` against the multipliers `y`; basic
+    /// columns and artificials never enter.
+    fn entering(&self, costs: &[f64], bland: bool, tol: f64) -> Option<usize> {
         let mut best: Option<usize> = None;
         let mut best_val = -tol;
         for (j, &cj) in costs.iter().enumerate().take(self.n) {
             if self.in_basis[j] {
                 continue;
             }
-            let d = cj - self.a.col_dot(j, y);
+            let d = cj - self.a.col_dot(j, &self.y);
             if d < best_val {
                 if bland {
                     return Some(j);
@@ -414,12 +517,12 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
     /// no healthy row exists. Skipping a tiny-pivot row can leave it
     /// `O(PIVOT_TOL·θ)` negative — the feasibility check at the next
     /// refactorization is the backstop.
-    fn leaving(&self, u: &[f64], bland: bool) -> Option<usize> {
-        self.leaving_with_tol(u, bland, PIVOT_TOL)
-            .or_else(|| self.leaving_with_tol(u, bland, EPS))
+    fn leaving(&self, bland: bool) -> Option<usize> {
+        self.leaving_with_tol(bland, PIVOT_TOL).or_else(|| self.leaving_with_tol(bland, EPS))
     }
 
-    fn leaving_with_tol(&self, u: &[f64], bland: bool, tol: f64) -> Option<usize> {
+    fn leaving_with_tol(&self, bland: bool, tol: f64) -> Option<usize> {
+        let u = &self.u;
         let mut best: Option<(usize, f64)> = None;
         for i in 0..self.m {
             if u[i] > tol {
@@ -444,13 +547,15 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
         best.map(|(i, _)| i)
     }
 
-    /// Pivots: column `col` enters, the basic variable of `row` leaves.
-    /// The nonzero support of `u` is computed once and shared by the
-    /// `x_B` update and the representation update, so sparse entering
-    /// directions only touch their own rows. Only real columns ever
-    /// enter (`entering` does not price artificials), so the entering
-    /// column's sparse data is always borrowable from `a`.
-    fn pivot(&mut self, row: usize, col: usize, u: &[f64]) {
+    /// Pivots: column `col` (whose direction is in `u`) enters, the
+    /// basic variable of `row` leaves. The nonzero support of `u` is
+    /// computed once and shared by the `x_B` update and the
+    /// representation update, so sparse entering directions only touch
+    /// their own rows. Only real columns ever enter (`entering` does not
+    /// price artificials), so the entering column's sparse data is
+    /// always borrowable from `a`.
+    fn pivot(&mut self, row: usize, col: usize) {
+        let u = &self.u;
         debug_assert!(u[row].abs() > EPS, "pivot on (near-)zero element");
         debug_assert!(col < self.n, "artificial columns never re-enter");
         self.pivots += 1;
@@ -462,11 +567,11 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
             self.in_basis[leaving] = false;
         }
         self.in_basis[col] = true;
-        let support: Vec<usize> =
-            u.iter().enumerate().filter(|(_, f)| f.abs() > EPS).map(|(i, _)| i).collect();
+        self.support.clear();
+        self.support.extend(u.iter().enumerate().filter(|(_, f)| f.abs() > EPS).map(|(i, _)| i));
         let inv = 1.0 / u[row];
         self.xb[row] *= inv;
-        for &i in &support {
+        for &i in &self.support {
             if i != row {
                 self.xb[i] -= u[i] * self.xb[row];
                 if self.xb[i].abs() < 1e-12 {
@@ -475,7 +580,7 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
             }
         }
         let (col_idx, col_vals) = self.a.col(col);
-        self.repr.update(row, u, &support, col_idx, col_vals);
+        self.repr.update(row, u, &self.support, col_idx, col_vals);
         self.basis[row] = col;
     }
 
@@ -540,8 +645,8 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
                 just_refactored = refreshed;
             }
             bland = bland || stalled >= DEGENERACY_PATIENCE;
-            let y = self.multipliers(costs, art_cost);
-            let Some(col) = self.entering(costs, &y, bland, EPS) else {
+            self.multipliers(costs, art_cost);
+            let Some(col) = self.entering(costs, bland, EPS) else {
                 if just_refactored || self.repr.trusts_incremental_optimal() {
                     return Ok(RunOutcome::Optimal);
                 }
@@ -554,16 +659,16 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
                 just_refactored = true;
                 continue;
             };
-            let u = self.ftran(col);
-            let pivoted = if let Some(row) = self.leaving(&u, bland) {
-                Some((row, col, u))
+            self.ftran(col);
+            let pivoted = if let Some(row) = self.leaving(bland) {
+                Some((row, col))
             } else {
                 // No pivotable row. Equality-heavy systems leave columns
                 // whose reduced cost is barely past the tolerance from
                 // elimination noise; re-price against a much stricter
                 // threshold before considering an unbounded ray (the
                 // dense oracle does the same).
-                match self.entering(costs, &y, bland, 1e-6) {
+                match self.entering(costs, bland, 1e-6) {
                     None if just_refactored || self.repr.trusts_incremental_optimal() => {
                         return Ok(RunOutcome::Optimal)
                     }
@@ -579,9 +684,9 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
                         None
                     }
                     Some(col2) => {
-                        let u2 = self.ftran(col2);
-                        match self.leaving(&u2, bland) {
-                            Some(row2) => Some((row2, col2, u2)),
+                        self.ftran(col2);
+                        match self.leaving(bland) {
+                            Some(row2) => Some((row2, col2)),
                             None if just_refactored => return Err(LpError::Unbounded),
                             None => {
                                 // Re-derive the verdict from fresh state;
@@ -596,9 +701,9 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
                     }
                 }
             };
-            let Some((row, col, u)) = pivoted else { continue };
+            let Some((row, col)) = pivoted else { continue };
             let before = self.objective(costs, art_cost);
-            self.pivot(row, col, &u);
+            self.pivot(row, col);
             just_refactored = false;
             stalled = if (self.objective(costs, art_cost) - before).abs() <= 1e-12 {
                 stalled + 1
@@ -624,9 +729,9 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
     /// the dual-feasibility invariant the dual simplex maintains. Scale
     /// changes multiply each reduced cost by a positive column scale, so
     /// the sign test survives re-equilibration between sweep points.
-    fn dual_feasible(&self, costs: &[f64], tol: f64) -> bool {
-        let y = self.multipliers(costs, 0.0);
-        (0..self.n).all(|j| self.in_basis[j] || costs[j] - self.a.col_dot(j, &y) >= -tol)
+    fn dual_feasible(&mut self, costs: &[f64], tol: f64) -> bool {
+        self.multipliers(costs, 0.0);
+        (0..self.n).all(|j| self.in_basis[j] || costs[j] - self.a.col_dot(j, &self.y) >= -tol)
     }
 
     /// Dual-simplex iterations from a dual-feasible basis: the leaving
@@ -693,8 +798,8 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
             if stalled > DEGENERACY_PATIENCE {
                 return DualOutcome::GiveUp;
             }
-            let rho = self.repr.binv_row(r);
-            let y = self.multipliers(costs, 0.0);
+            self.repr.binv_row(r, &mut self.rho);
+            self.multipliers(costs, 0.0);
             // Dual ratio test; ties break toward the largest pivot
             // element, matching the primal ratio test's tie-break.
             let mut best: Option<(usize, f64, f64)> = None;
@@ -702,9 +807,9 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
                 if self.in_basis[j] {
                     continue;
                 }
-                let alpha = self.a.col_dot(j, &rho);
+                let alpha = self.a.col_dot(j, &self.rho);
                 if alpha < -PIVOT_TOL {
-                    let d = (cj - self.a.col_dot(j, &y)).max(0.0);
+                    let d = (cj - self.a.col_dot(j, &self.y)).max(0.0);
                     let ratio = d / -alpha;
                     let better = match best {
                         None => true,
@@ -721,8 +826,8 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
             // LP is primal infeasible (or the row is numerical debris).
             // Either way the cold path is the authority.
             let Some((col, _, _)) = best else { return DualOutcome::GiveUp };
-            let u = self.ftran(col);
-            if u[r] >= -PIVOT_TOL {
+            self.ftran(col);
+            if self.u[r] >= -PIVOT_TOL {
                 // The ftran'd direction disagrees with the B⁻¹ row the
                 // ratio test priced — accumulated update error. One
                 // fresh factorization gets a retry; from fresh state the
@@ -734,7 +839,7 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
                 continue;
             }
             let before = self.objective(costs, 0.0);
-            self.pivot(r, col, &u);
+            self.pivot(r, col);
             just_refactored = false;
             stalled = if (self.objective(costs, 0.0) - before).abs() <= 1e-12 {
                 stalled + 1
@@ -838,53 +943,112 @@ pub(crate) fn solve_equilibrated_lu_ft(
     solve_equilibrated_with::<FtBasis>(costs, a, b, warm, factors)
 }
 
-/// The fresh factorization of one basis of one prepared system
-/// ([`LpSolver::prepare`](crate::LpSolver::prepare)), kept so that the
-/// next warm start from the same basis clones it instead of
-/// refactorizing the same basis of the same matrix.
+/// The basis-engine storage of one prepared system
+/// ([`LpSolver::prepare`](crate::LpSolver::prepare)), kept from one solve
+/// of the family to the next: the fresh factorization of the last warm
+/// basis, a spare engine and the pivot loop's vectors.
 ///
-/// Only a factorization made by a successful refactorization from the
-/// identity is stored — before any basis update touches it — and it is
-/// reused only for an exactly equal basis and the same basis engine, so
-/// a reused factorization is bit for bit the one a refactorization
-/// would build.
+/// A warm start takes the stored factorization out by move (no copy)
+/// when its basis is exactly the stored one on the same basis engine,
+/// and otherwise refactorizes a recycled engine reset to the identity
+/// (the stored one when its basis is stale, else the spare).
+/// The factorization comes back only when the warm start leaves it
+/// exactly as a refactorization from the identity built it: when the
+/// warm basis was rejected as primal infeasible, or when the warm run
+/// made no pivot (no basis update, no refactorization). So a reused
+/// factorization is always bit for bit the one a refactorization would
+/// build. Any other run's engine, once done, becomes the spare whose
+/// storage a later fresh factorization or cold run reuses; a reset
+/// engine behaves exactly like a new one, so recycling changes no
+/// result either.
 #[derive(Default)]
 pub struct FactorMemo {
-    basis: Vec<usize>,
-    repr: Option<Box<dyn Any + Send>>,
+    /// A [`Slot`] of the basis engine last used on this system.
+    slot: Option<Box<dyn Any + Send>>,
 }
 
 impl std::fmt::Debug for FactorMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FactorMemo").field("basis", &self.basis).finish_non_exhaustive()
+        f.debug_struct("FactorMemo").field("used", &self.slot.is_some()).finish()
     }
 }
 
 impl FactorMemo {
-    /// The factorization of `basis` on `a`: the stored one when it is
-    /// this basis on this engine, else a fresh one (stored on success).
-    fn factorize<R: BasisRepr + Clone + Send + 'static>(
-        &mut self,
-        a: &CscMatrix,
-        basis: &[usize],
-    ) -> Option<R> {
-        if self.basis == basis {
-            if let Some(repr) = self.repr.as_ref().and_then(|r| r.downcast_ref::<R>()) {
-                return Some(repr.clone());
-            }
+    /// The slot of engine `R`, replacing one of another engine.
+    fn slot<R: BasisRepr + Send + 'static>(&mut self) -> &mut Slot<R> {
+        if !self.slot.as_ref().is_some_and(|s| s.is::<Slot<R>>()) {
+            self.slot = Some(Box::new(Slot::<R>::default()));
         }
-        let repr = fresh_factor::<R>(a, basis)?;
-        self.basis.clear();
-        self.basis.extend_from_slice(basis);
-        self.repr = Some(Box::new(repr.clone()));
-        Some(repr)
+        self.slot.as_mut().and_then(|s| s.downcast_mut()).expect("slot of engine R")
     }
 }
 
-/// Refactorizes `basis` on `a` from the identity; `None` when singular.
-fn fresh_factor<R: BasisRepr>(a: &CscMatrix, basis: &[usize]) -> Option<R> {
-    let mut repr = R::identity(a.rows());
-    repr.refactor(a, a.cols(), basis).then_some(repr)
+/// The engines and vectors one solve hands to the next
+/// ([`FactorMemo`]); an ordinary solve uses a slot of its own, so its
+/// warm, cold and retry runs still share one engine.
+struct Slot<R> {
+    /// The untouched fresh factorization of `basis`, if held.
+    stored: Option<R>,
+    basis: Vec<usize>,
+    /// An engine whose run is over, kept for its storage.
+    spare: Option<R>,
+    buf: Buffers,
+}
+
+impl<R> Default for Slot<R> {
+    fn default() -> Self {
+        Slot { stored: None, basis: Vec::new(), spare: None, buf: Buffers::default() }
+    }
+}
+
+impl<R: BasisRepr> Slot<R> {
+    /// An engine at the identity basis: `recycled` or the spare, reset,
+    /// or a new one.
+    fn identity(&mut self, recycled: Option<R>, m: usize) -> R {
+        match recycled.or_else(|| self.spare.take()) {
+            Some(mut repr) => {
+                repr.reset();
+                repr
+            }
+            None => R::identity(m),
+        }
+    }
+
+    /// The factorization of `basis` on `a`: the stored one, moved out,
+    /// when it is this basis, else the identity refactorized (`None`
+    /// when singular, the engine kept as the spare).
+    fn factorize(&mut self, a: &CscMatrix, basis: &[usize]) -> Option<R> {
+        if self.basis == basis {
+            if let Some(repr) = self.stored.take() {
+                return Some(repr);
+            }
+        }
+        // A stored factorization of another basis is stale: its engine
+        // is the one to refactorize, which leaves the spare for a cold
+        // run after this warm start.
+        let stale = self.stored.take();
+        let mut repr = self.identity(stale, a.rows());
+        if repr.refactor(a, a.cols(), basis) {
+            Some(repr)
+        } else {
+            self.spare = Some(repr);
+            None
+        }
+    }
+
+    /// Keeps `repr`, the untouched fresh factorization of `basis`.
+    fn store(&mut self, basis: &[usize], repr: R) {
+        self.basis.clear();
+        self.basis.extend_from_slice(basis);
+        self.stored = Some(repr);
+    }
+
+    /// Takes back a finished run's engine and vectors.
+    fn retire(&mut self, state: Revised<'_, R>) {
+        let (repr, buf) = state.into_parts();
+        self.spare = Some(repr);
+        self.buf = buf;
+    }
 }
 
 /// Dual-simplex reoptimization from a previous optimal basis, using the
@@ -932,12 +1096,9 @@ fn dual_reoptimize_with<R: BasisRepr>(
     if !repr.refactor(a, n, basis) {
         return None;
     }
-    let xb: Vec<f64> = repr
-        .ftran_dense(b)
-        .into_iter()
-        .map(|v| if v.abs() < 1e-7 { 0.0 } else { v })
-        .collect();
-    let mut state = Revised::new(a, basis.to_vec(), repr, xb);
+    let mut state = Revised::new(a, basis.iter().copied(), repr, Buffers::default());
+    state.repr.ftran_dense(b, &mut state.xb);
+    snap_zeros(&mut state.xb);
     if !state.dual_feasible(costs, 1e-7) {
         return None;
     }
@@ -977,7 +1138,16 @@ pub(crate) fn trace_cold_pivots<R: BasisRepr>(
 ) -> TraceOutcome {
     let mut tele = RunTelemetry::default();
     let mut trace = Vec::new();
-    let out = cold_two_phase_traced::<R>(costs, a, b, force_bland, &mut tele, Some(&mut trace));
+    let mut slot = Slot::default();
+    let out = cold_two_phase_traced::<R>(
+        costs,
+        a,
+        b,
+        force_bland,
+        &mut tele,
+        &mut slot,
+        Some(&mut trace),
+    );
     (out.map(|r| r.map(|(x, _)| x)), trace)
 }
 
@@ -1007,6 +1177,7 @@ pub(crate) fn update_solve_cycle<R: BasisRepr>(
         (rng >> 33) as usize
     };
     let mut attempts = 0usize;
+    let mut u = vec![0.0; m];
     while done < updates && attempts < 32 * updates {
         attempts += 1;
         let col = next() % n;
@@ -1014,7 +1185,7 @@ pub(crate) fn update_solve_cycle<R: BasisRepr>(
         if idx.is_empty() || basis.contains(&col) {
             continue;
         }
-        let u = repr.ftran_col(idx, vals);
+        repr.ftran_col(idx, vals, &mut u);
         let Some((slot, _)) = u
             .iter()
             .enumerate()
@@ -1033,19 +1204,20 @@ pub(crate) fn update_solve_cycle<R: BasisRepr>(
     // their names claim while still gating CI against the old baseline.
     assert_eq!(done, updates, "update_solve_cycle: exchange-chain construction starved");
     let cb: Vec<f64> = (0..m).map(|i| (i as f64) * 0.37 - 1.1).collect();
+    let mut y = vec![0.0; m];
     let mut checksum = 0.0;
     for s in 0..solves {
         let col = next() % n;
         let (idx, vals) = a.col(col);
-        let u = repr.ftran_col(idx, vals);
+        repr.ftran_col(idx, vals, &mut u);
         checksum += u[s % m];
-        let y = repr.btran_dense(&cb);
+        repr.btran_dense(&cb, &mut y);
         checksum += y[(s / 2) % m];
     }
     checksum
 }
 
-fn solve_equilibrated_with<R: BasisRepr + Clone + Send + 'static>(
+fn solve_equilibrated_with<R: BasisRepr + Send + 'static>(
     costs: &[f64],
     a: &CscMatrix,
     b: &[f64],
@@ -1079,6 +1251,11 @@ fn solve_equilibrated_with<R: BasisRepr + Clone + Send + 'static>(
             Ok(outcome(tele, 0, vec![0.0; n], Vec::new(), false, 0))
         };
     }
+    let mut own = Slot::default();
+    let slot = match factors {
+        Some(factors) => factors.slot::<R>(),
+        None => &mut own,
+    };
 
     // ---- Warm start: refactorize the cached basis; use it if primal
     // feasible. A failed warm start costs one refactorization. Anything
@@ -1086,35 +1263,44 @@ fn solve_equilibrated_with<R: BasisRepr + Clone + Send + 'static>(
     // on a stale degenerate basis — falls through to the cold path, so
     // caching can never change a result, only its speed. (Infeasible
     // cannot arise here: the warm basis is primal feasible by check;
-    // Unbounded is a verified verdict and is returned.)
+    // Unbounded is a verified verdict and is returned.) A warm start
+    // that leaves its factorization exactly as fresh — rejected as
+    // infeasible, or optimal without a pivot — stores it for the next
+    // warm start from this basis.
     if let Some(basis) = warm {
         if basis.len() == m && basis.iter().all(|&j| j < n) {
-            let repr = match factors {
-                Some(factors) => factors.factorize::<R>(a, basis),
-                None => fresh_factor::<R>(a, basis),
-            };
-            if let Some(repr) = repr {
-                let xb = repr.ftran_dense(b);
-                if xb.iter().all(|&v| v >= -1e-9) {
-                    let xb = xb.into_iter().map(|v| v.max(0.0)).collect();
-                    let mut state = Revised::new(a, basis.to_vec(), repr, xb);
+            if let Some(repr) = slot.factorize(a, basis) {
+                let mut state = Revised::new(a, basis.iter().copied(), repr, take(&mut slot.buf));
+                state.repr.ftran_dense(b, &mut state.xb);
+                if state.xb.iter().all(|&v| v >= -1e-9) {
+                    for v in &mut state.xb {
+                        *v = v.max(0.0);
+                    }
                     let run = state.run(costs, 0.0, b, false, true);
                     tele.absorb(&state);
                     match run {
                         Ok(RunOutcome::Optimal) => {
-                            return Ok(outcome(
-                                tele,
-                                watchdog_restarts,
-                                state.solution(),
-                                state.basis,
-                                true,
-                                0,
-                            ));
+                            let x = state.solution();
+                            let final_basis = state.basis.clone();
+                            let untouched = state.pivots == 0;
+                            let (repr, buf) = state.into_parts();
+                            slot.buf = buf;
+                            if untouched {
+                                slot.store(basis, repr);
+                            } else {
+                                slot.spare = Some(repr);
+                            }
+                            return Ok(outcome(tele, watchdog_restarts, x, final_basis, true, 0));
                         }
                         Ok(RunOutcome::LostFeasibility) => watchdog_restarts += 1,
                         Err(LpError::PivotLimit) => {}
                         Err(e) => return Err(e),
                     }
+                    slot.retire(state);
+                } else {
+                    let (repr, buf) = state.into_parts();
+                    slot.buf = buf;
+                    slot.store(basis, repr);
                 }
             }
         }
@@ -1125,7 +1311,7 @@ fn solve_equilibrated_with<R: BasisRepr + Clone + Send + 'static>(
     // attempt ground into the pivot limit: the pathological walk3d-style
     // LPs can cycle for tens of thousands of degenerate pivots under
     // Dantzig pricing, while Bland's rule terminates by construction.
-    match cold_two_phase::<R>(costs, a, b, false, &mut tele) {
+    match cold_two_phase::<R>(costs, a, b, false, &mut tele, slot) {
         Ok(Some((x, basis))) => {
             return Ok(outcome(tele, watchdog_restarts, x, basis, false, 0))
         }
@@ -1133,13 +1319,14 @@ fn solve_equilibrated_with<R: BasisRepr + Clone + Send + 'static>(
         Err(LpError::PivotLimit) => {}
         Err(e) => return Err(e),
     }
-    match cold_two_phase::<R>(costs, a, b, true, &mut tele)? {
+    match cold_two_phase::<R>(costs, a, b, true, &mut tele, slot)? {
         Some((x, basis)) => Ok(outcome(tele, watchdog_restarts, x, basis, false, 1)),
         None => Err(LpError::PivotLimit),
     }
 }
 
-/// Textbook two-phase solve. `Ok(None)` means the feasibility watchdog
+/// Textbook two-phase solve on an engine and vectors from `slot`, which
+/// gets them back at the end. `Ok(None)` means the feasibility watchdog
 /// fired and the caller should retry more conservatively.
 #[allow(clippy::type_complexity)]
 fn cold_two_phase<R: BasisRepr>(
@@ -1148,8 +1335,9 @@ fn cold_two_phase<R: BasisRepr>(
     b: &[f64],
     force_bland: bool,
     tele: &mut RunTelemetry,
+    slot: &mut Slot<R>,
 ) -> Result<Option<(Vec<f64>, Vec<usize>)>, LpError> {
-    cold_two_phase_traced::<R>(costs, a, b, force_bland, tele, None)
+    cold_two_phase_traced::<R>(costs, a, b, force_bland, tele, slot, None)
 }
 
 /// [`cold_two_phase`] with an optional pivot trace (see
@@ -1161,40 +1349,44 @@ fn cold_two_phase_traced<R: BasisRepr>(
     b: &[f64],
     force_bland: bool,
     tele: &mut RunTelemetry,
+    slot: &mut Slot<R>,
     trace: Option<&mut Vec<(usize, usize)>>,
 ) -> Result<Option<(Vec<f64>, Vec<usize>)>, LpError> {
     let m = a.rows();
     let n = a.cols();
 
     // ---- Phase 1: artificial identity basis, minimize their sum. ----
-    let mut state = Revised::new(a, (n..n + m).collect(), R::identity(m), b.to_vec());
+    let repr = slot.identity(None, m);
+    let mut state = Revised::new(a, n..n + m, repr, take(&mut slot.buf));
+    state.xb.copy_from_slice(b);
     if trace.is_some() {
         state.trace = Some(Vec::new());
     }
+    // Every exit folds the run's counters in, hands back its trace and
+    // recycles its engine and vectors.
+    let mut trace = trace;
+    let mut finish = |mut state: Revised<'_, R>, tele: &mut RunTelemetry| {
+        tele.absorb(&state);
+        if let Some(t) = trace.as_deref_mut() {
+            *t = state.trace.take().unwrap_or_default();
+        }
+        slot.retire(state);
+    };
     let phase1_costs = vec![0.0; n];
     let phase1 = match state.run(&phase1_costs, 1.0, b, force_bland, true) {
         Ok(outcome) => outcome,
         Err(e) => {
-            tele.absorb(&state);
-            if let Some(t) = trace {
-                *t = state.trace.take().unwrap_or_default();
-            }
+            finish(state, tele);
             return Err(e);
         }
     };
     if phase1 == RunOutcome::LostFeasibility {
-        tele.absorb(&state);
-        if let Some(t) = trace {
-            *t = state.trace.take().unwrap_or_default();
-        }
+        finish(state, tele);
         return Ok(None);
     }
     let b_norm = b.iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
     if state.objective(&phase1_costs, 1.0) > 1e-7 * (1.0 + b_norm) {
-        tele.absorb(&state);
-        if let Some(t) = trace {
-            *t = state.trace.take().unwrap_or_default();
-        }
+        finish(state, tele);
         return Err(LpError::Infeasible);
     }
 
@@ -1203,11 +1395,11 @@ fn cold_two_phase_traced<R: BasisRepr>(
     // their artificial basic at value 0 (it can never re-enter).
     for i in 0..m {
         if state.basis[i] >= n {
-            let row_i = state.repr.binv_row(i);
-            let found = (0..n).find(|&j| state.a.col_dot(j, &row_i).abs() > 1e-7);
+            state.repr.binv_row(i, &mut state.rho);
+            let found = (0..n).find(|&j| state.a.col_dot(j, &state.rho).abs() > 1e-7);
             if let Some(j) = found {
-                let u = state.ftran(j);
-                state.pivot(i, j, &u);
+                state.ftran(j);
+                state.pivot(i, j);
             }
         }
     }
@@ -1215,14 +1407,13 @@ fn cold_two_phase_traced<R: BasisRepr>(
     // ---- Phase 2: real costs. Artificials cannot re-enter: `entering`
     // only prices real columns. ----
     let phase2 = state.run(costs, 0.0, b, force_bland, false);
-    tele.absorb(&state);
-    if let Some(t) = trace {
-        *t = state.trace.take().unwrap_or_default();
-    }
+    let x = state.solution();
+    let basis = state.basis.clone();
+    finish(state, tele);
     if phase2? == RunOutcome::LostFeasibility {
         return Ok(None);
     }
-    Ok(Some((state.solution(), state.basis)))
+    Ok(Some((x, basis)))
 }
 
 #[cfg(test)]
@@ -1327,6 +1518,18 @@ mod tests {
             );
             assert!(r.is_ok(), "{choice}: got {r:?}");
         }
+    }
+
+    /// A reset dense inverse is exactly the identity one, whatever
+    /// updates it went through.
+    #[test]
+    fn dense_inverse_reset_is_identity() {
+        use super::{BasisRepr, DenseInverse};
+        let mut repr = DenseInverse::identity(3);
+        repr.update(1, &[0.5, 2.0, -1.0], &[0, 1, 2], &[], &[]);
+        assert_ne!(repr.binv, qava_linalg::Matrix::identity(3));
+        repr.reset();
+        assert_eq!(repr.binv, qava_linalg::Matrix::identity(3));
     }
 
     #[test]

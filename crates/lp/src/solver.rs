@@ -150,10 +150,11 @@ pub trait LpBackend {
     /// [`solve_core`](Self::solve_core) on a system prepared once for
     /// many right-hand sides ([`LpSolver::solve_prepared`]). `factors`
     /// belongs to that system's matrix and may hold the fresh
-    /// factorization of an earlier warm basis; a backend may clone it
+    /// factorization of an earlier warm basis; a backend may take it
     /// for an equal warm basis instead of refactorizing the same basis
-    /// of the same matrix. The result must be exactly `solve_core`'s.
-    /// The default ignores `factors`.
+    /// of the same matrix (and keep its engines' storage there between
+    /// solves). The result must be exactly `solve_core`'s. The default
+    /// ignores `factors`.
     ///
     /// # Errors
     ///
@@ -1395,16 +1396,11 @@ impl Scaled {
             .collect();
         let mut sa = a;
         sa.scale(&row_scale, &col_scale);
-        let sb = scale_rhs(&reduced.b, &row_scale);
+        let sb = reduced.b.iter().zip(&row_scale).map(|(&v, &s)| v * s).collect();
         let scaled_costs: Vec<f64> =
             reduced.costs.iter().zip(&col_scale).map(|(&c, &s)| c * s).collect();
         Scaled { a: sa, costs: scaled_costs, b: sb, row_scale, col_scale, key: OnceCell::new() }
     }
-}
-
-/// Row-scales a reduced right-hand side.
-fn scale_rhs(b: &[f64], row_scale: &[f64]) -> Vec<f64> {
-    b.iter().zip(row_scale).map(|(&v, &s)| v * s).collect()
 }
 
 /// A model prepared by [`LpSolver::prepare`] for a family of solves that
@@ -1412,8 +1408,9 @@ fn scale_rhs(b: &[f64], row_scale: &[f64]) -> Vec<f64> {
 /// [`LpSolver::solve_prepared`].
 ///
 /// It holds the lowered, presolved and equilibrated system once, the
-/// presolve's right-hand-side tape, and the fresh factorization of the
-/// last warm basis a backend refactorized on it. It is not tied to a
+/// presolve's right-hand-side tape, and a [`FactorMemo`]: the fresh
+/// factorization of the last warm basis a backend refactorized on it and
+/// the storage of its basis engines. It is not tied to a
 /// session: any session may solve it, with that session's policy,
 /// cache and statistics.
 pub struct PreparedLp {
@@ -1472,7 +1469,8 @@ impl PreparedLp {
             return false;
         };
         if let Some(scaled) = &mut sys.scaled {
-            scaled.b = scale_rhs(&b, &scaled.row_scale);
+            scaled.b.clear();
+            scaled.b.extend(b.iter().zip(&scaled.row_scale).map(|(&v, &s)| v * s));
         }
         true
     }

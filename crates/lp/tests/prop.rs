@@ -928,6 +928,107 @@ proptest! {
     }
 }
 
+/// `model` with member sequences aimed at the factorization memo's
+/// take-back paths. Every member is repeated one to three times: a
+/// repeat's warm run makes no pivot, so the prepared LP keeps the fresh
+/// factorization of its basis and the next repeat reuses it. Between
+/// members, a jump moves the family rows far (scaled, shifted, or
+/// flipped), so the cached warm basis is mostly primal infeasible there:
+/// the warm start is rejected before any pivot, hands its factorization
+/// back, and the member after the jump may warm-start from that same
+/// basis again.
+fn memo_model(seed: u64) -> FamilyModel {
+    let mut model = family_model(seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_F00D);
+    let mut members = Vec::new();
+    for member in &model.members {
+        for _ in 0..rng.gen_range(1usize..4) {
+            members.push(member.clone());
+        }
+        if rng.gen_bool(0.6) {
+            let jump: Vec<f64> = member
+                .iter()
+                .map(|&v| match rng.gen_range(0u8..3) {
+                    0 => v * rng.gen_range(-4.0..4.0),
+                    1 => v + rng.gen_range(-5.0..5.0),
+                    _ => -v,
+                })
+                .collect();
+            for _ in 0..rng.gen_range(1usize..3) {
+                members.push(jump.clone());
+            }
+            members.push(member.clone());
+        }
+    }
+    model.members = members;
+    model
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Repeated members and jumps to members whose warm basis is primal
+    /// infeasible — the runs whose factorization goes back to the memo
+    /// and is reused — equal ordinary solves of the rebuilt models by
+    /// `to_bits`, with the same verdicts and statistics, on the two
+    /// warm-starting engines and under the automatic choice.
+    #[test]
+    fn prepared_family_matches_rebuilt_through_factor_reuse(
+        seed in any::<u64>(),
+        choice in 0usize..3,
+        reopt in any::<bool>(),
+    ) {
+        let model = memo_model(seed);
+        let mut prep_session = session(choice, reopt);
+        let mut twin = session(choice, reopt);
+        let run = run_family(&model, &mut prep_session, &mut twin);
+        prop_assert!(run.is_ok(), "{}", run.unwrap_err());
+    }
+}
+
+/// One fixed family through both warm-starting engines: a repeated
+/// member (zero-pivot warm runs), jumps whose warm basis is primal
+/// infeasible — to infeasible members (`x0 + x1 + x2 ≤ r0` cut below
+/// what `x1 + 2·x2 ≥ r2` demands) and to a feasible one — some
+/// repeated, and returns to the first member's basis.
+#[test]
+fn prepared_factor_memo_take_back_matches_rebuilt() {
+    let model = FamilyModel {
+        nonneg: vec![true, true, true],
+        rows: vec![
+            (vec![(0, 1.0), (1, 1.0), (2, 1.0)], 0.0, Cmp::Le, 4.0),
+            (vec![(0, 1.0), (1, -1.0)], 0.0, Cmp::Le, 1.0),
+            (vec![(1, 1.0), (2, 2.0)], 0.0, Cmp::Ge, 1.0),
+            (vec![(0, 1.0), (2, -1.0)], 0.0, Cmp::Le, 2.0),
+        ],
+        objective: vec![-2.0, -1.0, 0.5],
+        maximize: false,
+        family: vec![0, 2],
+        members: vec![
+            vec![4.0, 1.0],
+            vec![4.0, 1.0],
+            vec![4.0, 1.0],
+            vec![0.5, 3.0],
+            vec![0.5, 3.0],
+            vec![4.0, 1.0],
+            vec![4.0, 1.0],
+            vec![0.2, 5.0],
+            vec![4.0, 1.0],
+            vec![2.0, 3.0],
+            vec![2.0, 3.0],
+            vec![4.0, 1.0],
+        ],
+    };
+    for choice in 1..3 {
+        for reopt in [false, true] {
+            let mut prep_session = session(choice, reopt);
+            let mut twin = session(choice, reopt);
+            run_family(&model, &mut prep_session, &mut twin)
+                .unwrap_or_else(|e| panic!("choice {choice}, reopt {reopt}: {e}"));
+        }
+    }
+}
+
 /// A family whose members all replay the prepared presolve: the
 /// differential tests above must not pass vacuously on fallbacks, and
 /// an unchanged warm basis must not change a bit (its factorization is

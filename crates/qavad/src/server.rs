@@ -261,29 +261,39 @@ impl Daemon {
 struct LineReader {
     stream: UnixStream,
     pending: Vec<u8>,
+    /// Leading bytes of `pending` already searched for `\n`: each read
+    /// searches only the bytes it added, so framing a line of L bytes
+    /// costs O(L), not O(L²) over its 4 KiB reads.
+    scanned: usize,
 }
 
 impl LineReader {
     fn new(stream: UnixStream) -> LineReader {
-        LineReader { stream, pending: Vec::new() }
+        LineReader { stream, pending: Vec::new(), scanned: 0 }
     }
 
-    /// Reads one `\n`-terminated line with a hard size cap; an oversized
-    /// line is an `InvalidData` error. `Ok(None)` is EOF.
+    /// Reads one `\n`-terminated line with a hard size cap: a line of
+    /// more than `cap` bytes (the `\n` not counted) is an `InvalidData`
+    /// error, however the bytes were split across reads. `Ok(None)` is
+    /// EOF.
     fn read_line(&mut self, cap: usize) -> std::io::Result<Option<String>> {
         let mut chunk = [0u8; 4096];
         loop {
-            if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
-                let line = String::from_utf8_lossy(&self.pending[..pos]).into_owned();
-                self.pending.drain(..=pos);
-                return Ok(Some(line));
-            }
-            if self.pending.len() > cap {
+            let newline = self.pending[self.scanned..].iter().position(|&b| b == b'\n');
+            let len = newline.map_or(self.pending.len(), |at| self.scanned + at);
+            if len > cap {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
                     format!("request line exceeds {cap} bytes"),
                 ));
             }
+            if newline.is_some() {
+                let line = String::from_utf8_lossy(&self.pending[..len]).into_owned();
+                self.pending.drain(..=len);
+                self.scanned = 0;
+                return Ok(Some(line));
+            }
+            self.scanned = len;
             match self.stream.read(&mut chunk) {
                 // EOF with a dangling unterminated fragment is still
                 // EOF: a vanished client has no request to answer.
@@ -795,6 +805,83 @@ pub fn banner(daemon: &Daemon) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Frames `data`, written from another thread in pieces of the given
+    /// sizes (cycled), through a socket pair: the lines read, and whether
+    /// framing ended at EOF (`None`) or on an error (its kind).
+    fn frame(
+        data: Vec<u8>,
+        pieces: &[usize],
+        cap: usize,
+    ) -> (Vec<String>, Option<std::io::ErrorKind>) {
+        let (mut tx, rx) = UnixStream::pair().unwrap();
+        let pieces = pieces.to_vec();
+        let writer = std::thread::spawn(move || {
+            let mut at = 0usize;
+            for &n in pieces.iter().cycle() {
+                let end = at.saturating_add(n).min(data.len());
+                // The reader stops at an oversized line, so later bytes
+                // may find the socket closed.
+                if tx.write_all(&data[at..end]).is_err() {
+                    return;
+                }
+                at = end;
+                if at == data.len() {
+                    return;
+                }
+            }
+        });
+        let mut reader = LineReader::new(rx);
+        let mut lines = Vec::new();
+        let end = loop {
+            match reader.read_line(cap) {
+                Ok(Some(line)) => lines.push(line),
+                Ok(None) => break None,
+                Err(e) => break Some(e.kind()),
+            }
+        };
+        drop(reader);
+        writer.join().unwrap();
+        (lines, end)
+    }
+
+    /// Pipelined lines, a line of exactly the cap and one a byte over it
+    /// frame the same however the stream is split: every split of the
+    /// writes, and a lead line shifting the cap line across the reader's
+    /// 4 KiB reads.
+    #[test]
+    fn line_framing_is_independent_of_read_boundaries() {
+        let cap = 9000;
+        for lead in [0usize, 1, 2047, 4095, 4096, 4097, 8191] {
+            for pieces in [&[usize::MAX][..], &[1, 4096, 7], &[4095, 2], &[333], &[4097]] {
+                let lead_line = "l".repeat(lead);
+                let at_cap = "c".repeat(cap);
+                let mut data = Vec::new();
+                let want = [lead_line.as_str(), &at_cap, "", "{\"cmd\":\"hello\"}", &at_cap];
+                for line in want {
+                    data.extend_from_slice(line.as_bytes());
+                    data.push(b'\n');
+                }
+                data.extend_from_slice(b"tail without newline");
+                let (lines, end) = frame(data, pieces, cap);
+                assert_eq!(lines, want, "lead {lead}, pieces {pieces:?}");
+                assert_eq!(end, None, "lead {lead}, pieces {pieces:?}: EOF ends framing");
+
+                let mut data = Vec::new();
+                data.extend_from_slice(lead_line.as_bytes());
+                data.push(b'\n');
+                data.extend_from_slice("o".repeat(cap + 1).as_bytes());
+                data.extend_from_slice(b"\nnever read\n");
+                let (lines, end) = frame(data, pieces, cap);
+                assert_eq!(lines, [lead_line.as_str()], "lead {lead}, pieces {pieces:?}");
+                assert_eq!(
+                    end,
+                    Some(std::io::ErrorKind::InvalidData),
+                    "lead {lead}, pieces {pieces:?}: one byte over the cap"
+                );
+            }
+        }
+    }
 
     #[test]
     fn gate_bounds_inflight_and_releases_on_drop() {
