@@ -337,49 +337,55 @@ pub(crate) struct Tape {
 }
 
 impl Tape {
-    /// Presolves another right-hand side of the recorded system: given
-    /// the unreduced `b`, returns the reduced `b` and writes the fixed
-    /// values into `fixed` (the recorded run's [`Restore::fixed`], in
-    /// order). The result is exactly what [`reduce`] computes for that
-    /// `b`. `None` means some step would decide differently — a drop
-    /// becoming infeasible, a fixed value going negative, a row
-    /// flipping sign, a duplicate changing class — and the caller must
-    /// run the full presolve instead.
-    pub(crate) fn replay(&self, mut b: Vec<f64>, fixed: &mut [(usize, f64)]) -> Option<Vec<f64>> {
-        let feas_tol = feas_tol(&b);
+    /// Presolves another right-hand side of the recorded system in
+    /// place: given the unreduced `b`, leaves the reduced `b` in it and
+    /// writes the fixed values into `fixed` (the recorded run's
+    /// [`Restore::fixed`], in order). The result is exactly what
+    /// [`reduce`] computes for that `b`. `false` means some step would decide
+    /// differently — a drop becoming infeasible, a fixed value going
+    /// negative, a row flipping sign, a duplicate changing class — and
+    /// the caller must run the full presolve instead (`b` is then
+    /// partly reduced).
+    pub(crate) fn replay(&self, b: &mut Vec<f64>, fixed: &mut [(usize, f64)]) -> bool {
+        let feas_tol = feas_tol(b);
         let mut fixes = fixed.iter_mut();
         let mut value = 0.0;
         for step in &self.steps {
             match *step {
                 Step::DropEmpty { slot } => {
                     if !empty_row_feasible(b[slot], feas_tol) {
-                        return None;
+                        return false;
                     }
                     b.swap_remove(slot);
                 }
                 Step::Fix { slot, coeff } => {
-                    value = fix_value(b[slot], coeff)?;
+                    let Some(v) = fix_value(b[slot], coeff) else { return false };
+                    value = v;
                     fixes.next().expect("one fixed entry per recorded fix").1 = value;
                     b.swap_remove(slot);
                 }
                 Step::Substitute { row, a, flip } => {
                     if substitute(&mut b[row], a, value) != flip {
-                        return None;
+                        return false;
                     }
                 }
             }
         }
-        let mut keep = vec![true; b.len()];
         for d in &self.dups {
             let class = dup_class(b[d.row], d.lead, b[d.first], d.first_lead);
             if class == DupClass::Infeasible || (class == DupClass::Drop) == d.keep {
-                return None;
+                return false;
             }
-            keep[d.row] = d.keep;
         }
-        let mut kb = keep.iter();
-        b.retain(|_| *kb.next().expect("keep mask aligned"));
-        Some(b)
+        // `reduce` records the duplicates in row order.
+        let mut drops = self.dups.iter().filter(|d| !d.keep).map(|d| d.row).peekable();
+        let mut row = 0;
+        b.retain(|_| {
+            let dropped = drops.next_if_eq(&row).is_some();
+            row += 1;
+            !dropped
+        });
+        true
     }
 }
 
@@ -492,8 +498,12 @@ mod tests {
         let mut tape = Tape::default();
         let (red, restore) =
             reduce(lp(rows.clone(), base.clone(), vec![1.0; 4]), Some(&mut tape)).unwrap();
+        let replay = |b: &[f64], fixed: &mut [(usize, f64)]| {
+            let mut b = b.to_vec();
+            tape.replay(&mut b, fixed).then_some(b)
+        };
         let mut fixed = restore.fixed.clone();
-        assert_eq!(tape.replay(base.clone(), &mut fixed), Some(red.b.clone()));
+        assert_eq!(replay(&base, &mut fixed), Some(red.b.clone()));
         assert_eq!(fixed, restore.fixed);
         for b in [
             vec![4.0, 3.5, 1.0, 4.5, 13.5, 0.0],
@@ -505,7 +515,7 @@ mod tests {
             vec![2.0, 3.0, 0.5, 4.0, 12.0, 0.0],
         ] {
             let mut fixed = restore.fixed.clone();
-            let replayed = tape.replay(b.clone(), &mut fixed);
+            let replayed = replay(&b, &mut fixed);
             match presolve(lp(rows.clone(), b.clone(), vec![1.0; 4])) {
                 Ok((red2, restore2)) if red2.rows == red.rows => {
                     assert_eq!(replayed, Some(red2.b), "{b:?}");

@@ -908,9 +908,10 @@ struct RunTelemetry {
 
 impl RunTelemetry {
     /// Folds a finished (or abandoned) run's counters in. The engine's
-    /// accuracy count is a lifetime total of that engine, and every
-    /// attempt builds a fresh engine, so summing here never
-    /// double-counts.
+    /// accuracy count is a total since the engine was built or reset,
+    /// and every attempt starts from a new engine, a reset one, or a
+    /// stored factorization that no update has touched (see
+    /// [`FactorMemo`]), so summing here never double-counts.
     fn absorb<R: BasisRepr>(&mut self, state: &Revised<'_, R>) {
         self.pivots += state.pivots;
         self.wd_singular += state.wd_singular;
@@ -948,19 +949,22 @@ pub(crate) fn solve_equilibrated_lu_ft(
 /// of the family to the next: the fresh factorization of the last warm
 /// basis, a spare engine and the pivot loop's vectors.
 ///
-/// A warm start takes the stored factorization out by move (no copy)
-/// when its basis is exactly the stored one on the same basis engine,
-/// and otherwise refactorizes a recycled engine reset to the identity
-/// (the stored one when its basis is stale, else the spare).
-/// The factorization comes back only when the warm start leaves it
-/// exactly as a refactorization from the identity built it: when the
-/// warm basis was rejected as primal infeasible, or when the warm run
+/// Both ways of starting from a previous basis use it: a primal warm
+/// start and a dual reoptimization. Either takes the stored
+/// factorization out by move (no copy) when its basis is exactly the
+/// stored one on the same basis engine, and otherwise refactorizes a
+/// recycled engine reset to the identity (the stored one when its basis
+/// is stale, else the spare). The factorization comes back only when
+/// the run leaves it exactly as a refactorization from the identity
+/// built it: when the basis was rejected (as primal infeasible by a
+/// warm start, as dual infeasible by a reoptimization), or when the run
 /// made no pivot (no basis update, no refactorization). So a reused
 /// factorization is always bit for bit the one a refactorization would
 /// build. Any other run's engine, once done, becomes the spare whose
-/// storage a later fresh factorization or cold run reuses; a reset
-/// engine behaves exactly like a new one, so recycling changes no
-/// result either.
+/// storage a later fresh factorization or cold run reuses (a
+/// reoptimization that gives up hands its engine to the primal solve
+/// that follows); a reset engine behaves exactly like a new one, so
+/// recycling changes no result either.
 #[derive(Default)]
 pub struct FactorMemo {
     /// A [`Slot`] of the basis engine last used on this system.
@@ -1036,18 +1040,20 @@ impl<R: BasisRepr> Slot<R> {
         }
     }
 
-    /// Keeps `repr`, the untouched fresh factorization of `basis`.
-    fn store(&mut self, basis: &[usize], repr: R) {
-        self.basis.clear();
-        self.basis.extend_from_slice(basis);
-        self.stored = Some(repr);
-    }
-
-    /// Takes back a finished run's engine and vectors.
-    fn retire(&mut self, state: Revised<'_, R>) {
+    /// Takes back a finished run's engine and vectors. The engine is
+    /// stored as the fresh factorization of `fresh` when the run left it
+    /// untouched from that basis's factorization, else kept as the spare.
+    fn take_back(&mut self, state: Revised<'_, R>, fresh: Option<&[usize]>) {
         let (repr, buf) = state.into_parts();
-        self.spare = Some(repr);
         self.buf = buf;
+        match fresh {
+            Some(basis) => {
+                self.basis.clear();
+                self.basis.extend_from_slice(basis);
+                self.stored = Some(repr);
+            }
+            None => self.spare = Some(repr),
+        }
     }
 }
 
@@ -1058,8 +1064,9 @@ pub(crate) fn dual_reoptimize(
     a: &CscMatrix,
     b: &[f64],
     basis: &[usize],
+    factors: Option<&mut FactorMemo>,
 ) -> Option<CoreOutcome> {
-    dual_reoptimize_with::<DenseInverse>(costs, a, b, basis)
+    dual_reoptimize_with::<DenseInverse>(costs, a, b, basis, factors)
 }
 
 /// Dual-simplex reoptimization using the LU + Forrest–Tomlin engine.
@@ -1068,12 +1075,13 @@ pub(crate) fn dual_reoptimize_lu_ft(
     a: &CscMatrix,
     b: &[f64],
     basis: &[usize],
+    factors: Option<&mut FactorMemo>,
 ) -> Option<CoreOutcome> {
-    dual_reoptimize_with::<FtBasis>(costs, a, b, basis)
+    dual_reoptimize_with::<FtBasis>(costs, a, b, basis, factors)
 }
 
 /// Reoptimizes an equilibrated system from a previous point's optimal
-/// basis: refactorize the basis once, verify it still prices out
+/// basis: factorize the basis once, verify it still prices out
 /// dual-feasible (an RHS-only perturbation leaves reduced costs — and
 /// hence dual feasibility — untouched; an objective perturbation may
 /// not survive the check), then run dual pivots until primal
@@ -1081,40 +1089,57 @@ pub(crate) fn dual_reoptimize_lu_ft(
 /// singular or stale basis, lost dual feasibility, or any mid-flight
 /// numerical doubt all land there, so this path is a pure fast-path and
 /// never an alternative source of verdicts.
-fn dual_reoptimize_with<R: BasisRepr>(
+///
+/// The engine and vectors come from `factors` under its rules (see
+/// [`FactorMemo`]): the factorization goes back when no dual pivot was
+/// made or the basis was declined at the dual-feasibility check; after
+/// pivots, or on giving up, the engine becomes the spare, so the primal
+/// fallback's refactorization reuses its storage.
+fn dual_reoptimize_with<R: BasisRepr + Send + 'static>(
     costs: &[f64],
     a: &CscMatrix,
     b: &[f64],
     basis: &[usize],
+    factors: Option<&mut FactorMemo>,
 ) -> Option<CoreOutcome> {
     let m = a.rows();
     let n = a.cols();
     if m == 0 || basis.len() != m || basis.iter().any(|&j| j >= n) {
         return None;
     }
-    let mut repr = R::identity(m);
-    if !repr.refactor(a, n, basis) {
-        return None;
-    }
-    let mut state = Revised::new(a, basis.iter().copied(), repr, Buffers::default());
+    let mut own = Slot::default();
+    let slot = match factors {
+        Some(factors) => factors.slot::<R>(),
+        None => &mut own,
+    };
+    let repr = slot.factorize(a, basis)?;
+    let mut state = Revised::new(a, basis.iter().copied(), repr, take(&mut slot.buf));
     state.repr.ftran_dense(b, &mut state.xb);
     snap_zeros(&mut state.xb);
     if !state.dual_feasible(costs, 1e-7) {
+        slot.take_back(state, Some(basis));
         return None;
     }
     match state.run_dual(costs, b) {
-        DualOutcome::Optimal => Some(CoreOutcome {
-            x: state.solution(),
-            accuracy_refactors: state.repr.accuracy_refactors(),
-            basis: state.basis,
-            pivots: state.pivots,
-            warm_start_used: true,
-            watchdog_restarts: 0,
-            watchdog_singular: state.wd_singular,
-            watchdog_infeasible: state.wd_infeasible,
-            bland_retries: 0,
-        }),
-        DualOutcome::GiveUp => None,
+        DualOutcome::Optimal => {
+            let out = CoreOutcome {
+                x: state.solution(),
+                accuracy_refactors: state.repr.accuracy_refactors(),
+                basis: state.basis.clone(),
+                pivots: state.pivots,
+                warm_start_used: true,
+                watchdog_restarts: 0,
+                watchdog_singular: state.wd_singular,
+                watchdog_infeasible: state.wd_infeasible,
+                bland_retries: 0,
+            };
+            slot.take_back(state, (out.pivots == 0).then_some(basis));
+            Some(out)
+        }
+        DualOutcome::GiveUp => {
+            slot.take_back(state, None);
+            None
+        }
     }
 }
 
@@ -1283,24 +1308,16 @@ fn solve_equilibrated_with<R: BasisRepr + Send + 'static>(
                             let x = state.solution();
                             let final_basis = state.basis.clone();
                             let untouched = state.pivots == 0;
-                            let (repr, buf) = state.into_parts();
-                            slot.buf = buf;
-                            if untouched {
-                                slot.store(basis, repr);
-                            } else {
-                                slot.spare = Some(repr);
-                            }
+                            slot.take_back(state, untouched.then_some(basis));
                             return Ok(outcome(tele, watchdog_restarts, x, final_basis, true, 0));
                         }
                         Ok(RunOutcome::LostFeasibility) => watchdog_restarts += 1,
                         Err(LpError::PivotLimit) => {}
                         Err(e) => return Err(e),
                     }
-                    slot.retire(state);
+                    slot.take_back(state, None);
                 } else {
-                    let (repr, buf) = state.into_parts();
-                    slot.buf = buf;
-                    slot.store(basis, repr);
+                    slot.take_back(state, Some(basis));
                 }
             }
         }
@@ -1370,7 +1387,7 @@ fn cold_two_phase_traced<R: BasisRepr>(
         if let Some(t) = trace.as_deref_mut() {
             *t = state.trace.take().unwrap_or_default();
         }
-        slot.retire(state);
+        slot.take_back(state, None);
     };
     let phase1_costs = vec![0.0; n];
     let phase1 = match state.run(&phase1_costs, 1.0, b, force_bland, true) {

@@ -39,7 +39,10 @@
 //! backend half (`run_core`: warm lookup, backend call, cache update,
 //! restore). A prepared member replays the recorded presolve on its new
 //! right-hand side and runs the same backend half on the prepared
-//! system, so it computes exactly what an ordinary solve computes.
+//! system, so it computes exactly what an ordinary solve computes. The
+//! prepared LP also keeps its basis engines' storage, and the fresh
+//! factorization of an unchanged basis, from one member to the next,
+//! for warm starts and dual reoptimizations alike.
 
 use crate::cache::{BasisCache, SharedBasisCache};
 use crate::csc::CscMatrix;
@@ -117,6 +120,13 @@ pub struct CoreSolution {
 /// They must be deterministic: the differential property tests run every
 /// instance through all registered backends and require verdict and
 /// objective agreement.
+///
+/// A member of a prepared family ([`LpSolver::solve_prepared`]) goes
+/// through [`solve_core_prepared`](Self::solve_core_prepared) and, in
+/// reoptimize mode, [`reoptimize_core_prepared`](Self::reoptimize_core_prepared)
+/// first, which also receive the family's [`FactorMemo`]. Their
+/// defaults ignore it and call the plain methods, so a backend that
+/// keeps nothing between solves implements only those.
 pub trait LpBackend {
     /// Short stable name, used for selection ([`LpSolver::select_backend`])
     /// and statistics ([`LpStats::backends`]).
@@ -195,6 +205,27 @@ pub trait LpBackend {
     ) -> Option<CoreSolution> {
         None
     }
+
+    /// [`reoptimize_core`](Self::reoptimize_core) on a prepared system
+    /// ([`LpSolver::solve_prepared`]), with that system's `factors` as in
+    /// [`solve_core_prepared`](Self::solve_core_prepared): a backend may
+    /// start from the stored factorization of an equal basis and keep
+    /// its engines' storage there, so a family's probes need not
+    /// refactorize an unchanged basis. On `None` the session hands the
+    /// same `factors` to [`solve_core_prepared`](Self::solve_core_prepared).
+    /// The result must be exactly `reoptimize_core`'s. The default ignores
+    /// `factors`.
+    fn reoptimize_core_prepared(
+        &self,
+        costs: &[f64],
+        a: &CscMatrix,
+        b: &[f64],
+        basis: &[usize],
+        factors: &mut FactorMemo,
+    ) -> Option<CoreSolution> {
+        let _ = factors;
+        self.reoptimize_core(costs, a, b, basis)
+    }
 }
 
 /// The sparse revised simplex backend (CSC pricing, `B⁻¹` updates,
@@ -243,7 +274,18 @@ impl LpBackend for SparseRevised {
         b: &[f64],
         basis: &[usize],
     ) -> Option<CoreSolution> {
-        revised::dual_reoptimize(costs, a, b, basis).map(CoreSolution::from)
+        revised::dual_reoptimize(costs, a, b, basis, None).map(CoreSolution::from)
+    }
+
+    fn reoptimize_core_prepared(
+        &self,
+        costs: &[f64],
+        a: &CscMatrix,
+        b: &[f64],
+        basis: &[usize],
+        factors: &mut FactorMemo,
+    ) -> Option<CoreSolution> {
+        revised::dual_reoptimize(costs, a, b, basis, Some(factors)).map(CoreSolution::from)
     }
 }
 
@@ -303,7 +345,18 @@ impl LpBackend for LuFtSimplex {
         b: &[f64],
         basis: &[usize],
     ) -> Option<CoreSolution> {
-        revised::dual_reoptimize_lu_ft(costs, a, b, basis).map(CoreSolution::from)
+        revised::dual_reoptimize_lu_ft(costs, a, b, basis, None).map(CoreSolution::from)
+    }
+
+    fn reoptimize_core_prepared(
+        &self,
+        costs: &[f64],
+        a: &CscMatrix,
+        b: &[f64],
+        basis: &[usize],
+        factors: &mut FactorMemo,
+    ) -> Option<CoreSolution> {
+        revised::dual_reoptimize_lu_ft(costs, a, b, basis, Some(factors)).map(CoreSolution::from)
     }
 }
 
@@ -996,6 +1049,7 @@ impl LpSolver {
             flipped: 0,
             system,
             factors: FactorMemo::default(),
+            replay_b: Vec::new(),
             replays: 0,
             fallbacks: 0,
         }
@@ -1014,8 +1068,9 @@ impl LpSolver {
     /// pipeline. When a patched row would lower with the other sign, or
     /// any replayed presolve step would decide differently, the member
     /// runs the full pipeline instead. A backend may also reuse the
-    /// fresh factorization of an unchanged warm basis
-    /// ([`LpBackend::solve_core_prepared`]).
+    /// fresh factorization of an unchanged warm basis, for a warm start
+    /// ([`LpBackend::solve_core_prepared`]) and, in reoptimize mode, for
+    /// a dual reoptimization ([`LpBackend::reoptimize_core_prepared`]).
     ///
     /// # Errors
     ///
@@ -1157,7 +1212,7 @@ impl LpSolver {
         &mut self,
         sys: &CoreSystem,
         force: Option<usize>,
-        factors: Option<&mut FactorMemo>,
+        mut factors: Option<&mut FactorMemo>,
     ) -> Attempt {
         self.stats.presolve_rows_removed += sys.orig_rows - sys.rows;
         self.stats.presolve_cols_removed += sys.orig_cols - sys.ncols;
@@ -1242,11 +1297,12 @@ impl LpSolver {
         // its own.
         let backend = &self.backends[idx];
         let try_reopt = self.reopt && backend.supports_reoptimize();
-        let reopt_core = if try_reopt {
-            warm.as_deref()
-                .and_then(|basis| backend.reoptimize_core(scaled_costs, sa, sb, basis))
-        } else {
-            None
+        let reopt_core = match warm.as_deref() {
+            Some(basis) if try_reopt => match factors.as_deref_mut() {
+                Some(memo) => backend.reoptimize_core_prepared(scaled_costs, sa, sb, basis, memo),
+                None => backend.reoptimize_core(scaled_costs, sa, sb, basis),
+            },
+            _ => None,
         };
         let reopt_used = reopt_core.is_some();
         let core = match (reopt_core, factors) {
@@ -1428,6 +1484,9 @@ pub struct PreparedLp {
     /// presolve found the prepared member infeasible.
     system: Option<(Tape, CoreSystem)>,
     factors: FactorMemo,
+    /// The right-hand side a replay reduces in place, kept between
+    /// members.
+    replay_b: Vec<f64>,
     /// Members solved by replaying the tape…
     replays: usize,
     /// …and members that ran the full pipeline.
@@ -1465,9 +1524,12 @@ impl PreparedLp {
         let Some((tape, sys)) = &mut self.system else {
             return false;
         };
-        let Some(b) = tape.replay(self.b.clone(), &mut sys.restore.fixed) else {
+        let b = &mut self.replay_b;
+        b.clear();
+        b.extend_from_slice(&self.b);
+        if !tape.replay(b, &mut sys.restore.fixed) {
             return false;
-        };
+        }
         if let Some(scaled) = &mut sys.scaled {
             scaled.b.clear();
             scaled.b.extend(b.iter().zip(&scaled.row_scale).map(|(&v, &s)| v * s));

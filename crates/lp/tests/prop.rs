@@ -971,16 +971,25 @@ proptest! {
     /// infeasible — the runs whose factorization goes back to the memo
     /// and is reused — equal ordinary solves of the rebuilt models by
     /// `to_bits`, with the same verdicts and statistics, on the two
-    /// warm-starting engines and under the automatic choice.
+    /// warm-starting engines and under the automatic choice. With
+    /// reoptimization on, the same members run as dual reoptimizations,
+    /// which share the memo; `dual_fault > 0` also makes that visit of
+    /// the dual pivot loop give up, handing its engine to the primal
+    /// fallback.
     #[test]
     fn prepared_family_matches_rebuilt_through_factor_reuse(
         seed in any::<u64>(),
         choice in 0usize..3,
         reopt in any::<bool>(),
+        dual_fault in 0usize..8,
     ) {
         let model = memo_model(seed);
         let mut prep_session = session(choice, reopt);
         let mut twin = session(choice, reopt);
+        if reopt && dual_fault > 0 {
+            prep_session.install_fault_plan(FaultPlan::new(FaultKind::DualPivot, dual_fault));
+            twin.install_fault_plan(FaultPlan::new(FaultKind::DualPivot, dual_fault));
+        }
         let run = run_family(&model, &mut prep_session, &mut twin);
         prop_assert!(run.is_ok(), "{}", run.unwrap_err());
     }
@@ -988,20 +997,27 @@ proptest! {
 
 /// One fixed family through both warm-starting engines: a repeated
 /// member (zero-pivot warm runs), jumps whose warm basis is primal
-/// infeasible — to infeasible members (`x0 + x1 + x2 ≤ r0` cut below
-/// what `x1 + 2·x2 ≥ r2` demands) and to a feasible one — some
-/// repeated, and returns to the first member's basis.
+/// infeasible — to infeasible members (`0.9·x0 + 1.1·x1 + 0.7·x2 ≤ r0`
+/// cut below what `0.8·x1 + 1.9·x2 ≥ r2` demands) and to a feasible
+/// one — some repeated, and returns to the first member's basis. The
+/// coefficients are not dyadic, so a factorization updated by a pivot
+/// differs from a fresh one in its last bits. With reoptimization the
+/// members run as dual reoptimizations (zero-pivot ones hand their
+/// factorization back, the jumps pivot or give up); the family then
+/// runs once more per visit of the dual pivot loop, with a `dual-pivot`
+/// fault at that visit, so every point of the chain gives up once and
+/// hands its engine to the primal fallback.
 #[test]
 fn prepared_factor_memo_take_back_matches_rebuilt() {
     let model = FamilyModel {
         nonneg: vec![true, true, true],
         rows: vec![
-            (vec![(0, 1.0), (1, 1.0), (2, 1.0)], 0.0, Cmp::Le, 4.0),
-            (vec![(0, 1.0), (1, -1.0)], 0.0, Cmp::Le, 1.0),
-            (vec![(1, 1.0), (2, 2.0)], 0.0, Cmp::Ge, 1.0),
-            (vec![(0, 1.0), (2, -1.0)], 0.0, Cmp::Le, 2.0),
+            (vec![(0, 0.9), (1, 1.1), (2, 0.7)], 0.0, Cmp::Le, 4.0),
+            (vec![(0, 1.3), (1, -0.6)], 0.0, Cmp::Le, 1.1),
+            (vec![(1, 0.8), (2, 1.9)], 0.0, Cmp::Ge, 1.0),
+            (vec![(0, 1.2), (2, -0.9)], 0.0, Cmp::Le, 2.3),
         ],
-        objective: vec![-2.0, -1.0, 0.5],
+        objective: vec![-2.1, -1.3, 0.7],
         maximize: false,
         family: vec![0, 2],
         members: vec![
@@ -1026,6 +1042,20 @@ fn prepared_factor_memo_take_back_matches_rebuilt() {
             run_family(&model, &mut prep_session, &mut twin)
                 .unwrap_or_else(|e| panic!("choice {choice}, reopt {reopt}: {e}"));
         }
+        let mut visits = 0;
+        for nth in 1.. {
+            let mut prep_session = session(choice, true);
+            let mut twin = session(choice, true);
+            prep_session.install_fault_plan(FaultPlan::new(FaultKind::DualPivot, nth));
+            twin.install_fault_plan(FaultPlan::new(FaultKind::DualPivot, nth));
+            run_family(&model, &mut prep_session, &mut twin)
+                .unwrap_or_else(|e| panic!("choice {choice}, dual-pivot:{nth}: {e}"));
+            if !prep_session.fault_fired() {
+                break;
+            }
+            visits = nth;
+        }
+        assert!(visits >= 10, "choice {choice}: only {visits} dual pivot loop visits");
     }
 }
 
