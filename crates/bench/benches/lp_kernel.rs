@@ -15,12 +15,12 @@
 //!   the class the factorized `lu-ft` (Forrest–Tomlin spike swaps)
 //!   representation targets — the pivot-heavy runs FT exists for.
 //!
-//! The `sweep_coupon`/`sweep_epsmax` rows race the two LP strategies a
-//! `qava --sweep` chooses between on the harvested reoptimization
-//! chains (`crates/lp/tests/corpus/sweep_*.qlp`): `cold` solves every
-//! chain member from scratch, `reopt` cold-solves the head and
-//! dual-reoptimizes each successor from the previous final basis —
-//! the per-point LP cost a sweep actually pays.
+//! The `sweep_coupon`/`sweep_epsmax` rows race cold solves against dual
+//! reoptimization on the harvested reoptimization chains
+//! (`crates/lp/tests/corpus/sweep_*.qlp`): `cold` solves every chain
+//! member from scratch, `reopt` cold-solves the head and
+//! dual-reoptimizes each successor from the previous final basis, as a
+//! reoptimizing session (`LpSolver::set_reoptimize`) does.
 //!
 //! The `ser_probes` rows solve one Ser probe chain of `hoeffding-linear`
 //! two ways: `rebuild` builds the fixed-ε LP afresh for every probe and
@@ -262,7 +262,7 @@ fn load_chain(prefix: &str) -> Vec<ChainInst> {
 
 /// Reoptimized vs cold sweep LP cost on the harvested chains, through
 /// the `lu-ft` backend. `cold` is what a per-point baseline pays;
-/// `reopt` is the sweep fast path, falling back cold on a declined
+/// `reopt` is the reoptimizing session's path, falling back cold on a declined
 /// attempt exactly like the session does — so the row measures the
 /// honest cost, not the happy path.
 fn bench_sweep_chains(c: &mut Criterion) {

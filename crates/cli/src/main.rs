@@ -27,13 +27,11 @@
 //! `--suite --chaos SEED` is the robustness gate: it replays the suite
 //! with one deterministic recoverable solver fault injected per task and
 //! fails loudly unless every row still certifies the fault-free bound.
-//! `--sweep` walks the suite's parametric families (Coupon, 3DWalk, Ref)
-//! through the sweep driver ([`qava_core::sweep`]): one shared
-//! reoptimizing solver session per family, each point cross-checked
-//! against a fresh cold solve (the cold solves run beside the families
-//! on the same thread pool), emitting a certified bound-vs-parameter
-//! curve with per-point reopt-vs-cold statistics and the pass's wall
-//! time in the footer.
+//! `--sweep` runs the suite's parametric families (Coupon, 3DWalk, Ref)
+//! through the sweep driver ([`qava_core::sweep`]): every point is
+//! solved like its `--suite` row, in a fresh solver session on one
+//! thread pool, and prints the same bound, giving a certified
+//! bound-vs-parameter curve with the pass's wall time in the footer.
 //!
 //! `--connect SOCK` routes the analysis through a resident `qavad`
 //! daemon (see the `qavad` crate) instead of solving in-process: the
@@ -116,18 +114,13 @@ suite:
                    then with one seeded recoverable solver fault per
                    (row, engine) task — and fail unless every row still
                    certifies a bound within 1e-7 of the fault-free value
-  --sweep          walk the suite's parametric families (Coupon
+  --sweep          run the suite's parametric families (Coupon
                    Pr[T > n], the 3DWalk εmax ladder, the Ref p ladder)
-                   through the sweep driver: each family's points run
-                   in order inside one shared solver session with
-                   dual-simplex reoptimization between neighbors, every
-                   point is cross-checked against a fresh cold solve
-                   that runs beside the families on the thread pool
-                   (falling back to the cold bound past a relative
-                   1e-7), and the footer reports per-point reopt-vs-cold
-                   statistics and the pass's wall time against its
-                   summed point time (honors --lp-backend; not
-                   combinable with --race or --chaos)
+                   through the sweep driver: every point is solved like
+                   its --suite row, in a fresh solver session on one
+                   thread pool, and the footer reports the pass's wall
+                   time against its summed point time (honors
+                   --lp-backend; not combinable with --race or --chaos)
 ";
 
 struct Options {
@@ -403,47 +396,24 @@ fn run_suite(
 }
 
 /// The certified bound-vs-parameter curves behind `qava --sweep`: every
-/// parametric family of the suite, each point reoptimized from its
-/// neighbor's bases and cross-checked against a fresh cold solve (see
-/// [`qava_core::sweep`]).
+/// parametric family of the suite, each point solved like its suite row
+/// (see [`qava_core::sweep`]).
 fn run_sweep_suite(backend: BackendChoice) -> ExitCode {
     let started = Instant::now();
     let reports = qava_core::suite::runner::sweep_families_with(backend, true);
     let wall = started.elapsed().as_secs_f64();
     let mut failures = 0usize;
     let mut points = 0usize;
-    let mut fallbacks = 0usize;
-    let mut attempts = 0usize;
-    let mut successes = 0usize;
-    let mut max_drift = 0.0f64;
     let mut point_work = 0.0f64;
     let mut certified = LpStats::default();
     for report in &reports {
         for p in &report.points {
             points += 1;
             point_work += p.seconds;
-            // Reoptimization counters of the *sweep-session* attempt:
-            // after a cold fallback they live in the abandoned bucket.
-            let (att, hits) = (
-                p.lp.reopt_attempts + p.abandoned.reopt_attempts,
-                p.lp.reopt_successes + p.abandoned.reopt_successes,
-            );
-            attempts += att;
-            successes += hits;
-            fallbacks += usize::from(p.cold_fallback);
             certified.merge(&p.lp);
-            let mut tags = vec![format!("reopt {hits}/{att}")];
-            if p.cold_fallback {
-                tags.push("cold fallback".to_string());
-            }
-            if let Some(d) = p.drift {
-                max_drift = max_drift.max(d);
-                tags.push(format!("cold Δ {d:.1e}"));
-            }
-            let suffix = format!("  [{}]", tags.join(", "));
             match &p.bound {
                 Ok(b) => println!(
-                    "{:<12} {:<24} {:<17} ln(bound) = {:>12.4}  ({:.2}s){suffix}",
+                    "{:<12} {:<24} {:<17} ln(bound) = {:>12.4}  ({:.2}s)",
                     p.name,
                     p.label,
                     p.engine,
@@ -452,20 +422,16 @@ fn run_sweep_suite(backend: BackendChoice) -> ExitCode {
                 ),
                 Err(e) => {
                     failures += 1;
-                    println!("{:<12} {:<24} {:<17} failed: {e}{suffix}", p.name, p.label, p.engine);
+                    println!("{:<12} {:<24} {:<17} failed: {e}", p.name, p.label, p.engine);
                 }
             }
         }
     }
     println!(
         "sweep: {} families, {points} points, {failures} failures; \
-         {successes}/{attempts} dual reopts succeeded, {fallbacks} cold fallbacks, \
-         max sweep-vs-cold drift {max_drift:.2e}; \
          wall {wall:.2} s for {point_work:.2} s of point work",
         reports.len()
     );
-    // The certified footer counts only the work behind the reported
-    // bounds; cold cross-checks and discarded sweep attempts stay out.
     print_stats_footer(&certified, &LpStats::default());
     if failures == 0 {
         ExitCode::SUCCESS

@@ -47,22 +47,13 @@
 //!
 //! ## Parametric sweeps
 //!
-//! [`sweep::run_sweep`] walks a benchmark family's points (Coupon
-//! `Pr[T > n]`, the Ref `p` ladder, the 3DWalk εmax ladder) in order
-//! through one shared `LpSolver` session with **dual-simplex
-//! reoptimization** enabled: neighboring points differ only in
-//! RHS/objective values, so each LP restarts from the previous optimal
-//! basis with a few dual pivots instead of a cold two-phase solve. Each
-//! point runs the same synthesis (and so issues the same LPs) as a cold
-//! run. A dual reoptimization that fails falls back to the cold path,
-//! and [`sweep::SweepRequest::check_cold`] re-solves each point cold and
-//! reports the cold bound if the sweep bound drifts beyond a relative
-//! `1e-7` — a sweep is never looser than the per-point baseline, and
-//! with the check on each point costs its sweep attempt plus a cold
-//! solve. [`sweep::run_sweeps_in`] runs every family's chain and every
-//! point's cold audit as separate tasks of one thread pool, so the
-//! audits overlap the chains; only the points within a chain run in
-//! order. Surfaced as `qava --sweep` /
+//! [`sweep::run_sweep`] runs a benchmark family's points (Coupon
+//! `Pr[T > n]`, the Ref `p` ladder, the 3DWalk εmax ladder) as a batch
+//! of independent rows: each point is compiled and solved like its
+//! `qava --suite` row, by the direction's primary engine in a fresh
+//! `LpSolver` session, so a sweep prints bit for bit the bounds the
+//! suite prints. [`sweep::run_sweeps_in`] runs the points of every
+//! family as the tasks of one thread pool. Surfaced as `qava --sweep` /
 //! [`suite::runner::sweep_families_with`].
 //!
 //! ## Failure semantics

@@ -5,12 +5,9 @@
 //!
 //! Several benchmarks are parameter *families* — the same program at
 //! three neighboring parameter values ([`sweep_families`] lists the
-//! ones the `qava --sweep` driver walks). The table drivers treat each
-//! row independently; the sweep driver ([`crate::sweep`],
-//! [`runner::sweep_families_with`]) exploits the family structure with
-//! dual-simplex reoptimization between neighbors: each family's points
-//! run in order in one session, while the points' cold audits run
-//! beside them on the same thread pool.
+//! ones the `qava --sweep` driver runs). Both the table drivers and the
+//! sweep driver ([`crate::sweep`], [`runner::sweep_families_with`])
+//! solve every row independently, in its own LP session.
 //!
 //! Sources are transcriptions of Figures 1–12. Two reconstructions were
 //! necessary (documented in DESIGN.md):

@@ -508,11 +508,10 @@ pub fn refsearch_rows() -> Vec<Benchmark> {
     .collect()
 }
 
-/// The parametric families the sweep driver walks (`crate::sweep`,
-/// `qava --sweep`), each already ordered by its sweep parameter so
-/// neighboring points differ by one small RHS/objective perturbation:
-/// Coupon's deadline `n`, 3DWalk's εmax ladder, Ref's per-operation
-/// fault probability `p`.
+/// The parametric families the sweep driver runs (`crate::sweep`,
+/// `qava --sweep`), each ordered by its sweep parameter: Coupon's
+/// deadline `n`, 3DWalk's εmax ladder, Ref's per-operation fault
+/// probability `p`.
 pub fn sweep_families() -> Vec<Vec<Benchmark>> {
     vec![coupon_rows(), walk3d_rows(), refsearch_rows()]
 }

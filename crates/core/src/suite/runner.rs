@@ -177,55 +177,62 @@ fn run_rows_inner(
     let outcomes: Vec<(usize, EngineRun)> = tasks
         .par_iter()
         .map(|&(i, name)| {
-            // Compile per task: compilation is cheap next to synthesis,
-            // and it keeps every task self-contained on its worker
-            // thread (monomial ids never cross threads). The solver
-            // session is equally task-private: one synthesis run is
-            // exactly the scope over which warm starts are sound ideas
-            // and statistics are attributable.
-            let pts = rows[i].compile();
-            let run = match registry.engine(name) {
-                None => EngineRun {
-                    engine: name,
-                    bound: Err(format!("unknown engine `{name}`")),
-                    seconds: 0.0,
-                    lp: LpStats::default(),
-                    abandoned: LpStats::default(),
-                    raced: Vec::new(),
-                    fault: None,
-                },
-                Some(engine) => {
-                    let req = AnalysisRequest::new(&pts, engine.direction());
-                    let mut solver = LpSolver::with_choice(backend);
-                    let plan =
-                        chaos.map(|seed| FaultPlan::chaos(chaos_task_seed(seed, i, name)));
-                    if let Some(plan) = &plan {
-                        solver.install_fault_plan(plan.clone());
-                    }
-                    let t0 = Instant::now();
-                    let report = engine.run(&req, &mut solver);
-                    let seconds = t0.elapsed().as_secs_f64();
-                    let fault = plan.filter(|_| solver.fault_fired()).map(|p| p.label());
-                    EngineRun {
-                        engine: name,
-                        bound: report
-                            .outcome
-                            .as_ref()
-                            .map(|c| c.bound)
-                            .map_err(ToString::to_string),
-                        seconds,
-                        lp: report.lp,
-                        abandoned: LpStats::default(),
-                        raced: Vec::new(),
-                        fault,
-                    }
-                }
-            };
-            (i, run)
+            let plan = chaos.map(|seed| FaultPlan::chaos(chaos_task_seed(seed, i, name)));
+            (i, run_task(registry, &rows[i], name, backend, plan))
         })
         .collect();
 
     assemble(rows, outcomes)
+}
+
+/// Runs engine `name` on row `b` as one self-contained task of a pool:
+/// the task compiles the row and solves it in its own [`LpSolver`]
+/// session with the given backend policy and, in chaos mode, fault
+/// plan. The suite's sequential mode and the sweep driver
+/// ([`crate::sweep::run_sweeps_in`]) run every task through here. An
+/// unknown engine name reports as a failed run.
+pub(crate) fn run_task(
+    registry: &EngineRegistry,
+    b: &Benchmark,
+    name: &'static str,
+    backend: BackendChoice,
+    plan: Option<FaultPlan>,
+) -> EngineRun {
+    let Some(engine) = registry.engine(name) else {
+        return EngineRun {
+            engine: name,
+            bound: Err(format!("unknown engine `{name}`")),
+            seconds: 0.0,
+            lp: LpStats::default(),
+            abandoned: LpStats::default(),
+            raced: Vec::new(),
+            fault: None,
+        };
+    };
+    // Compile per task: compilation is cheap next to synthesis, and it
+    // keeps every task self-contained on its worker thread (monomial
+    // ids never cross threads). The solver session is equally
+    // task-private: one synthesis run is exactly the scope over which
+    // warm starts are sound ideas and statistics are attributable.
+    let pts = b.compile();
+    let req = AnalysisRequest::new(&pts, engine.direction());
+    let mut solver = LpSolver::with_choice(backend);
+    if let Some(plan) = &plan {
+        solver.install_fault_plan(plan.clone());
+    }
+    let t0 = Instant::now();
+    let report = engine.run(&req, &mut solver);
+    let seconds = t0.elapsed().as_secs_f64();
+    let fault = plan.filter(|_| solver.fault_fired()).map(|p| p.label());
+    EngineRun {
+        engine: name,
+        bound: report.outcome.as_ref().map(|c| c.bound).map_err(ToString::to_string),
+        seconds,
+        lp: report.lp,
+        abandoned: LpStats::default(),
+        raced: Vec::new(),
+        fault,
+    }
 }
 
 /// Race mode over the built-in registry: one racing task per row, over
@@ -331,13 +338,14 @@ pub fn race_rows_in(
     assemble(rows, outcomes)
 }
 
-/// Sweep mode (`qava --sweep`): walks every parametric family of the
+/// Sweep mode (`qava --sweep`): runs every parametric family of the
 /// suite ([`crate::suite::sweep_families`]) through one call of the
-/// sweep driver ([`crate::sweep::run_sweeps_in`]). Each family's points
-/// run in order inside one shared reoptimizing `LpSolver` session, and
-/// those chains share the thread pool with the points' cold audits.
-/// `check_cold` re-solves every point cold and falls back to the cold
-/// bound on drift (the certification mode the CLI runs).
+/// sweep driver ([`crate::sweep::run_sweeps_in`]). Every point runs like
+/// a sequential-mode row with its direction's
+/// [`primary_engine`](crate::sweep::primary_engine), all points on one
+/// pool. `check_cold` has no effect: every point is its own cold run.
+/// It is left for the `sweep` benchmark workload, which still passes
+/// it; the next benchmark change drops it.
 pub fn sweep_families_with(
     backend: BackendChoice,
     check_cold: bool,

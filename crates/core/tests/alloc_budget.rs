@@ -9,13 +9,14 @@
 //! run with the most pivots — in a fresh LP session, and requires fewer
 //! heap allocations than pivots.
 //!
-//! A sweep chain solves the same probes as dual reoptimizations of each
-//! prepared LP, which reuse that LP's factorization and engine storage
-//! just as its cold solves do. So in a reoptimizing session warmed by
-//! the 3DWalk (100, 100, 100) point, the searches of (100, 150, 200) and
-//! (300, 100, 150) must each allocate no more than the same point's
-//! cold search. Allocation counts do not jitter, so the budgets are
-//! exact and reproducible, unlike wall time.
+//! A reoptimizing session (`LpSolver::set_reoptimize`) solves the same
+//! probes as dual reoptimizations of each prepared LP, which reuse that
+//! LP's factorization and engine storage just as its cold solves do.
+//! So in a reoptimizing session warmed by the 3DWalk (100, 100, 100)
+//! point, the searches of (100, 150, 200) and (300, 100, 150) must each
+//! allocate no more than the same point's cold search. Allocation
+//! counts do not jitter, so the budgets are exact and reproducible,
+//! unlike wall time.
 //!
 //! It is its own test binary with a single test (libtest would run a
 //! second one on another thread, sharing the counter), so that nothing
@@ -77,7 +78,7 @@ fn search(pts: &Pts, solver: &mut LpSolver) -> f64 {
 
 #[test]
 fn ser_search_allocates_less_than_once_per_pivot() {
-    // The sweep family, in chain order: (100, 100, 100), (100, 150,
+    // The 3DWalk εmax ladder, in order: (100, 100, 100), (100, 150,
     // 200), (300, 100, 150).
     let points: Vec<Pts> = walk3d_rows().iter().map(|row| row.compile()).collect();
     let [first, rest @ ..] = &points[..] else { panic!("3DWalk has three sweep points") };

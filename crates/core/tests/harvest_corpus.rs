@@ -291,9 +291,10 @@ fn harvest_conformance_corpus() {
 
 /// Picks an ordered reoptimization chain out of a capture log: the
 /// longest run of structurally identical systems (same shape), in the
-/// order the sweep produced them, with immediate exact duplicates
-/// collapsed. These are the solves `LpBackend::reoptimize_core` replays
-/// from the previous member's final basis in a real `qava --sweep`.
+/// order the family's searches produced them, with immediate exact
+/// duplicates collapsed. These are the solves `LpBackend::reoptimize_core`
+/// replays from the previous member's final basis in a reoptimizing
+/// session.
 fn chain_from_log(log: &[Instance], len: usize) -> Vec<Instance> {
     let mut shapes: Vec<(usize, usize, usize)> = log.iter().map(Instance::shape).collect();
     shapes.sort_unstable();
@@ -317,9 +318,10 @@ fn chain_from_log(log: &[Instance], len: usize) -> Vec<Instance> {
     out
 }
 
-/// Harvests the **sweep reoptimization chains**: for each `qava --sweep`
-/// family the ladder of structurally identical, value-perturbed core
-/// systems that dual-simplex reoptimization walks from one warm basis.
+/// Harvests the **sweep reoptimization chains**: for each parametric
+/// family of `qava --sweep`, the ladder of structurally identical,
+/// value-perturbed core systems that dual-simplex reoptimization walks
+/// from one warm basis when the family's searches share one session.
 /// `crates/lp/tests/corpus.rs::sweep_chain_reoptimization_matches_cold`
 /// replays each chain through every reoptimize-capable backend and holds
 /// the incremental objective to the cold one; the
@@ -342,8 +344,8 @@ fn harvest_sweep_chains() {
             inner: Box::new(LuFtSimplex),
             log: Rc::clone(&log),
         }));
-        // One shared session across the whole family, exactly like
-        // `qava_core::sweep::run_sweep` drives it.
+        // One shared session across the whole family, so each search
+        // starts from the previous point's bases.
         for row in &rows {
             let pts = row.compile();
             synthesize_reprsm_bound_in(

@@ -908,9 +908,11 @@ impl LpSolver {
     /// feasibility instead of a cold two-phase solve. Verdict rules are
     /// unchanged (reoptimized optima go through the same
     /// fresh-refactorization certification), and any doubt falls back to
-    /// the ordinary primal path, so the mode can only change solve
-    /// *cost*, never a result. The parametric sweep driver
-    /// (`qava --sweep`) runs its per-family sessions in this mode.
+    /// the ordinary primal path. The mode changes solve *cost* and, by
+    /// another pivot sequence, at most the last digits of an optimum;
+    /// that is enough to move where the Ser ternary search lands, so no
+    /// product path enables it at present. The LP-level tests and the
+    /// `lp/kernel/sweep_*` benches do.
     pub fn set_reoptimize(&mut self, enabled: bool) {
         self.reopt = enabled;
     }

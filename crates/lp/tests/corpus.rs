@@ -302,7 +302,8 @@ fn corpus_survives_poisoned_warm_starts() {
 
 /// Sweep-chain replay: the `sweep_*_NN.qlp` files are ordered ladders of
 /// structurally identical, value-perturbed core systems harvested from
-/// one `qava --sweep` family session (`harvest_sweep_chains`). For every
+/// one session shared by a `qava --sweep` family's searches
+/// (`harvest_sweep_chains`). For every
 /// reoptimize-capable backend, walk each chain the way a reoptimizing
 /// session (`LpSolver::set_reoptimize`) does — cold-solve the head, then
 /// dual-reoptimize each successor from the previous member's final
@@ -311,7 +312,7 @@ fn corpus_survives_poisoned_warm_starts() {
 /// nonnegativity included. A declined attempt (`None`) is legal — the
 /// session then falls back to a cold solve, which must itself match —
 /// but at least one reoptimization must succeed across the chains, or
-/// the sweep fast path is dead weight. The dense tableau declines
+/// the reoptimization fast path is dead weight. The dense tableau declines
 /// reoptimization by contract, so its chain replay is trivially the
 /// cold replay already covered by `corpus_replays_identically_across_backends`.
 #[test]

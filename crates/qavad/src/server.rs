@@ -243,8 +243,15 @@ impl Daemon {
             }
             match stream {
                 Ok(stream) => {
+                    // A refused thread costs only this connection (the
+                    // stream drops with the closure); the loop keeps
+                    // accepting.
                     let shared = self.shared.clone();
-                    std::thread::spawn(move || serve_connection(&shared, stream));
+                    let spawned = std::thread::Builder::new()
+                        .spawn(move || serve_connection(&shared, stream));
+                    if let Err(e) = spawned {
+                        eprintln!("qavad: dropping a connection: cannot spawn its thread: {e}");
+                    }
                 }
                 Err(e) => eprintln!("qavad: accept failed: {e}"),
             }
