@@ -35,8 +35,8 @@
 //!
 //! `--connect SOCK` routes the analysis through a resident `qavad`
 //! daemon (see the `qavad` crate) instead of solving in-process: the
-//! daemon reuses compiled programs and a persistent warm-start basis
-//! cache across requests and restarts. `--suite --connect` drives the
+//! daemon reuses compiled programs and an in-memory warm-start basis
+//! cache across requests. `--suite --connect` drives the
 //! whole suite through the daemon and prints the identical report;
 //! `--suite --json` emits the machine-readable suite document
 //! ([`qavad::protocol::suite_json`]) that the daemon conformance tests
@@ -97,7 +97,7 @@ solver:
 daemon:
   --connect SOCK   send the analysis to a resident qavad daemon on the
                    given Unix socket instead of solving in-process; the
-                   daemon shares compiled programs and a persistent
+                   daemon shares compiled programs and an in-memory
                    warm-start basis cache across requests (with --suite:
                    drive every row through the daemon; local-only flags
                    --dump-pts/--simulate/--symbolic do not apply)

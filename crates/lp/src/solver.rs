@@ -528,10 +528,9 @@ pub struct LpStats {
     pub warm_start_misses: usize,
     /// Warm-start cache entries evicted by the LRU capacity bound.
     pub cache_evictions: usize,
-    /// Warm-start hits served from an attached **process-wide**
+    /// Warm-start hits served by an attached process-wide, in-memory
     /// [`SharedBasisCache`] rather than this session's own cache — the
-    /// cross-request (and, when the store was loaded from disk,
-    /// cross-process) warmth a resident daemon exists to provide. Always
+    /// cross-request warmth a resident daemon exists to provide. Always
     /// a subset of `warm_start_hits`.
     pub persistent_warm_hits: usize,
     /// Feasibility-watchdog refactor-backstop trips across all solves: a
@@ -1258,10 +1257,10 @@ impl LpSolver {
         let key = if warm_capable { *core_sys.key.get_or_init(|| sa.pattern_hash()) } else { 0 };
         let mut warm = if warm_capable { self.cache.get(key) } else { None };
         // Read-through to the process-wide store on a session miss. A
-        // shared entry may come from another request — or from a spill
-        // file on disk — so it gets a shape check a session entry never
-        // needs (`len == m`, indices `< n`); anything malformed is
-        // treated as a miss, never offered to a backend.
+        // shared entry comes from another request, so it gets a shape
+        // check a session entry never needs (`len == m`, indices `< n`);
+        // anything malformed is treated as a miss, never offered to a
+        // backend.
         let mut warm_from_shared = false;
         if warm.is_none() && warm_capable {
             if let Some(shared) = &self.shared {
@@ -1751,37 +1750,14 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_survives_a_spill_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("qava-solver-spill-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("session.warm");
-
-        let shared = Arc::new(SharedBasisCache::new(16));
-        let mut a = LpSolver::with_choice(BackendChoice::Sparse);
-        a.set_shared_cache(shared.clone());
-        a.solve(&simple_lp(3.0)).unwrap();
-        shared.save(&path).unwrap();
-
-        // "Daemon restart": a freshly loaded store, a fresh session — the
-        // first solve of the pattern is still warm.
-        let reloaded = Arc::new(SharedBasisCache::load(&path, 16).unwrap());
-        let mut b = LpSolver::with_choice(BackendChoice::Sparse);
-        b.set_shared_cache(reloaded);
-        let sol = b.solve(&simple_lp(5.0)).unwrap();
-        assert!((sol.objective - 10.0).abs() < 1e-7, "{}", sol.objective);
-        assert!(b.stats().persistent_warm_hits >= 1, "spilled warmth must survive reload");
-    }
-
-    #[test]
     fn poisoned_shared_entries_cannot_break_solves() {
         let shared = Arc::new(SharedBasisCache::new(16));
         let mut a = LpSolver::with_choice(BackendChoice::Sparse);
         a.set_shared_cache(shared.clone());
         a.solve(&simple_lp(3.0)).unwrap();
 
-        // Overwrite every shared entry with garbage a corrupted (but
-        // checksum-valid) spill file could have produced: out-of-range
-        // column indices at a plausible length.
+        // Overwrite every shared entry with garbage: out-of-range column
+        // indices at a plausible length.
         for key in shared.keys() {
             shared.put(key, vec![usize::MAX, usize::MAX, usize::MAX]);
         }

@@ -138,7 +138,7 @@ impl Client {
         self.request(&obj(vec![("cmd", Json::Str("stats".to_string()))]))
     }
 
-    /// Asks the daemon to spill its cache and exit.
+    /// Asks the daemon to exit.
     ///
     /// # Errors
     ///

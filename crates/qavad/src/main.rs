@@ -11,12 +11,8 @@ usage: qavad --socket PATH [options]
 
 options:
   --socket PATH          Unix-domain socket to listen on (required)
-  --cache-file PATH      persist the warm-start basis cache here; loaded
-                         on startup (an unreadable file logs a warning
-                         and starts cold), spilled after requests that
-                         warmed it and on shutdown
-  --cache-capacity N     LRU bound of the shared basis cache
-                         (default 4096)
+  --cache-capacity N     LRU bound of the in-memory basis cache shared
+                         by all requests (default 4096)
   --max-inflight N       concurrent analysis bound (default: the rayon
                          pool width)
   --lp-backend B         auto | sparse | dense | lu-ft: auto routes by
@@ -36,9 +32,6 @@ fn parse_config(args: &[String]) -> Result<DaemonConfig, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--socket" => socket = Some(it.next().ok_or("--socket needs a path")?.into()),
-            "--cache-file" => {
-                config.cache_file = Some(it.next().ok_or("--cache-file needs a path")?.into());
-            }
             "--cache-capacity" => {
                 let n = it.next().ok_or("--cache-capacity needs a count")?;
                 config.cache_capacity =

@@ -14,9 +14,9 @@
 //!   sources cannot grow the daemon without limit (an evicted program
 //!   is simply compiled again);
 //! * the **shared warm-start basis cache** ([`SharedBasisCache`]) —
-//!   installed into every request's `LpSolver` sessions, spilled to the
-//!   configured cache file whenever a request dirtied it, and reloaded
-//!   on startup so warmth survives restarts;
+//!   installed into every request's `LpSolver` sessions, so a request
+//!   starts warm from the bases earlier requests left. It lives in
+//!   memory only and starts cold with each daemon;
 //! * an **admission gate** bounding concurrent analyses to the rayon
 //!   pool width: engine racing already fans each admitted request across
 //!   the pool, so admitting more requests than workers would only add
@@ -69,8 +69,9 @@ pub struct DaemonConfig {
     /// Unix-domain socket path to listen on. A stale socket file (left
     /// by a killed daemon) is removed; a *live* one is a bind error.
     pub socket: PathBuf,
-    /// Where the shared warm-start cache spills; `None` keeps it
-    /// memory-only (still shared across requests, lost on exit).
+    /// Has no effect: the shared warm-start cache lives in memory only,
+    /// and no file is read or written. Kept so existing callers still
+    /// compile; it goes with the next benchmark change.
     pub cache_file: Option<PathBuf>,
     /// LRU bound of the shared cache.
     pub cache_capacity: usize,
@@ -155,31 +156,17 @@ impl Shared {
     fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
         m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
-
-    /// Spills the shared cache if a request dirtied it. Best-effort: a
-    /// failed spill warns and the daemon keeps serving from memory.
-    fn maybe_spill(&self) {
-        let Some(path) = &self.config.cache_file else { return };
-        if self.warm.take_dirty() == 0 {
-            return;
-        }
-        if let Err(e) = self.warm.save(path) {
-            eprintln!("qavad: warm-start cache spill to {} failed: {e}", path.display());
-        }
-    }
 }
 
-/// A bound, not-yet-serving daemon. Construction loads the persistent
-/// cache and claims the socket; [`run`](Daemon::run) serves until a
-/// `shutdown` request.
+/// A bound, not-yet-serving daemon. Construction claims the socket;
+/// [`run`](Daemon::run) serves until a `shutdown` request.
 pub struct Daemon {
     shared: Arc<Shared>,
     listener: UnixListener,
 }
 
 impl Daemon {
-    /// Loads the warm-start cache (corruption-tolerant: anything
-    /// unreadable logs a warning and starts cold) and binds the socket.
+    /// Binds the socket, with a cold shared warm-start cache.
     ///
     /// # Errors
     ///
@@ -197,10 +184,6 @@ impl Daemon {
             }
             std::fs::remove_file(&config.socket)?;
         }
-        let warm = Arc::new(match &config.cache_file {
-            Some(path) => SharedBasisCache::load_or_cold(path, config.cache_capacity),
-            None => SharedBasisCache::new(config.cache_capacity),
-        });
         let listener = UnixListener::bind(&config.socket)?;
         let max_inflight = if config.max_inflight == 0 {
             rayon::current_num_threads()
@@ -211,7 +194,7 @@ impl Daemon {
             shared: Arc::new(Shared {
                 gate: Gate::new(max_inflight),
                 registry: EngineRegistry::with_builtins(),
-                warm,
+                warm: Arc::new(SharedBasisCache::new(config.cache_capacity)),
                 pts_store: Mutex::new(PtsStore::default()),
                 totals: Mutex::new(LpStats::default()),
                 abandoned: Mutex::new(LpStats::default()),
@@ -224,12 +207,6 @@ impl Daemon {
             }),
             listener,
         })
-    }
-
-    /// Number of bases the persistent cache started with (restart-warmth
-    /// introspection for tests and logs).
-    pub fn warm_entries(&self) -> usize {
-        self.shared.warm.len()
     }
 
     /// Serves requests until a `shutdown` request arrives, then removes
@@ -256,7 +233,6 @@ impl Daemon {
                 Err(e) => eprintln!("qavad: accept failed: {e}"),
             }
         }
-        self.shared.maybe_spill();
         let _ = std::fs::remove_file(&self.shared.config.socket);
         Ok(())
     }
@@ -407,9 +383,17 @@ fn serve_connection(shared: &Arc<Shared>, stream: UnixStream) {
     let (sender, lines) = mpsc::channel();
     let reader = {
         let (shared, presence) = (shared.clone(), presence.clone());
-        std::thread::spawn(move || {
+        std::thread::Builder::new().spawn(move || {
             read_requests(LineReader::new(read_half), &sender, &presence, &shared);
         })
+    };
+    // A refused thread costs only this connection: the stream drops here.
+    let reader = match reader {
+        Ok(reader) => reader,
+        Err(e) => {
+            eprintln!("qavad: dropping a connection: cannot spawn its reader thread: {e}");
+            return;
+        }
     };
     let mut writer = stream;
     serve_requests(shared, &mut writer, &lines, &presence);
@@ -453,7 +437,6 @@ fn serve_requests(
             Some("stats") => stats_response(shared),
             Some("analyze") => analyze(shared, &request, presence),
             Some("shutdown") => {
-                shared.maybe_spill();
                 let _ = write_response(writer, &obj(vec![("ok", Json::Bool(true))]));
                 shared.shutdown.store(true, Ordering::SeqCst);
                 // Unblock the accept loop so `run` observes the flag.
@@ -476,13 +459,6 @@ fn hello_response(shared: &Shared) -> Json {
         ("protocol", Json::Num(PROTOCOL_VERSION as f64)),
         ("pid", Json::Num(f64::from(std::process::id()))),
         ("warm_entries", Json::Num(shared.warm.len() as f64)),
-        (
-            "cache_file",
-            match &shared.config.cache_file {
-                Some(p) => Json::Str(p.display().to_string()),
-                None => Json::Null,
-            },
-        ),
     ])
 }
 
@@ -591,54 +567,76 @@ fn compile_cached(
     Ok((pts, false))
 }
 
-fn analyze(shared: &Arc<Shared>, request: &Json, presence: &Mutex<Presence>) -> Json {
-    let id = request.get("id").and_then(Json::as_usize);
-    shared.requests.fetch_add(1, Ordering::SeqCst);
+/// The fields of an `analyze` request, decoded and checked against the
+/// engine registry, before anything is compiled or admitted.
+struct AnalyzeArgs<'a> {
+    source: &'a str,
+    params: BTreeMap<String, f64>,
+    engines: Vec<&'a dyn BoundEngine>,
+    race: bool,
+    invariant_iters: usize,
+    deadline: Option<Duration>,
+    backend: BackendChoice,
+}
 
-    let Some(source) = request.get("source").and_then(Json::as_str) else {
-        return error_response(id, "analyze request has no \"source\"");
-    };
+/// Decodes an `analyze` request's fields. Only `source`, `engines` and
+/// the param values are required to be well typed; the other fields
+/// fall back to their defaults when absent or mistyped. The error is
+/// the message of the request's `ok:false` answer.
+fn decode_analyze<'a>(
+    registry: &'a EngineRegistry,
+    default_backend: BackendChoice,
+    request: &'a Json,
+) -> Result<AnalyzeArgs<'a>, String> {
+    let source = request
+        .get("source")
+        .and_then(Json::as_str)
+        .ok_or("analyze request has no \"source\"")?;
     let mut params = BTreeMap::new();
     if let Some(pairs) = request.get("params").and_then(Json::as_obj) {
         for (name, value) in pairs {
-            let Some(v) = value.as_f64() else {
-                return error_response(id, &format!("param \"{name}\" is not a number"));
-            };
+            let v = value.as_f64().ok_or_else(|| format!("param \"{name}\" is not a number"))?;
             params.insert(name.clone(), v);
         }
     }
     // Names resolve against the registry, never by interning wire text:
     // an unknown name costs this request, not daemon memory.
-    let engines: Vec<&dyn BoundEngine> = match request.get("engines").and_then(Json::as_arr) {
-        Some(arr) if !arr.is_empty() => {
-            let mut engines = Vec::with_capacity(arr.len());
-            for item in arr {
-                let Some(name) = item.as_str() else {
-                    return error_response(id, "\"engines\" must be strings");
-                };
-                match shared.registry.engine(name) {
-                    Some(engine) => engines.push(engine),
-                    None => return error_response(id, &format!("unknown engine `{name}`")),
-                }
-            }
-            engines
-        }
-        _ => return error_response(id, "analyze request needs a non-empty \"engines\" list"),
+    let engines = match request.get("engines").and_then(Json::as_arr) {
+        Some(arr) if !arr.is_empty() => arr
+            .iter()
+            .map(|item| {
+                let name = item.as_str().ok_or("\"engines\" must be strings")?;
+                registry.engine(name).ok_or_else(|| format!("unknown engine `{name}`"))
+            })
+            .collect::<Result<Vec<_>, String>>()?,
+        _ => return Err("analyze request needs a non-empty \"engines\" list".to_string()),
     };
-    let race = request.get("race").and_then(Json::as_bool).unwrap_or(false);
-    let invariant_iters =
-        request.get("invariant_iters").and_then(Json::as_usize).unwrap_or(0);
-    let deadline = request
-        .get("deadline_ms")
-        .and_then(Json::as_usize)
-        .map(|ms| Duration::from_millis(ms as u64));
     let backend = match request.get("lp_backend").and_then(Json::as_str) {
-        None => shared.config.backend,
-        Some(name) => match name.parse::<BackendChoice>() {
-            Ok(choice) => choice,
-            Err(e) => return error_response(id, &e),
-        },
+        None => default_backend,
+        Some(name) => name.parse()?,
     };
+    Ok(AnalyzeArgs {
+        source,
+        params,
+        engines,
+        race: request.get("race").and_then(Json::as_bool).unwrap_or(false),
+        invariant_iters: request.get("invariant_iters").and_then(Json::as_usize).unwrap_or(0),
+        deadline: request
+            .get("deadline_ms")
+            .and_then(Json::as_usize)
+            .map(|ms| Duration::from_millis(ms as u64)),
+        backend,
+    })
+}
+
+fn analyze(shared: &Arc<Shared>, request: &Json, presence: &Mutex<Presence>) -> Json {
+    let id = request.get("id").and_then(Json::as_usize);
+    shared.requests.fetch_add(1, Ordering::SeqCst);
+    let AnalyzeArgs { source, params, engines, race, invariant_iters, deadline, backend } =
+        match decode_analyze(&shared.registry, shared.config.backend, request) {
+            Ok(args) => args,
+            Err(e) => return error_response(id, &e),
+        };
 
     // Compile (or fetch) before admission: the PTS store is cheap and
     // hot, and a compile error should not occupy an analysis slot.
@@ -663,7 +661,7 @@ fn analyze(shared: &Arc<Shared>, request: &Json, presence: &Mutex<Presence>) -> 
 
     // Fold this request's slices into the process totals (the slices
     // partition per-session work, so the totals stay honest under
-    // concurrency) and spill the cache if the request warmed it.
+    // concurrency).
     {
         let mut totals = Shared::lock(&shared.totals);
         for run in &runs {
@@ -674,7 +672,6 @@ fn analyze(shared: &Arc<Shared>, request: &Json, presence: &Mutex<Presence>) -> 
             abandoned.merge(&run.abandoned);
         }
     }
-    shared.maybe_spill();
 
     let cancelled = cancel.load(Ordering::SeqCst)
         && runs.iter().all(|r| r.bound.is_err());
@@ -795,16 +792,8 @@ fn run_race(
 /// Renders a one-line startup banner (the binary prints it; tests don't).
 pub fn banner(daemon: &Daemon) -> String {
     format!(
-        "qavad listening on {} (protocol {PROTOCOL_VERSION}, {} warm bases, \
-         cache {}, {} analysis slots)",
+        "qavad listening on {} (protocol {PROTOCOL_VERSION}, {} analysis slots)",
         daemon.shared.config.socket.display(),
-        daemon.warm_entries(),
-        daemon
-            .shared
-            .config
-            .cache_file
-            .as_ref()
-            .map_or_else(|| "in-memory".to_string(), |p| p.display().to_string()),
         daemon.shared.gate.max,
     )
 }
@@ -812,6 +801,9 @@ pub fn banner(daemon: &Daemon) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng as _, SeedableRng as _};
 
     /// Frames `data`, written from another thread in pieces of the given
     /// sizes (cycled), through a socket pair: the lines read, and whether
@@ -1005,6 +997,238 @@ mod tests {
         assert_eq!(Shared::lock(&shared.pts_store).map.len(), PTS_STORE_CAPACITY);
         drop(daemon);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The fields [`decode_analyze`] reads.
+    const FIELDS: [&str; 7] =
+        ["source", "params", "engines", "race", "invariant_iters", "deadline_ms", "lp_backend"];
+
+    /// A decoded request in a comparable form (params by bits, engines
+    /// by name).
+    #[derive(Debug, PartialEq)]
+    struct Decoded {
+        source: String,
+        params: Vec<(String, u64)>,
+        engines: Vec<&'static str>,
+        race: bool,
+        invariant_iters: usize,
+        deadline: Option<Duration>,
+        backend: BackendChoice,
+    }
+
+    fn decode(registry: &EngineRegistry, request: &Json) -> Result<Decoded, String> {
+        decode_analyze(registry, BackendChoice::Auto, request).map(|a| Decoded {
+            source: a.source.to_string(),
+            params: a.params.iter().map(|(k, v)| (k.clone(), v.to_bits())).collect(),
+            engines: a.engines.iter().map(|e| e.name()).collect(),
+            race: a.race,
+            invariant_iters: a.invariant_iters,
+            deadline: a.deadline,
+            backend: a.backend,
+        })
+    }
+
+    fn strs(names: &[&str]) -> Json {
+        Json::Arr(names.iter().map(|n| Json::Str(n.to_string())).collect())
+    }
+
+    /// An `analyze` request with every field set to a valid value.
+    fn valid_request() -> Json {
+        obj(vec![
+            ("cmd", Json::Str("analyze".to_string())),
+            ("id", Json::Num(7.0)),
+            ("source", Json::Str("x := 0; assert x >= 0;".to_string())),
+            ("params", obj(vec![("n", Json::Num(2.0))])),
+            ("engines", strs(&["hoeffding-linear", "explinsyn"])),
+            ("race", Json::Bool(true)),
+            ("invariant_iters", Json::Num(8.0)),
+            ("deadline_ms", Json::Num(250.0)),
+            ("lp_backend", Json::Str("sparse".to_string())),
+        ])
+    }
+
+    /// [`valid_request`] with `field` set to `value`, or removed.
+    fn with_field(field: &str, value: Option<Json>) -> Json {
+        let Json::Obj(mut pairs) = valid_request() else { unreachable!() };
+        pairs.retain(|(k, _)| k != field);
+        pairs.extend(value.map(|v| (field.to_string(), v)));
+        Json::Obj(pairs)
+    }
+
+    /// How [`valid_request`] decodes with one field replaced, by that
+    /// field's rule alone.
+    fn expected(
+        registry: &EngineRegistry,
+        field: &str,
+        value: Option<&Json>,
+    ) -> Result<Decoded, String> {
+        let mut want = decode(registry, &valid_request()).expect("the valid request decodes");
+        match field {
+            "source" => {
+                let source = value.and_then(Json::as_str);
+                want.source = source.ok_or("analyze request has no \"source\"")?.to_string();
+            }
+            "params" => {
+                let mut params = BTreeMap::new();
+                for (name, v) in value.and_then(Json::as_obj).unwrap_or_default() {
+                    let v = v.as_f64().ok_or_else(|| format!("param \"{name}\" is not a number"))?;
+                    params.insert(name.clone(), v.to_bits());
+                }
+                want.params = params.into_iter().collect();
+            }
+            "engines" => {
+                let items = value.and_then(Json::as_arr).filter(|a| !a.is_empty());
+                let items = items.ok_or("analyze request needs a non-empty \"engines\" list")?;
+                want.engines = Vec::new();
+                for item in items {
+                    let name = item.as_str().ok_or("\"engines\" must be strings")?;
+                    let engine = registry.engine(name).ok_or(format!("unknown engine `{name}`"))?;
+                    want.engines.push(engine.name());
+                }
+            }
+            "race" => want.race = value.and_then(Json::as_bool).unwrap_or(false),
+            "invariant_iters" => want.invariant_iters = value.and_then(Json::as_usize).unwrap_or(0),
+            "deadline_ms" => {
+                want.deadline =
+                    value.and_then(Json::as_usize).map(|ms| Duration::from_millis(ms as u64));
+            }
+            "lp_backend" => {
+                want.backend = match value.and_then(Json::as_str) {
+                    Some(name) => name.parse()?,
+                    None => BackendChoice::Auto,
+                };
+            }
+            _ => unreachable!("{field}"),
+        }
+        Ok(want)
+    }
+
+    /// The answers a rejected `analyze` request may get.
+    fn known_error(e: &str) -> bool {
+        [
+            "analyze request has no \"source\"",
+            "analyze request needs a non-empty \"engines\" list",
+            "\"engines\" must be strings",
+        ]
+        .contains(&e)
+            || (e.starts_with("param \"") && e.ends_with("\" is not a number"))
+            || e.starts_with("unknown engine `")
+            || e.starts_with("unknown LP backend `")
+    }
+
+    /// A wire value of any kind, biased toward the names, counts and
+    /// strings the decoder tells apart.
+    fn random_value(rng: &mut StdRng, depth: usize) -> Json {
+        const WORDS: [&str; 10] = [
+            "hoeffding-linear", "explowsyn", "polylow", "azuma ", "sparse", "lu-ft", "Auto", "inf",
+            "nan", "\"\\\u{1}é🦀",
+        ];
+        const NUMS: [f64; 9] = [0.0, 1.0, 8.0, -1.0, 0.5, -0.0, 1e300, f64::MAX, 2e13];
+        match rng.gen_range(0..if depth == 0 { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.gen_bool(0.5)),
+            2 if rng.gen_bool(0.5) => Json::Num(rng.gen_range(-1e6..1e6_f64).round()),
+            2 => Json::Num(NUMS[rng.gen_range(0..NUMS.len())]),
+            3 => Json::Str(WORDS[rng.gen_range(0..WORDS.len())].to_string()),
+            4 => {
+                let n = rng.gen_range(0..4);
+                Json::Arr((0..n).map(|_| random_value(rng, depth - 1)).collect())
+            }
+            _ => Json::Obj(
+                (0..rng.gen_range(0..4))
+                    .map(|_| {
+                        let key = WORDS[rng.gen_range(0..WORDS.len())].to_string();
+                        (key, random_value(rng, depth - 1))
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Today's rejection texts, one per kind of bad field.
+    #[test]
+    fn decode_analyze_rejects_bad_fields_with_fixed_texts() {
+        let registry = EngineRegistry::with_builtins();
+        let cases = [
+            ("source", None, "analyze request has no \"source\""),
+            ("source", Some(Json::Num(1.0)), "analyze request has no \"source\""),
+            (
+                "params",
+                Some(obj(vec![("n", Json::Str("two".into()))])),
+                "param \"n\" is not a number",
+            ),
+            ("engines", None, "analyze request needs a non-empty \"engines\" list"),
+            ("engines", Some(strs(&[])), "analyze request needs a non-empty \"engines\" list"),
+            ("engines", Some(Json::Arr(vec![Json::Null])), "\"engines\" must be strings"),
+            ("engines", Some(strs(&["azuma", "nope"])), "unknown engine `nope`"),
+            (
+                "lp_backend",
+                Some(Json::Str("simplex".into())),
+                "unknown LP backend `simplex` (expected auto, sparse, dense, or lu-ft)",
+            ),
+        ];
+        for (field, value, text) in cases {
+            let request = with_field(field, value);
+            assert_eq!(decode(&registry, &request).err().as_deref(), Some(text), "{field}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A valid request with one field replaced by a random value (or
+        /// removed) decodes exactly as that field's rule says.
+        #[test]
+        fn decode_analyze_follows_each_field_rule(
+            seed in any::<u64>(),
+            pick in 0usize..FIELDS.len(),
+        ) {
+            let registry = EngineRegistry::with_builtins();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let value = rng.gen_bool(0.9).then(|| random_value(&mut rng, 2));
+            let field = FIELDS[pick];
+            let got = decode(&registry, &with_field(field, value.clone()));
+            let want = expected(&registry, field, value.as_ref());
+            prop_assert_eq!(got, want, "{} = {:?}", field, value);
+        }
+
+        /// Random objects over the request's field names, and random
+        /// non-objects, are decoded or rejected with a known text.
+        #[test]
+        fn decode_analyze_never_panics_on_random_objects(seed in any::<u64>()) {
+            let registry = EngineRegistry::with_builtins();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let request = if rng.gen_bool(0.9) {
+                Json::Obj(
+                    (0..rng.gen_range(0..9))
+                        .map(|_| {
+                            let key = FIELDS[rng.gen_range(0..FIELDS.len())].to_string();
+                            (key, random_value(&mut rng, 2))
+                        })
+                        .collect(),
+                )
+            } else {
+                random_value(&mut rng, 2)
+            };
+            if let Err(e) = decode(&registry, &request) {
+                prop_assert!(known_error(&e), "unexpected rejection {:?} of {:?}", e, request);
+            }
+        }
+
+        /// A valid request line with one byte replaced either fails to
+        /// parse or is decoded or rejected with a known text.
+        #[test]
+        fn decode_analyze_never_panics_on_damaged_requests(at in 0usize..4096, byte in 0u32..256) {
+            let registry = EngineRegistry::with_builtins();
+            let mut raw = valid_request().render().into_bytes();
+            let i = at % raw.len();
+            raw[i] = byte as u8;
+            if let Ok(request) = parse(&String::from_utf8_lossy(&raw)) {
+                if let Err(e) = decode(&registry, &request) {
+                    prop_assert!(known_error(&e), "unexpected rejection {:?} of {:?}", e, request);
+                }
+            }
+        }
     }
 
     #[test]

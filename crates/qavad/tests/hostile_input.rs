@@ -1,25 +1,20 @@
 //! Property tests for hostile daemon input: random bytes on the wire and
-//! corrupted warm-start spill files. They extend the fixed-case tests in
-//! `json.rs` (malformed request lines) and `qava_lp`'s `cache.rs`
-//! (truncated, garbage and bit-flipped spill files) to random inputs.
+//! random replies. They extend the fixed-case tests in `json.rs`
+//! (malformed request lines) to random inputs; the request-side
+//! `analyze` decoder has its own properties in `server.rs`.
 //!
 //! * `json::parse` never panics, on raw bytes or on near-miss documents.
 //! * Every `Json` value the writer renders parses back to itself.
-//! * `SharedBasisCache::load_or_cold` never panics on a spill file with
-//!   one byte flipped or cut short, and keeps no entry the file did not
-//!   hold with exactly the shape it was written with.
 //! * The client's reply decoders (`engine_run_from_json`,
 //!   `lp_stats_from_json`) never panic on random objects, and neither does
 //!   printing what they decode, as `qava --connect` does.
 
 use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
-use qava_lp::{LpStats, SharedBasisCache};
+use qava_lp::LpStats;
 use qavad::json::{self, Json};
 use qavad::protocol::{engine_run_from_json, lp_stats_from_json};
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
-use std::path::PathBuf;
 
 /// Fragments that steer random input into the parser's deeper states.
 const TOKENS: [&str; 20] = [
@@ -130,48 +125,6 @@ fn random_reply(rng: &mut StdRng, depth: usize) -> Json {
     Json::Obj(fields)
 }
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("qavad-hostile-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
-
-/// The spill file every cache case corrupts: three patterns with bases
-/// of different lengths, as written by `SharedBasisCache::save`.
-const ENTRIES: [(u64, &[usize]); 3] = [(11, &[0, 3, 5]), (22, &[7]), (33, &[2, 2, 9, 1_000_000])];
-
-fn spill_file(name: &str) -> Vec<u8> {
-    let cache = SharedBasisCache::new(64);
-    for (key, basis) in ENTRIES {
-        cache.put(key, basis.to_vec());
-    }
-    let path = tmp(name);
-    cache.save(&path).unwrap();
-    std::fs::read(&path).unwrap()
-}
-
-/// Loads `bytes` as a spill file and checks what survived: the store is
-/// either cold or holds only the written entries, each with its written
-/// length and indices.
-fn check_loaded(bytes: &[u8], name: &str) -> Result<(), TestCaseError> {
-    let path = tmp(name);
-    std::fs::write(&path, bytes).unwrap();
-    let cache = SharedBasisCache::load_or_cold(&path, 64);
-    let mut kept = 0;
-    for (key, basis) in ENTRIES {
-        if let Some(got) = cache.get(key) {
-            prop_assert_eq!(got.as_slice(), basis, "entry {} changed shape", key);
-            kept += 1;
-        }
-    }
-    prop_assert_eq!(
-        cache.len(),
-        kept,
-        "the store holds entries the file never had"
-    );
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -243,24 +196,4 @@ proptest! {
 fn stats_footer_prints_more_successes_than_attempts() {
     let stats = LpStats { reopt_attempts: 1, reopt_successes: 5, ..LpStats::default() };
     assert!(stats.to_string().contains("1 dual reopts (0 fell back cold)"));
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// One byte of a valid spill file changed to another random value.
-    #[test]
-    fn cache_load_survives_a_flipped_byte(at in 0usize..4096, byte in 1u32..256) {
-        let mut raw = spill_file("flip-source.warm");
-        let i = at % raw.len();
-        raw[i] ^= byte as u8;
-        check_loaded(&raw, "flipped.warm")?;
-    }
-
-    /// A valid spill file cut short at a random offset.
-    #[test]
-    fn cache_load_survives_truncation(at in 0usize..4096) {
-        let raw = spill_file("cut-source.warm");
-        check_loaded(&raw[..at % raw.len()], "truncated.warm")?;
-    }
 }
