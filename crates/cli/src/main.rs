@@ -15,9 +15,13 @@
 //! (`hoeffding-linear`, `azuma`, `explinsyn`, `polyrsm-quadratic`,
 //! `explowsyn`, `polylow`), selected with `--engines` or the legacy mode
 //! flags. With `--race` the selected engines of each bound direction
-//! race in-process and the first certified bound wins; losers are
-//! cancelled cooperatively and their LP statistics are reported in a
-//! separate `abandoned` bucket.
+//! race and the first certified bound wins; losers are cancelled
+//! cooperatively and their LP statistics are reported in a separate
+//! `abandoned` bucket. A file's lineup runs through the suite's driver
+//! ([`qava_core::suite::runner::run_lineup`]), in process or on the
+//! daemon, so it runs exactly like a suite task or a daemon request.
+//! Lower-bound engines run only after this process has certified the
+//! program's almost-sure termination, on either path.
 //!
 //! With no mode flags, runs the default engine lineup (`explinsyn`,
 //! `hoeffding-linear`, `explowsyn`). `--suite` runs the paper's full
@@ -41,15 +45,15 @@
 //! `--suite --json` emits the machine-readable suite document
 //! ([`qavad::protocol::suite_json`]) that the daemon conformance tests
 //! diff against in-process results.
-//! Exit code 0 on success, 1 on usage errors, 2 on compile errors, 3
-//! when a requested analysis fails.
+//! Every mode parses through one argument parser, and a flag the mode
+//! does not honor is a usage error. Exit code 0 on success, 1 on usage
+//! errors, 2 on compile errors, 3 when a requested analysis fails.
 
-use qava_core::engine::{
-    race, AnalysisRequest, BoundEngine, Certificate, Direction, EngineRegistry,
-};
+use qava_core::engine::{AnalysisReport, AnalysisRequest, Certificate, Direction, EngineRegistry};
 use qava_core::rsm::prove_almost_sure_termination_in;
-use qava_core::suite::runner::suite_abandoned_lp_stats;
+use qava_core::suite::runner::{run_lineup, suite_abandoned_lp_stats, EngineRun, LineupRun};
 use qava_lp::{BackendChoice, LpSolver, LpStats};
+use qava_pts::Pts;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -61,17 +65,20 @@ engines (default: explinsyn + hoeffding-linear + explowsyn):
   --engines LIST   comma-separated bound engines from the registry:
                    hoeffding-linear, azuma, explinsyn, polyrsm-quadratic
                    (upper); explowsyn, polylow (lower)
-  --race           race the selected engines of each direction in
-                   process: first certified bound wins, losers are
-                   cancelled at LP-solve boundaries and their solver
-                   statistics land in a separate `abandoned` bucket
+  --race           race the selected engines of each direction (in
+                   process, or on the daemon with --connect): first
+                   certified bound wins, losers are cancelled at
+                   LP-solve boundaries and their solver statistics land
+                   in a separate `abandoned` bucket
 
 legacy mode flags (shorthands for --engines):
   --upper          complete exponential upper bound (ExpLinSyn, §5.2)
   --hoeffding      RepRSM + Hoeffding upper bound (§5.1)
   --azuma          RepRSM + Azuma baseline (POPL'17, for comparison)
   --lower          exponential lower bound (ExpLowSyn, §6); requires
-                   almost-sure termination, which is certified first
+                   almost-sure termination, which this process certifies
+                   first, also with --connect (lower engines are skipped,
+                   exit 3, when it cannot)
   --quadratic      also try quadratic exponents (Remarks 3/5, Handelman)
 
 other analyses and output:
@@ -105,8 +112,8 @@ daemon:
 suite:
   --suite          run the paper's benchmark suite (Tables 1-2) through
                    the parallel driver instead of analyzing one file
-                   (honors --race, --chaos, --lp-backend, --json and
-                   --connect)
+                   (takes only --race, --chaos, --lp-backend, --json and
+                   --connect; any other flag is an error)
   --json           with --suite: print the machine-readable suite
                    document (rows, failures, per-backend LP statistics)
                    instead of the human report
@@ -119,12 +126,17 @@ suite:
                    through the sweep driver: every point is solved like
                    its --suite row, in a fresh solver session on one
                    thread pool, and the footer reports the pass's wall
-                   time against its summed point time (honors
-                   --lp-backend; not combinable with --race or --chaos)
+                   time against its summed point time (takes only
+                   --lp-backend; any other flag is an error)
 ";
 
+#[derive(Default)]
 struct Options {
     path: String,
+    suite: bool,
+    sweep: bool,
+    chaos: Option<u64>,
+    json: bool,
     engines: Vec<String>,
     race: bool,
     upper: bool,
@@ -142,28 +154,22 @@ struct Options {
     connect: Option<String>,
 }
 
+/// The flags `--suite` honors; `--sweep` honors only `--lp-backend`.
+const SUITE_FLAGS: [&str; 6] =
+    ["--suite", "--race", "--chaos", "--lp-backend", "--json", "--connect"];
+
+/// Parses every mode's command line: one program file, `--suite` or
+/// `--sweep`. A flag the chosen mode does not honor is an error, like
+/// an unknown one.
 fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        path: String::new(),
-        engines: Vec::new(),
-        race: false,
-        upper: false,
-        hoeffding: false,
-        azuma: false,
-        lower: false,
-        quadratic: false,
-        simulate: None,
-        symbolic: false,
-        dump_pts: false,
-        seed: 0,
-        deadline_ms: None,
-        params: BTreeMap::new(),
-        lp_backend: BackendChoice::default(),
-        connect: None,
-    };
+    let mut opts = Options::default();
+    let mut given: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
+            "--suite" => opts.suite = true,
+            "--sweep" => opts.sweep = true,
+            "--json" => opts.json = true,
             "--upper" => opts.upper = true,
             "--hoeffding" => opts.hoeffding = true,
             "--azuma" => opts.azuma = true,
@@ -172,6 +178,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--race" => opts.race = true,
             "--symbolic" => opts.symbolic = true,
             "--dump-pts" => opts.dump_pts = true,
+            "--chaos" => {
+                let seed = it.next().ok_or("--chaos needs a seed")?;
+                let seed = seed.parse().map_err(|_| format!("bad chaos seed `{seed}`"))?;
+                opts.chaos = Some(seed);
+            }
             "--engines" => {
                 let list = it.next().ok_or("--engines needs a comma-separated list")?;
                 opts.engines.extend(list.split(',').map(|s| s.trim().to_string()));
@@ -208,9 +219,38 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--help" | "-h" => return Err(String::new()),
             _ if a.starts_with('-') => return Err(format!("unknown flag `{a}`")),
-            _ if opts.path.is_empty() => opts.path = a.clone(),
+            _ if opts.path.is_empty() => {
+                opts.path = a.clone();
+                continue;
+            }
             _ => return Err(format!("unexpected argument `{a}`")),
         }
+        given.push(a.as_str());
+    }
+    let flag_outside = |honored: &[&str]| given.iter().copied().find(|f| !honored.contains(f));
+    if opts.sweep || opts.suite {
+        let mode = if opts.sweep { "--sweep" } else { "--suite" };
+        if !opts.path.is_empty() {
+            let path = &opts.path;
+            return Err(format!("unexpected argument `{path}` ({mode} takes no program file)"));
+        }
+        let honored: &[&str] =
+            if opts.sweep { &["--sweep", "--lp-backend"] } else { &SUITE_FLAGS };
+        if let Some(flag) = flag_outside(honored) {
+            return Err(format!("`{flag}` does not apply to {mode}"));
+        }
+        if opts.chaos.is_some() && (opts.race || opts.connect.is_some()) {
+            return Err("--chaos replays the sequential driver; drop --race/--connect".to_string());
+        }
+        return Ok(opts);
+    }
+    if let Some(flag) = given.iter().find(|f| ["--json", "--chaos"].contains(f)) {
+        return Err(format!("`{flag}` applies only to --suite"));
+    }
+    if opts.connect.is_some() && (opts.dump_pts || opts.symbolic || opts.simulate.is_some()) {
+        return Err(
+            "--connect runs on the daemon; drop --dump-pts/--symbolic/--simulate".to_string()
+        );
     }
     if opts.path.is_empty() {
         return Err("no program file given".to_string());
@@ -221,9 +261,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 /// Resolves the engine lineup: `--engines` wins, then the legacy mode
 /// flags, then the default lineup. Names are validated against the
 /// registry.
-fn engine_lineup(opts: &Options, registry: &EngineRegistry) -> Result<Vec<String>, String> {
-    let names: Vec<String> = if !opts.engines.is_empty() {
-        opts.engines.clone()
+fn engine_lineup(
+    opts: &Options,
+    registry: &EngineRegistry,
+) -> Result<Vec<&'static str>, String> {
+    let names: Vec<&str> = if !opts.engines.is_empty() {
+        opts.engines.iter().map(String::as_str).collect()
     } else {
         let mut names = Vec::new();
         // `--quadratic` is additive ("also try quadratic exponents"), so
@@ -251,17 +294,16 @@ fn engine_lineup(opts: &Options, registry: &EngineRegistry) -> Result<Vec<String
         if opts.quadratic {
             names.push("polylow");
         }
-        names.into_iter().map(String::from).collect()
+        names
     };
-    for name in &names {
-        if registry.engine(name).is_none() {
-            return Err(format!(
-                "unknown engine `{name}` (registered: {})",
-                registry.names().join(", ")
-            ));
-        }
-    }
-    Ok(names)
+    names
+        .into_iter()
+        .map(|name| {
+            registry.engine(name).map(|e| e.name()).ok_or_else(|| {
+                format!("unknown engine `{name}` (registered: {})", registry.names().join(", "))
+            })
+        })
+        .collect()
 }
 
 fn print_template(kind: &str, t: &qava_core::template::SolvedTemplate) {
@@ -270,23 +312,21 @@ fn print_template(kind: &str, t: &qava_core::template::SolvedTemplate) {
     }
 }
 
+/// Prints the certified statistics, then a one-line summary of the
+/// abandoned bucket (cancelled racers) when it did work. The health
+/// counters are included so a watchdog restart or Bland retry inside a
+/// cancelled racer is still visible — the certified footer deliberately
+/// excludes this bucket.
 fn print_stats_footer(certified: &LpStats, abandoned: &LpStats) {
     print!("{certified}");
-    if abandoned.solves > 0 {
-        print!("lp[abandoned]: {}", format_abandoned(abandoned));
+    let lp = abandoned;
+    if lp.solves > 0 {
+        println!(
+            "lp[abandoned]: {} solves, {} pivots, {:.3}s, {} watchdog restarts, {} bland retries \
+             (cancelled racers; excluded from the totals above)",
+            lp.solves, lp.pivots, lp.wall_seconds, lp.watchdog_restarts, lp.bland_retries
+        );
     }
-}
-
-/// One-line summary of the abandoned bucket (cancelled racers). The
-/// health counters are included so a watchdog restart or Bland retry
-/// inside a cancelled racer is still visible — the certified footer
-/// above deliberately excludes this bucket.
-fn format_abandoned(lp: &LpStats) -> String {
-    format!(
-        "{} solves, {} pivots, {:.3}s, {} watchdog restarts, {} bland retries \
-         (cancelled racers; excluded from the totals above)\n",
-        lp.solves, lp.pivots, lp.wall_seconds, lp.watchdog_restarts, lp.bland_retries
-    )
 }
 
 /// Runs the full Table 1/2 suite — in-process through the parallel
@@ -508,80 +548,41 @@ fn run_chaos_suite(backend: BackendChoice, seed: u64) -> ExitCode {
     }
 }
 
-/// Extracts `--connect SOCK` from a raw `--suite` argument list.
-fn connect_from_args(args: &[String]) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == "--connect") {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .cloned()
-            .map(Some)
-            .ok_or_else(|| "--connect needs a socket path".to_string()),
-    }
-}
-
-/// Extracts `--chaos SEED` from a raw `--suite` argument list.
-fn chaos_from_args(args: &[String]) -> Result<Option<u64>, String> {
-    match args.iter().position(|a| a == "--chaos") {
-        None => Ok(None),
-        Some(i) => {
-            let seed = args.get(i + 1).ok_or("--chaos needs a seed")?;
-            seed.parse().map(Some).map_err(|_| format!("bad chaos seed `{seed}`"))
-        }
-    }
-}
-
 /// Routes one file's analysis through a resident `qavad` daemon. The
 /// daemon compiles the source (reusing its compile-once store), runs the
-/// requested lineup with this invocation's backend policy and deadline,
-/// and replies with per-run bounds and LP statistics; compile errors and
-/// rejected requests come back as request errors.
-fn run_connected_file(socket: &str, source: &str, opts: &Options) -> ExitCode {
-    let registry = EngineRegistry::with_builtins();
-    let lineup = match engine_lineup(opts, &registry) {
-        Ok(l) => l,
-        Err(msg) => {
-            eprintln!("error: {msg}\n");
-            eprintln!("{USAGE}");
-            return ExitCode::from(1);
-        }
-    };
-    let mut client = match qavad::Client::connect(std::path::Path::new(socket)) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    if let Err(e) = client.hello() {
+/// lineup with this invocation's backend policy and deadline, and
+/// replies with per-run bounds and LP statistics, printed here as they
+/// come; compile errors and rejected requests come back as request
+/// errors, mapped to the exit code they stand for.
+fn analyze_on_daemon(
+    socket: &str,
+    source: &str,
+    opts: &Options,
+    lineup: &[&str],
+) -> Result<Vec<EngineRun>, ExitCode> {
+    let usage_error = |e: String| {
         eprintln!("error: {e}");
-        return ExitCode::from(1);
-    }
+        ExitCode::from(1)
+    };
+    let mut client = qavad::Client::connect(std::path::Path::new(socket)).map_err(usage_error)?;
+    client.hello().map_err(usage_error)?;
     let spec = qavad::client::AnalyzeSpec {
         id: 0,
         source,
         params: &opts.params,
-        engines: lineup,
+        engines: lineup.iter().map(|n| (*n).to_string()).collect(),
         race: opts.race,
         deadline_ms: opts.deadline_ms,
         invariant_iters: 0,
         lp_backend: Some(opts.lp_backend.to_string()),
     };
-    let response = match client.analyze(&spec) {
-        Ok(response) => response,
-        Err(e) => {
-            eprintln!("error: {e}");
-            // A compile failure reported by the daemon keeps the local
-            // compile-error exit code; everything else is usage/transport.
-            return ExitCode::from(if e.starts_with("compile error") { 2 } else { 1 });
-        }
-    };
-    let mut failures = 0usize;
-    let mut certified = LpStats::default();
-    let mut abandoned = LpStats::default();
+    let response = client.analyze(&spec).map_err(|e| {
+        eprintln!("error: {e}");
+        // A compile failure reported by the daemon keeps the local
+        // compile-error exit code; everything else is usage/transport.
+        ExitCode::from(if e.starts_with("compile error") { 2 } else { 1 })
+    })?;
     for run in &response.runs {
-        certified.merge(&run.lp);
-        abandoned.merge(&run.abandoned);
         let raced = if run.raced.is_empty() {
             String::new()
         } else {
@@ -594,28 +595,58 @@ fn run_connected_file(socket: &str, source: &str, opts: &Options) -> ExitCode {
                 b.ln(),
                 run.seconds
             ),
-            Err(e) => {
-                failures += 1;
-                println!("{} (daemon): failed — {e}{raced}", run.engine);
+            Err(e) => println!("{} (daemon): failed — {e}{raced}", run.engine),
+        }
+    }
+    Ok(response.runs)
+}
+
+/// Runs the lineup in this process through the suite's driver and
+/// prints each run from its engine reports (the certificate and the
+/// details line live there): one line per engine, or per race a line
+/// naming the winner and then the winner's report.
+fn analyze_here(
+    pts: &Pts,
+    opts: &Options,
+    registry: &EngineRegistry,
+    lineup: &[&'static str],
+) -> Vec<EngineRun> {
+    let mut req = AnalysisRequest::new(pts, Direction::Upper);
+    if let Some(ms) = opts.deadline_ms {
+        req = req.deadline(Duration::from_millis(ms));
+    }
+    let runs = run_lineup(registry, lineup, &req, opts.lp_backend, opts.race, &|_| {});
+    for LineupRun { run, reports } in &runs {
+        let Some(first) = run.raced.first() else {
+            print_report(&reports[0], opts.symbolic);
+            continue;
+        };
+        let direction = registry.engine(first).map_or(Direction::Upper, |e| e.direction());
+        match reports.iter().find(|r| run.bound.is_ok() && r.engine == run.engine) {
+            Some(winner) => {
+                let losers: Vec<_> =
+                    reports.iter().map(|r| r.engine).filter(|&e| e != winner.engine).collect();
+                println!(
+                    "race ({direction}): {} won over {}",
+                    winner.engine,
+                    if losers.is_empty() { "nobody".to_string() } else { losers.join(", ") }
+                );
+                print_report(winner, opts.symbolic);
+            }
+            None => {
+                println!("race ({direction}): no engine certified a bound");
+                for report in reports {
+                    print_report(report, false);
+                }
             }
         }
     }
-    if certified.solves > 0 || abandoned.solves > 0 {
-        print_stats_footer(&certified, &abandoned);
-    }
-    if failures > 0 {
-        ExitCode::from(3)
-    } else {
-        ExitCode::SUCCESS
-    }
+    runs.into_iter().map(|r| r.run).collect()
 }
 
 /// Prints one engine report line (plus template with `--symbolic`).
-fn print_report(report: &qava_core::engine::AnalysisReport, symbolic: bool) -> bool {
-    let dir = match report.direction {
-        Direction::Upper => "upper",
-        Direction::Lower => "lower",
-    };
+fn print_report(report: &AnalysisReport, symbolic: bool) {
+    let dir = report.direction;
     match &report.outcome {
         Ok(c) => {
             // A floored objective means "essentially zero", not the
@@ -650,69 +681,13 @@ fn print_report(report: &qava_core::engine::AnalysisReport, symbolic: bool) -> b
                     }
                 }
             }
-            true
         }
-        Err(e) => {
-            println!("{dir} bound ({}): failed — {e}", report.engine);
-            false
-        }
+        Err(e) => println!("{dir} bound ({}): failed — {e}", report.engine),
     }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--suite" || a == "--sweep") {
-        // --suite/--sweep ignore the single-file options; only
-        // --lp-backend, --race and --chaos apply.
-        let backend = match BackendChoice::from_args(&args) {
-            Ok(b) => b.unwrap_or_default(),
-            Err(msg) => {
-                eprintln!("error: {msg}\n");
-                eprintln!("{USAGE}");
-                return ExitCode::from(1);
-            }
-        };
-        let chaos = match chaos_from_args(&args) {
-            Ok(c) => c,
-            Err(msg) => {
-                eprintln!("error: {msg}\n");
-                eprintln!("{USAGE}");
-                return ExitCode::from(1);
-            }
-        };
-        let connect = match connect_from_args(&args) {
-            Ok(c) => c,
-            Err(msg) => {
-                eprintln!("error: {msg}\n");
-                eprintln!("{USAGE}");
-                return ExitCode::from(1);
-            }
-        };
-        if args.iter().any(|a| a == "--sweep") {
-            if chaos.is_some() || args.iter().any(|a| a == "--race") || connect.is_some() {
-                eprintln!(
-                    "error: --sweep runs the sweep driver alone; drop --race/--chaos/--connect\n"
-                );
-                eprintln!("{USAGE}");
-                return ExitCode::from(1);
-            }
-            return run_sweep_suite(backend);
-        }
-        if let Some(seed) = chaos {
-            if args.iter().any(|a| a == "--race") || connect.is_some() {
-                eprintln!("error: --chaos replays the sequential driver; drop --race/--connect\n");
-                eprintln!("{USAGE}");
-                return ExitCode::from(1);
-            }
-            return run_chaos_suite(backend, seed);
-        }
-        return run_suite(
-            backend,
-            args.iter().any(|a| a == "--race"),
-            args.iter().any(|a| a == "--json"),
-            connect.as_deref(),
-        );
-    }
     let opts = match parse_args(&args) {
         Ok(o) => o,
         Err(msg) => {
@@ -723,7 +698,21 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
+    if opts.sweep {
+        return run_sweep_suite(opts.lp_backend);
+    }
+    if opts.suite {
+        return match opts.chaos {
+            Some(seed) => run_chaos_suite(opts.lp_backend, seed),
+            None => run_suite(opts.lp_backend, opts.race, opts.json, opts.connect.as_deref()),
+        };
+    }
+    run_file(&opts)
+}
 
+/// `qava FILE`: analyzes one program in this process, or on a daemon
+/// with `--connect`, and prints every run and one stats footer.
+fn run_file(opts: &Options) -> ExitCode {
     let source = match std::fs::read_to_string(&opts.path) {
         Ok(s) => s,
         Err(e) => {
@@ -731,37 +720,8 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    if let Some(sock) = opts.connect.clone() {
-        if opts.dump_pts || opts.symbolic || opts.simulate.is_some() {
-            eprintln!(
-                "error: --connect runs on the daemon; drop --dump-pts/--symbolic/--simulate\n"
-            );
-            eprintln!("{USAGE}");
-            return ExitCode::from(1);
-        }
-        return run_connected_file(&sock, &source, &opts);
-    }
-    let pts = match qava_lang::compile(&source, &opts.params) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("compile error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    println!(
-        "{}: {} variables, {} live locations, {} transitions",
-        opts.path,
-        pts.num_vars(),
-        pts.live_locations().count(),
-        pts.transitions().len()
-    );
-
-    if opts.dump_pts {
-        print!("{pts}");
-    }
-
     let registry = EngineRegistry::with_builtins();
-    let lineup = match engine_lineup(&opts, &registry) {
+    let mut lineup = match engine_lineup(opts, &registry) {
         Ok(l) => l,
         Err(msg) => {
             eprintln!("error: {msg}\n");
@@ -769,86 +729,62 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
+    // Compiled here on both paths: the daemon compiles for itself, but
+    // the lower bounds are gated on this process's own proof.
+    let pts = match qava_lang::compile(&source, &opts.params) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("compile error: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    if opts.connect.is_none() {
+        println!(
+            "{}: {} variables, {} live locations, {} transitions",
+            opts.path,
+            pts.num_vars(),
+            pts.live_locations().count(),
+            pts.transitions().len()
+        );
+        if opts.dump_pts {
+            print!("{pts}");
+        }
+    }
 
-    let mut failures = 0u32;
-    // One solver session for the whole invocation: every sequential
-    // analysis below shares its warm-start cache and contributes to one
-    // stats report (racers hold private sessions; their certified share
-    // is folded back in).
-    let mut solver = LpSolver::with_choice(opts.lp_backend);
+    let mut failures = 0usize;
+    let mut certified = LpStats::default();
     let mut abandoned = LpStats::default();
-
-    // The lower-bound engines are sound only under almost-sure
-    // termination: certify it once, up front, if any are requested.
-    let wants_lower =
-        lineup.iter().any(|n| registry.engine(n).is_some_and(|e| e.direction() == Direction::Lower));
-    let lower_ok = if wants_lower {
+    let is_lower =
+        |n: &&str| registry.engine(n).is_some_and(|e| e.direction() == Direction::Lower);
+    // The §6 lower bounds are sound only under almost-sure termination:
+    // certify it here before any lower engine runs, here or on a daemon.
+    if lineup.iter().any(is_lower) {
+        let mut solver = LpSolver::with_choice(opts.lp_backend);
         match prove_almost_sure_termination_in(&pts, &mut solver) {
-            Ok(cert) => {
-                println!(
-                    "almost-sure termination: certified (expected steps ≤ {:.1})",
-                    cert.initial_rank
-                );
-                true
-            }
+            Ok(cert) => println!(
+                "almost-sure termination: certified (expected steps ≤ {:.1})",
+                cert.initial_rank
+            ),
             Err(e) => {
                 println!("lower bounds: skipped — cannot certify a.s. termination ({e})");
                 failures += 1;
-                false
+                lineup.retain(|n| !is_lower(n));
             }
         }
-    } else {
-        false
+        certified.merge(solver.stats());
+    }
+    let runs = match &opts.connect {
+        Some(_) if lineup.is_empty() => Vec::new(),
+        Some(sock) => match analyze_on_daemon(sock, &source, opts, &lineup) {
+            Ok(runs) => runs,
+            Err(code) => return code,
+        },
+        None => analyze_here(&pts, opts, &registry, &lineup),
     };
-
-    for direction in [Direction::Upper, Direction::Lower] {
-        let group: Vec<&dyn BoundEngine> = lineup
-            .iter()
-            .filter_map(|n| registry.engine(n))
-            .filter(|e| e.direction() == direction)
-            .collect();
-        if group.is_empty() || (direction == Direction::Lower && !lower_ok) {
-            continue;
-        }
-        let mut req = AnalysisRequest::new(&pts, direction);
-        if let Some(ms) = opts.deadline_ms {
-            req = req.deadline(Duration::from_millis(ms));
-        }
-        if opts.race && group.len() > 1 {
-            let outcome = race(&group, &req, opts.lp_backend);
-            abandoned.merge(&outcome.abandoned);
-            match outcome.winning_report() {
-                Some(winner) => {
-                    let losers: Vec<_> = outcome
-                        .reports
-                        .iter()
-                        .filter(|r| r.engine != winner.engine)
-                        .map(|r| r.engine)
-                        .collect();
-                    println!(
-                        "race ({direction}): {} won over {}",
-                        winner.engine,
-                        if losers.is_empty() { "nobody".to_string() } else { losers.join(", ") }
-                    );
-                    print_report(winner, opts.symbolic);
-                    solver.merge_stats(&winner.lp);
-                }
-                None => {
-                    println!("race ({direction}): no engine certified a bound");
-                    for report in &outcome.reports {
-                        print_report(report, false);
-                    }
-                    failures += 1;
-                }
-            }
-        } else {
-            for engine in group {
-                let report = engine.run(&req, &mut solver);
-                if !print_report(&report, opts.symbolic) {
-                    failures += 1;
-                }
-            }
-        }
+    for run in &runs {
+        failures += usize::from(run.bound.is_err());
+        certified.merge(&run.lp);
+        abandoned.merge(&run.abandoned);
     }
 
     if let Some(trials) = opts.simulate {
@@ -861,11 +797,9 @@ fn main() -> ExitCode {
 
     // Abandoned-only work (e.g. a race where nothing certified) still
     // prints a footer: spent LP work must never be invisible.
-    let stats = solver.stats();
-    if stats.solves > 0 || abandoned.solves > 0 {
-        print_stats_footer(stats, &abandoned);
+    if certified.solves > 0 || abandoned.solves > 0 {
+        print_stats_footer(&certified, &abandoned);
     }
-
     if failures > 0 {
         ExitCode::from(3)
     } else {
@@ -881,7 +815,7 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
-    fn lineup(list: &[&str]) -> Vec<String> {
+    fn lineup(list: &[&str]) -> Vec<&'static str> {
         let opts = parse_args(&args(list)).unwrap();
         engine_lineup(&opts, &EngineRegistry::with_builtins()).unwrap()
     }
@@ -980,10 +914,41 @@ mod tests {
 
     #[test]
     fn chaos_seed_parses() {
-        assert_eq!(chaos_from_args(&args(&["--suite"])).unwrap(), None);
-        assert_eq!(chaos_from_args(&args(&["--suite", "--chaos", "4242"])).unwrap(), Some(4242));
-        assert!(chaos_from_args(&args(&["--suite", "--chaos"])).is_err());
-        assert!(chaos_from_args(&args(&["--suite", "--chaos", "dice"])).is_err());
+        assert_eq!(parse_args(&args(&["--suite"])).unwrap().chaos, None);
+        assert_eq!(parse_args(&args(&["--suite", "--chaos", "4242"])).unwrap().chaos, Some(4242));
+        assert!(parse_args(&args(&["--suite", "--chaos"])).is_err());
+        assert!(parse_args(&args(&["--suite", "--chaos", "dice"])).is_err());
+    }
+
+    #[test]
+    fn suite_and_sweep_take_only_their_flags() {
+        let o = parse_args(&args(&[
+            "--suite", "--race", "--lp-backend", "dense", "--json", "--connect", "s.sock",
+        ]))
+        .unwrap();
+        assert!(o.suite && o.race && o.json && !o.sweep);
+        assert_eq!(o.lp_backend, BackendChoice::Dense);
+        assert_eq!(o.connect.as_deref(), Some("s.sock"));
+        let o = parse_args(&args(&["--sweep", "--lp-backend", "lu-ft"])).unwrap();
+        assert!(o.sweep && !o.suite);
+        // An unknown flag, a file-mode flag or a program file is an
+        // error in every mode, as it is for one file.
+        for bad in [
+            &["--sweep", "--bogus"][..],
+            &["--sweep", "--param", "x=1"],
+            &["--sweep", "--race"],
+            &["--sweep", "--connect", "s.sock"],
+            &["--suite", "--bogus"],
+            &["--suite", "--engines", "azuma"],
+            &["--suite", "p.qava"],
+            &["--suite", "--chaos", "1", "--race"],
+            &["--suite", "--chaos", "1", "--connect", "s.sock"],
+            &["p.qava", "--json"],
+            &["p.qava", "--chaos", "1"],
+            &["p.qava", "--connect", "s.sock", "--symbolic"],
+        ] {
+            assert!(parse_args(&args(bad)).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
@@ -992,6 +957,6 @@ mod tests {
         assert_eq!(o.simulate, Some(1000));
         assert_eq!(o.seed, 9);
         // --simulate alone runs no synthesis engines.
-        assert_eq!(lineup(&["p.qava", "--simulate", "10"]), Vec::<String>::new());
+        assert!(lineup(&["p.qava", "--simulate", "10"]).is_empty());
     }
 }

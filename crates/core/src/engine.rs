@@ -246,7 +246,7 @@ pub trait BoundEngine: Send + Sync {
 /// session's own running total (anything accumulated before plus `f`'s
 /// share) is preserved. The building block every engine adapter uses to
 /// fill [`AnalysisReport::lp`] honestly even when the caller shares one
-/// session across several analyses (as `qava` single-file mode does).
+/// session across several analyses.
 pub fn scoped_stats<T>(
     solver: &mut LpSolver,
     f: impl FnOnce(&mut LpSolver) -> T,
@@ -638,15 +638,13 @@ pub fn race(
 
 /// [`race`] with the two hooks a resident service needs.
 ///
-/// * `cancel` is the race's shared cancellation flag, supplied by the
-///   caller instead of freshly allocated: raising it externally (a
-///   client disconnect, a server shutting down) winds down
-///   *every* racer at its next LP-solve boundary, exactly as the winner
-///   normally winds down the losers. A race whose flag was raised before
-///   any engine certified ends with `winner == None` and all-Cancelled
-///   reports. (The winner still raises this same flag on certifying, so
-///   a caller-observed `true` does not by itself mean the race was
-///   aborted — check `winner`.)
+/// * `cancel` is the caller's cancellation flag: raising it externally
+///   (a client disconnect, a server shutting down) winds down *every*
+///   racer at its next LP-solve boundary, exactly as the winner winds
+///   down the losers. A race whose flag was raised before any engine
+///   certified ends with `winner == None` and all-Cancelled reports.
+///   The race never raises it: the winner raises a flag private to the
+///   race, so one caller flag can cover several races in a row.
 /// * `configure` runs on each racer's freshly created private session
 ///   before the engine starts — the seam for installing process-wide
 ///   state such as a [`qava_lp::SharedBasisCache`], a deadline, or a
@@ -673,13 +671,15 @@ pub fn race_with(
         })
         .collect();
 
+    let won = Arc::new(AtomicBool::new(false));
     let first_certified = Arc::new(AtomicUsize::new(usize::MAX));
     let tasks: Vec<(usize, &dyn BoundEngine)> = racers.into_iter().enumerate().collect();
     let reports: Vec<AnalysisReport> = tasks
         .par_iter()
         .map(|&(i, engine)| {
             let mut solver = LpSolver::with_choice(backend);
-            solver.set_cancel_flag(cancel.clone());
+            solver.add_cancel_flag(won.clone());
+            solver.add_cancel_flag(cancel.clone());
             configure(&mut solver);
             let started = Instant::now();
             // Panic boundary: a racer that panics becomes an ordinary
@@ -699,7 +699,7 @@ pub fn race_with(
                     .compare_exchange(usize::MAX, i, Ordering::SeqCst, Ordering::SeqCst)
                     .is_ok()
             {
-                cancel.store(true, Ordering::SeqCst);
+                won.store(true, Ordering::SeqCst);
             }
             report
         })

@@ -12,12 +12,17 @@
 //! regardless of scheduling.
 //!
 //! In **race mode** ([`race_rows_with`]) the unit of work is a row: the
-//! row's engines race in-process ([`crate::engine::race`]), the first
+//! row's engines race in-process ([`crate::engine::race_with`]), the first
 //! *certified* bound wins, the losers are cancelled cooperatively, and
 //! the row reports the winner plus the losers' LP statistics in a
 //! separate `abandoned` bucket — [`suite_lp_stats`] only ever counts
 //! certified work, [`suite_abandoned_lp_stats`] only cancelled work, so
 //! footers never double-count pivots spent by losing candidates.
+//!
+//! Both modes run through [`run_lineup`], the one driver that turns a
+//! lineup of engine names into [`EngineRun`]s; `qava FILE` and the
+//! `qavad` daemon's `analyze` requests run through it too, so a program
+//! is analyzed the same way on every path.
 //!
 //! Engines are resolved by name through an [`EngineRegistry`]
 //! ([`run_rows_in`] takes an explicit registry for externally registered
@@ -27,11 +32,14 @@
 //! criterion benches keep calling the synthesis entry points directly so
 //! that measured times stay single-threaded.
 
-use crate::engine::{race, AnalysisRequest, Direction, EngineError, EngineRegistry};
+use crate::engine::{
+    race_with, AnalysisReport, AnalysisRequest, Direction, EngineError, EngineRegistry,
+};
 use crate::logprob::LogProb;
 use crate::suite::Benchmark;
 use qava_lp::{BackendChoice, FaultPlan, LpSolver, LpStats};
 use rayon::prelude::*;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The engines the paper's tables run for a bound direction, by
@@ -61,11 +69,148 @@ pub struct EngineRun {
     /// Every engine that raced for this outcome (empty in sequential
     /// mode), in race order.
     pub raced: Vec<&'static str>,
-    /// In chaos mode ([`run_rows_chaos`]): the spec label of the fault
-    /// plan that actually fired during this run (`"pivot-limit:2"`),
-    /// `None` when the planned site was never reached or no chaos was
-    /// requested.
+    /// The spec label of the fault plan that actually fired during this
+    /// run (`"pivot-limit:2"`; chaos mode, [`run_rows_chaos`]), `None`
+    /// when no plan was installed or its site was never reached. Only
+    /// sequential runs report it.
     pub fault: Option<String>,
+}
+
+impl EngineRun {
+    /// The one place an engine outcome becomes an [`EngineRun`]. The
+    /// `answer` report speaks for the run, verdict, statistics and all:
+    /// a sequential run's one report, or a race's winner. A race over
+    /// `raced` that nothing certified has no answer; it names every
+    /// racer's failure and keeps all its work in `abandoned`.
+    fn settle(
+        reports: &[AnalysisReport],
+        answer: Option<usize>,
+        raced: Vec<&'static str>,
+        abandoned: LpStats,
+        seconds: f64,
+        fault: Option<String>,
+    ) -> EngineRun {
+        if let Some(answer) = answer {
+            let report = &reports[answer];
+            return EngineRun {
+                engine: report.engine,
+                bound: report.outcome.as_ref().map(|c| c.bound).map_err(ToString::to_string),
+                seconds,
+                lp: report.lp.clone(),
+                abandoned,
+                raced,
+                fault,
+            };
+        }
+        // Pure cancellations carry no verdict; they are named only when
+        // nothing else is left to say.
+        let msgs: Vec<String> = reports
+            .iter()
+            .filter(|r| !r.cancelled())
+            .map(|r| {
+                let why = r.outcome.as_ref().err().map_or_else(
+                    || "uncertified".to_string(),
+                    EngineError::to_string,
+                );
+                format!("{}: {why}", r.engine)
+            })
+            .collect();
+        let message = match (msgs.is_empty(), reports.is_empty()) {
+            (false, _) => msgs.join("; "),
+            (true, true) => "no applicable engine".to_string(),
+            (true, false) => "cancelled".to_string(),
+        };
+        EngineRun {
+            engine: "race",
+            bound: Err(message),
+            seconds,
+            lp: LpStats::default(),
+            abandoned,
+            raced,
+            fault,
+        }
+    }
+}
+
+/// One [`EngineRun`] of [`run_lineup`] with the engine reports behind
+/// it, for callers that print certificates or details.
+#[derive(Debug, Clone)]
+pub struct LineupRun {
+    /// The run as the suite, the daemon and the footers report it.
+    pub run: EngineRun,
+    /// The one engine's report (sequential), or every racer's report in
+    /// lineup order (race; engines the race screened out have none).
+    pub reports: Vec<AnalysisReport>,
+}
+
+/// Runs the lineup `names` on `req`'s program: the one driver behind
+/// the suite, the sweep, `qava FILE` and every daemon `analyze` request.
+///
+/// The engines are grouped by direction, upper before lower, and each
+/// group runs with `req`'s budgets and its own direction, whatever
+/// `req.direction` says. With `race` a group races
+/// ([`race_with`]) and gives one run; otherwise its engines run one after
+/// another in lineup order, one run each. Every engine gets a fresh
+/// [`LpSolver`] session with `backend`, which `configure` sets up before
+/// the engine starts: a cancel flag (attach it with
+/// [`LpSolver::add_cancel_flag`], so a race's own flag stays), a shared
+/// warm-start cache or a fault plan. A lineup naming an engine the
+/// registry does not hold runs nothing and gives one failed run.
+pub fn run_lineup(
+    registry: &EngineRegistry,
+    names: &[&'static str],
+    req: &AnalysisRequest<'_>,
+    backend: BackendChoice,
+    race: bool,
+    configure: &(dyn Fn(&mut LpSolver) + Sync),
+) -> Vec<LineupRun> {
+    if let Some(&unknown) = names.iter().find(|n| registry.engine(n).is_none()) {
+        let report = AnalysisReport {
+            engine: unknown,
+            direction: req.direction,
+            outcome: Err(EngineError::Failed(format!("unknown engine `{unknown}`"))),
+            lp: LpStats::default(),
+            wall_seconds: 0.0,
+        };
+        let (answer, raced) = if race { (None, names.to_vec()) } else { (Some(0), Vec::new()) };
+        let reports = vec![report];
+        let run = EngineRun::settle(&reports, answer, raced, LpStats::default(), 0.0, None);
+        return vec![LineupRun { run, reports }];
+    }
+    let mut runs = Vec::new();
+    for direction in [Direction::Upper, Direction::Lower] {
+        let group: Vec<_> = names
+            .iter()
+            .filter_map(|n| registry.engine(n))
+            .filter(|e| e.direction() == direction)
+            .collect();
+        if group.is_empty() {
+            continue;
+        }
+        let req = AnalysisRequest { direction, ..req.clone() };
+        if race {
+            let raced = group.iter().map(|e| e.name()).collect();
+            let t0 = Instant::now();
+            let outcome = race_with(&group, &req, backend, Arc::default(), configure);
+            let seconds = t0.elapsed().as_secs_f64();
+            let (reports, winner) = (outcome.reports, outcome.winner);
+            let run = EngineRun::settle(&reports, winner, raced, outcome.abandoned, seconds, None);
+            runs.push(LineupRun { run, reports });
+            continue;
+        }
+        for engine in group {
+            let mut solver = LpSolver::with_choice(backend);
+            configure(&mut solver);
+            let t0 = Instant::now();
+            let report = engine.run(&req, &mut solver);
+            let seconds = t0.elapsed().as_secs_f64();
+            let fault = solver.clear_fault_plan().filter(FaultPlan::fired).map(|p| p.label());
+            let (reports, abandoned) = (vec![report], LpStats::default());
+            let run = EngineRun::settle(&reports, Some(0), Vec::new(), abandoned, seconds, fault);
+            runs.push(LineupRun { run, reports });
+        }
+    }
+    runs
 }
 
 /// All requested engine outcomes for one table row, in request order.
@@ -186,9 +331,9 @@ fn run_rows_inner(
 }
 
 /// Runs engine `name` on row `b` as one self-contained task of a pool:
-/// the task compiles the row and solves it in its own [`LpSolver`]
-/// session with the given backend policy and, in chaos mode, fault
-/// plan. The suite's sequential mode and the sweep driver
+/// the task compiles the row and solves it through [`run_lineup`] in its
+/// own [`LpSolver`] session with the given backend policy and, in chaos
+/// mode, fault plan. The suite's sequential mode and the sweep driver
 /// ([`crate::sweep::run_sweeps_in`]) run every task through here. An
 /// unknown engine name reports as a failed run.
 pub(crate) fn run_task(
@@ -198,41 +343,20 @@ pub(crate) fn run_task(
     backend: BackendChoice,
     plan: Option<FaultPlan>,
 ) -> EngineRun {
-    let Some(engine) = registry.engine(name) else {
-        return EngineRun {
-            engine: name,
-            bound: Err(format!("unknown engine `{name}`")),
-            seconds: 0.0,
-            lp: LpStats::default(),
-            abandoned: LpStats::default(),
-            raced: Vec::new(),
-            fault: None,
-        };
-    };
     // Compile per task: compilation is cheap next to synthesis, and it
     // keeps every task self-contained on its worker thread (monomial
     // ids never cross threads). The solver session is equally
     // task-private: one synthesis run is exactly the scope over which
     // warm starts are sound ideas and statistics are attributable.
     let pts = b.compile();
-    let req = AnalysisRequest::new(&pts, engine.direction());
-    let mut solver = LpSolver::with_choice(backend);
-    if let Some(plan) = &plan {
-        solver.install_fault_plan(plan.clone());
-    }
-    let t0 = Instant::now();
-    let report = engine.run(&req, &mut solver);
-    let seconds = t0.elapsed().as_secs_f64();
-    let fault = plan.filter(|_| solver.fault_fired()).map(|p| p.label());
-    EngineRun {
-        engine: name,
-        bound: report.outcome.as_ref().map(|c| c.bound).map_err(ToString::to_string),
-        seconds,
-        lp: report.lp,
-        abandoned: LpStats::default(),
-        raced: Vec::new(),
-        fault,
-    }
+    let req = AnalysisRequest::new(&pts, b.direction);
+    let install = |solver: &mut LpSolver| {
+        if let Some(plan) = &plan {
+            solver.install_fault_plan(plan.clone());
+        }
+    };
+    let mut runs = run_lineup(registry, &[name], &req, backend, false, &install);
+    runs.pop().expect("one engine, one run").run
 }
 
 /// Race mode over the built-in registry: one racing task per row, over
@@ -256,83 +380,22 @@ pub fn race_rows_in(
     backend: BackendChoice,
 ) -> Vec<RowReport> {
     let tasks: Vec<usize> = (0..rows.len()).collect();
-    let outcomes: Vec<(usize, EngineRun)> = tasks
+    let outcomes: Vec<Vec<LineupRun>> = tasks
         .par_iter()
         .map(|&i| {
             let b = &rows[i];
             let pts = b.compile();
             let req = AnalysisRequest::new(&pts, b.direction);
-            let names = engines(b);
             // An unknown name fails the row loudly, exactly like the
             // sequential driver — silently racing a smaller lineup would
             // report a winner the caller never asked to trust alone.
-            if let Some(unknown) = names.iter().find(|n| registry.engine(n).is_none()) {
-                let run = EngineRun {
-                    engine: "race",
-                    bound: Err(format!("unknown engine `{unknown}`")),
-                    seconds: 0.0,
-                    lp: LpStats::default(),
-                    abandoned: LpStats::default(),
-                    raced: names,
-                    fault: None,
-                };
-                return (i, run);
-            }
-            let lineup: Vec<_> =
-                names.iter().filter_map(|n| registry.engine(n)).collect();
-            let raced: Vec<&'static str> = lineup.iter().map(|e| e.name()).collect();
-            let t0 = Instant::now();
-            let outcome = race(&lineup, &req, backend);
-            let seconds = t0.elapsed().as_secs_f64();
-            let run = match outcome.winner {
-                Some(w) => {
-                    let report = &outcome.reports[w];
-                    EngineRun {
-                        engine: report.engine,
-                        bound: Ok(report.outcome.as_ref().expect("winner is certified").bound),
-                        seconds,
-                        lp: report.lp.clone(),
-                        abandoned: outcome.abandoned,
-                        raced,
-                        fault: None,
-                    }
-                }
-                None => {
-                    // No racer certified: render every failure, skipping
-                    // pure cancellations (there are none without a
-                    // winner, but an engine may decline mid-race).
-                    let msgs: Vec<String> = outcome
-                        .reports
-                        .iter()
-                        .filter(|r| !r.cancelled())
-                        .map(|r| {
-                            format!(
-                                "{}: {}",
-                                r.engine,
-                                r.outcome.as_ref().err().map_or_else(
-                                    || "uncertified".to_string(),
-                                    EngineError::to_string
-                                )
-                            )
-                        })
-                        .collect();
-                    EngineRun {
-                        engine: "race",
-                        bound: Err(if msgs.is_empty() {
-                            "no applicable engine".to_string()
-                        } else {
-                            msgs.join("; ")
-                        }),
-                        seconds,
-                        lp: LpStats::default(),
-                        abandoned: outcome.abandoned,
-                        raced,
-                        fault: None,
-                    }
-                }
-            };
-            (i, run)
+            run_lineup(registry, &engines(b), &req, backend, true, &|_| {})
         })
+        .collect();
+    let outcomes = outcomes
+        .into_iter()
+        .enumerate()
+        .flat_map(|(i, runs)| runs.into_iter().map(move |r| (i, r.run)))
         .collect();
 
     assemble(rows, outcomes)
@@ -515,5 +578,43 @@ mod tests {
             let seq_bound = seq[0].runs[0].bound.as_ref().unwrap();
             assert_eq!(bound.ln(), seq_bound.ln(), "{}: race must not change the value", report.name);
         }
+    }
+
+    #[test]
+    fn lineup_runs_upper_then_lower_and_races_each_direction() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        let row = &table2()[0];
+        let pts = row.compile();
+        let req = AnalysisRequest::new(&pts, Direction::Upper);
+        let registry = EngineRegistry::with_builtins();
+        let lineup = ["explowsyn", "hoeffding-linear"];
+        let sessions = AtomicUsize::new(0);
+        let count = |_: &mut LpSolver| {
+            sessions.fetch_add(1, Ordering::SeqCst);
+        };
+        let seq = run_lineup(&registry, &lineup, &req, BackendChoice::default(), false, &count);
+        let engines: Vec<_> = seq.iter().map(|r| r.run.engine).collect();
+        assert_eq!(engines, ["hoeffding-linear", "explowsyn"], "upper group first");
+        assert_eq!(sessions.load(Ordering::SeqCst), 2, "one configured session per engine");
+        let raced = run_lineup(&registry, &lineup, &req, BackendChoice::default(), true, &|_| {});
+        let groups: Vec<_> = raced.iter().map(|r| r.run.raced.clone()).collect();
+        assert_eq!(groups, [vec!["hoeffding-linear"], vec!["explowsyn"]], "one race per direction");
+        for (s, r) in seq.iter().zip(&raced) {
+            assert_eq!(s.run.engine, r.run.engine);
+            let (a, b) = (s.run.bound.as_ref().unwrap(), r.run.bound.as_ref().unwrap());
+            assert_eq!(a.ln(), b.ln(), "{}: racing alone changes nothing", s.run.engine);
+        }
+        // A race whose caller flag is up before it starts reports the
+        // cancellation, not a missing engine.
+        let up = Arc::new(AtomicBool::new(true));
+        let cancel = |solver: &mut LpSolver| solver.add_cancel_flag(up.clone());
+        let off = run_lineup(&registry, &lineup[1..], &req, BackendChoice::Auto, true, &cancel);
+        assert_eq!(off[0].run.bound.as_ref().unwrap_err(), "cancelled");
+        // An unknown name fails the whole lineup with one run.
+        let names = ["azuma", "nope"];
+        let bad = run_lineup(&registry, &names, &req, BackendChoice::Auto, true, &|_| {});
+        assert_eq!(bad.len(), 1);
+        assert_eq!(bad[0].run.raced, ["azuma", "nope"]);
+        assert!(bad[0].run.bound.as_ref().unwrap_err().contains("unknown engine `nope`"));
     }
 }

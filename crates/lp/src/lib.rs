@@ -63,9 +63,9 @@
 //!   factorization of an unchanged warm basis instead of refactorizing
 //!   it, and the storage of its earlier runs' basis engines
 //!   ([`LpBackend::solve_core_prepared`], [`FactorMemo`]).
-//!   Sessions also carry an optional **cooperative cancellation flag**
-//!   ([`LpSolver::set_cancel_flag`]), polled once per solve boundary:
-//!   once raised, further solves return [`LpError::Cancelled`] without
+//!   Sessions also carry optional **cooperative cancellation flags**
+//!   ([`LpSolver::add_cancel_flag`]), polled once per solve boundary:
+//!   once one is raised, further solves return [`LpError::Cancelled`] without
 //!   work — the engine-racing layer in `qava-core` winds down losing
 //!   candidates through it, never interrupting a solve in flight;
 //! * exact infeasibility / unboundedness reporting via [`LpError`].
@@ -104,7 +104,7 @@
 //!   degrades to the ordinary cold primal solve, so reoptimization can
 //!   change solve cost but not results.
 //! * **Deadlines and cancellation** share one boundary: a raised cancel
-//!   flag ([`LpSolver::set_cancel_flag`]) or an expired deadline
+//!   flag ([`LpSolver::add_cancel_flag`]) or an expired deadline
 //!   ([`LpSolver::set_deadline`]) makes the next solve return
 //!   [`LpError::Cancelled`] before any work; solves in flight are never
 //!   interrupted.
@@ -345,8 +345,8 @@ pub enum LpError {
     Unbounded,
     /// The pivot limit was exceeded (numerically pathological input).
     PivotLimit,
-    /// The session's cooperative cancellation flag was raised
-    /// ([`LpSolver::set_cancel_flag`]) before this solve started. The
+    /// One of the session's cooperative cancellation flags was raised
+    /// ([`LpSolver::add_cancel_flag`]) before this solve started. The
     /// bound-engine racer uses this to wind down losing candidates at
     /// LP-solve boundaries; the solve performed no work.
     Cancelled,

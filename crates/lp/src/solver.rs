@@ -698,9 +698,9 @@ pub struct LpSolver {
     /// update; see [`set_shared_cache`](Self::set_shared_cache).
     shared: Option<Arc<SharedBasisCache>>,
     stats: LpStats,
-    /// Shared cooperative-cancellation flag, polled once at every solve
-    /// boundary; see [`set_cancel_flag`](Self::set_cancel_flag).
-    cancel: Option<Arc<AtomicBool>>,
+    /// Shared cooperative-cancellation flags, polled once at every solve
+    /// boundary; see [`add_cancel_flag`](Self::add_cancel_flag).
+    cancel: Vec<Arc<AtomicBool>>,
     /// Per-request deadline, enforced at the same solve boundaries as
     /// the cancel flag; see [`set_deadline`](Self::set_deadline).
     deadline: Option<Instant>,
@@ -753,7 +753,7 @@ impl LpSolver {
             cache: BasisCache::new(DEFAULT_CACHE_CAPACITY),
             shared: None,
             stats: LpStats::default(),
-            cancel: None,
+            cancel: Vec::new(),
             deadline: None,
             faults: faults::from_env(),
             failover: true,
@@ -824,26 +824,23 @@ impl LpSolver {
         self.stats.merge(other);
     }
 
-    /// Attaches a shared cooperative-cancellation flag. The session polls
-    /// it once at the start of every solve; once the flag is `true`,
-    /// every subsequent solve returns [`LpError::Cancelled`] immediately
-    /// without doing any work. Raising the flag never corrupts a solve
-    /// already in flight — cancellation happens only at solve
-    /// boundaries, so whatever result the current solve produces is
-    /// still exact. The candidate racer gives every racing engine's
-    /// session the same flag; the winner raises it.
-    pub fn set_cancel_flag(&mut self, flag: Arc<AtomicBool>) {
-        self.cancel = Some(flag);
+    /// Attaches a shared cooperative-cancellation flag, alongside any
+    /// attached before. The session polls its flags once at the start of
+    /// every solve; once any flag is `true`, every subsequent solve
+    /// returns [`LpError::Cancelled`] immediately without doing any work.
+    /// Raising a flag never corrupts a solve already in flight —
+    /// cancellation happens only at solve boundaries, so whatever result
+    /// the current solve produces is still exact. The candidate racer
+    /// gives every racing engine's session the race's flag (the winner
+    /// raises it) next to the caller's (a daemon raises it when its
+    /// client leaves).
+    pub fn add_cancel_flag(&mut self, flag: Arc<AtomicBool>) {
+        self.cancel.push(flag);
     }
 
-    /// Detaches the cancellation flag; solves run to completion again.
-    pub fn clear_cancel_flag(&mut self) {
-        self.cancel = None;
-    }
-
-    /// Whether the attached cancellation flag (if any) has been raised.
+    /// Whether any attached cancellation flag has been raised.
     pub fn is_cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(|f| f.load(Ordering::Relaxed))
+        self.cancel.iter().any(|f| f.load(Ordering::Relaxed))
     }
 
     /// Sets an absolute per-request deadline, enforced at the same solve
@@ -1853,19 +1850,17 @@ mod tests {
     fn cancellation_flag_stops_solves_at_boundaries() {
         let mut solver = LpSolver::with_choice(BackendChoice::Sparse);
         let flag = Arc::new(AtomicBool::new(false));
-        solver.set_cancel_flag(flag.clone());
-        // Flag down: solves run normally.
+        solver.add_cancel_flag(Arc::new(AtomicBool::new(false)));
+        solver.add_cancel_flag(flag.clone());
+        // Flags down: solves run normally.
         solver.solve(&simple_lp(3.0)).unwrap();
         assert!(!solver.is_cancelled());
-        // Flag up: every further solve returns Cancelled without work.
+        // One flag up: every further solve returns Cancelled without work.
         flag.store(true, Ordering::Relaxed);
         assert!(solver.is_cancelled());
         let solves_before = solver.stats().solves;
         assert_eq!(solver.solve(&simple_lp(4.0)).unwrap_err(), LpError::Cancelled);
         assert_eq!(solver.stats().solves, solves_before, "cancelled solves are not counted");
-        // Detaching the flag restores normal operation.
-        solver.clear_cancel_flag();
-        solver.solve(&simple_lp(5.0)).unwrap();
     }
 
     #[test]

@@ -1196,8 +1196,8 @@ fn prepared_family_honors_deadline_and_cancel_flag() {
         let mut twin = session(choice, false);
         let mut prep = prep_session.prepare(&base);
         let flag = Arc::new(AtomicBool::new(false));
-        prep_session.set_cancel_flag(flag.clone());
-        twin.set_cancel_flag(flag.clone());
+        prep_session.add_cancel_flag(flag.clone());
+        twin.add_cancel_flag(flag.clone());
         for (k, rhs) in model.members.iter().enumerate() {
             if k == 2 {
                 flag.store(true, std::sync::atomic::Ordering::Relaxed);

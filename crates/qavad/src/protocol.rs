@@ -25,9 +25,12 @@
 //! response := {"ok":true, …} | {"ok":false, "error":string, "id":int?}
 //! ```
 //!
-//! An `analyze` response carries `"runs"`: one entry per engine in
-//! sequential mode, exactly one (the race) in race mode. Each run has
-//! `"engine"`, `"seconds"`, `"raced"` (race mode), `"lp"` and
+//! An `analyze` response carries `"runs"`, upper-bound engines before
+//! lower-bound ones: one entry per engine in sequential mode (in lineup
+//! order within a direction), and in race mode one race per direction
+//! the lineup names, so a lineup of both directions answers two races.
+//! Each run has `"engine"`, `"seconds"`, `"raced"` (race mode: the
+//! engines of that race only), `"lp"` and
 //! `"abandoned"` ([`LpStats`] objects), and either `"ln_bound"` (the
 //! certified bound in ln-space — the value `qava` prints) or `"error"`.
 //! Bounds travel in ln-space only: converting through probability space

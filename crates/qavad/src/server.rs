@@ -49,9 +49,8 @@ use crate::json::{obj, parse, Json};
 use crate::protocol::{
     engine_run_to_json, lp_stats_to_json, MAX_LINE_BYTES, PROTOCOL_VERSION,
 };
-use qava_core::engine::{race_with, AnalysisRequest, BoundEngine, EngineRegistry};
-use qava_core::suite::runner::EngineRun;
-use qava_core::EngineError;
+use qava_core::engine::{AnalysisRequest, Direction, EngineRegistry};
+use qava_core::suite::runner::run_lineup;
 use qava_lp::{BackendChoice, LpSolver, LpStats, SharedBasisCache};
 use qava_pts::Pts;
 use std::collections::{BTreeMap, HashMap};
@@ -61,7 +60,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How the daemon is wired up; see the field docs for defaults.
 #[derive(Debug, Clone)]
@@ -572,7 +571,7 @@ fn compile_cached(
 struct AnalyzeArgs<'a> {
     source: &'a str,
     params: BTreeMap<String, f64>,
-    engines: Vec<&'a dyn BoundEngine>,
+    engines: Vec<&'static str>,
     race: bool,
     invariant_iters: usize,
     deadline: Option<Duration>,
@@ -584,7 +583,7 @@ struct AnalyzeArgs<'a> {
 /// fall back to their defaults when absent or mistyped. The error is
 /// the message of the request's `ok:false` answer.
 fn decode_analyze<'a>(
-    registry: &'a EngineRegistry,
+    registry: &EngineRegistry,
     default_backend: BackendChoice,
     request: &'a Json,
 ) -> Result<AnalyzeArgs<'a>, String> {
@@ -606,7 +605,8 @@ fn decode_analyze<'a>(
             .iter()
             .map(|item| {
                 let name = item.as_str().ok_or("\"engines\" must be strings")?;
-                registry.engine(name).ok_or_else(|| format!("unknown engine `{name}`"))
+                let engine = registry.engine(name);
+                engine.map(|e| e.name()).ok_or_else(|| format!("unknown engine `{name}`"))
             })
             .collect::<Result<Vec<_>, String>>()?,
         _ => return Err("analyze request needs a non-empty \"engines\" list".to_string()),
@@ -651,11 +651,18 @@ fn analyze(shared: &Arc<Shared>, request: &Json, presence: &Mutex<Presence>) -> 
     Shared::lock(presence).register(shared, &cancel);
     // Admission: one permit per analysis, released on every exit path.
     let permit = shared.gate.acquire();
-    let runs = if race {
-        run_race(shared, &pts, &engines, deadline, backend, &cancel)
-    } else {
-        run_sequential(shared, &pts, &engines, deadline, backend, &cancel)
+    // The driver gives each direction group of the lineup its own
+    // request direction; only the budgets are read from this one.
+    let mut req = AnalysisRequest::new(&pts, Direction::Upper);
+    req.deadline = deadline;
+    let configure = |solver: &mut LpSolver| {
+        solver.add_cancel_flag(cancel.clone());
+        solver.set_shared_cache(shared.warm.clone());
     };
+    let runs: Vec<_> = run_lineup(&shared.registry, &engines, &req, backend, race, &configure)
+        .into_iter()
+        .map(|r| r.run)
+        .collect();
     Shared::lock(presence).inflight = None;
     drop(permit);
 
@@ -682,111 +689,6 @@ fn analyze(shared: &Arc<Shared>, request: &Json, presence: &Mutex<Presence>) -> 
         ("cancelled", Json::Bool(cancelled)),
         ("runs", Json::Arr(runs.iter().map(engine_run_to_json).collect())),
     ])
-}
-
-/// Sequential mode: each requested engine runs to completion in its own
-/// session — the daemon-side mirror of the suite runner's sequential
-/// driver, plus the request's cancel flag and the shared cache.
-fn run_sequential(
-    shared: &Shared,
-    pts: &Pts,
-    engines: &[&dyn BoundEngine],
-    deadline: Option<Duration>,
-    backend: BackendChoice,
-    cancel: &Arc<AtomicBool>,
-) -> Vec<EngineRun> {
-    engines
-        .iter()
-        .map(|engine| {
-            let mut req = AnalysisRequest::new(pts, engine.direction());
-            req.deadline = deadline;
-            let mut solver = LpSolver::with_choice(backend);
-            solver.set_cancel_flag(cancel.clone());
-            solver.set_shared_cache(shared.warm.clone());
-            let t0 = Instant::now();
-            let report = engine.run(&req, &mut solver);
-            EngineRun {
-                engine: engine.name(),
-                bound: report.outcome.as_ref().map(|c| c.bound).map_err(ToString::to_string),
-                seconds: t0.elapsed().as_secs_f64(),
-                lp: report.lp,
-                abandoned: LpStats::default(),
-                raced: Vec::new(),
-                fault: None,
-            }
-        })
-        .collect()
-}
-
-/// Race mode: the daemon-side mirror of the suite runner's race driver —
-/// same winner/abandoned semantics, but with the request's cancel flag
-/// wired through [`race_with`] (so a disconnect cancels the whole race)
-/// and the shared cache installed into every racer's session.
-fn run_race(
-    shared: &Shared,
-    pts: &Pts,
-    lineup: &[&dyn BoundEngine],
-    deadline: Option<Duration>,
-    backend: BackendChoice,
-    cancel: &Arc<AtomicBool>,
-) -> Vec<EngineRun> {
-    let raced: Vec<&'static str> = lineup.iter().map(|e| e.name()).collect();
-    // Direction of the race: the lineup's first engine (mixed-direction
-    // lineups race the first direction; the rest are skipped, exactly as
-    // `race` screens them).
-    let mut req = AnalysisRequest::new(pts, lineup[0].direction());
-    req.deadline = deadline;
-    let warm = shared.warm.clone();
-    let t0 = Instant::now();
-    let outcome = race_with(lineup, &req, backend, cancel.clone(), &move |solver| {
-        solver.set_shared_cache(warm.clone())
-    });
-    let seconds = t0.elapsed().as_secs_f64();
-    let run = match outcome.winner {
-        Some(w) => {
-            let report = &outcome.reports[w];
-            EngineRun {
-                engine: report.engine,
-                bound: Ok(report.outcome.as_ref().expect("winner is certified").bound),
-                seconds,
-                lp: report.lp.clone(),
-                abandoned: outcome.abandoned,
-                raced,
-                fault: None,
-            }
-        }
-        None => {
-            let msgs: Vec<String> = outcome
-                .reports
-                .iter()
-                .filter(|r| !r.cancelled())
-                .map(|r| {
-                    format!(
-                        "{}: {}",
-                        r.engine,
-                        r.outcome
-                            .as_ref()
-                            .err()
-                            .map_or_else(|| "uncertified".to_string(), EngineError::to_string)
-                    )
-                })
-                .collect();
-            EngineRun {
-                engine: "race",
-                bound: Err(if msgs.is_empty() {
-                    "cancelled".to_string()
-                } else {
-                    msgs.join("; ")
-                }),
-                seconds,
-                lp: LpStats::default(),
-                abandoned: outcome.abandoned,
-                raced,
-                fault: None,
-            }
-        }
-    };
-    vec![run]
 }
 
 /// Renders a one-line startup banner (the binary prints it; tests don't).
@@ -1020,7 +922,7 @@ mod tests {
         decode_analyze(registry, BackendChoice::Auto, request).map(|a| Decoded {
             source: a.source.to_string(),
             params: a.params.iter().map(|(k, v)| (k.clone(), v.to_bits())).collect(),
-            engines: a.engines.iter().map(|e| e.name()).collect(),
+            engines: a.engines,
             race: a.race,
             invariant_iters: a.invariant_iters,
             deadline: a.deadline,

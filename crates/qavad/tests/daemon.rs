@@ -8,8 +8,9 @@
 //! the failure modes: disconnect-cancellation freeing the single
 //! analysis slot, pipelined requests answered in order (and cancelled
 //! when their client hangs up), deadline expiry winding down as
-//! cancelled, and protocol-level rejection keeping the connection
-//! usable; and that the `cache_file` setting writes nothing.
+//! cancelled, a race over both directions answering per direction, and
+//! protocol-level rejection keeping the connection usable; and that the
+//! `cache_file` setting writes nothing.
 
 use qava_core::suite::runner::{default_engines, run_rows_with, EngineRun, RowReport};
 use qava_core::suite::{table1, table2, Benchmark};
@@ -177,6 +178,54 @@ fn raced_rows_through_the_daemon_certify_in_process_values() {
             d.name
         );
     }
+    shutdown(&socket, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A race over a lineup of both directions answers one run per
+/// direction, upper first: each names only the engines that raced for
+/// it, and each certifies what its winner certifies in-process.
+#[test]
+fn mixed_direction_race_answers_one_run_per_direction() {
+    let dir = scratch("mixed-race");
+    let socket = dir.join("qavad.sock");
+    let handle = boot(DaemonConfig::new(&socket));
+    let row = table2().into_iter().next().expect("Table 2 has rows");
+    // `qava FILE`'s default lineup, in its order.
+    let lineup = ["explinsyn", "hoeffding-linear", "explowsyn"];
+    let reference =
+        run_rows_with(std::slice::from_ref(&row), |_| lineup.to_vec(), BackendChoice::default());
+    let mut client = Client::connect(&socket).expect("client");
+    let response = client
+        .analyze(&AnalyzeSpec {
+            id: 3,
+            source: row.source,
+            params: &row.params,
+            engines: lineup.iter().map(ToString::to_string).collect(),
+            race: true,
+            deadline_ms: None,
+            invariant_iters: SUITE_INVARIANT_ITERS,
+            lp_backend: None,
+        })
+        .expect("analyze");
+    assert!(!response.cancelled);
+    assert_eq!(response.runs.len(), 2, "one race per direction: {:?}", response.runs);
+    let groups: [&[&str]; 2] = [&["explinsyn", "hoeffding-linear"], &["explowsyn"]];
+    for (run, group) in response.runs.iter().zip(groups) {
+        assert_eq!(run.raced, group, "a race names only its own direction's engines");
+        assert!(group.contains(&run.engine), "{} won outside its race", run.engine);
+        let won = run.bound.as_ref().unwrap_or_else(|e| panic!("{group:?} certifies: {e}"));
+        let alone = reference[0].run(run.engine).expect("the winner ran in-process");
+        let alone = alone.bound.as_ref().expect("the winner certifies in-process");
+        assert!(
+            (won.ln() - alone.ln()).abs() <= 1e-9,
+            "{}: daemon ln {} vs in-process ln {}",
+            run.engine,
+            won.ln(),
+            alone.ln()
+        );
+    }
+    drop(client);
     shutdown(&socket, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
