@@ -15,13 +15,6 @@
 //!   the class the factorized `lu-ft` (Forrest–Tomlin spike swaps)
 //!   representation targets — the pivot-heavy runs FT exists for.
 //!
-//! The `sweep_coupon`/`sweep_epsmax` rows race cold solves against dual
-//! reoptimization on the harvested reoptimization chains
-//! (`crates/lp/tests/corpus/sweep_*.qlp`): `cold` solves every chain
-//! member from scratch, `reopt` cold-solves the head and
-//! dual-reoptimizes each successor from the previous final basis, as a
-//! reoptimizing session (`LpSolver::set_reoptimize`) does.
-//!
 //! The `ser_probes` rows solve one Ser probe chain of `hoeffding-linear`
 //! two ways: `rebuild` builds the fixed-ε LP afresh for every probe and
 //! solves it (lowering, presolve and equilibration every time), while
@@ -41,7 +34,7 @@ use qava_core::hoeffding::{
 use qava_core::suite::{coupon_rows, rdwalk_rows, walk3d_rows};
 use qava_linalg::vecops;
 use qava_lp::debug::{update_solve_cycle, TraceEngine};
-use qava_lp::{BackendChoice, CscMatrix, LpBackend, LpSolver, LuFtSimplex};
+use qava_lp::{BackendChoice, CscMatrix, LpSolver};
 
 /// Reduced Ser budget: enough ε-probe LPs to exercise warm starts and
 /// the εmax knife edge while keeping the matrix quick.
@@ -199,110 +192,6 @@ fn bench_basis_update(c: &mut Criterion) {
     group.finish();
 }
 
-/// One member of a harvested sweep chain, ready to solve.
-struct ChainInst {
-    costs: Vec<f64>,
-    a: CscMatrix,
-    b: Vec<f64>,
-}
-
-/// Loads an ordered `sweep_*_NN.qlp` reoptimization chain from the LP
-/// conformance corpus (a minimal reader for the subset of the `.qlp`
-/// grammar the chain files use; `crates/lp/tests/corpus.rs` documents
-/// the full format and replays the same files for correctness).
-fn load_chain(prefix: &str) -> Vec<ChainInst> {
-    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../lp/tests/corpus");
-    let mut files: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("corpus dir {}: {e}", dir.display()))
-        .map(|e| e.unwrap().path())
-        .filter(|p| {
-            p.extension().is_some_and(|x| x == "qlp")
-                && p.file_name().is_some_and(|f| f.to_string_lossy().starts_with(prefix))
-        })
-        .collect();
-    files.sort();
-    assert!(files.len() >= 3, "{prefix}: sweep chain missing from the corpus");
-    files
-        .iter()
-        .map(|path| {
-            let text = std::fs::read_to_string(path).unwrap();
-            let (mut costs, mut b) = (Vec::new(), Vec::new());
-            let mut rows: Vec<Vec<(usize, f64)>> = Vec::new();
-            for line in text.lines() {
-                let mut t = line.split_whitespace();
-                match t.next() {
-                    Some("m") => {
-                        let m: usize = t.next().unwrap().parse().unwrap();
-                        let n: usize = t.nth(1).unwrap().parse().unwrap();
-                        costs = vec![0.0; n];
-                        b = vec![0.0; m];
-                        rows = vec![Vec::new(); m];
-                    }
-                    Some("c") => {
-                        let j: usize = t.next().unwrap().parse().unwrap();
-                        costs[j] = t.next().unwrap().parse().unwrap();
-                    }
-                    Some("b") => {
-                        let i: usize = t.next().unwrap().parse().unwrap();
-                        b[i] = t.next().unwrap().parse().unwrap();
-                    }
-                    Some("a") => {
-                        let i: usize = t.next().unwrap().parse().unwrap();
-                        let j: usize = t.next().unwrap().parse().unwrap();
-                        rows[i].push((j, t.next().unwrap().parse().unwrap()));
-                    }
-                    _ => {}
-                }
-            }
-            let a = CscMatrix::from_sparse_rows(rows.len(), costs.len(), &rows);
-            ChainInst { costs, a, b }
-        })
-        .collect()
-}
-
-/// Reoptimized vs cold sweep LP cost on the harvested chains, through
-/// the `lu-ft` backend. `cold` is what a per-point baseline pays;
-/// `reopt` is the reoptimizing session's path, falling back cold on a declined
-/// attempt exactly like the session does — so the row measures the
-/// honest cost, not the happy path.
-fn bench_sweep_chains(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lp/kernel");
-    group.sample_size(10);
-    for class in ["sweep_coupon", "sweep_epsmax"] {
-        let chain = load_chain(&format!("{class}_"));
-        group.bench_with_input(BenchmarkId::new(class, "cold"), &chain, |bench, chain| {
-            bench.iter(|| {
-                let mut pivots = 0usize;
-                for inst in chain {
-                    pivots +=
-                        LuFtSimplex.solve_core(&inst.costs, &inst.a, &inst.b, None).unwrap().pivots;
-                }
-                pivots
-            })
-        });
-        group.bench_with_input(BenchmarkId::new(class, "reopt"), &chain, |bench, chain| {
-            bench.iter(|| {
-                let head =
-                    LuFtSimplex.solve_core(&chain[0].costs, &chain[0].a, &chain[0].b, None).unwrap();
-                let mut pivots = head.pivots;
-                let mut basis = head.basis;
-                for inst in &chain[1..] {
-                    let sol = basis
-                        .as_deref()
-                        .and_then(|p| LuFtSimplex.reoptimize_core(&inst.costs, &inst.a, &inst.b, p))
-                        .unwrap_or_else(|| {
-                            LuFtSimplex.solve_core(&inst.costs, &inst.a, &inst.b, None).unwrap()
-                        });
-                    pivots += sol.pivots;
-                    basis = sol.basis;
-                }
-                pivots
-            })
-        });
-    }
-    group.finish();
-}
-
 /// The Ser probe chain of Coupon `Pr[T > 100]` under the default budget,
 /// solved rebuilt and prepared, each in a fresh `Auto` session. The ε
 /// sequence replays a ternary search on `[0, 2ε*]` that always keeps
@@ -364,7 +253,6 @@ criterion_group!(
     bench_vecops,
     bench_lp_kernel,
     bench_basis_update,
-    bench_sweep_chains,
     bench_ser_probes
 );
 criterion_main!(benches);

@@ -6,8 +6,8 @@
 //! compiled and solved like its `qava --suite` row, by its direction's
 //! [`primary_engine`] (or [`SweepRequest::engine`]) in a fresh
 //! `LpSolver` session, so it carries that row's bound and work counters
-//! bit for bit. Points share no LP state: dual-reoptimizing a point from
-//! its neighbor's bases moves the last digits of the Ser objective, and
+//! bit for bit. Points share no LP state: starting a point from its
+//! neighbor's bases can move the last digits of the Ser objective, and
 //! the ternary search would then land on a bound that depends on the
 //! neighbor. [`run_sweeps_in`] runs the points of many families as the
 //! tasks of one pool; the schedule changes wall time only.

@@ -32,7 +32,7 @@ use qava_core::suite;
 use qava_core::{explowsyn, hoeffding};
 use qava_lp::{
     BackendChoice, CoreSolution, CscMatrix, DenseTableau, FaultKind, FaultPlan, LpBackend,
-    LpError, LpSolver, LuFtSimplex,
+    LpError, LpSolver, LuFtSimplex, SparseRevised,
 };
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -46,6 +46,10 @@ struct Instance {
     rows: Vec<Vec<(usize, f64)>>,
     b: Vec<f64>,
     pivots: usize,
+    /// The warm basis the session offered the backend, if any.
+    warm: Option<Vec<usize>>,
+    /// Feasibility-watchdog restarts the solve took.
+    watchdog_restarts: usize,
 }
 
 impl Instance {
@@ -98,6 +102,8 @@ impl LpBackend for Capturing {
             rows,
             b: b.to_vec(),
             pivots: out.as_ref().map(|s| s.pivots).unwrap_or(usize::MAX),
+            warm: warm.map(<[usize]>::to_vec),
+            watchdog_restarts: out.as_ref().map_or(0, |s| s.watchdog_restarts),
         });
         out
     }
@@ -289,92 +295,6 @@ fn harvest_conformance_corpus() {
     println!("harvest: wrote {written} corpus files to {}", dir.display());
 }
 
-/// Picks an ordered reoptimization chain out of a capture log: the
-/// longest run of structurally identical systems (same shape), in the
-/// order the family's searches produced them, with immediate exact
-/// duplicates collapsed. These are the solves `LpBackend::reoptimize_core`
-/// replays from the previous member's final basis in a reoptimizing
-/// session.
-fn chain_from_log(log: &[Instance], len: usize) -> Vec<Instance> {
-    let mut shapes: Vec<(usize, usize, usize)> = log.iter().map(Instance::shape).collect();
-    shapes.sort_unstable();
-    shapes.dedup();
-    let best = shapes
-        .into_iter()
-        .max_by_key(|&s| log.iter().filter(|i| i.shape() == s).count())
-        .expect("empty capture log");
-    let mut out: Vec<Instance> = Vec::new();
-    for inst in log.iter().filter(|i| i.shape() == best) {
-        let dup = out
-            .last()
-            .is_some_and(|p| p.costs == inst.costs && p.b == inst.b && p.rows == inst.rows);
-        if !dup {
-            out.push(inst.clone());
-        }
-        if out.len() == len {
-            break;
-        }
-    }
-    out
-}
-
-/// Harvests the **sweep reoptimization chains**: for each parametric
-/// family of `qava --sweep`, the ladder of structurally identical,
-/// value-perturbed core systems that dual-simplex reoptimization walks
-/// from one warm basis when the family's searches share one session.
-/// `crates/lp/tests/corpus.rs::sweep_chain_reoptimization_matches_cold`
-/// replays each chain through every reoptimize-capable backend and holds
-/// the incremental objective to the cold one; the
-/// `lp/kernel/sweep_*` benches race the same chains reopt-vs-cold.
-#[test]
-#[ignore = "writes crates/lp/tests/corpus — run deliberately to (re)capture"]
-fn harvest_sweep_chains() {
-    let dir = corpus_dir();
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut written = 0usize;
-
-    let families: [(&str, Vec<suite::Benchmark>, &str); 2] = [
-        ("sweep_coupon", suite::coupon_rows(), "Coupon Pr[T > 100/300/500] Hoeffding sweep"),
-        ("sweep_epsmax", suite::walk3d_rows(), "3DWalk εmax-ladder Hoeffding sweep"),
-    ];
-    for (slug, rows, what) in families {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut solver = LpSolver::with_choice(BackendChoice::LuFt);
-        solver.register_backend(Box::new(Capturing {
-            inner: Box::new(LuFtSimplex),
-            log: Rc::clone(&log),
-        }));
-        // One shared session across the whole family, so each search
-        // starts from the previous point's bases.
-        for row in &rows {
-            let pts = row.compile();
-            synthesize_reprsm_bound_in(
-                &pts,
-                BoundKind::Hoeffding,
-                hoeffding::DEFAULT_SER_ITERATIONS,
-                &mut solver,
-            )
-            .unwrap();
-        }
-        let log = log.borrow();
-        let chain = chain_from_log(&log, 4);
-        assert!(chain.len() >= 3, "{slug}: chain too short ({} instances)", chain.len());
-        let origin = format!(
-            "{what}: member of the dual-reoptimization chain replayed in order \
-             by sweep_chain_reoptimization_matches_cold (suite Table 1)"
-        );
-        for (k, inst) in chain.iter().enumerate() {
-            if let Some(text) = render(&format!("{slug}_{k:02}"), &origin, inst, None) {
-                std::fs::write(dir.join(format!("{slug}_{k:02}.qlp")), text).unwrap();
-                written += 1;
-            }
-        }
-    }
-
-    assert!(written >= 6, "sweep harvest produced only {written} corpus files");
-    println!("sweep harvest: wrote {written} corpus files to {}", dir.display());
-}
-
 /// Captures the instances that *trigger the failover ladder*: a real
 /// synthesis run with a forced `PivotLimit` injected on the nth backend
 /// call. Because the injected fault replaces the result **after** the
@@ -475,4 +395,53 @@ fn harvest_dense_false_unbounded() {
     );
     std::fs::write(corpus_dir().join(format!("{slug}.qlp")), text).unwrap();
     println!("dense false-unbounded harvest: wrote {slug}.qlp");
+}
+
+/// Captures the core systems on which the `sparse` backend's
+/// feasibility watchdog restarts a solve: `qava --suite --lp-backend
+/// sparse` takes two restarts (both refactorizations exposed an
+/// infeasible `x_B`, each followed by a Bland retry), one in each of the
+/// `hoeffding-linear` searches of 3DWalk (100, 100, 100) and (100, 150,
+/// 200). A file carries the warm basis the session offered only when a
+/// cold solve of the system does not restart. The corpus replay holds
+/// every backend to these systems' verdicts and objectives; it does not
+/// require the restart to recur.
+#[test]
+#[ignore = "writes crates/lp/tests/corpus — run deliberately to (re)capture"]
+fn harvest_watchdog_restarts() {
+    for (row_idx, slug) in
+        [(0usize, "walk3d_100_100_100_sparse_watchdog"), (1, "walk3d_100_150_200_sparse_watchdog")]
+    {
+        let row = &suite::walk3d_rows()[row_idx];
+        let pts = row.compile();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut solver = LpSolver::with_choice(BackendChoice::Sparse);
+        solver.register_backend(Box::new(Capturing {
+            inner: Box::new(SparseRevised),
+            log: Rc::clone(&log),
+        }));
+        synthesize_reprsm_bound_in(
+            &pts,
+            BoundKind::Hoeffding,
+            hoeffding::DEFAULT_SER_ITERATIONS,
+            &mut solver,
+        )
+        .unwrap();
+        let log = log.borrow();
+        let restarted: Vec<&Instance> = log.iter().filter(|i| i.watchdog_restarts > 0).collect();
+        let [inst] = restarted[..] else {
+            panic!("{}: {} restarted solves, expected one", row.label, restarted.len())
+        };
+        let cold = SparseRevised.solve_core(&inst.costs, &inst.matrix(), &inst.b, None);
+        let warm =
+            if cold.is_ok_and(|s| s.watchdog_restarts > 0) { None } else { inst.warm.as_deref() };
+        let origin = format!(
+            "3DWalk {} Hoeffding synthesis on the sparse backend: the solve whose \
+             feasibility watchdog restarted it (suite Table 1)",
+            row.label
+        );
+        let text = render(slug, &origin, inst, warm).expect("the dense oracle reaches a verdict");
+        std::fs::write(corpus_dir().join(format!("{slug}.qlp")), text).unwrap();
+        println!("watchdog harvest: wrote {slug}.qlp");
+    }
 }

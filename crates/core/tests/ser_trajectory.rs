@@ -6,7 +6,7 @@
 //! ternary search cannot absorb even a last-digit change of one probe's
 //! ω(ε): such a change moves ε\* and the bound. So any change to how a
 //! probe is solved (how its LP is built, presolved, factorized or
-//! reoptimized) shows up here, even when the bound still agrees with the
+//! warm-started) shows up here, even when the bound still agrees with the
 //! paper to the tolerance `tests/paper_rows.rs` allows.
 //!
 //! Every fixed-ε solve goes through one prepared LP per run

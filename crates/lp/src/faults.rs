@@ -17,10 +17,11 @@
 //! accuracy-trip[:N]   Nth FT accuracy check reports drift
 //! pivot-limit[:N]     Nth backend call's result becomes PivotLimit
 //! warm-poison[:N]     Nth warm-start lookup returns a corrupted basis
-//! dual-pivot[:N]      Nth dual-simplex pivot aborts the reoptimization
 //! deadline[:N]        Nth solve boundary behaves as an expired deadline
 //! chaos:SEED          a pseudo-random recoverable fault derived from SEED
 //! ```
+//!
+//! Any other kind is an "unknown fault kind" error.
 //!
 //! `N` defaults to 1 and is 1-based. Everything is deterministic: the
 //! same plan against the same workload trips at the same site, which is
@@ -48,21 +49,17 @@ pub enum FaultKind {
     PivotLimit,
     /// A warm-start basis from the cache is corrupted before use.
     WarmPoison,
-    /// A dual-simplex reoptimization pivot aborts mid-flight, forcing
-    /// the session to degrade to a cold primal solve.
-    DualPivot,
     /// A solve boundary behaves as if the request deadline expired.
     Deadline,
 }
 
 /// The recoverable kinds, in spec order (used by [`FaultPlan::chaos`]).
-const RECOVERABLE: [FaultKind; 6] = [
+const RECOVERABLE: [FaultKind; 5] = [
     FaultKind::RefactorFail,
     FaultKind::ShakyPivot,
     FaultKind::AccuracyTrip,
     FaultKind::PivotLimit,
     FaultKind::WarmPoison,
-    FaultKind::DualPivot,
 ];
 
 /// Where in the solve pipeline a fault can trip. Each [`FaultKind`]
@@ -79,8 +76,6 @@ pub(crate) enum Site {
     BackendCall,
     /// A warm-start cache hit, before the basis is used.
     WarmLookup,
-    /// `Revised::run_dual` — a dual-simplex reoptimization pivot.
-    DualPivot,
     /// Entry to `solve_std_rows`, where deadlines are enforced.
     SolveBoundary,
 }
@@ -93,7 +88,6 @@ impl FaultKind {
             FaultKind::AccuracyTrip => Site::FtAccuracy,
             FaultKind::PivotLimit => Site::BackendCall,
             FaultKind::WarmPoison => Site::WarmLookup,
-            FaultKind::DualPivot => Site::DualPivot,
             FaultKind::Deadline => Site::SolveBoundary,
         }
     }
@@ -106,7 +100,6 @@ impl FaultKind {
             FaultKind::AccuracyTrip => "accuracy-trip",
             FaultKind::PivotLimit => "pivot-limit",
             FaultKind::WarmPoison => "warm-poison",
-            FaultKind::DualPivot => "dual-pivot",
             FaultKind::Deadline => "deadline",
         }
     }
@@ -118,7 +111,6 @@ impl FaultKind {
             "accuracy-trip" => FaultKind::AccuracyTrip,
             "pivot-limit" => FaultKind::PivotLimit,
             "warm-poison" => FaultKind::WarmPoison,
-            "dual-pivot" => FaultKind::DualPivot,
             "deadline" => FaultKind::Deadline,
             _ => return None,
         })
@@ -175,8 +167,8 @@ impl FaultPlan {
         let kind = FaultKind::from_label(head).ok_or_else(|| {
             format!(
                 "unknown fault kind `{head}` (expected refactor-fail, shaky-pivot, \
-                 accuracy-trip, pivot-limit, warm-poison, dual-pivot, \
-                 deadline, or chaos:SEED)"
+                 accuracy-trip, pivot-limit, warm-poison, deadline, \
+                 or chaos:SEED)"
             )
         })?;
         let nth = match tail {
@@ -284,7 +276,6 @@ mod tests {
             FaultKind::AccuracyTrip,
             FaultKind::PivotLimit,
             FaultKind::WarmPoison,
-            FaultKind::DualPivot,
             FaultKind::Deadline,
         ] {
             let plan = FaultPlan::parse(kind.label()).unwrap();
@@ -327,10 +318,12 @@ mod tests {
             assert_ne!(a.kind(), FaultKind::Deadline, "chaos avoids deadlines");
             assert!((1..=4).contains(&a.nth()));
         }
-        // Different seeds reach different kinds (avalanche sanity).
+        // Every recoverable kind is drawn (avalanche sanity).
         let kinds: std::collections::HashSet<_> =
             (0..64u64).map(|s| FaultPlan::chaos(s).kind().label()).collect();
-        assert!(kinds.len() >= 4, "chaos covers the kind space: {kinds:?}");
+        for kind in RECOVERABLE {
+            assert!(kinds.contains(kind.label()), "chaos never draws {}: {kinds:?}", kind.label());
+        }
     }
 
     #[test]

@@ -571,8 +571,9 @@ impl BasisRepr for FtBasis {
     }
 
     fn binv_row(&self, i: usize, out: &mut [f64]) {
-        // Unit-vector btran — the pricing row `ρ = eᵢᵀB⁻¹` of the dual
-        // ratio test (`Revised::run_dual`). The RHS is `eᵢ`, so every Uᵀ
+        // Unit-vector btran — the row `ρ = eᵢᵀB⁻¹` phase 1 scans to
+        // drive a lingering artificial out of slot `i` (the drive-out
+        // loop of `cold_two_phase_traced`). The RHS is `eᵢ`, so every Uᵀ
         // position before slot `i`'s diagonal sees a zero RHS entry and
         // gathers only zeros: the forward sweep can start at that
         // diagonal's position instead of position 0.

@@ -41,15 +41,7 @@
 //!   the dense-inverse revised simplex), a bounded-LRU warm-start basis
 //!   cache keyed by LP sparsity pattern, and per-solve statistics
 //!   ([`LpStats`]: pivots, presolve reductions, warm-start hits,
-//!   feasibility-watchdog restarts, anti-cycling retries, dual
-//!   reoptimizations, wall time). Sessions offer **dual-simplex
-//!   reoptimization** ([`LpSolver::set_reoptimize`]) for parametric
-//!   families: when a solve's reduced pattern has a cached final basis,
-//!   the revised backends refactorize that basis once and — while it
-//!   still prices out dual-feasible, which RHS-only perturbations
-//!   guarantee — run dual pivots back to primal feasibility instead of
-//!   a cold two-phase solve, with unchanged verdict certification and an
-//!   unconditional cold fallback on any numerical doubt.
+//!   feasibility-watchdog restarts, anti-cycling retries, wall time).
 //!   For **right-hand-side families** — solves that differ only in the
 //!   right-hand sides of some rows, like the Ser search's ε probes —
 //!   [`LpSolver::prepare`] lowers, presolves and equilibrates a model
@@ -97,12 +89,6 @@
 //!   `Infeasible`/`Unbounded` are *verdicts*, not faults — they return
 //!   immediately without failover. [`LpSolver::set_failover`] disables
 //!   the ladder for callers that want raw backend behavior.
-//! * **Dual-simplex reoptimization is a fast path, never a verdict
-//!   source**: an attempt abandoned for any reason — a stale or
-//!   singular cached basis, lost dual feasibility after an objective
-//!   change, a dual-degenerate stall, an injected `dual-pivot` fault —
-//!   degrades to the ordinary cold primal solve, so reoptimization can
-//!   change solve cost but not results.
 //! * **Deadlines and cancellation** share one boundary: a raised cancel
 //!   flag ([`LpSolver::add_cancel_flag`]) or an expired deadline
 //!   ([`LpSolver::set_deadline`]) makes the next solve return

@@ -294,8 +294,8 @@ struct Revised<'a, R: BasisRepr> {
     cb: Vec<f64>,
     /// …and its simplex multipliers `yᵀ = c_Bᵀ B⁻¹`.
     y: Vec<f64>,
-    /// A row of `B⁻¹`: the dual ratio test's pricing row, or the row
-    /// phase 1 scans to drive out a lingering artificial.
+    /// A row of `B⁻¹`: the row phase 1 scans to drive out a lingering
+    /// artificial.
     rho: Vec<f64>,
     /// The ftran'd direction `B⁻¹·a_j` of the last [`ftran`](Self::ftran).
     u: Vec<f64>,
@@ -724,141 +724,6 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
         }
         x
     }
-
-    /// Whether every non-basic real column prices out non-negative —
-    /// the dual-feasibility invariant the dual simplex maintains. Scale
-    /// changes multiply each reduced cost by a positive column scale, so
-    /// the sign test survives re-equilibration between sweep points.
-    fn dual_feasible(&mut self, costs: &[f64], tol: f64) -> bool {
-        self.multipliers(costs, 0.0);
-        (0..self.n).all(|j| self.in_basis[j] || costs[j] - self.a.col_dot(j, &self.y) >= -tol)
-    }
-
-    /// Dual-simplex iterations from a dual-feasible basis: the leaving
-    /// row is the most negative `x_B` entry, the entering column wins
-    /// the dual ratio test `min d_j / |α_j|` over `α_j < 0` in the
-    /// pivot row (standard form has only the `x ≥ 0` lower bounds, so
-    /// the general method's bound-flip case — a nonbasic variable
-    /// jumping between finite bounds instead of entering — degenerates
-    /// away). Primal feasibility of `x_B` is the termination condition;
-    /// dual feasibility is the loop invariant, audited once more at the
-    /// verdict.
-    ///
-    /// The verdict rules mirror [`run`](Self::run): an optimality
-    /// verdict seen from incrementally-updated state is only trusted by
-    /// representations that
-    /// [trust it](BasisRepr::trusts_incremental_optimal); everyone else
-    /// re-derives it from a fresh factorization first. Anything the
-    /// loop cannot handle — no eligible entering column (primal
-    /// infeasible or numerically stuck), a dual-degenerate stall past
-    /// the Bland patience, a singular refactorization, an injected
-    /// [`Site::DualPivot`] fault — returns [`DualOutcome::GiveUp`]: the
-    /// caller falls back to a cold primal solve, so reoptimization can
-    /// never change a verdict, only its cost.
-    fn run_dual(&mut self, costs: &[f64], b: &[f64]) -> DualOutcome {
-        let mut just_refactored = true;
-        let mut stalled = 0usize;
-        for it in 0..MAX_PIVOTS {
-            // The injection site guards every dual iteration, including
-            // the terminal one — a `dual-pivot` plan must be able to trip
-            // even a zero-pivot reoptimization into the cold fallback.
-            if faults::trip(Site::DualPivot) {
-                return DualOutcome::GiveUp;
-            }
-            if it > 0 && self.repr.should_refactor(it) && !just_refactored {
-                just_refactored = self.refactor(b);
-            }
-            // Leaving row: the most negative basic value. None ⇒ primal
-            // feasible ⇒ optimal (dual feasibility is the invariant).
-            let mut leave: Option<usize> = None;
-            let mut most = -1e-9;
-            for (i, &v) in self.xb.iter().enumerate() {
-                if v < most {
-                    most = v;
-                    leave = Some(i);
-                }
-            }
-            let Some(r) = leave else {
-                if !just_refactored && !self.repr.trusts_incremental_optimal() {
-                    // Same drifted-state rule as the primal loop: rebuild
-                    // and let the fresh `x_B` re-derive the verdict.
-                    if !self.refactor(b) {
-                        self.wd_singular += 1;
-                        return DualOutcome::GiveUp;
-                    }
-                    just_refactored = true;
-                    continue;
-                }
-                // Verdict audit: the invariant must actually still hold.
-                if self.dual_feasible(costs, 1e-6) {
-                    return DualOutcome::Optimal;
-                }
-                return DualOutcome::GiveUp;
-            };
-            if stalled > DEGENERACY_PATIENCE {
-                return DualOutcome::GiveUp;
-            }
-            self.repr.binv_row(r, &mut self.rho);
-            self.multipliers(costs, 0.0);
-            // Dual ratio test; ties break toward the largest pivot
-            // element, matching the primal ratio test's tie-break.
-            let mut best: Option<(usize, f64, f64)> = None;
-            for (j, &cj) in costs.iter().enumerate().take(self.n) {
-                if self.in_basis[j] {
-                    continue;
-                }
-                let alpha = self.a.col_dot(j, &self.rho);
-                if alpha < -PIVOT_TOL {
-                    let d = (cj - self.a.col_dot(j, &self.y)).max(0.0);
-                    let ratio = d / -alpha;
-                    let better = match best {
-                        None => true,
-                        Some((_, br, ba)) => {
-                            ratio < br - 1e-12 || (ratio < br + 1e-12 && -alpha > ba)
-                        }
-                    };
-                    if better {
-                        best = Some((j, ratio, -alpha));
-                    }
-                }
-            }
-            // No entering column with a negative pivot-row entry: the
-            // LP is primal infeasible (or the row is numerical debris).
-            // Either way the cold path is the authority.
-            let Some((col, _, _)) = best else { return DualOutcome::GiveUp };
-            self.ftran(col);
-            if self.u[r] >= -PIVOT_TOL {
-                // The ftran'd direction disagrees with the B⁻¹ row the
-                // ratio test priced — accumulated update error. One
-                // fresh factorization gets a retry; from fresh state the
-                // disagreement is structural and the loop gives up.
-                if just_refactored || !self.refactor(b) {
-                    return DualOutcome::GiveUp;
-                }
-                just_refactored = true;
-                continue;
-            }
-            let before = self.objective(costs, 0.0);
-            self.pivot(r, col);
-            just_refactored = false;
-            stalled = if (self.objective(costs, 0.0) - before).abs() <= 1e-12 {
-                stalled + 1
-            } else {
-                0
-            };
-        }
-        DualOutcome::GiveUp
-    }
-}
-
-/// How a dual-simplex reoptimization attempt ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DualOutcome {
-    /// Primal feasibility restored with dual feasibility intact: the
-    /// basis is optimal.
-    Optimal,
-    /// Anything else — the caller must run a cold primal solve.
-    GiveUp,
 }
 
 /// Outcome of a revised-simplex core solve, reported back to the
@@ -949,22 +814,18 @@ pub(crate) fn solve_equilibrated_lu_ft(
 /// of the family to the next: the fresh factorization of the last warm
 /// basis, a spare engine and the pivot loop's vectors.
 ///
-/// Both ways of starting from a previous basis use it: a primal warm
-/// start and a dual reoptimization. Either takes the stored
-/// factorization out by move (no copy) when its basis is exactly the
-/// stored one on the same basis engine, and otherwise refactorizes a
-/// recycled engine reset to the identity (the stored one when its basis
-/// is stale, else the spare). The factorization comes back only when
-/// the run leaves it exactly as a refactorization from the identity
-/// built it: when the basis was rejected (as primal infeasible by a
-/// warm start, as dual infeasible by a reoptimization), or when the run
-/// made no pivot (no basis update, no refactorization). So a reused
-/// factorization is always bit for bit the one a refactorization would
-/// build. Any other run's engine, once done, becomes the spare whose
-/// storage a later fresh factorization or cold run reuses (a
-/// reoptimization that gives up hands its engine to the primal solve
-/// that follows); a reset engine behaves exactly like a new one, so
-/// recycling changes no result either.
+/// A warm start takes the stored factorization out by move (no copy)
+/// when its basis is exactly the stored one on the same basis engine,
+/// and otherwise refactorizes a recycled engine reset to the identity
+/// (the stored one when its basis is stale, else the spare). The
+/// factorization comes back only when the run leaves it exactly as a
+/// refactorization from the identity built it: when the warm basis was
+/// rejected as primal infeasible, or when the run made no pivot (no
+/// basis update, no refactorization). So a reused factorization is
+/// always bit for bit the one a refactorization would build. Any other
+/// run's engine, once done, becomes the spare whose storage a later
+/// fresh factorization or cold run reuses; a reset engine behaves
+/// exactly like a new one, so recycling changes no result either.
 #[derive(Default)]
 pub struct FactorMemo {
     /// A [`Slot`] of the basis engine last used on this system.
@@ -1053,92 +914,6 @@ impl<R: BasisRepr> Slot<R> {
                 self.stored = Some(repr);
             }
             None => self.spare = Some(repr),
-        }
-    }
-}
-
-/// Dual-simplex reoptimization from a previous optimal basis, using the
-/// dense-inverse engine (the `sparse` backend).
-pub(crate) fn dual_reoptimize(
-    costs: &[f64],
-    a: &CscMatrix,
-    b: &[f64],
-    basis: &[usize],
-    factors: Option<&mut FactorMemo>,
-) -> Option<CoreOutcome> {
-    dual_reoptimize_with::<DenseInverse>(costs, a, b, basis, factors)
-}
-
-/// Dual-simplex reoptimization using the LU + Forrest–Tomlin engine.
-pub(crate) fn dual_reoptimize_lu_ft(
-    costs: &[f64],
-    a: &CscMatrix,
-    b: &[f64],
-    basis: &[usize],
-    factors: Option<&mut FactorMemo>,
-) -> Option<CoreOutcome> {
-    dual_reoptimize_with::<FtBasis>(costs, a, b, basis, factors)
-}
-
-/// Reoptimizes an equilibrated system from a previous point's optimal
-/// basis: factorize the basis once, verify it still prices out
-/// dual-feasible (an RHS-only perturbation leaves reduced costs — and
-/// hence dual feasibility — untouched; an objective perturbation may
-/// not survive the check), then run dual pivots until primal
-/// feasibility returns. `None` means "run a cold solve instead": a
-/// singular or stale basis, lost dual feasibility, or any mid-flight
-/// numerical doubt all land there, so this path is a pure fast-path and
-/// never an alternative source of verdicts.
-///
-/// The engine and vectors come from `factors` under its rules (see
-/// [`FactorMemo`]): the factorization goes back when no dual pivot was
-/// made or the basis was declined at the dual-feasibility check; after
-/// pivots, or on giving up, the engine becomes the spare, so the primal
-/// fallback's refactorization reuses its storage.
-fn dual_reoptimize_with<R: BasisRepr + Send + 'static>(
-    costs: &[f64],
-    a: &CscMatrix,
-    b: &[f64],
-    basis: &[usize],
-    factors: Option<&mut FactorMemo>,
-) -> Option<CoreOutcome> {
-    let m = a.rows();
-    let n = a.cols();
-    if m == 0 || basis.len() != m || basis.iter().any(|&j| j >= n) {
-        return None;
-    }
-    let mut own = Slot::default();
-    let slot = match factors {
-        Some(factors) => factors.slot::<R>(),
-        None => &mut own,
-    };
-    let repr = slot.factorize(a, basis)?;
-    let mut state = Revised::new(a, basis.iter().copied(), repr, take(&mut slot.buf));
-    state.repr.ftran_dense(b, &mut state.xb);
-    snap_zeros(&mut state.xb);
-    if !state.dual_feasible(costs, 1e-7) {
-        slot.take_back(state, Some(basis));
-        return None;
-    }
-    match state.run_dual(costs, b) {
-        DualOutcome::Optimal => {
-            let out = CoreOutcome {
-                x: state.solution(),
-                accuracy_refactors: state.repr.accuracy_refactors(),
-                basis: state.basis.clone(),
-                pivots: state.pivots,
-                warm_start_used: true,
-                watchdog_restarts: 0,
-                watchdog_singular: state.wd_singular,
-                watchdog_infeasible: state.wd_infeasible,
-                bland_retries: 0,
-            };
-            slot.take_back(state, (out.pivots == 0).then_some(basis));
-            Some(out)
-        }
-        DualOutcome::GiveUp => {
-            slot.take_back(state, None);
-            None
         }
     }
 }

@@ -24,14 +24,6 @@
 //! of through ambient per-thread globals, and `qava --suite` can report
 //! per-backend solve statistics.
 //!
-//! Sessions additionally support **dual-simplex reoptimization**
-//! ([`LpSolver::set_reoptimize`]): when a solve's reduced sparsity
-//! pattern has a cached final basis, the revised-simplex backends
-//! refactorize it once and run dual pivots back to primal feasibility
-//! instead of a cold two-phase solve — the parametric-sweep fast path,
-//! with unchanged verdict certification and an unconditional cold
-//! fallback on any doubt.
-//!
 //! A model solved many times with only some right-hand sides changed is
 //! **prepared** once ([`LpSolver::prepare`] → [`PreparedLp`]) and its
 //! members solved with [`LpSolver::solve_prepared`]. A pipeline pass is
@@ -41,8 +33,8 @@
 //! right-hand side and runs the same backend half on the prepared
 //! system, so it computes exactly what an ordinary solve computes. The
 //! prepared LP also keeps its basis engines' storage, and the fresh
-//! factorization of an unchanged basis, from one member to the next,
-//! for warm starts and dual reoptimizations alike.
+//! factorization of an unchanged warm basis, from one member to the
+//! next.
 
 use crate::cache::{BasisCache, SharedBasisCache};
 use crate::csc::CscMatrix;
@@ -122,11 +114,10 @@ pub struct CoreSolution {
 /// objective agreement.
 ///
 /// A member of a prepared family ([`LpSolver::solve_prepared`]) goes
-/// through [`solve_core_prepared`](Self::solve_core_prepared) and, in
-/// reoptimize mode, [`reoptimize_core_prepared`](Self::reoptimize_core_prepared)
-/// first, which also receive the family's [`FactorMemo`]. Their
-/// defaults ignore it and call the plain methods, so a backend that
-/// keeps nothing between solves implements only those.
+/// through [`solve_core_prepared`](Self::solve_core_prepared), which
+/// also receives the family's [`FactorMemo`]. Its default ignores it
+/// and calls [`solve_core`](Self::solve_core), so a backend that keeps
+/// nothing between solves implements only that.
 pub trait LpBackend {
     /// Short stable name, used for selection ([`LpSolver::select_backend`])
     /// and statistics ([`LpStats::backends`]).
@@ -181,21 +172,16 @@ pub trait LpBackend {
         self.solve_core(costs, a, b, warm)
     }
 
-    /// Whether this backend can reoptimize from a previous solve's final
-    /// basis with the dual simplex (see [`LpSolver::set_reoptimize`]).
+    /// Always `false`: no session reoptimizes any more. Kept, with
+    /// [`reoptimize_core`](Self::reoptimize_core), only because the
+    /// `perfbench` tracing wrapper still forwards both; they go with
+    /// the next benchmark change.
     fn supports_reoptimize(&self) -> bool {
         false
     }
 
-    /// Attempts a dual-simplex reoptimization of one equilibrated core
-    /// system from a previous solve's final `basis` — the parametric-sweep
-    /// fast path: after an RHS perturbation the old optimal basis stays
-    /// dual feasible, so a handful of dual pivots replace a cold
-    /// two-phase solve. `None` declines or abandons the attempt (stale or
-    /// singular basis, lost dual feasibility, numerical doubt) and the
-    /// session falls back to [`solve_core`](Self::solve_core); a `Some`
-    /// result went through exactly the same verdict certification as a
-    /// cold solve.
+    /// Always `None`, and never called by a session; see
+    /// [`supports_reoptimize`](Self::supports_reoptimize).
     fn reoptimize_core(
         &self,
         _costs: &[f64],
@@ -204,27 +190,6 @@ pub trait LpBackend {
         _basis: &[usize],
     ) -> Option<CoreSolution> {
         None
-    }
-
-    /// [`reoptimize_core`](Self::reoptimize_core) on a prepared system
-    /// ([`LpSolver::solve_prepared`]), with that system's `factors` as in
-    /// [`solve_core_prepared`](Self::solve_core_prepared): a backend may
-    /// start from the stored factorization of an equal basis and keep
-    /// its engines' storage there, so a family's probes need not
-    /// refactorize an unchanged basis. On `None` the session hands the
-    /// same `factors` to [`solve_core_prepared`](Self::solve_core_prepared).
-    /// The result must be exactly `reoptimize_core`'s. The default ignores
-    /// `factors`.
-    fn reoptimize_core_prepared(
-        &self,
-        costs: &[f64],
-        a: &CscMatrix,
-        b: &[f64],
-        basis: &[usize],
-        factors: &mut FactorMemo,
-    ) -> Option<CoreSolution> {
-        let _ = factors;
-        self.reoptimize_core(costs, a, b, basis)
     }
 }
 
@@ -261,31 +226,6 @@ impl LpBackend for SparseRevised {
         factors: &mut FactorMemo,
     ) -> Result<CoreSolution, LpError> {
         revised::solve_equilibrated(costs, a, b, warm, Some(factors)).map(CoreSolution::from)
-    }
-
-    fn supports_reoptimize(&self) -> bool {
-        true
-    }
-
-    fn reoptimize_core(
-        &self,
-        costs: &[f64],
-        a: &CscMatrix,
-        b: &[f64],
-        basis: &[usize],
-    ) -> Option<CoreSolution> {
-        revised::dual_reoptimize(costs, a, b, basis, None).map(CoreSolution::from)
-    }
-
-    fn reoptimize_core_prepared(
-        &self,
-        costs: &[f64],
-        a: &CscMatrix,
-        b: &[f64],
-        basis: &[usize],
-        factors: &mut FactorMemo,
-    ) -> Option<CoreSolution> {
-        revised::dual_reoptimize(costs, a, b, basis, Some(factors)).map(CoreSolution::from)
     }
 }
 
@@ -332,31 +272,6 @@ impl LpBackend for LuFtSimplex {
     ) -> Result<CoreSolution, LpError> {
         revised::solve_equilibrated_lu_ft(costs, a, b, warm, Some(factors))
             .map(CoreSolution::from)
-    }
-
-    fn supports_reoptimize(&self) -> bool {
-        true
-    }
-
-    fn reoptimize_core(
-        &self,
-        costs: &[f64],
-        a: &CscMatrix,
-        b: &[f64],
-        basis: &[usize],
-    ) -> Option<CoreSolution> {
-        revised::dual_reoptimize_lu_ft(costs, a, b, basis, None).map(CoreSolution::from)
-    }
-
-    fn reoptimize_core_prepared(
-        &self,
-        costs: &[f64],
-        a: &CscMatrix,
-        b: &[f64],
-        basis: &[usize],
-        factors: &mut FactorMemo,
-    ) -> Option<CoreSolution> {
-        revised::dual_reoptimize_lu_ft(costs, a, b, basis, Some(factors)).map(CoreSolution::from)
     }
 }
 
@@ -559,14 +474,11 @@ pub struct LpStats {
     /// Failover rungs that rescued the solve: the stepped-down backend
     /// produced the certified verdict.
     pub failover_recoveries: usize,
-    /// Dual-simplex reoptimization attempts: solves in
-    /// [reoptimize mode](LpSolver::set_reoptimize) that found a cached
-    /// basis on a reoptimization-capable backend and tried dual pivots
-    /// before the primal path.
+    /// Always 0: no session reoptimizes any more. Kept, with its merge
+    /// and its wire key, because `perfbench` still reads it; it goes
+    /// with the next benchmark change.
     pub reopt_attempts: usize,
-    /// Reoptimization attempts that produced the certified optimum;
-    /// `reopt_attempts − reopt_successes` solves fell back to a cold
-    /// primal solve.
+    /// Always 0, like [`reopt_attempts`](Self::reopt_attempts).
     pub reopt_successes: usize,
     /// Accuracy-triggered refactorizations: `lu-ft` updates whose
     /// determinant-identity cross-check drifted, forcing an early
@@ -646,8 +558,7 @@ impl std::fmt::Display for LpStats {
             "lp: {} solves, {} pivots, {:.3}s; presolve removed {} rows / {} cols; \
              warm start {} hits / {} misses, {} evictions, {} persistent; \
              {} watchdog restarts ({} singular / {} infeasible), {} bland retries; \
-             {} failovers / {} rescues; {} dual reopts ({} fell back cold); \
-             {} accuracy refactors",
+             {} failovers / {} rescues; {} accuracy refactors",
             self.solves,
             self.pivots,
             self.wall_seconds,
@@ -663,10 +574,6 @@ impl std::fmt::Display for LpStats {
             self.bland_retries,
             self.failovers,
             self.failover_recoveries,
-            self.reopt_attempts,
-            // Saturating: stats decoded from a daemon reply need not
-            // satisfy successes <= attempts.
-            self.reopt_attempts.saturating_sub(self.reopt_successes),
             self.accuracy_refactors,
         )?;
         for t in &self.backends {
@@ -709,10 +616,6 @@ pub struct LpSolver {
     faults: Option<FaultPlan>,
     /// Whether the graceful-degradation failover ladder is enabled.
     failover: bool,
-    /// Whether solves try dual-simplex reoptimization from the cached
-    /// basis before the primal path; see
-    /// [`set_reoptimize`](Self::set_reoptimize).
-    reopt: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -757,7 +660,6 @@ impl LpSolver {
             deadline: None,
             faults: faults::from_env(),
             failover: true,
-            reopt: false,
         };
         s.set_choice(choice);
         s
@@ -894,23 +796,6 @@ impl LpSolver {
     /// behavior the differential tests rely on.
     pub fn set_failover(&mut self, enabled: bool) {
         self.failover = enabled;
-    }
-
-    /// Enables or disables dual-simplex reoptimization mode (disabled by
-    /// default). In this mode every solve whose (presolved, equilibrated)
-    /// sparsity pattern has a cached final basis first refactorizes that
-    /// basis and — when it still prices out dual-feasible, which an
-    /// RHS-only perturbation guarantees — runs dual pivots back to primal
-    /// feasibility instead of a cold two-phase solve. Verdict rules are
-    /// unchanged (reoptimized optima go through the same
-    /// fresh-refactorization certification), and any doubt falls back to
-    /// the ordinary primal path. The mode changes solve *cost* and, by
-    /// another pivot sequence, at most the last digits of an optimum;
-    /// that is enough to move where the Ser ternary search lands, so no
-    /// product path enables it at present. The LP-level tests and the
-    /// `lp/kernel/sweep_*` benches do.
-    pub fn set_reoptimize(&mut self, enabled: bool) {
-        self.reopt = enabled;
     }
 
     /// Probes the session fault plan at an injection site.
@@ -1066,9 +951,8 @@ impl LpSolver {
     /// pipeline. When a patched row would lower with the other sign, or
     /// any replayed presolve step would decide differently, the member
     /// runs the full pipeline instead. A backend may also reuse the
-    /// fresh factorization of an unchanged warm basis, for a warm start
-    /// ([`LpBackend::solve_core_prepared`]) and, in reoptimize mode, for
-    /// a dual reoptimization ([`LpBackend::reoptimize_core_prepared`]).
+    /// fresh factorization of an unchanged warm basis
+    /// ([`LpBackend::solve_core_prepared`]).
     ///
     /// # Errors
     ///
@@ -1210,7 +1094,7 @@ impl LpSolver {
         &mut self,
         sys: &CoreSystem,
         force: Option<usize>,
-        mut factors: Option<&mut FactorMemo>,
+        factors: Option<&mut FactorMemo>,
     ) -> Attempt {
         self.stats.presolve_rows_removed += sys.orig_rows - sys.rows;
         self.stats.presolve_cols_removed += sys.orig_cols - sys.ncols;
@@ -1287,36 +1171,14 @@ impl LpSolver {
         // back into the session.
         let backend_started = Instant::now();
         let prev = faults::install(self.faults.take());
-        // Reoptimization mode: with a cached basis on a capable backend,
-        // try dual pivots from the previous optimum first. `None` (stale
-        // basis, lost dual feasibility, an injected dual-pivot fault, any
-        // numerical doubt) falls straight through to the ordinary primal
-        // path — reoptimization is a fast path, never a verdict source of
-        // its own.
         let backend = &self.backends[idx];
-        let try_reopt = self.reopt && backend.supports_reoptimize();
-        let reopt_core = match warm.as_deref() {
-            Some(basis) if try_reopt => match factors.as_deref_mut() {
-                Some(memo) => backend.reoptimize_core_prepared(scaled_costs, sa, sb, basis, memo),
-                None => backend.reoptimize_core(scaled_costs, sa, sb, basis),
-            },
-            _ => None,
-        };
-        let reopt_used = reopt_core.is_some();
-        let core = match (reopt_core, factors) {
-            (Some(core), _) => Ok(core),
-            (None, Some(factors)) => {
+        let core = match factors {
+            Some(factors) => {
                 backend.solve_core_prepared(scaled_costs, sa, sb, warm.as_deref(), factors)
             }
-            (None, None) => backend.solve_core(scaled_costs, sa, sb, warm.as_deref()),
+            None => backend.solve_core(scaled_costs, sa, sb, warm.as_deref()),
         };
         self.faults = faults::install(prev);
-        if try_reopt && warm.is_some() {
-            self.stats.reopt_attempts += 1;
-            if reopt_used {
-                self.stats.reopt_successes += 1;
-            }
-        }
         let core = if self.fault_trip(Site::BackendCall) {
             // The real result (and any instance-capture wrapper's log of
             // it) already exists; only the session's view turns into the
@@ -2003,105 +1865,6 @@ mod tests {
         assert_eq!(solver.solve(&simple_lp(3.0)).unwrap_err(), LpError::Cancelled);
         assert!(solver.fault_fired());
         solver.solve(&simple_lp(3.0)).unwrap();
-    }
-
-    /// The revised backends a reoptimization test must cover (the dense
-    /// tableau has no basis to reoptimize from and silently declines).
-    const REOPT_BACKENDS: [BackendChoice; 2] = [BackendChoice::Sparse, BackendChoice::LuFt];
-
-    #[test]
-    fn reoptimize_matches_cold_solve_on_rhs_perturbation() {
-        for choice in REOPT_BACKENDS {
-            let mut solver = LpSolver::with_choice(choice);
-            solver.solve(&simple_lp(3.0)).unwrap();
-            // Perturbed RHS, same pattern: the reoptimized optimum must
-            // equal the cold one exactly (both are certified optima).
-            solver.set_reoptimize(true);
-            let sol = solver.solve(&simple_lp(4.5)).unwrap();
-            let mut cold = LpSolver::with_choice(choice);
-            let want = cold.solve(&simple_lp(4.5)).unwrap();
-            assert!(
-                (sol.objective - want.objective).abs() < 1e-9,
-                "{choice}: reopt {} vs cold {}",
-                sol.objective,
-                want.objective
-            );
-            assert_eq!(solver.stats().reopt_attempts, 1, "{choice}");
-            assert_eq!(solver.stats().reopt_successes, 1, "{choice}");
-        }
-    }
-
-    #[test]
-    fn reoptimize_pivots_back_to_feasibility() {
-        // Tightening the x-cap makes the previous optimal basis primal
-        // infeasible (its slack goes negative), so this exercises a real
-        // dual pivot, not just the zero-pivot feasibility re-check.
-        let build = |cap: f64| {
-            let mut lp = LpBuilder::new();
-            let x = lp.add_var_nonneg("x");
-            let y = lp.add_var_nonneg("y");
-            lp.constrain(LinExpr::new().term(x, 1.0).term(y, 1.0), Cmp::Le, 1.0);
-            lp.constrain(LinExpr::var(x, 1.0), Cmp::Le, cap);
-            lp.maximize(LinExpr::new().term(x, 2.0).term(y, 1.0));
-            lp
-        };
-        for choice in REOPT_BACKENDS {
-            let mut solver = LpSolver::with_choice(choice);
-            let first = solver.solve(&build(2.0)).unwrap();
-            assert!((first.objective - 2.0).abs() < 1e-7, "{choice}: {}", first.objective);
-            solver.set_reoptimize(true);
-            let sol = solver.solve(&build(0.5)).unwrap();
-            assert!((sol.objective - 1.5).abs() < 1e-7, "{choice}: {}", sol.objective);
-            assert_eq!(solver.stats().reopt_attempts, 1, "{choice}");
-            assert_eq!(solver.stats().reopt_successes, 1, "{choice}");
-        }
-    }
-
-    #[test]
-    fn reoptimize_without_cached_basis_runs_cold() {
-        let mut solver = LpSolver::with_choice(BackendChoice::Sparse);
-        solver.set_reoptimize(true);
-        let sol = solver.solve(&simple_lp(3.0)).unwrap();
-        assert!((sol.objective - 6.0).abs() < 1e-7);
-        assert_eq!(solver.stats().reopt_attempts, 0, "no basis, no attempt");
-    }
-
-    #[test]
-    fn successful_reoptimization_refreshes_the_cache_entry() {
-        let mut solver = LpSolver::with_choice(BackendChoice::Sparse);
-        solver.solve(&simple_lp(3.0)).unwrap();
-        let key = *solver.cache.map.keys().next().expect("cold solve cached its basis");
-        solver.set_reoptimize(true);
-        solver.solve(&simple_lp(4.0)).unwrap();
-        assert_eq!(solver.stats().reopt_successes, 1);
-        let (_, used) = &solver.cache.map[&key];
-        assert_eq!(
-            *used, solver.cache.tick,
-            "the reoptimized final basis re-touched the pattern entry"
-        );
-        // And the refreshed entry seeds the next point: a third solve of
-        // the family reoptimizes again from it.
-        solver.solve(&simple_lp(5.0)).unwrap();
-        assert_eq!(solver.stats().reopt_successes, 2);
-    }
-
-    #[test]
-    fn tripped_dual_pivot_degrades_to_cold_solve() {
-        for choice in REOPT_BACKENDS {
-            let mut solver = LpSolver::with_choice(choice);
-            solver.solve(&simple_lp(3.0)).unwrap();
-            solver.install_fault_plan(FaultPlan::once(crate::FaultKind::DualPivot));
-            solver.set_reoptimize(true);
-            let sol = solver.solve(&simple_lp(4.0)).unwrap();
-            assert!((sol.objective - 8.0).abs() < 1e-7, "{choice}: {}", sol.objective);
-            assert!(solver.fault_fired(), "{choice}: the dual pivot site was reached");
-            assert_eq!(solver.stats().reopt_attempts, 1, "{choice}");
-            assert_eq!(
-                solver.stats().reopt_successes,
-                0,
-                "{choice}: the tripped attempt fell back cold"
-            );
-        }
     }
 
     #[test]

@@ -299,75 +299,3 @@ fn corpus_survives_poisoned_warm_starts() {
     }
     assert!(fired > 0, "no warm lookup was ever poisoned — cache never hit?");
 }
-
-/// Sweep-chain replay: the `sweep_*_NN.qlp` files are ordered ladders of
-/// structurally identical, value-perturbed core systems harvested from
-/// one session shared by a `qava --sweep` family's searches
-/// (`harvest_sweep_chains`). For every
-/// reoptimize-capable backend, walk each chain the way a reoptimizing
-/// session (`LpSolver::set_reoptimize`) does — cold-solve the head, then
-/// dual-reoptimize each successor from the previous member's final
-/// basis — and hold every incrementally produced solution to that
-/// member's own pinned cold verdict and objective (1e-7), residual and
-/// nonnegativity included. A declined attempt (`None`) is legal — the
-/// session then falls back to a cold solve, which must itself match —
-/// but at least one reoptimization must succeed across the chains, or
-/// the reoptimization fast path is dead weight. The dense tableau declines
-/// reoptimization by contract, so its chain replay is trivially the
-/// cold replay already covered by `corpus_replays_identically_across_backends`.
-#[test]
-fn sweep_chain_reoptimization_matches_cold() {
-    let mut chains: std::collections::BTreeMap<String, Vec<CorpusInstance>> = Default::default();
-    for path in corpus_files() {
-        let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
-        if !stem.starts_with("sweep_") {
-            continue;
-        }
-        let (fam, _) = stem.rsplit_once('_').unwrap();
-        chains.entry(fam.to_string()).or_default().push(parse(&path));
-    }
-    assert!(chains.len() >= 2, "expected at least the coupon and epsmax sweep chains");
-    let mut reopts = 0usize;
-    for (fam, insts) in &chains {
-        assert!(insts.len() >= 3, "{fam}: chain too short ({})", insts.len());
-        for backend in backends() {
-            if !backend.supports_reoptimize() {
-                continue;
-            }
-            let a0 = insts[0].matrix();
-            let head = backend.solve_core(&insts[0].costs, &a0, &insts[0].b, None);
-            check(&insts[0], backend.name(), &format!("{fam} chain head"), head.clone());
-            let mut basis = head.ok().and_then(|s| s.basis);
-            for inst in &insts[1..] {
-                let a = inst.matrix();
-                let reopt = basis
-                    .as_deref()
-                    .and_then(|prev| backend.reoptimize_core(&inst.costs, &a, &inst.b, prev));
-                let sol = match reopt {
-                    Some(sol) => {
-                        reopts += 1;
-                        check(
-                            inst,
-                            backend.name(),
-                            &format!("{fam} chain reopt"),
-                            Ok(sol.clone()),
-                        );
-                        sol
-                    }
-                    None => {
-                        let cold = backend.solve_core(&inst.costs, &a, &inst.b, None);
-                        check(
-                            inst,
-                            backend.name(),
-                            &format!("{fam} chain cold fallback"),
-                            cold.clone(),
-                        );
-                        cold.expect("chain member must at least solve cold")
-                    }
-                };
-                basis = sol.basis;
-            }
-        }
-    }
-    assert!(reopts > 0, "no chain member ever reoptimized — the dual fast path is dead");
-}

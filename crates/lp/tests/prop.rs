@@ -804,12 +804,10 @@ fn family_model(seed: u64) -> FamilyModel {
     FamilyModel { nonneg, rows, objective, maximize: rng.gen_bool(0.5), family, members }
 }
 
-fn session(choice: usize, reopt: bool) -> LpSolver {
+fn session(choice: usize) -> LpSolver {
     let choice = [BackendChoice::Auto, BackendChoice::Sparse, BackendChoice::LuFt, BackendChoice::Dense]
         [choice % 4];
-    let mut s = LpSolver::with_choice(choice);
-    s.set_reoptimize(reopt);
-    s
+    LpSolver::with_choice(choice)
 }
 
 /// The statistics with the wall times zeroed: everything a prepared
@@ -887,11 +885,10 @@ proptest! {
     fn prepared_family_matches_rebuilt_solves(
         seed in any::<u64>(),
         choice in 0usize..4,
-        reopt in any::<bool>(),
     ) {
         let model = family_model(seed);
-        let mut prep_session = session(choice, reopt);
-        let mut twin = session(choice, reopt);
+        let mut prep_session = session(choice);
+        let mut twin = session(choice);
         let run = run_family(&model, &mut prep_session, &mut twin);
         prop_assert!(run.is_ok(), "{}", run.unwrap_err());
     }
@@ -910,15 +907,12 @@ proptest! {
             FaultKind::AccuracyTrip,
             FaultKind::PivotLimit,
             FaultKind::WarmPoison,
-            FaultKind::DualPivot,
             FaultKind::Deadline,
         ];
         for kind in kinds {
             for nth in 1..=3 {
-                // Dual pivots only run in reoptimization mode.
-                let reopt = kind == FaultKind::DualPivot;
-                let mut prep_session = session(choice, reopt);
-                let mut twin = session(choice, reopt);
+                let mut prep_session = session(choice);
+                let mut twin = session(choice);
                 prep_session.install_fault_plan(FaultPlan::new(kind, nth));
                 twin.install_fault_plan(FaultPlan::new(kind, nth));
                 let run = run_family(&model, &mut prep_session, &mut twin);
@@ -971,25 +965,15 @@ proptest! {
     /// infeasible — the runs whose factorization goes back to the memo
     /// and is reused — equal ordinary solves of the rebuilt models by
     /// `to_bits`, with the same verdicts and statistics, on the two
-    /// warm-starting engines and under the automatic choice. With
-    /// reoptimization on, the same members run as dual reoptimizations,
-    /// which share the memo; `dual_fault > 0` also makes that visit of
-    /// the dual pivot loop give up, handing its engine to the primal
-    /// fallback.
+    /// warm-starting engines and under the automatic choice.
     #[test]
     fn prepared_family_matches_rebuilt_through_factor_reuse(
         seed in any::<u64>(),
         choice in 0usize..3,
-        reopt in any::<bool>(),
-        dual_fault in 0usize..8,
     ) {
         let model = memo_model(seed);
-        let mut prep_session = session(choice, reopt);
-        let mut twin = session(choice, reopt);
-        if reopt && dual_fault > 0 {
-            prep_session.install_fault_plan(FaultPlan::new(FaultKind::DualPivot, dual_fault));
-            twin.install_fault_plan(FaultPlan::new(FaultKind::DualPivot, dual_fault));
-        }
+        let mut prep_session = session(choice);
+        let mut twin = session(choice);
         let run = run_family(&model, &mut prep_session, &mut twin);
         prop_assert!(run.is_ok(), "{}", run.unwrap_err());
     }
@@ -1001,12 +985,7 @@ proptest! {
 /// cut below what `0.8·x1 + 1.9·x2 ≥ r2` demands) and to a feasible
 /// one — some repeated, and returns to the first member's basis. The
 /// coefficients are not dyadic, so a factorization updated by a pivot
-/// differs from a fresh one in its last bits. With reoptimization the
-/// members run as dual reoptimizations (zero-pivot ones hand their
-/// factorization back, the jumps pivot or give up); the family then
-/// runs once more per visit of the dual pivot loop, with a `dual-pivot`
-/// fault at that visit, so every point of the chain gives up once and
-/// hands its engine to the primal fallback.
+/// differs from a fresh one in its last bits.
 #[test]
 fn prepared_factor_memo_take_back_matches_rebuilt() {
     let model = FamilyModel {
@@ -1036,26 +1015,10 @@ fn prepared_factor_memo_take_back_matches_rebuilt() {
         ],
     };
     for choice in 1..3 {
-        for reopt in [false, true] {
-            let mut prep_session = session(choice, reopt);
-            let mut twin = session(choice, reopt);
-            run_family(&model, &mut prep_session, &mut twin)
-                .unwrap_or_else(|e| panic!("choice {choice}, reopt {reopt}: {e}"));
-        }
-        let mut visits = 0;
-        for nth in 1.. {
-            let mut prep_session = session(choice, true);
-            let mut twin = session(choice, true);
-            prep_session.install_fault_plan(FaultPlan::new(FaultKind::DualPivot, nth));
-            twin.install_fault_plan(FaultPlan::new(FaultKind::DualPivot, nth));
-            run_family(&model, &mut prep_session, &mut twin)
-                .unwrap_or_else(|e| panic!("choice {choice}, dual-pivot:{nth}: {e}"));
-            if !prep_session.fault_fired() {
-                break;
-            }
-            visits = nth;
-        }
-        assert!(visits >= 10, "choice {choice}: only {visits} dual pivot loop visits");
+        let mut prep_session = session(choice);
+        let mut twin = session(choice);
+        run_family(&model, &mut prep_session, &mut twin)
+            .unwrap_or_else(|e| panic!("choice {choice}: {e}"));
     }
 }
 
@@ -1087,8 +1050,8 @@ fn prepared_family_replays_when_nothing_flips() {
                 vec![3.0, 0.5],
             ],
         };
-        let mut prep_session = session(choice, false);
-        let mut twin = session(choice, false);
+        let mut prep_session = session(choice);
+        let mut twin = session(choice);
         let prep = run_family(&model, &mut prep_session, &mut twin).unwrap();
         assert_eq!(prepared_counts(&prep), (6, 0), "choice {choice}");
     }
@@ -1099,8 +1062,8 @@ fn prepared_family_replays_when_nothing_flips() {
 /// replays), match the rebuilt solve, and reach the verdict `want`.
 fn assert_falls_back(model: &FamilyModel, want: Result<(), LpError>) {
     for choice in 0..4 {
-        let mut prep_session = session(choice, false);
-        let mut twin = session(choice, false);
+        let mut prep_session = session(choice);
+        let mut twin = session(choice);
         let prep = run_family(model, &mut prep_session, &mut twin).unwrap();
         let (replays, fallbacks) = prepared_counts(&prep);
         assert_eq!(fallbacks, 1, "choice {choice}: the member must fall back");
@@ -1192,8 +1155,8 @@ fn prepared_family_honors_deadline_and_cancel_flag() {
     let model = family_model(42);
     let (base, ids) = model.build(None);
     for choice in 0..4 {
-        let mut prep_session = session(choice, false);
-        let mut twin = session(choice, false);
+        let mut prep_session = session(choice);
+        let mut twin = session(choice);
         let mut prep = prep_session.prepare(&base);
         let flag = Arc::new(AtomicBool::new(false));
         prep_session.add_cancel_flag(flag.clone());
@@ -1211,8 +1174,8 @@ fn prepared_family_honors_deadline_and_cancel_flag() {
         }
         assert_eq!(work(prep_session.stats()), work(twin.stats()));
 
-        let mut prep_session = session(choice, false);
-        let mut twin = session(choice, false);
+        let mut prep_session = session(choice);
+        let mut twin = session(choice);
         let mut prep = prep_session.prepare(&base);
         prep_session.set_deadline_in(std::time::Duration::ZERO);
         twin.set_deadline_in(std::time::Duration::ZERO);

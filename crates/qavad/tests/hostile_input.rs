@@ -10,7 +10,6 @@
 //!   printing what they decode, as `qava --connect` does.
 
 use proptest::prelude::*;
-use qava_lp::LpStats;
 use qavad::json::{self, Json};
 use qavad::protocol::{engine_run_from_json, lp_stats_from_json};
 use rand::rngs::StdRng;
@@ -188,12 +187,4 @@ proptest! {
             let _ = totals.to_string();
         }
     }
-}
-
-/// A daemon reply may claim more successful reoptimizations than
-/// attempts; the footer must still print (it used to underflow).
-#[test]
-fn stats_footer_prints_more_successes_than_attempts() {
-    let stats = LpStats { reopt_attempts: 1, reopt_successes: 5, ..LpStats::default() };
-    assert!(stats.to_string().contains("1 dual reopts (0 fell back cold)"));
 }
