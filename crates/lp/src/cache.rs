@@ -33,13 +33,18 @@ impl BasisCache {
         BasisCache { capacity, tick: 0, map: HashMap::new() }
     }
 
-    pub(crate) fn get(&mut self, key: u64) -> Option<Vec<usize>> {
+    /// Copies the basis cached for `key` into `out` (reusing its
+    /// storage); returns `false`, leaving `out` as it was, on a miss.
+    pub(crate) fn get(&mut self, key: u64, out: &mut Vec<usize>) -> bool {
         self.tick += 1;
         let tick = self.tick;
-        self.map.get_mut(&key).map(|(basis, used)| {
-            *used = tick;
-            basis.clone()
-        })
+        let Some((basis, used)) = self.map.get_mut(&key) else {
+            return false;
+        };
+        *used = tick;
+        out.clear();
+        out.extend_from_slice(basis);
+        true
     }
 
     /// Inserts, returning the number of entries evicted to stay bounded.
@@ -114,9 +119,11 @@ impl SharedBasisCache {
         SharedBasisCache { inner: Mutex::new(BasisCache::new(capacity)) }
     }
 
-    /// Looks up the basis cached for a sparsity-pattern hash.
-    pub fn get(&self, key: u64) -> Option<Vec<usize>> {
-        self.lock().get(key)
+    /// Looks up the basis cached for a sparsity-pattern hash, copying
+    /// it into `out`; returns `false`, leaving `out` as it was, on a
+    /// miss.
+    pub fn get(&self, key: u64, out: &mut Vec<usize>) -> bool {
+        self.lock().get(key, out)
     }
 
     /// Stores the final basis for a pattern hash (LRU-bounded).
@@ -169,7 +176,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..200u64 {
                         cache.put(t * 1000 + (i % 40), vec![t as usize, i as usize]);
-                        cache.get(i % 40);
+                        cache.get(i % 40, &mut Vec::new());
                         if i % 17 == 0 {
                             cache.remove(i % 40);
                         }

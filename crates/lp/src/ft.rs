@@ -44,6 +44,19 @@
 //! elimination workspaces, are cleared rather than dropped, so once a
 //! run has sized them its pivots and refactorizations allocate nothing.
 //!
+//! **Skip only provably-zero work.** A gather's entry order is part of
+//! the numeric contract (it fixes the summation order, so every bit,
+//! pivot and work counter downstream), so the fast paths here never
+//! reorder or regroup arithmetic that produces a nonzero; they only skip
+//! work whose result is provably zero. Each U column keeps a support
+//! bitmask over row keys, and the spike-row elimination skips the
+//! gather of a column that shares no row with a live multiplier; the U
+//! and Uᵀ sweeps skip the division of an entry that is exactly zero and
+//! the gather of an empty column; forward solves skip row etas whose
+//! support misses the solve vector's. A skipped zero of the Uᵀ sweep
+//! stays `+0.0` where the division would have given a signed zero, and
+//! a zero's sign changes no later comparison or nonzero result.
+//!
 //! **Refactorization triggers.** An eta file refactorizes on eta count
 //! and stack fill-in; FT has no eta stack to speak of, so its triggers
 //! move into the factors themselves:
@@ -71,7 +84,7 @@
 //! races the engine against the dense-inverse and dense-tableau
 //! backends.
 
-use crate::lu::{FlatCols, LuFactors};
+use crate::lu::{mask_set, mask_words, FlatCols, LuFactors};
 use crate::revised::{basis_col, BasisRepr};
 use crate::CscMatrix;
 use qava_linalg::vecops;
@@ -124,19 +137,35 @@ impl SpikeCache {
 /// of one flat array pair. A replaced column is appended at the end and
 /// its old segment becomes garbage until the next
 /// [`clear`](Self::clear) or [`compact`](Self::compact).
+///
+/// Each column also keeps a support bitmask over row keys, `words`
+/// words per column: a bit is set when an entry is pushed and cleared
+/// when it is removed or its column begins afresh, so the mask is always
+/// exactly the column's set of row keys. The spike-row elimination
+/// intersects it with the live multipliers to skip gathers that are
+/// provably zero.
 #[derive(Debug, Default)]
 struct RowKeyedU {
     start: Vec<usize>,
     len: Vec<usize>,
     idx: Vec<usize>,
     vals: Vec<f64>,
+    masks: Vec<u64>,
+    words: usize,
     /// Compaction scratch: row keys in segment order.
     keys: Vec<usize>,
 }
 
 impl RowKeyedU {
     fn with_rows(m: usize) -> Self {
-        RowKeyedU { start: vec![0; m], len: vec![0; m], ..Default::default() }
+        let words = mask_words(m);
+        RowKeyedU {
+            start: vec![0; m],
+            len: vec![0; m],
+            masks: vec![0; m * words],
+            words,
+            ..Default::default()
+        }
     }
 
     /// Empties every column, keeping the capacity.
@@ -145,6 +174,7 @@ impl RowKeyedU {
         self.vals.clear();
         self.start.iter_mut().for_each(|s| *s = 0);
         self.len.iter_mut().for_each(|l| *l = 0);
+        self.masks.fill(0);
     }
 
     fn col(&self, r: usize) -> (&[usize], &[f64]) {
@@ -152,11 +182,21 @@ impl RowKeyedU {
         (&self.idx[lo..hi], &self.vals[lo..hi])
     }
 
+    /// Column `r`'s support bitmask.
+    fn mask(&self, r: usize) -> &[u64] {
+        &self.masks[r * self.words..(r + 1) * self.words]
+    }
+
+    fn mask_mut(&mut self, r: usize) -> &mut [u64] {
+        &mut self.masks[r * self.words..(r + 1) * self.words]
+    }
+
     /// Starts column `r` afresh at the end of the storage; its entries
     /// follow through [`push`](Self::push) in increasing row-key order.
     fn begin(&mut self, r: usize) {
         self.start[r] = self.idx.len();
         self.len[r] = 0;
+        self.mask_mut(r).fill(0);
     }
 
     /// Appends an entry to column `r`, the column begun last.
@@ -165,18 +205,53 @@ impl RowKeyedU {
         self.idx.push(key);
         self.vals.push(v);
         self.len[r] += 1;
+        mask_set(self.mask_mut(r), key);
+    }
+
+    /// Begins column `r` afresh as a copy of the increasing row-keyed
+    /// entries `idx`/`vals`.
+    fn push_col(&mut self, r: usize, idx: &[usize], vals: &[f64]) {
+        self.begin(r);
+        self.idx.extend_from_slice(idx);
+        self.vals.extend_from_slice(vals);
+        self.len[r] = idx.len();
+        for &key in idx {
+            mask_set(self.mask_mut(r), key);
+        }
+    }
+
+    /// Whether column `r` holds an entry with row key `key`.
+    fn holds(&self, r: usize, key: usize) -> bool {
+        self.mask(r)[key >> 6] >> (key & 63) & 1 == 1
     }
 
     /// Removes the entry with row key `key` from column `r`, keeping the
-    /// rest in order; returns its value, or `None` when absent.
+    /// rest in order; returns its value, or `None` when absent (read off
+    /// the support mask, so only a present key costs a search).
     fn remove(&mut self, r: usize, key: usize) -> Option<f64> {
+        if !self.holds(r, key) {
+            return None;
+        }
         let (lo, hi) = (self.start[r], self.start[r] + self.len[r]);
         let k = lo + self.idx[lo..hi].binary_search(&key).ok()?;
         let v = self.vals[k];
         self.idx.copy_within(k + 1..hi, k);
         self.vals.copy_within(k + 1..hi, k);
         self.len[r] -= 1;
+        self.mask_mut(r)[key >> 6] &= !(1u64 << (key & 63));
         Some(v)
+    }
+
+    /// Whether every column's support bitmask is exactly the set of its
+    /// stored row keys (the keys are distinct, so every key's bit set
+    /// and as many bits as keys means no other bit is).
+    fn masks_match(&self) -> bool {
+        (0..self.start.len()).all(|r| {
+            let (idx, _) = self.col(r);
+            let mask = self.mask(r);
+            let bits: u32 = mask.iter().map(|w| w.count_ones()).sum();
+            bits as usize == idx.len() && idx.iter().all(|&k| self.holds(r, k))
+        })
     }
 
     /// Entries held by live columns.
@@ -314,16 +389,6 @@ impl RowEtas {
     }
 }
 
-/// Number of `u64` words a row-key bitmask over `m` rows needs.
-fn mask_words(m: usize) -> usize {
-    m.div_ceil(64)
-}
-
-/// Sets `row`'s bit.
-fn mask_set(mask: &mut [u64], row: usize) {
-    mask[row >> 6] |= 1u64 << (row & 63);
-}
-
 /// Whether two equally sized masks share any set bit.
 fn masks_intersect(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).any(|(&x, &y)| x & y != 0)
@@ -380,9 +445,11 @@ pub(crate) struct FtBasis {
     /// window, but the zero discipline keeps successive updates
     /// independent).
     relim: Vec<f64>,
-    /// `(row key, value)` scratch: a U column being translated to row
-    /// keys by [`install`](Self::install), the spike-row multipliers in
-    /// elimination order during an update.
+    /// Row-key bitmask of the live multipliers in `relim`; all-zero
+    /// between updates.
+    mult_mask: Vec<u64>,
+    /// The spike-row multipliers of an update, `(row key, value)` in
+    /// elimination order.
     pairs: Vec<(usize, f64)>,
     /// Row key → number of stored off-diagonal U entries lying on that
     /// row (across all columns). Lets the spike-row deletion stop as
@@ -427,17 +494,10 @@ impl FtBasis {
             self.slot_of[r] = lu.col_order[k];
             self.key_of_slot[lu.col_order[k]] = r;
             self.u_diag[r] = lu.diag[k];
-            // Translate the column's entries from position indexing to
-            // row keys, sorted by row key.
+            // The factors store U row-keyed and sorted already.
             let (ui, uv) = lu.u.col(k);
-            self.pairs.clear();
-            self.pairs.extend(ui.iter().zip(uv).map(|(&t, &v)| (lu.pos_row[t], v)));
-            self.pairs.sort_unstable_by_key(|&(i, _)| i);
-            self.u.begin(r);
-            for &(key, v) in &self.pairs {
-                self.u.push(r, key, v);
-            }
-            self.u_nnz += self.pairs.len();
+            self.u.push_col(r, ui, uv);
+            self.u_nnz += ui.len();
         }
         self.row_nnz.iter_mut().for_each(|v| *v = 0);
         for &rk in &self.u.idx {
@@ -473,6 +533,10 @@ impl FtBasis {
         out.fill(0.0);
         for p in (0..self.m).rev() {
             let r = self.order[p];
+            // A zero entry solves to zero: no division, no scatter.
+            if x[r] == 0.0 {
+                continue;
+            }
             let w = x[r] / self.u_diag[r];
             if w != 0.0 {
                 let (ui, uv) = self.u.col(r);
@@ -489,8 +553,15 @@ impl FtBasis {
         for p in start..self.m {
             let r = self.order[p];
             let (ui, uv) = self.u.col(r);
-            let s = rhs(self.slot_of[r]) - vecops::gather_dot(ui, uv, w);
-            w[r] = s / self.u_diag[r];
+            let mut s = rhs(self.slot_of[r]);
+            // An empty column gathers zero, and a zero entry solves to
+            // the zero `w[r]` already holds.
+            if !ui.is_empty() {
+                s -= vecops::gather_dot(ui, uv, w);
+            }
+            if s != 0.0 {
+                w[r] = s / self.u_diag[r];
+            }
         }
         self.etas.apply_transposed(w);
         self.lu.lt_solve(w);
@@ -518,6 +589,7 @@ impl BasisRepr for FtBasis {
             shaky: false,
             spike: vec![0.0; m],
             relim: vec![0.0; m],
+            mult_mask: vec![0; mask_words(m)],
             pairs: Vec::with_capacity(m),
             row_nnz: vec![0; m],
             spike_cache: SpikeCache {
@@ -669,8 +741,10 @@ impl BasisRepr for FtBasis {
         // the masked gather keys the cut on `pos_of` — and the walk ends
         // early once the remaining right-hand side is exhausted and no
         // multiplier is live to generate fill (the common case: a
-        // near-empty spike row eliminates in a handful of steps). The
-        // multipliers collect in `pairs`, in elimination order.
+        // near-empty spike row eliminates in a handful of steps). A
+        // column whose support shares no row with a live multiplier
+        // (`mult_mask`) gathers only zeros, so its gather is skipped.
+        // The multipliers collect in `pairs`, in elimination order.
         self.pairs.clear();
         if found > 0 {
             let mut remaining = found;
@@ -686,13 +760,14 @@ impl BasisRepr for FtBasis {
                     remaining -= 1;
                     self.relim[c] = 0.0;
                 }
-                if !self.pairs.is_empty() {
+                if masks_intersect(self.u.mask(c), &self.mult_mask) {
                     let (ui, uv) = self.u.col(c);
                     val -= vecops::masked_gather_dot(ui, uv, &self.relim, &self.pos_of, t);
                 }
                 if val != 0.0 {
                     let rj = val / self.u_diag[c];
                     self.relim[c] = rj;
+                    mask_set(&mut self.mult_mask, c);
                     self.pairs.push((c, rj));
                 }
             }
@@ -751,6 +826,7 @@ impl BasisRepr for FtBasis {
         for &(c, _) in &self.pairs {
             self.relim[c] = 0.0;
         }
+        self.mult_mask.fill(0);
 
         // ---- 8. Rotate the permutation: the pivot's row and column
         // cycle from position t to the end; everything in between shifts
@@ -769,6 +845,7 @@ impl BasisRepr for FtBasis {
             self.etas.push(rt, &mut self.pairs);
         }
         self.updates += 1;
+        debug_assert!(self.u.masks_match(), "a U column's support mask drifted from its row keys");
     }
 
     fn should_refactor(&self, _iteration: usize) -> bool {
@@ -901,6 +978,8 @@ mod tests {
             }
         }
         assert_eq!(row_counts, repr.row_nnz, "row_nnz bookkeeping drifted");
+        assert!(repr.u.masks_match(), "a U column's support mask drifted from its row keys");
+        assert!(repr.mult_mask.iter().all(|&w| w == 0), "multiplier mask not reset");
         assert!(repr.spike.iter().all(|&v| v == 0.0), "spike workspace not reset");
         assert!(repr.relim.iter().all(|&v| v == 0.0), "relim workspace not reset");
     }
@@ -1053,6 +1132,61 @@ mod tests {
             }
             assert!(updates_done >= m, "m={m}: chain too short to be meaningful");
         }
+    }
+
+    /// Long random update chains on the 3DWalk corpus matrix, across
+    /// U compactions and refactorizations: after every update each U
+    /// column's support mask is exactly its set of row keys. The chains
+    /// run past the engine's own refactorization triggers (which would
+    /// rebuild U before its garbage ever outweighs the live entries on
+    /// this sparse matrix), refactorizing every `CHAIN` updates.
+    #[test]
+    fn support_masks_track_row_keys_through_long_chains() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/corpus/walk3d_emax_100_0.qlp");
+        let a = crate::lu::tests::read_qlp(&path).a;
+        let (m, n) = (a.rows(), a.cols());
+        let mut state = 0x5851F42D4C957F2Du64;
+        let mut next = move |bound: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) as usize) % bound
+        };
+        const CHAIN: usize = 400;
+        let mut ft = FtBasis::identity(m);
+        let mut basis: Vec<usize> = (n..n + m).collect();
+        let (mut updates, mut refactors, mut compactions) = (0, 0, 0);
+        for step in 0..4000 {
+            if ft.updates >= CHAIN {
+                assert!(ft.refactor(&a, n, &basis), "step {step}: basis went singular");
+                assert!(ft.u.masks_match(), "step {step}: masks after refactorization");
+                refactors += 1;
+            }
+            let col = next(n);
+            let (idx, vals) = a.col(col);
+            if idx.is_empty() || basis.contains(&col) {
+                continue;
+            }
+            let u = ftran_col(&mut ft, idx, vals);
+            // A random healthy pivot: varied exchanges, nonsingular bases.
+            let healthy: Vec<usize> = (0..m).filter(|&i| u[i].abs() > 0.1).collect();
+            if healthy.is_empty() {
+                continue;
+            }
+            let slot = healthy[next(healthy.len())];
+            let support: Vec<usize> = (0..m).filter(|&i| u[i].abs() > qava_linalg::EPS).collect();
+            let stored = ft.u.idx.len();
+            ft.update(slot, &u, &support, idx, vals);
+            basis[slot] = col;
+            updates += 1;
+            // Without a compaction the replacement column is appended.
+            if ft.u.idx.len() < stored {
+                compactions += 1;
+            }
+            check_invariants(&ft);
+        }
+        assert!(updates >= 2000, "only {updates} updates");
+        assert!(refactors >= 4, "only {refactors} refactorizations");
+        assert!(compactions >= 10, "only {compactions} U compactions");
     }
 
     #[test]

@@ -31,6 +31,22 @@
 //! running vector is zero are skipped entirely** — on the sparse
 //! entering columns of the synthesis LPs most steps are.
 //!
+//! The elimination itself is sparse in the same way: each column's
+//! left-looking solve applies only the earlier elimination columns it
+//! reaches, visited in increasing position from a bitset of reached
+//! positions, instead of testing every earlier position. U is stored
+//! keyed by pivot row and sorted, the form the Forrest–Tomlin engine
+//! keeps it in, so the engine adopts each column by a plain copy.
+//!
+//! **Skip only provably-zero work.** A gather's or scatter's entry order
+//! is part of the numeric contract: it fixes the summation order, and
+//! with it every bit, pivot and work counter downstream. So a fast path
+//! here (and in [`crate::ft`]) may skip work whose result is provably
+//! zero or already computed — an unreached elimination column, a zero
+//! pivot entry — but never reorders or regroups the arithmetic that
+//! produces a nonzero. The unit tests hold the reached-column scan to
+//! the all-positions scan it replaced bit for bit.
+//!
 //! A factorization is rebuilt in place ([`LuFactors::factorize`]): the
 //! flat arrays and the elimination workspace keep their capacity, so
 //! once a few refactorizations of one system have sized them, rebuilding
@@ -116,6 +132,10 @@ struct LuWork {
     /// Rows `x` touches, and their membership flags.
     touched: Vec<usize>,
     is_touched: Vec<bool>,
+    /// Bitset over pivot positions: the earlier elimination columns the
+    /// current column reaches (a pivoted row of `x` was written);
+    /// all-zero between columns.
+    reach: Vec<u64>,
     /// The solved column's U and L entries before sorting.
     u_entries: Vec<(usize, f64)>,
     l_entries: Vec<(usize, f64)>,
@@ -126,9 +146,10 @@ struct LuWork {
 /// Step `k` of the elimination consumed basis column `col_order[k]` and
 /// pivoted on original row `pos_row[k]`. Column `k` of `l` holds the
 /// unit-lower-triangular multipliers (original row indices, diagonal 1
-/// implicit); column `k` of `u` holds the upper-triangular entries in
-/// **pivot position** indexing (all positions < `k`), with the diagonal
-/// kept separately in `diag[k]`.
+/// implicit); column `k` of `u` holds the upper-triangular entries keyed
+/// by **pivot row** (each row pivoted before step `k`), increasing, with
+/// the diagonal kept separately in `diag[k]`. Row keys are what the
+/// Forrest–Tomlin engine stores U by, so it adopts each column as is.
 #[derive(Debug)]
 pub(crate) struct LuFactors {
     m: usize,
@@ -187,6 +208,17 @@ impl LuFactors {
         &mut self,
         col: impl Fn(usize) -> (&'c [usize], &'c [f64]),
     ) -> bool {
+        self.factorize_with(col, eliminate_reached)
+    }
+
+    /// [`factorize`](Self::factorize) with the left-looking solve
+    /// `L·x = column` given as `eliminate` (the unit tests pass the
+    /// all-positions scan it replaced, as a reference).
+    fn factorize_with<'c>(
+        &mut self,
+        col: impl Fn(usize) -> (&'c [usize], &'c [f64]),
+        eliminate: fn(&FlatCols, &[usize], &mut LuWork),
+    ) -> bool {
         let m = self.m;
         let w = &mut self.work;
         // Static row counts for the Markowitz tie-break.
@@ -227,6 +259,9 @@ impl LuFactors {
         w.u_entries.reserve(m);
         w.l_entries.reserve(m);
 
+        w.reach.clear();
+        w.reach.resize(mask_words(m), 0);
+
         for oi in 0..m {
             let j = w.order[oi];
             let (idx, vals) = col(j);
@@ -235,24 +270,7 @@ impl LuFactors {
                 w.is_touched[r] = true;
                 w.touched.push(r);
             }
-            // Left-looking solve L·x = column: apply every prior
-            // elimination column in order, skipping steps whose pivot
-            // entry is (still) zero — for sparse columns that is the
-            // vast majority.
-            for t in 0..self.diag.len() {
-                let xt = w.x[self.pos_row[t]];
-                if xt == 0.0 {
-                    continue;
-                }
-                let (li, lv) = self.l.col(t);
-                for &r in li {
-                    if !w.is_touched[r] {
-                        w.is_touched[r] = true;
-                        w.touched.push(r);
-                    }
-                }
-                vecops::scatter_axpy(-xt, li, lv, &mut w.x);
-            }
+            eliminate(&self.l, &self.pos_row, w);
 
             // Threshold partial pivoting over the unpivoted rows, with
             // the static row count as the Markowitz-style tie-break.
@@ -279,8 +297,8 @@ impl LuFactors {
             }
             let d = w.x[pivot_r];
 
-            // Split the solved column: pivoted rows become the U column
-            // (position-indexed), unpivoted rows the scaled L column.
+            // Split the solved column: pivoted rows become the U column,
+            // unpivoted rows the scaled L column, both keyed by row.
             w.u_entries.clear();
             w.l_entries.clear();
             for &r in &w.touched {
@@ -291,9 +309,10 @@ impl LuFactors {
                 if v == 0.0 || r == pivot_r {
                     continue;
                 }
-                match w.row_pos[r] {
-                    usize::MAX => w.l_entries.push((r, v / d)),
-                    t => w.u_entries.push((t, v)),
+                if w.row_pos[r] == usize::MAX {
+                    w.l_entries.push((r, v / d));
+                } else {
+                    w.u_entries.push((r, v));
                 }
             }
             w.touched.clear();
@@ -357,9 +376,7 @@ impl LuFactors {
             let wk = x[self.pos_row[k]] / self.diag[k];
             if wk != 0.0 {
                 let (ui, uv) = self.u.col(k);
-                for (&t, &v) in ui.iter().zip(uv) {
-                    x[self.pos_row[t]] -= v * wk;
-                }
+                vecops::scatter_axpy(-wk, ui, uv, x);
             }
             scratch[self.col_order[k]] = wk;
         }
@@ -375,27 +392,244 @@ impl LuFactors {
     #[cfg(test)]
     fn btran(&self, c: &[f64]) -> Vec<f64> {
         debug_assert_eq!(c.len(), self.m);
-        // Uᵀ solve, forward over pivot positions (gather form).
-        let mut w = vec![0.0f64; self.m];
-        for k in 0..self.m {
-            let (ui, uv) = self.u.col(k);
-            let s = c[self.col_order[k]] - vecops::gather_dot(ui, uv, &w);
-            w[k] = s / self.diag[k];
-        }
-        // Scatter into row indexing, then Lᵀ.
+        // Uᵀ solve, forward over pivot positions (row-keyed gather),
+        // then Lᵀ.
         let mut y = vec![0.0f64; self.m];
         for k in 0..self.m {
-            y[self.pos_row[k]] = w[k];
+            let (ui, uv) = self.u.col(k);
+            let s = c[self.col_order[k]] - vecops::gather_dot(ui, uv, &y);
+            y[self.pos_row[k]] = s / self.diag[k];
         }
         self.lt_solve(&mut y);
         y
     }
 }
 
+/// The left-looking solve `L·x = column` of one factorization step:
+/// applies exactly the earlier elimination columns the column reaches,
+/// in increasing position. A column `t` reaches only rows unpivoted at
+/// step `t`, so every position it marks lies after `t`, and the scan of
+/// the `reach` bitset visits, in order, every position whose pivot
+/// entry of `x` can be nonzero — the positions the all-positions scan
+/// applies — and no other. Each applied column scatters the same
+/// values in the same order, so the solved column is the same bit for
+/// bit; the skipped positions cost nothing instead of one test each.
+fn eliminate_reached(l: &FlatCols, pos_row: &[usize], w: &mut LuWork) {
+    for &r in &w.touched {
+        if w.row_pos[r] != usize::MAX {
+            mask_set(&mut w.reach, w.row_pos[r]);
+        }
+    }
+    for word in 0..w.reach.len() {
+        while w.reach[word] != 0 {
+            let t = word * 64 + w.reach[word].trailing_zeros() as usize;
+            w.reach[word] &= w.reach[word] - 1;
+            let xt = w.x[pos_row[t]];
+            if xt == 0.0 {
+                continue;
+            }
+            let (li, lv) = l.col(t);
+            for &r in li {
+                if !w.is_touched[r] {
+                    w.is_touched[r] = true;
+                    w.touched.push(r);
+                }
+                if w.row_pos[r] != usize::MAX {
+                    mask_set(&mut w.reach, w.row_pos[r]);
+                }
+            }
+            vecops::scatter_axpy(-xt, li, lv, &mut w.x);
+        }
+    }
+}
+
+/// Number of `u64` words a bitmask over `m` rows or positions needs.
+pub(crate) fn mask_words(m: usize) -> usize {
+    m.div_ceil(64)
+}
+
+/// Sets bit `i`.
+pub(crate) fn mask_set(mask: &mut [u64], i: usize) {
+    mask[i >> 6] |= 1u64 << (i & 63);
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::revised::basis_col;
+    use crate::CscMatrix;
     use qava_linalg::Matrix;
+
+    /// A core-form instance of `tests/corpus` (the `.qlp` format of
+    /// `tests/corpus.rs`): the fields a basis factorization needs.
+    pub(crate) struct QlpInstance {
+        pub name: String,
+        pub a: CscMatrix,
+        pub costs: Vec<f64>,
+        pub b: Vec<f64>,
+        pub warm: Option<Vec<usize>>,
+    }
+
+    /// Reads every instance of `tests/corpus`, in file-name order.
+    fn corpus() -> Vec<QlpInstance> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+        let mut paths: Vec<_> = std::fs::read_dir(&dir)
+            .expect("corpus directory")
+            .map(|e| e.expect("corpus entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "qlp"))
+            .collect();
+        paths.sort();
+        paths.iter().map(|p| read_qlp(p)).collect()
+    }
+
+    /// Reads one instance of `tests/corpus`.
+    pub(crate) fn read_qlp(path: &std::path::Path) -> QlpInstance {
+        let text = std::fs::read_to_string(path).expect("readable corpus file");
+        let mut name = String::new();
+        let (mut m, mut costs, mut b, mut rows, mut warm) =
+            (0, Vec::new(), Vec::new(), Vec::new(), None);
+        for line in text.lines() {
+            let f: Vec<&str> = line.split_whitespace().collect();
+            let num = |k: usize| f[k].parse::<f64>().expect("number");
+            let idx = |k: usize| f[k].parse::<usize>().expect("index");
+            match f.first().copied() {
+                Some("name") => name = f[1].to_string(),
+                Some("m") => {
+                    m = idx(1);
+                    costs = vec![0.0; idx(3)];
+                    b = vec![0.0; m];
+                    rows = vec![Vec::new(); m];
+                }
+                Some("c") => costs[idx(1)] = num(2),
+                Some("b") => b[idx(1)] = num(2),
+                Some("a") => rows[idx(1)].push((idx(2), num(3))),
+                Some("warm") => warm = Some((1..f.len()).map(idx).collect()),
+                _ => {}
+            }
+        }
+        let a = CscMatrix::from_sparse_rows(m, costs.len(), &rows);
+        QlpInstance { name, a, costs, b, warm }
+    }
+
+    /// The all-positions elimination scan [`eliminate_reached`]
+    /// replaced: tests the pivot entry of every earlier position.
+    fn eliminate_all(l: &FlatCols, pos_row: &[usize], w: &mut LuWork) {
+        for (t, &r) in pos_row.iter().enumerate() {
+            let xt = w.x[r];
+            if xt == 0.0 {
+                continue;
+            }
+            let (li, lv) = l.col(t);
+            for &r in li {
+                if !w.is_touched[r] {
+                    w.is_touched[r] = true;
+                    w.touched.push(r);
+                }
+            }
+            vecops::scatter_axpy(-xt, li, lv, &mut w.x);
+        }
+    }
+
+    /// Factorizes `col` with the fast and the reference elimination and
+    /// requires the same verdict and, on success, the same factors bit
+    /// for bit. Returns the verdict.
+    fn assert_matches_reference<'c>(
+        m: usize,
+        col: impl Fn(usize) -> (&'c [usize], &'c [f64]) + Copy,
+        ctx: &str,
+    ) -> bool {
+        let (mut fast, mut reference) = (LuFactors::identity(m), LuFactors::identity(m));
+        let ok = fast.factorize(col);
+        assert_eq!(ok, reference.factorize_with(col, eliminate_all), "{ctx}: verdicts differ");
+        if ok {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(fast.col_order, reference.col_order, "{ctx}: col_order");
+            assert_eq!(fast.pos_row, reference.pos_row, "{ctx}: pos_row");
+            assert_eq!(bits(&fast.diag), bits(&reference.diag), "{ctx}: diag");
+            for (name, f, r) in [("L", &fast.l, &reference.l), ("U", &fast.u, &reference.u)] {
+                assert_eq!(f.ptr, r.ptr, "{ctx}: {name} column pointers");
+                assert_eq!(f.idx, r.idx, "{ctx}: {name} row keys");
+                assert_eq!(bits(&f.vals), bits(&r.vals), "{ctx}: {name} values");
+            }
+        }
+        ok
+    }
+
+    /// The final basis of every corpus instance (solved by the `lu-ft`
+    /// engine) factorizes bit for bit like the all-positions scan, and a
+    /// recorded warm basis gets the reference's verdict (the singular
+    /// one is rejected by both).
+    #[test]
+    fn reached_elimination_matches_reference_on_corpus_bases() {
+        let instances = corpus();
+        assert!(instances.len() >= 20, "corpus went missing");
+        let mut singular = 0;
+        for inst in &instances {
+            let (m, n) = (inst.a.rows(), inst.a.cols());
+            let unit_rows: Vec<usize> = (0..m).collect();
+            let out =
+                crate::revised::solve_equilibrated_lu_ft(&inst.costs, &inst.a, &inst.b, None, None)
+                    .unwrap_or_else(|e| panic!("{}: {e:?}", inst.name));
+            let basis = &out.basis;
+            let col = |k: usize| basis_col(&inst.a, n, basis[k], &unit_rows);
+            let ok = assert_matches_reference(m, col, &inst.name);
+            assert!(ok, "{}: final basis singular", inst.name);
+            if let Some(warm) = &inst.warm {
+                let col = |k: usize| basis_col(&inst.a, n, warm[k], &unit_rows);
+                if !assert_matches_reference(m, col, &format!("{} warm", inst.name)) {
+                    singular += 1;
+                }
+            }
+        }
+        assert!(singular >= 1, "the singular warm basis must be exercised");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+        /// Random sparse bases, from 1 to 3 mask words of positions and
+        /// from nearly empty to half dense (many of them singular, some
+        /// with an empty or a repeated column), factorize bit for bit
+        /// like the all-positions scan, and a singular one is rejected
+        /// by both.
+        #[test]
+        fn reached_elimination_matches_reference_on_random_bases(
+            m in 1usize..160,
+            density in 1u32..50,
+            seed in proptest::prelude::any::<u64>(),
+            defect in 0u8..4,
+        ) {
+            let mut state = seed | 1;
+            let mut next = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let p = f64::from(density) / 100.0;
+            let mut cols: Vec<(Vec<usize>, Vec<f64>)> = (0..m)
+                .map(|j| {
+                    let mut col = (Vec::new(), Vec::new());
+                    for i in 0..m {
+                        // A diagonal most of the time keeps a share of
+                        // the cases nonsingular at every density.
+                        if (i == j && next() < 0.9) || next() < p {
+                            col.0.push(i);
+                            col.1.push(next() * 4.0 - 2.0);
+                        }
+                    }
+                    col
+                })
+                .collect();
+            match defect {
+                1 => cols[m / 2] = (Vec::new(), Vec::new()),
+                2 if m > 1 => cols[m - 1] = cols[0].clone(),
+                _ => {}
+            }
+            let col = |k: usize| (&cols[k].0[..], &cols[k].1[..]);
+            let ok = assert_matches_reference(m, col, &format!("m={m} p={p} seed={seed}"));
+            if defect == 1 || (defect == 2 && m > 1) {
+                proptest::prop_assert!(!ok, "an empty or repeated column must be singular");
+            }
+        }
+    }
 
     fn cols_of(dense: &Matrix) -> Vec<(Vec<usize>, Vec<f64>)> {
         (0..dense.cols())

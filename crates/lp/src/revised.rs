@@ -622,6 +622,9 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
         let mut stalled = 0usize;
         let mut bland = force_bland;
         let mut just_refactored = fresh;
+        // `c_B · x_B` after the last pivot: the next pivot's starting
+        // objective, until a refactorization rewrites `x_B`.
+        let mut last_objective: Option<f64> = None;
         for it in 0..MAX_PIVOTS {
             if it > 0 && self.repr.should_refactor(it) && !just_refactored {
                 // A mid-run refactorization is an error reset, not a
@@ -638,6 +641,7 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
                 // when the rebuild succeeded and to the stale one when
                 // it did not (the historical dense-inverse behavior).
                 let refreshed = self.refactor(b);
+                last_objective = None;
                 if !self.xb.iter().all(|&v| v >= -feas_tol) {
                     self.wd_infeasible += 1;
                     return Ok(RunOutcome::LostFeasibility);
@@ -657,6 +661,7 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
                     return Ok(RunOutcome::LostFeasibility);
                 }
                 just_refactored = true;
+                last_objective = None;
                 continue;
             };
             self.ftran(col);
@@ -681,6 +686,7 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
                             return Ok(RunOutcome::LostFeasibility);
                         }
                         just_refactored = true;
+                        last_objective = None;
                         None
                     }
                     Some(col2) => {
@@ -695,6 +701,7 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
                                     return Ok(RunOutcome::LostFeasibility);
                                 }
                                 just_refactored = true;
+                                last_objective = None;
                                 None
                             }
                         }
@@ -702,14 +709,12 @@ impl<'a, R: BasisRepr> Revised<'a, R> {
                 }
             };
             let Some((row, col)) = pivoted else { continue };
-            let before = self.objective(costs, art_cost);
+            let before = last_objective.unwrap_or_else(|| self.objective(costs, art_cost));
             self.pivot(row, col);
             just_refactored = false;
-            stalled = if (self.objective(costs, art_cost) - before).abs() <= 1e-12 {
-                stalled + 1
-            } else {
-                0
-            };
+            let after = self.objective(costs, art_cost);
+            last_objective = Some(after);
+            stalled = if (after - before).abs() <= 1e-12 { stalled + 1 } else { 0 };
         }
         Err(LpError::PivotLimit)
     }

@@ -600,6 +600,9 @@ pub struct LpSolver {
     /// slots; `Fixed` pins one registered backend.
     selection: Selection,
     cache: BasisCache,
+    /// The warm basis offered to the backend, copied out of a cache into
+    /// storage the session keeps, so a warm lookup allocates nothing.
+    warm: Vec<usize>,
     /// Optional process-wide warm-start store consulted read-through on
     /// session-cache misses and written write-through on every cache
     /// update; see [`set_shared_cache`](Self::set_shared_cache).
@@ -654,6 +657,7 @@ impl LpSolver {
             backends: vec![Box::new(SparseRevised), Box::new(DenseTableau), Box::new(LuFtSimplex)],
             selection: Selection::Auto,
             cache: BasisCache::new(DEFAULT_CACHE_CAPACITY),
+            warm: Vec::new(),
             shared: None,
             stats: LpStats::default(),
             cancel: Vec::new(),
@@ -1136,34 +1140,33 @@ impl LpSolver {
         // dense tableau's whole point is a minimal per-solve fixed cost.
         let warm_capable = self.backends[idx].supports_warm_start();
         let key = if warm_capable { *core_sys.key.get_or_init(|| sa.pattern_hash()) } else { 0 };
-        let mut warm = if warm_capable { self.cache.get(key) } else { None };
+        let mut have_warm = warm_capable && self.cache.get(key, &mut self.warm);
         // Read-through to the process-wide store on a session miss. A
         // shared entry comes from another request, so it gets a shape
         // check a session entry never needs (`len == m`, indices `< n`);
         // anything malformed is treated as a miss, never offered to a
         // backend.
         let mut warm_from_shared = false;
-        if warm.is_none() && warm_capable {
+        if !have_warm && warm_capable {
             if let Some(shared) = &self.shared {
-                if let Some(basis) = shared.get(key) {
-                    if basis.len() == m && basis.iter().all(|&j| j < n) {
+                if shared.get(key, &mut self.warm) {
+                    if self.warm.len() == m && self.warm.iter().all(|&j| j < n) {
                         warm_from_shared = true;
-                        warm = Some(basis);
+                        have_warm = true;
                     } else {
                         shared.remove(key);
                     }
                 }
             }
         }
-        if let Some(basis) = warm.as_mut() {
-            if self.fault_trip(Site::WarmLookup) {
-                // Poison: duplicate the first slot everywhere, making the
-                // warm basis singular. The backend's warm-start
-                // validation must reject it and run cold.
-                let first = basis[0];
-                basis.iter_mut().for_each(|slot| *slot = first);
-            }
+        if have_warm && self.fault_trip(Site::WarmLookup) {
+            // Poison: duplicate the first slot everywhere, making the
+            // warm basis singular. The backend's warm-start validation
+            // must reject it and run cold.
+            let first = self.warm[0];
+            self.warm.iter_mut().for_each(|slot| *slot = first);
         }
+        let warm = have_warm.then_some(&self.warm[..]);
 
         // The in-backend injection sites (refactor, update pivots, FT
         // accuracy) read the plan through a thread-local installed only
@@ -1173,10 +1176,8 @@ impl LpSolver {
         let prev = faults::install(self.faults.take());
         let backend = &self.backends[idx];
         let core = match factors {
-            Some(factors) => {
-                backend.solve_core_prepared(scaled_costs, sa, sb, warm.as_deref(), factors)
-            }
-            None => backend.solve_core(scaled_costs, sa, sb, warm.as_deref()),
+            Some(factors) => backend.solve_core_prepared(scaled_costs, sa, sb, warm, factors),
+            None => backend.solve_core(scaled_costs, sa, sb, warm),
         };
         self.faults = faults::install(prev);
         let core = if self.fault_trip(Site::BackendCall) {
@@ -1658,7 +1659,7 @@ mod tests {
                         );
                     }
                     1 => {
-                        cache.get(key);
+                        cache.get(key, &mut Vec::new());
                     }
                     // Failover invalidation path.
                     2 => {
